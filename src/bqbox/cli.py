@@ -60,8 +60,6 @@ def _parser():
     ap.add_argument("--config", default=os.environ.get("BQBOX_CONFIG"))
     ap.add_argument("--output", default=os.environ.get("BQBOX_OUTPUT", "."))
     ap.add_argument("--seed", type=int, default=int(env_seed) if env_seed else None)
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("BQBOX_THREADS", "1")))
     return ap
 
 
@@ -336,8 +334,7 @@ def main(argv=None):
             raise FieldIOError(f"cannot create output directory {outdir}: {exc}") from exc
         outputs = _COMMANDS[args.subcommand](cfg, outdir)
         write_manifest(outdir, args.subcommand, cfg.text, cfg.seed,
-                       [Path(o).name for o in outputs], time.monotonic() - started,
-                       extras={"threads": args.threads})
+                       [Path(o).name for o in outputs], time.monotonic() - started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -20,7 +20,6 @@ from .forcing import ForcingSpec, HarmonicTerm, TimeFourierField
 from .grid import GridSpec, State, zeros_like_state
 from .norms import BallSampler, NormParams
 from .presets import make_preset
-from .stability import StabilityParams
 
 _VECTOR_PRESETS = {"random-vector", "random-div-free", "gravity", "single-mode-vector", "taylor-green"}
 _TENSOR_PRESETS = {"random-tensor", "single-mode-tensor"}
@@ -38,7 +37,7 @@ class RunConfig:
     forcing: ForcingSpec | None
     norms: list
     sampler: BallSampler
-    stability: StabilityParams | None
+    stability: dict | None
     t_end: float | None
     options: dict = field(default_factory=dict)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, HypothesisError
-from .forcing import ForcingSpec, SampledScalarSeries, TimeFourierField
+from .forcing import ForcingSpec, SampledScalarSeries, TimeFourierField, bracket
 from .grid import (
     ScalarField,
     State,
@@ -44,7 +44,8 @@ from .grid import (
 )
 from .norms import NormContext, NormParams, morrey_lorentz_norm, state_norm, trajectory_sup_norm
 from .operators import (
-    dealias_coeffs,
+    advection_coeffs,
+    buoyancy_coeffs,
     div_coeffs,
     leray_coeffs,
     semigroup_factor,
@@ -142,11 +143,9 @@ class Trajectory:
         ts = self.times
         if t < ts[0] - 1e-12 or t > ts[-1] + 1e-9 * max(1.0, abs(t)):
             raise DiagnosticsError(f"trajectory does not cover t = {t}")
-        j = min(int(np.searchsorted(ts, t)), len(ts) - 1)
-        if abs(ts[j] - t) <= 1e-12 * max(1.0, abs(t)):
+        j, x = bracket(ts, t)
+        if x == 0.0:
             return self.states[j]
-        j = max(j - 1, 0)
-        x = (t - ts[j]) / (ts[j + 1] - ts[j])
         a, b = self.states[j], self.states[j + 1]
         g = self.grid
         return State(
@@ -178,14 +177,16 @@ def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
     return Trajectory(a.grid, a.times.copy(), states)
 
 
+def _to_state(grid, vel_hat, th_hat):
+    return State(
+        VectorField(grid, inverse_values(grid, vel_hat).real),
+        ScalarField(grid, inverse_values(grid, th_hat).real),
+    )
+
+
 # ---------------------------------------------------------------------------
 # compiled forcing: analytic harmonics + node-sampled extras
 # ---------------------------------------------------------------------------
-
-
-def _zero_mean(coeffs, n):
-    coeffs[(Ellipsis,) + (0,) * n] = 0.0
-    return coeffs
 
 
 class _CompiledForcing:
@@ -224,14 +225,10 @@ class _CompiledForcing:
             and forcing.g is not None
             and forcing.kappa > 0.0
         ):
-            node_vel = []
-            for t in node_times:
-                theta_t = eta.value(t)
-                g_t = forcing.g.value(t)
-                prod = theta_t.values[np.newaxis] * g_t.values
-                c = dealias_coeffs(grid, forward_coeffs(grid, prod))
-                c = _zero_mean(leray_coeffs(grid, c), grid.n)
-                node_vel.append(forcing.kappa * c)
+            node_vel = [
+                buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
+                for t in node_times
+            ]
         node_th = None
         if extra is not None:
             if extra.vel is not None:
@@ -261,11 +258,9 @@ class _CompiledForcing:
             return samples[0]
         if tr >= ts[-1]:
             return samples[-1]
-        j = int(np.searchsorted(ts, tr))
-        if abs(ts[j] - tr) <= 1e-12 * max(1.0, abs(tr)):
+        j, x = bracket(ts, tr)
+        if x == 0.0:
             return samples[j]
-        j -= 1
-        x = (tr - ts[j]) / (ts[j + 1] - ts[j])
         return (1.0 - x) * samples[j] + x * samples[j + 1]
 
     def rows_at(self, t):
@@ -310,23 +305,11 @@ class _StateRHS:
 
     def __call__(self, u_hat, th_hat, t):
         grid = self.grid
-        scale = float(grid.N**grid.n)
-        axes = tuple(range(-grid.n, 0))
-        u = np.fft.ifftn(u_hat * scale, axes=axes).real
-        th = np.fft.ifftn(th_hat * scale, axes=axes).real
-
-        outer = u[:, np.newaxis] * u[np.newaxis, :]
-        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, outer))
-        vel = -leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat))
-
-        thu_hat = dealias_coeffs(grid, forward_coeffs(grid, th[np.newaxis] * u))
-        th_row = -div_coeffs(grid, thu_hat)
-
+        u = inverse_values(grid, u_hat).real
+        th = inverse_values(grid, th_hat).real
+        vel, th_row = advection_coeffs(grid, u, u, th)
         if self.kappa > 0.0 and self.forcing is not None and self.forcing.g is not None:
-            g_real = self._g_real(t)
-            c = dealias_coeffs(grid, forward_coeffs(grid, th[np.newaxis] * g_real))
-            c = _zero_mean(leray_coeffs(grid, c), grid.n)
-            vel = vel + self.kappa * c
+            vel = vel + buoyancy_coeffs(grid, th, self._g_real(t), self.kappa)
         return vel, th_row
 
 
@@ -350,6 +333,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     grid = initial.grid
     if forcing is not None and forcing.grid is not None and forcing.grid != grid:
         raise ConfigError("forcing and initial data live on different grids")
+    if not (np.all(np.isfinite(initial.u.values)) and np.all(np.isfinite(initial.theta.values))):
+        raise ConfigError("initial state has non-finite values")
     if mode == "linearized" and eta is None and forcing is not None and forcing.g is not None \
             and forcing.kappa > 0:
         raise ConfigError("linearized mode with a g-coupling needs the frozen temperature eta")
@@ -393,15 +378,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
     th_hat = forward_coeffs(grid, initial.theta.values).astype(complex)
 
-    def materialize(uh, thh):
-        scale = float(grid.N**grid.n)
-        axes = tuple(range(-grid.n, 0))
-        u = np.fft.ifftn(uh * scale, axes=axes).real
-        th = np.fft.ifftn(thh * scale, axes=axes).real
-        return State(VectorField(grid, u), ScalarField(grid, th))
-
     times = [0.0]
-    states = [materialize(u_hat, th_hat)]
+    states = [_to_state(grid, u_hat, th_hat)]
     picard_iters_max = 0
 
     for i in range(n_steps):
@@ -459,10 +437,14 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
                 gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
                 next_u = fixed_u + Wb[np.newaxis] * gs_vb
                 next_th = fixed_th + Wb * gs_tb
-                res = max(
-                    float(np.max(np.abs(next_u - new_u))),
-                    float(np.max(np.abs(next_th - new_th))),
-                )
+                # np.max, unlike max(), lets a NaN in either row through
+                res = float(np.max([np.max(np.abs(next_u - new_u)),
+                                    np.max(np.abs(next_th - new_th))]))
+                if not np.isfinite(res):
+                    raise ConvergenceError(
+                        f"Picard residual is not finite at step {i} (t = {t_b:.6g})",
+                        residual=res,
+                    )
                 scale = max(
                     float(np.max(np.abs(next_u))), float(np.max(np.abs(next_th))), 1e-30
                 )
@@ -483,7 +465,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         u_hat = leray_coeffs(grid, u_hat)
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:
             times.append(t_b)
-            states.append(materialize(u_hat, th_hat))
+            states.append(_to_state(grid, u_hat, th_hat))
 
     return Trajectory(
         grid,
@@ -541,14 +523,6 @@ def _accumulate(grid, nodes, rows, t, has_vel=True, has_th=True):
     return vel, th
 
 
-def _to_state(grid, vel_hat, th_hat):
-    scale = float(grid.N**grid.n)
-    axes = tuple(range(-grid.n, 0))
-    u = np.fft.ifftn(vel_hat * scale, axes=axes).real
-    th = np.fft.ifftn(th_hat * scale, axes=axes).real
-    return State(VectorField(grid, u), ScalarField(grid, th))
-
-
 def bilinear_increment(traj_a: Trajectory, traj_b: Trajectory, t, cfg=None):
     """B(a, b)(t) = -int_0^t grad . e^{-(t-s)L} [P(u_a (x) u_b); u_a theta_b] ds."""
     grid = traj_a.grid
@@ -557,14 +531,7 @@ def bilinear_increment(traj_a: Trajectory, traj_b: Trajectory, t, cfg=None):
     rows = []
     for s in nodes:
         sa, sb = traj_a.sample(s), traj_b.sample(s)
-        outer = sa.u.values[:, np.newaxis] * sb.u.values[np.newaxis, :]
-        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, outer))
-        vel = -leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat))
-        mix = dealias_coeffs(
-            grid, forward_coeffs(grid, sa.u.values * sb.theta.values[np.newaxis])
-        )
-        th = -div_coeffs(grid, mix)
-        rows.append((vel, th))
+        rows.append(advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values))
     vel, th = _accumulate(grid, nodes, rows, t)
     return _to_state(grid, vel, th)
 
@@ -575,13 +542,10 @@ def coupling_increment(theta_samples, g: TimeFourierField, kappa, t, cfg=None):
         theta_samples = theta_samples.theta_series()
     grid = g.grid
     nodes = _quadrature_nodes(theta_samples.times, t)
-    rows = []
-    for s in nodes:
-        th_s = theta_samples.value(s)
-        prod = th_s.values[np.newaxis] * g.value(s).values
-        c = dealias_coeffs(grid, forward_coeffs(grid, prod))
-        c = _zero_mean(leray_coeffs(grid, c), grid.n)
-        rows.append((kappa * c, None))
+    rows = [
+        (buoyancy_coeffs(grid, theta_samples.value(s).values, g.value(s).values, kappa), None)
+        for s in nodes
+    ]
     vel, th = _accumulate(grid, nodes, rows, t, has_th=False)
     return _to_state(grid, vel, th)
 

@@ -129,11 +129,9 @@ class SampledScalarSeries:
             return self.fields[0]
         if t >= ts[-1]:
             return self.fields[-1]
-        j = int(np.searchsorted(ts, t)) - 1
-        tj, tj1 = ts[j], ts[j + 1]
-        if abs(t - tj) <= 1e-12 * max(1.0, abs(t)):
+        j, x = bracket(ts, t)
+        if x == 0.0:
             return self.fields[j]
-        x = (t - tj) / (tj1 - tj)
         f0, f1 = self.fields[j], self.fields[j + 1]
         return ScalarField(f0.grid, (1.0 - x) * f0.values + x * f1.values)
 
@@ -143,7 +141,7 @@ class SampledSpectralForcing:
     """Extra inhomogeneity in coefficient space, sampled at node times.
 
     Used by the periodic engine to freeze a nonlinearity along a stored
-    trajectory: rows interpolate linearly between nodes.
+    trajectory; the time stepper interpolates the rows linearly between nodes.
     """
 
     times: np.ndarray
@@ -153,19 +151,16 @@ class SampledSpectralForcing:
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
 
-    def _interp(self, samples, t):
-        ts = self.times
-        if t <= ts[0]:
-            return samples[0]
-        if t >= ts[-1]:
-            return samples[-1]
-        j = int(np.searchsorted(ts, t)) - 1
-        x = (t - ts[j]) / (ts[j + 1] - ts[j])
-        if x == 0.0:
-            return samples[j]
-        return (1.0 - x) * samples[j] + x * samples[j + 1]
 
-    def rows_at(self, t):
-        vel = self._interp(self.vel, t) if self.vel is not None else None
-        th = self._interp(self.th, t) if self.th is not None else None
-        return vel, th
+def bracket(ts, t):
+    """Linear-interpolation position of t among the sorted node times ts.
+
+    Returns (j, x) with t = (1 - x) ts[j] + x ts[j + 1].  A t at a node, or
+    within 1e-12 max(1, |t|) below one, snaps to it and returns (j, 0.0).
+    Clamping, period wrap and coverage checks are the caller's.
+    """
+    j = min(int(np.searchsorted(ts, t)), len(ts) - 1)
+    if abs(ts[j] - t) <= 1e-12 * max(1.0, abs(t)):
+        return j, 0.0
+    j = max(j - 1, 0)
+    return j, (t - ts[j]) / (ts[j + 1] - ts[j])

@@ -105,6 +105,34 @@ class GridSpec:
             keep &= np.abs(axis_k) <= cut
         return keep
 
+    # Operator multipliers, built once per grid and shared read-only.
+
+    @cached_property
+    def ik(self):
+        """i * 2 pi k / L per axis (Nyquist zeroed): the first-derivative multiplier."""
+        return _read_only((2j * np.pi / self.L) * self.deriv_wave_integers)
+
+    @cached_property
+    def deriv_k(self):
+        """deriv_wave_integers as floats: the K of the Leray projector."""
+        return _read_only(self.deriv_wave_integers.astype(float))
+
+    @cached_property
+    def deriv_k_inv_squared(self):
+        """1 / |K|^2, and 0 where K = 0."""
+        k2 = np.sum(self.deriv_k * self.deriv_k, axis=0)
+        return _read_only(np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0))
+
+    @cached_property
+    def deriv_k_norm(self):
+        """|K|."""
+        return _read_only(np.sqrt(np.sum(self.deriv_k * self.deriv_k, axis=0)))
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -278,9 +306,8 @@ def spectral_divergence_residual(u, coeffs=None):
     grid = u.grid if coeffs is None else u
     if coeffs is None:
         coeffs = forward_coeffs(grid, u.values)
-    K = grid.deriv_wave_integers.astype(float)
-    dot = np.abs(np.sum(K * coeffs, axis=0))
-    kmag = np.sqrt(np.sum(K * K, axis=0))
+    dot = np.abs(np.sum(grid.deriv_k * coeffs, axis=0))
+    kmag = grid.deriv_k_norm
     amp = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=0))
     peak = np.max(amp)
     if peak == 0.0:

@@ -5,11 +5,18 @@ exp(-t |2 pi k / L|^2), derivatives are i 2 pi k_j / L, and the Leray
 projector removes the longitudinal part k (k . v_hat) / |k|^2 (identity at
 k = 0, where constants are already divergence-free).  Everything is a pure
 function of immutable fields.
+
+The two nonlinear kernels of the mild-solution map live here, once:
+:func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule)
+and :func:`buoyancy_coeffs` (the coupling T_g).  The time steppers, the
+standalone Duhamel increments and the frozen-nonlinearity periodic solver
+all call them.  The multipliers (derivative, Leray, 2/3 mask) are cached
+read-only on the ``GridSpec``, so they are built once per grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +41,45 @@ def semigroup_factor(grid, t):
     return np.exp(-t * grid.k_squared)
 
 
-def ik(grid):
-    """i * 2 pi k / L per axis (Nyquist zeroed), shape (n, N, ..., N)."""
-    return (2j * np.pi / grid.L) * grid.deriv_wave_integers
-
-
 def grad_coeffs(grid, scalar_coeffs):
-    return ik(grid) * scalar_coeffs[np.newaxis]
+    return grid.ik * scalar_coeffs[np.newaxis]
 
 
 def div_coeffs(grid, vector_coeffs):
-    return np.sum(ik(grid) * vector_coeffs, axis=0)
+    return np.sum(grid.ik * vector_coeffs, axis=0)
 
 
 def tensor_div_coeffs(grid, tensor_coeffs):
     """(div F)_i = sum_j d_j F_ij in coefficient space."""
-    return np.sum(ik(grid)[np.newaxis, :] * tensor_coeffs, axis=1)
+    return np.sum(grid.ik[np.newaxis, :] * tensor_coeffs, axis=1)
 
 
 def leray_coeffs(grid, vector_coeffs):
-    K = grid.deriv_wave_integers.astype(float)
-    k2 = np.sum(K * K, axis=0)
-    inv = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    K = grid.deriv_k
     dot = np.sum(K * vector_coeffs, axis=0)
-    return vector_coeffs - K * (dot * inv)[np.newaxis]
+    return vector_coeffs - K * (dot * grid.deriv_k_inv_squared)[np.newaxis]
 
 
 def dealias_coeffs(grid, coeffs):
     return coeffs * grid.dealias_mask
+
+
+def advection_coeffs(grid, u_a, u_b, th_b):
+    """Advective rows (-P div(u_a (x) u_b), -div(u_a theta_b)) from real values.
+
+    Both products are dealiased before the divergence is taken.
+    """
+    uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
+    vel = -leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat))
+    mix = dealias_coeffs(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
+    return vel, -div_coeffs(grid, mix)
+
+
+def buoyancy_coeffs(grid, th, g, kappa):
+    """Coupling row kappa P(theta g) from real values, dealiased, with its mean removed."""
+    c = leray_coeffs(grid, dealias_coeffs(grid, forward_coeffs(grid, th[np.newaxis] * g)))
+    c[(Ellipsis,) + (0,) * grid.n] = 0.0
+    return kappa * c
 
 
 # ---------------------------------------------------------------------------

@@ -29,22 +29,16 @@ import numpy as np
 from .duhamel import (
     SolveConfig,
     Trajectory,
+    _to_state,
     evolve,
     state_difference,
     trajectory_difference,
 )
 from .errors import ConfigError, ConvergenceError, HypothesisError
 from .forcing import ForcingSpec, SampledScalarSeries, SampledSpectralForcing
-from .grid import (
-    ScalarField,
-    State,
-    VectorField,
-    forward_coeffs,
-    inverse_values,
-    zeros_like_state,
-)
+from .grid import ScalarField, State, VectorField, forward_coeffs, zeros_like_state
 from .norms import BallSampler, NormContext, NormParams, state_norm, trajectory_sup_norm
-from .operators import dealias_coeffs, div_coeffs, leray_coeffs, tensor_div_coeffs
+from .operators import advection_coeffs, leray_coeffs
 
 _MEAN_TOL = 1e-12
 
@@ -114,10 +108,13 @@ def check_periodicity(traj: Trajectory, ctx: NormContext | None = None):
     return diff.max_norm(), state_norm(diff, ctx)
 
 
-def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
-    """Fixed datum via per-mode inversion of I - e^{-TL} on mean-free data."""
+def _invert_resolvent(problem: PeriodicProblem, c: State) -> State:
+    """Fixed datum x = (I - e^{-TL})^{-1} c of the affine map P(x) = e^{-TL} x + c.
+
+    ``c`` is the time-T image of 0.  It must be mean-free (I - e^{-TL} is
+    singular at k = 0); the datum's mean is set to zero.
+    """
     grid = problem.grid
-    c = poincare_map(zeros_like_state(grid), problem)
     c_u = forward_coeffs(grid, c.u.values)
     c_th = forward_coeffs(grid, c.theta.values)
     scale = max(float(np.max(np.abs(c_u))), float(np.max(np.abs(c_th))))
@@ -125,10 +122,10 @@ def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
     mean_size = max(
         float(np.max(np.abs(c_u[(slice(None),) + zero_idx]))), float(np.abs(c_th[zero_idx]))
     )
-    if scale > 0 and mean_size > _MEAN_TOL * scale:
+    if mean_size > _MEAN_TOL * scale:
         raise HypothesisError(
-            "cannot invert I - e^{-TL} at k = 0: the forcing is not mean-free "
-            "(mean modes are excluded by the mean-mode handling decision)"
+            "cannot invert I - e^{-TL} at k = 0: the forcing (or the frozen "
+            "nonlinearity) is not mean-free"
         )
     denom = 1.0 - np.exp(-problem.period * grid.k_squared)
     denom[zero_idx] = 1.0  # numerator is zero there by the check above
@@ -136,9 +133,12 @@ def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
     x_th = c_th / denom
     x_u[(slice(None),) + zero_idx] = 0.0
     x_th[zero_idx] = 0.0
-    u = inverse_values(grid, x_u).real
-    th = inverse_values(grid, x_th).real
-    return State(VectorField(grid, u), ScalarField(grid, th))
+    return _to_state(grid, x_u, x_th)
+
+
+def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
+    """Fixed datum via per-mode inversion of I - e^{-TL} on mean-free data."""
+    return _invert_resolvent(problem, poincare_map(zeros_like_state(problem.grid), problem))
 
 
 def cesaro_periodic_datum(
@@ -220,15 +220,9 @@ def cesaro_periodic_datum(
 def _frozen_extra(traj: Trajectory) -> SampledSpectralForcing:
     """Freeze -P div(v (x) v) and -div(eta v) along a stored iterate."""
     grid = traj.grid
-    vel_nodes = []
-    th_nodes = []
-    for s in traj.states:
-        outer = s.u.values[:, np.newaxis] * s.u.values[np.newaxis, :]
-        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, outer))
-        vel_nodes.append(-leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat)))
-        mix = dealias_coeffs(grid, forward_coeffs(grid, s.theta.values[np.newaxis] * s.u.values))
-        th_nodes.append(-div_coeffs(grid, mix))
-    return SampledSpectralForcing(times=np.asarray(traj.times), vel=vel_nodes, th=th_nodes)
+    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values)
+                    for s in traj.states))
+    return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
 
 
 def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
@@ -243,28 +237,8 @@ def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
         extra=extra,
         store_stride=problem.steps_per_period,
     ).states[-1]
-    # resolvent inversion of the affine Poincare map of this sub-problem
-    c_u = forward_coeffs(grid, c.u.values)
-    c_th = forward_coeffs(grid, c.theta.values)
-    zero_idx = (0,) * grid.n
-    scale = max(float(np.max(np.abs(c_u))), float(np.max(np.abs(c_th))), 1e-300)
-    mean_size = max(
-        float(np.max(np.abs(c_u[(slice(None),) + zero_idx]))), float(np.abs(c_th[zero_idx]))
-    )
-    if mean_size > _MEAN_TOL * scale:
-        raise HypothesisError("frozen sub-problem is not mean-free at k = 0")
-    denom = 1.0 - np.exp(-problem.period * grid.k_squared)
-    denom[zero_idx] = 1.0
-    x_u = leray_coeffs(grid, c_u / denom[np.newaxis])
-    x_th = c_th / denom
-    x_u[(slice(None),) + zero_idx] = 0.0
-    x_th[zero_idx] = 0.0
-    datum = State(
-        VectorField(grid, inverse_values(grid, x_u).real),
-        ScalarField(grid, inverse_values(grid, x_th).real),
-    )
     return evolve(
-        datum,
+        _invert_resolvent(problem, c),
         problem.forcing,
         problem.period,
         problem.cfg,

@@ -44,7 +44,7 @@ def sha256_hex(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s, extras=None):
+def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s):
     outdir = Path(outdir)
     manifest = {
         "subcommand": subcommand,
@@ -59,8 +59,6 @@ def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s, 
         },
         "written_at_unix": time.time(),
     }
-    if extras:
-        manifest["extras"] = extras
     path = outdir / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

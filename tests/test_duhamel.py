@@ -5,6 +5,7 @@ import pytest
 
 from bqbox import (
     BallSampler,
+    ConfigError,
     ConvergenceError,
     ForcingSpec,
     GridSpec,
@@ -25,8 +26,13 @@ from bqbox import (
     verify_linear_operator,
     zeros_like_state,
 )
-from bqbox.duhamel import Trajectory, _phi1, _phi2
-from bqbox.forcing import HarmonicTerm, TimeFourierField
+from bqbox.duhamel import Trajectory, _CompiledForcing, _phi1, _phi2
+from bqbox.forcing import (
+    HarmonicTerm,
+    SampledScalarSeries,
+    SampledSpectralForcing,
+    TimeFourierField,
+)
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile
 from bqbox.operators import dealias_coeffs, div_coeffs, leray_coeffs, tensor_div_coeffs
@@ -342,6 +348,27 @@ class TestEvolve:
         with pytest.raises(ConvergenceError, match="smallness"):
             evolve(init, None, 0.1, cfg, mode="full")
 
+    @pytest.mark.parametrize("mode", ["full", "linearized"])
+    def test_nonfinite_initial_state_rejected(self, grid3d_small, mode):
+        g = grid3d_small
+        theta = gaussian_profile(g, 0.2).values.copy()
+        theta[1, 2, 3] = np.nan
+        init = State(random_div_free(g, seed=1, amplitude=0.1), ScalarField(g, theta))
+        with pytest.raises(ConfigError, match="non-finite"):
+            evolve(init, None, 0.2, SolveConfig(dt=0.05), mode=mode)
+
+    def test_nonfinite_picard_residual_names_step(self, grid3d_small):
+        # a NaN in the temperature forcing leaves the velocity row finite; the
+        # residual must not let the finite row hide the NaN one
+        g = grid3d_small
+        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=0.1)
+        bad = fv.values.copy()
+        bad[0, 1, 2, 3] = np.nan
+        forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, VectorField(g, bad)))
+        init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
+        with pytest.raises(ConvergenceError, match="not finite at step 0"):
+            evolve(init, forcing, 0.125, SolveConfig(dt=0.0625), mode="full")
+
     def test_dt_must_divide_t_end(self, grid2d_box):
         init = zeros_like_state(grid2d_box)
         with pytest.raises(Exception, match="multiple of dt"):
@@ -434,3 +461,30 @@ class TestVerifyBilinear:
             verify_bilinear_estimate([(ta, tb)], p=2.0)
         with pytest.raises(HypothesisError, match="2 < p <= n"):
             verify_bilinear_estimate([(ta, tb)], p=4.0)
+
+
+def _at_node_samplers(grid, ts):
+    """Each sampled-in-time source on ``ts``, with a distinct sample per node."""
+    rng = np.random.default_rng(0)
+    vels = [rng.standard_normal((grid.n,) + grid.shape) for _ in ts]
+    ths = [rng.standard_normal(grid.shape) for _ in ts]
+    traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
+                                 for v, th in zip(vels, ths)])
+    series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
+    extra = SampledSpectralForcing(times=ts, vel=vels, th=ths)
+    compiled = _CompiledForcing(grid, None, "linearized", None, extra, ts)
+    return {
+        "trajectory": (lambda t: traj.sample(t).theta.values, ths),
+        "scalar_series": (lambda t: series.value(t).values, ths),
+        "compiled_forcing": (lambda t: compiled.rows_at(t)[0], vels),
+    }
+
+
+@pytest.mark.parametrize("source", ["trajectory", "scalar_series", "compiled_forcing"])
+@pytest.mark.parametrize("node", [2, 4])
+@pytest.mark.parametrize("offset", [0.0, -1e-13])
+def test_interpolation_snaps_to_node(grid2d, source, node, offset):
+    """At a node, or just below one, every sampler returns that node's sample exactly."""
+    ts = np.arange(5) * 0.1
+    sample, samples = _at_node_samplers(grid2d, ts)[source]
+    assert np.array_equal(sample(ts[node] + offset), samples[node])
