@@ -7,7 +7,7 @@ for a fixed config and seed (the manifest, which records wall time, is the
 one exception).
 
 Exit codes: 0 success, 2 invalid config, 3 hypothesis violated,
-4 convergence failure, 5 I/O error.
+4 convergence failure, 5 I/O error, 6 a diagnostics check failed mid-run.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CONVERGENCE = 4
 EXIT_IO = 5
+EXIT_DIAGNOSTICS = 6
 
 
 def _parser():
@@ -348,8 +349,8 @@ def main(argv=None):
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DiagnosticsError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"diagnostics error: {exc}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .duhamel import SolveConfig
-from .errors import ConfigError
+from .errors import ConfigError, DiagnosticsError
 from .forcing import ForcingSpec, HarmonicTerm, TimeFourierField
 from .grid import GridSpec, State, zeros_like_state
 from .norms import BallSampler, NormParams
@@ -204,6 +204,10 @@ def load_config(path):
         rho_max=sd.get("rho_max"),
         jitter_seed=sd.get("jitter_seed"),
     )
+    try:
+        sampler.radii(grid)
+    except DiagnosticsError as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
 
     stability = None
     if "stability" in raw:

@@ -2,7 +2,7 @@
 
 The CLI maps these onto distinct exit codes, so raising the right class
 matters: ConfigError -> 2, HypothesisError -> 3, ConvergenceError -> 4,
-FieldIOError -> 5.
+FieldIOError -> 5, DiagnosticsError -> 6.
 """
 
 

@@ -35,6 +35,11 @@ class TimeFourierField:
         kinds = {type(t.field) for t in self.terms}
         if len(kinds) > 1:
             raise ConfigError("all terms of one forcing must share a field kind")
+        for term in self.terms:
+            if not (np.isfinite(term.phase) and np.all(np.isfinite(term.field.values))):
+                raise ConfigError(
+                    f"forcing harmonic {term.harmonic} has a non-finite pattern or phase"
+                )
 
     @property
     def grid(self):

@@ -21,6 +21,16 @@ stratified sampler (grid-aligned centers x geometric radius ladder); the
 estimate is monotone under sampler refinement.  For lam = 0 the whole box is
 included as a candidate region, where the sup is exact.
 
+The ball scan never reduces indices modulo N.  |f| is padded periodically
+once per table, by the largest integer reach of any ball on the radius
+ladder (at most N/2, since rho <= L/2); a ball is then a fixed set of flat
+offsets into the padded array, cached per radius, and a center is one flat
+index.  Each radius gathers ``padded[start + offset]`` for a chunk of
+centers at a time, with at most ``_GATHER_CHUNK_VALUES`` values per chunk,
+so the transient memory of a scan is bounded whatever the ball size.  The
+sorted values of a ball do not depend on the gather order, so the table is
+the same, bit for bit, as that of a modulo gather.
+
 Norm evaluations are pure functions of immutable fields; individual ball
 evaluations are independent and the final sup is an associative reduction,
 so callers may parallelize freely.
@@ -103,11 +113,15 @@ class BallSampler:
         else:
             lo = self.rho_min if self.rho_min is not None else 2.0 * grid.cell_size
             hi = self.rho_max if self.rho_max is not None else grid.L / 2.0
+            if not (lo > 0 and hi > 0):
+                raise DiagnosticsError("ball radii must be positive")
             if self.num_radii == 1:
                 radii = np.array([hi])
             else:
                 radii = lo * (hi / lo) ** (np.arange(self.num_radii) / (self.num_radii - 1))
-        if np.any(radii <= 0):
+        if radii.size == 0:
+            raise DiagnosticsError("the sampler needs at least one ball radius")
+        if not np.all(radii > 0):
             raise DiagnosticsError("ball radii must be positive")
         if np.max(radii) > grid.L / 2.0 + 1e-12:
             raise DiagnosticsError(
@@ -128,6 +142,11 @@ class BallSampler:
         return centers
 
 
+# Cap on the values one gather produces: centers are scanned in chunks of
+# at most this many ball values, which bounds the transient memory of a scan.
+_GATHER_CHUNK_VALUES = 1 << 22
+
+
 @lru_cache(maxsize=512)
 def _ball_offsets(n, N, L, rho):
     """Index offsets of cells within torus distance rho of a grid point."""
@@ -138,15 +157,44 @@ def _ball_offsets(n, N, L, rho):
     dist2 = sum((a * h) ** 2 for a in axes)
     inside = dist2 <= rho * rho + 1e-12 * h * h
     offsets = np.stack([a[inside] for a in axes], axis=1)
+    offsets.flags.writeable = False
     return offsets
 
 
-def _gather_ball_values(grid, flat_values, centers, rho):
-    offsets = _ball_offsets(grid.n, grid.N, grid.L, float(rho))
-    idx = (centers[:, np.newaxis, :] + offsets[np.newaxis, :, :]) % grid.N
-    strides = np.array([grid.N ** (grid.n - 1 - j) for j in range(grid.n)], dtype=np.int64)
-    flat_idx = np.sum(idx * strides, axis=2)
-    return flat_values[flat_idx]  # (C, m)
+def _padded_strides(n, N, width):
+    return (N + 2 * width) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+@lru_cache(maxsize=512)
+def _flat_ball_offsets(n, N, L, rho, width):
+    """:func:`_ball_offsets` as flat offsets into a field padded by ``width``."""
+    flat = _ball_offsets(n, N, L, rho) @ _padded_strides(n, N, width)
+    flat.flags.writeable = False
+    return flat
+
+
+def _ball_reach(grid, rho):
+    """Largest integer offset, along any axis, of a cell in the ball."""
+    return int(np.max(np.abs(_ball_offsets(grid.n, grid.N, grid.L, float(rho)))))
+
+
+def _pad_periodic(grid, values, width, centers):
+    """Flat periodic padding of ``values`` by ``width`` cells on every side.
+
+    Returns the padded values and the flat indices of the grid-index
+    ``centers`` (shape (C, n)) in them.  Every ball of reach <= ``width``
+    around a center then lies inside the padded array, so no modulo is
+    needed.
+    """
+    padded = np.pad(values.reshape(grid.shape), width, mode="wrap").ravel()
+    starts = (centers + width) @ _padded_strides(grid.n, grid.N, width)
+    return padded, starts
+
+
+def _gather_ball_values(grid, padded, width, starts, rho):
+    """Padded values on the ball of radius rho around each start, shape (C, m)."""
+    offsets = _flat_ball_offsets(grid.n, grid.N, grid.L, float(rho), width)
+    return padded[starts[:, np.newaxis] + offsets[np.newaxis, :]]
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +209,10 @@ def _weak_norm_rows(sorted_desc, w, p):
     if p == INF:
         return sorted_desc[:, 0]
     m = sorted_desc.shape[1]
-    S = np.cumsum(sorted_desc, axis=1) * w
-    t = (np.arange(1, m + 1) * w) ** (1.0 / p - 1.0)
-    return np.max(S * t[np.newaxis, :], axis=1)
+    S = np.cumsum(sorted_desc, axis=1)
+    S *= w
+    S *= (np.arange(1, m + 1) * w) ** (1.0 / p - 1.0)
+    return np.max(S, axis=1)
 
 
 def _lorentz_q_finite(sorted_desc, w, p, q):
@@ -245,7 +294,9 @@ def lorentz_norm(f, p, q=INF, region=None):
         cidx = np.array(
             [[int(round(c / grid.cell_size)) % grid.N for c in center]], dtype=np.int64
         )
-        sample = _gather_ball_values(grid, values.ravel(), cidx, rho)[0]
+        width = _ball_reach(grid, rho)
+        padded, starts = _pad_periodic(grid, values, width, cidx)
+        sample = _gather_ball_values(grid, padded, width, starts, rho)[0]
     return _lorentz_from_values(sample, grid.cell_volume, p, q)
 
 
@@ -265,22 +316,29 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     """Per-(center, radius) localized norms; the sup is the Morrey estimate."""
     grid = f.grid
     params.tau(grid.n)  # validates lam < n
-    values = _as_scalar_values(f).ravel()
+    values = np.abs(_as_scalar_values(f)).ravel()
     w = grid.cell_volume
     centers = sampler.centers(grid)
+    coords = [tuple(c * grid.cell_size) for c in centers]
+    radii = sampler.radii(grid)
+    width = max(_ball_reach(grid, rho) for rho in radii)
+    padded, starts = _pad_periodic(grid, values, width, centers)
     rows = []
-    for rho in sampler.radii(grid):
+    for rho in radii:
         weight = float(rho) ** (-params.lam / params.p)
-        gathered = _gather_ball_values(grid, values, centers, rho)
-        if params.q == INF:
-            sorted_desc = -np.sort(-np.abs(gathered), axis=1)
-            local = _weak_norm_rows(sorted_desc, w, params.p) * weight
-            for ci, val in enumerate(local):
-                rows.append(BallNormRow(tuple(centers[ci] * grid.cell_size), float(rho), float(val)))
-        else:
-            for ci in range(centers.shape[0]):
-                val = _lorentz_from_values(gathered[ci], w, params.p, params.q) * weight
-                rows.append(BallNormRow(tuple(centers[ci] * grid.cell_size), float(rho), float(val)))
+        m = _ball_offsets(grid.n, grid.N, grid.L, float(rho)).shape[0]
+        chunk = max(1, _GATHER_CHUNK_VALUES // m)
+        for lo in range(0, len(starts), chunk):
+            gathered = _gather_ball_values(grid, padded, width, starts[lo:lo + chunk], rho)
+            if params.q == INF:
+                # rebinding frees the unsorted chunk before the reduction allocates
+                gathered = np.sort(gathered, axis=1)[:, ::-1]
+                local = _weak_norm_rows(gathered, w, params.p) * weight
+            else:
+                local = [_lorentz_from_values(g, w, params.p, params.q) * weight
+                         for g in gathered]
+            rows.extend(BallNormRow(coords[lo + i], float(rho), float(val))
+                        for i, val in enumerate(local))
     if params.lam == 0.0:
         # the sup over arbitrarily large balls reduces to the whole box
         whole = _lorentz_from_values(values, w, params.p, params.q)
@@ -420,7 +478,8 @@ def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler=None, t_g
     ``samples`` is a sequence of (t, field) pairs; ``t_grid`` optionally
     restricts which times enter the sup.
     """
-    entries = [(t, f) for (t, f) in samples if t_grid is None or t in set(t_grid)]
+    keep = None if t_grid is None else set(t_grid)
+    entries = [(t, f) for (t, f) in samples if keep is None or t in keep]
     if not entries:
         raise DiagnosticsError("weighted time sup over an empty time grid")
     params = NormParams(p=weights.b, q=INF, lam=lam)

@@ -3,9 +3,11 @@
 import json
 
 import numpy as np
+import pytest
 
-from bqbox import read_field, State
+from bqbox import GridSpec, State, read_field, write_field
 from bqbox.cli import main
+from bqbox.norms import gaussian_profile
 
 BOX = 6.283185307179586
 
@@ -263,3 +265,31 @@ class TestConfigErrors:
 
     def test_no_config(self):
         assert main(["evolve"]) == 2
+
+    @pytest.mark.parametrize("bad", [{"rho_max": 4.0}, {"rho_min": 0.0}, {"rho_min": -0.5}])
+    def test_bad_ball_radii(self, tmp_path, bad):
+        cfg = write_config(tmp_path / "c.json",
+                           evolve_config(sampler={"num_centers": 4, "num_radii": 4, **bad}))
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+
+    def test_nan_forcing(self, tmp_path, capsys):
+        cfg = periodic_config()
+        cfg["forcing"]["f"][0]["amplitude"] = float("nan")
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["periodic-linear", "--config", path, "--output", str(tmp_path / "o")]) == 2
+        assert "harmonic 1" in capsys.readouterr().err
+
+
+class TestDiagnosticsErrors:
+    def test_mid_run_diagnostics_error(self, tmp_path, capsys):
+        # the sampler fits the config's box but not the smaller box of the field file
+        field_file = tmp_path / "small.bqf"
+        write_field(field_file, gaussian_profile(GridSpec(n=2, N=16, L=1.0), 0.1))
+        cfg = write_config(tmp_path / "c.json", {
+            "grid": {"n": 2, "N": 16, "L": BOX},
+            "field_file": str(field_file),
+            "norms": [{"p": 2.0, "lam": 0.5}],
+            "sampler": {"num_centers": 4, "num_radii": 4, "rho_max": 3.0},
+        })
+        assert main(["norms", "--config", cfg, "--output", str(tmp_path / "o")]) == 6
+        assert capsys.readouterr().err.startswith("diagnostics error:")

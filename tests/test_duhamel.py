@@ -360,14 +360,25 @@ class TestEvolve:
     def test_nonfinite_picard_residual_names_step(self, grid3d_small):
         # a NaN in the temperature forcing leaves the velocity row finite; the
         # residual must not let the finite row hide the NaN one
+        # (forcings reject non-finite patterns when built, so the NaN is put in after)
         g = grid3d_small
         fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=0.1)
-        bad = fv.values.copy()
-        bad[0, 1, 2, 3] = np.nan
-        forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, VectorField(g, bad)))
+        forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, fv))
+        fv.values[0, 1, 2, 3] = np.nan
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
         with pytest.raises(ConvergenceError, match="not finite at step 0"):
             evolve(init, forcing, 0.125, SolveConfig(dt=0.0625), mode="full")
+
+    @pytest.mark.parametrize("bad, phase", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan)])
+    def test_nonfinite_forcing_rejected(self, grid3d_small, bad, phase):
+        g = grid3d_small
+        values = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=0.1).values.copy()
+        values[0, 1, 2, 3] += bad
+        init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
+        with pytest.raises(ConfigError, match="harmonic 2 has a non-finite"):
+            f = TimeFourierField(period=1.0, terms=(HarmonicTerm(2, VectorField(g, values), phase),))
+            evolve(init, ForcingSpec(period=1.0, f=f), 0.125, SolveConfig(dt=0.0625),
+                   mode="linearized")
 
     def test_dt_must_divide_t_end(self, grid2d_box):
         init = zeros_like_state(grid2d_box)

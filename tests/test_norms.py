@@ -1,8 +1,12 @@
 """Lorentz / Morrey-Lorentz norms against closed forms and independent oracles."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from bqbox import norms as norms_mod
 from bqbox import (
     BallSampler,
     DiagnosticsError,
@@ -339,3 +343,144 @@ class TestEmbeddings:
                 8, 8, rho_min=2 * 2 * np.pi / 16))
             vals.append(max(max(r.morrey_over_weak, r.weak_over_strong) for r in rows))
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
+
+
+# ---------------------------------------------------------------------------
+# the padded ball scan against a brute-force modulo gather
+# ---------------------------------------------------------------------------
+
+
+def modulo_gather(grid, flat_values, centers, rho):
+    """Reference ball gather: a (C, m, n) index tensor reduced modulo N."""
+    offsets = norms_mod._ball_offsets(grid.n, grid.N, grid.L, float(rho))
+    idx = (centers[:, np.newaxis, :] + offsets[np.newaxis, :, :]) % grid.N
+    strides = np.array([grid.N ** (grid.n - 1 - j) for j in range(grid.n)], dtype=np.int64)
+    return flat_values[np.sum(idx * strides, axis=2)]
+
+
+def reference_table(f, params, sampler):
+    """(center..., radius, local_norm) rows of the scan over modulo_gather."""
+    grid = f.grid
+    values = f.values.ravel()
+    w = grid.cell_volume
+    centers = sampler.centers(grid)
+    rows = []
+    for rho in sampler.radii(grid):
+        weight = float(rho) ** (-params.lam / params.p)
+        gathered = modulo_gather(grid, values, centers, rho)
+        if params.q == INF:
+            sorted_desc = -np.sort(-np.abs(gathered), axis=1)
+            local = norms_mod._weak_norm_rows(sorted_desc, w, params.p) * weight
+        else:
+            local = [norms_mod._lorentz_from_values(g, w, params.p, params.q) * weight
+                     for g in gathered]
+        rows += [(*(c * grid.cell_size), float(rho), float(v)) for c, v in zip(centers, local)]
+    return np.array(rows)
+
+
+def table_array(rows):
+    return np.array([(*r.center, r.radius, r.local_norm) for r in rows])
+
+
+def any_grid(n, N, L):
+    """GridSpec, or for odd N (which GridSpec rejects) the attributes the scan reads."""
+    if N & (N - 1) == 0:
+        return GridSpec(n=n, N=N, L=L)
+    h = L / N
+    return SimpleNamespace(n=n, N=N, L=L, shape=(N,) * n, cell_size=h, cell_volume=h**n)
+
+
+_SCAN_GRIDS = [(2, 16, 1.0), (2, 15, 1.0), (3, 8, 2 * np.pi), (3, 9, 2 * np.pi)]
+
+
+class TestPaddedBallScan:
+    @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
+    @pytest.mark.parametrize("params", [NormParams(p=3.0, lam=0.5),
+                                        NormParams(p=2.5, q=3.0, lam=1.0)])
+    def test_table_bit_identical_to_modulo_gather(self, n, N, L, params, monkeypatch):
+        g = any_grid(n, N, L)
+        rng = np.random.Generator(np.random.Philox(N + 10 * n))
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        calls = []
+        gather = norms_mod._gather_ball_values
+
+        def spy(grid, padded, width, starts, rho):
+            calls.append((float(rho), len(starts)))
+            return gather(grid, padded, width, starts, rho)
+
+        monkeypatch.setattr(norms_mod, "_gather_ball_values", spy)
+        for sampler in (BallSampler(num_centers=16, num_radii=5, jitter_seed=N),
+                        BallSampler(num_centers=9, radii_list=(0.3 * g.cell_size, 1.5 * g.cell_size,
+                                                               0.31 * L, L / 2.0))):
+            # five centers per chunk at the largest radius: the last chunk is partial
+            radii = sampler.radii(g)
+            m_max = norms_mod._ball_offsets(n, N, L, float(max(radii))).shape[0]
+            monkeypatch.setattr(norms_mod, "_GATHER_CHUNK_VALUES", 5 * m_max)
+            calls.clear()
+            got = table_array(morrey_lorentz_table(f, params, sampler))
+            want = reference_table(f, params, sampler)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert max(radii) == L / 2.0
+            per_radius = {}
+            for rho, c in calls:
+                per_radius.setdefault(rho, []).append(c)
+            num_centers = len(sampler.centers(g))
+            assert all(sum(cs) == num_centers for cs in per_radius.values())
+            assert per_radius[L / 2.0][0] == 5 and per_radius[L / 2.0][-1] < 5
+
+    @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
+    @pytest.mark.parametrize("q", [INF, 2.0])
+    def test_lorentz_region_matches_modulo_gather(self, n, N, L, q):
+        g = any_grid(n, N, L)
+        rng = np.random.Generator(np.random.Philox(3 * N + n))
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        for _ in range(4):
+            idx = rng.integers(0, N, size=n)
+            rho = float(rng.uniform(0.0, L / 2.0))
+            for radius in (rho, L / 2.0):
+                got = lorentz_norm(f, p=2.5, q=q, region=(tuple(idx * g.cell_size), radius))
+                sample = modulo_gather(g, f.values.ravel(), idx[np.newaxis, :], radius)[0]
+                want = norms_mod._lorentz_from_values(sample, g.cell_volume, 2.5, q)
+                assert got == want
+
+    def test_cached_offsets_are_read_only(self):
+        offsets = norms_mod._ball_offsets(3, 8, 1.0, 0.3)
+        flat = norms_mod._flat_ball_offsets(3, 8, 1.0, 0.3, 3)
+        for arr in (offsets, flat):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_peak_memory_bounded(self):
+        g = GridSpec(n=3, N=64, L=2 * np.pi)
+        f = gaussian_profile(g, 0.5)
+        tracemalloc.start()
+        try:
+            morrey_lorentz_table(f, NormParams(p=3, lam=0.5),
+                                 BallSampler(num_centers=64, num_radii=12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+
+    def test_non_positive_ladder_rejected(self, grid2d):
+        for bad in (0.0, -0.1):
+            with pytest.raises(DiagnosticsError, match="positive"):
+                BallSampler(rho_min=bad).radii(grid2d)
+        with pytest.raises(DiagnosticsError, match="positive"):
+            BallSampler(radii_list=(0.1, float("nan"))).radii(grid2d)
+
+
+class TestWeightedTimeSubset:
+    def test_t_grid_restricts_the_sup(self, grid2d):
+        f = gaussian_profile(grid2d, 0.1)
+        w = TimeWeightParams(p=3.0, b=2.0)
+        amps = {0.25: 1.0, 0.5: 50.0, 1.0: 2.0, 2.0: 80.0}
+        samples = [(t, ScalarField(grid2d, a * f.values)) for t, a in amps.items()]
+        base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0))
+        got = weighted_time_sup(samples, w, lam=0.0, t_grid=[0.25, 1.0])
+        assert got == max(t**w.beta * (a * base) for t, a in amps.items() if t in (0.25, 1.0))
+        assert got < weighted_time_sup(samples, w, lam=0.0)
+        with pytest.raises(DiagnosticsError, match="empty"):
+            weighted_time_sup(samples, w, lam=0.0, t_grid=[0.3])
