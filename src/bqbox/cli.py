@@ -76,6 +76,8 @@ def _cmd_norms(cfg, outdir):
     if not cfg.options.get("field_file"):
         raise ConfigError("norms subcommand needs config field_file")
     loaded = read_field(cfg.options["field_file"])
+    if loaded.grid != cfg.grid:
+        raise ConfigError(f"field file grid {loaded.grid} differs from config grid {cfg.grid}")
     if not cfg.norms:
         raise ConfigError("norms subcommand needs at least one entry in norms[]")
     if hasattr(loaded, "u"):  # a state file: norm both parts

@@ -11,7 +11,11 @@ exponential trapezoidal product rule (the integrand is interpolated linearly
 between nodes and the kernel e^{-(t-s)|k'|^2} integrated exactly per mode;
 see Hochbruck & Ostermann, Acta Numerica 19 (2010) for the family).  The
 implicit endpoint is closed by Picard iteration; its failure to contract is
-the numerical signature of violated smallness and is reported as such.
+the numerical signature of violated smallness and is reported as such.  The
+Picard predictor freezes the endpoint nonlinearity at the start state; when
+the state right-hand side does not depend on t (no g term with a nonzero
+harmonic) that is the start-point evaluation itself, so it is reused rather
+than computed again.
 
 State-independent forcing is integrated on a finer substep grid, so runs
 whose inhomogeneity is known in closed form (the linearized system) are
@@ -29,6 +33,7 @@ to share across threads for the verification operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -295,6 +300,12 @@ class _StateRHS:
         self.kappa = kappa
         self._g_cache = {}
 
+    @cached_property
+    def time_dependent(self):
+        """Whether G_state depends on t: only through a g term with a nonzero harmonic."""
+        g = self.forcing.g if self.forcing is not None else None
+        return self.kappa > 0.0 and g is not None and any(term.harmonic != 0 for term in g.terms)
+
     def _g_real(self, t):
         key = t if self.forcing.period is None else t - self.forcing.period * np.floor(
             t / self.forcing.period
@@ -428,8 +439,12 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
             gs_va, gs_ta = state_rhs(u_hat, th_hat, t_a)
             fixed_u = fixed_u + Wa[np.newaxis] * gs_va
             fixed_th = fixed_th + Wa * gs_ta
-            # predictor: freeze the endpoint nonlinearity at the start state
-            gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b)
+            # predictor: freeze the endpoint nonlinearity at the start state; a
+            # time-independent G_state gives back the start evaluation
+            if state_rhs.time_dependent:
+                gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b)
+            else:
+                gs_vb, gs_tb = gs_va, gs_ta
             new_u = fixed_u + Wb[np.newaxis] * gs_vb
             new_th = fixed_th + Wb * gs_tb
             converged = False

@@ -545,11 +545,11 @@ def state_norm(state: State, ctx: NormContext):
 
 
 def trajectory_sup_norm(traj, ctx: NormContext):
-    """Discrete sup-in-time of the product norm over the stored grid."""
+    """Discrete sup-in-time of the product norm over the stored grid (NaN if any norm is)."""
     idx = list(range(0, len(traj.times), max(1, ctx.time_stride)))
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
-    return max(state_norm(traj.states[i], ctx) for i in idx)
+    return float(np.max([state_norm(traj.states[i], ctx) for i in idx]))
 
 
 def unit_ball_volume(n):

@@ -7,7 +7,8 @@ k = 0, where constants are already divergence-free).  Everything is a pure
 function of immutable fields.
 
 The two nonlinear kernels of the mild-solution map live here, once:
-:func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule)
+:func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule;
+for B(u, u) it transforms only the n(n+1)/2 distinct products of u (x) u)
 and :func:`buoyancy_coeffs` (the coupling T_g).  The time steppers, the
 standalone Duhamel increments and the frozen-nonlinearity periodic solver
 all call them.  The multipliers (derivative, Leray, 2/3 mask) are cached
@@ -64,12 +65,27 @@ def dealias_coeffs(grid, coeffs):
     return coeffs * grid.dealias_mask
 
 
+def _symmetric_pairs(n):
+    """Rows (i, j) of the n(n+1)/2 pairs i <= j, and the (n, n) map from (i, j) to its pair."""
+    i, j = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
+    return i, j, pair
+
+
 def advection_coeffs(grid, u_a, u_b, th_b):
     """Advective rows (-P div(u_a (x) u_b), -div(u_a theta_b)) from real values.
 
-    Both products are dealiased before the divergence is taken.
+    Both products are dealiased before the divergence is taken.  When
+    ``u_b is u_a`` the tensor is symmetric, so only its n(n+1)/2 distinct
+    products are transformed and the full tensor is read from them; the
+    result is bit-identical to transforming all n^2 products.
     """
-    uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
+    if u_b is u_a:
+        i, j, pair = _symmetric_pairs(grid.n)
+        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[i] * u_a[j]))[pair]
+    else:
+        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
     vel = -leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat))
     mix = dealias_coeffs(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
     return vel, -div_coeffs(grid, mix)

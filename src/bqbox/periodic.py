@@ -6,7 +6,8 @@ routes to the fixed datum are implemented and cross-validated:
 
 * Cesaro averaging of the orbit of 0, (1/n) sum_{k<=n} P^k(0), whose error
   decays like O(1/n) because the discrete map contracts on the mean-free
-  subspace (the torus spectral gap);
+  subspace (the torus spectral gap); the orbit is advanced one period at a
+  time and stops at the first converged mean, so ``n_max`` only caps it;
 * a direct per-mode resolvent inversion (I - e^{-TL})^{-1} c, exact up to
   solver tolerance, used as the independent oracle.
 
@@ -141,6 +142,14 @@ def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
     return _invert_resolvent(problem, poincare_map(zeros_like_state(problem.grid), problem))
 
 
+def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
+    """ConfigError unless the iteration cap is >= ``least`` and the tolerance is finite and > 0."""
+    if not cap >= least:
+        raise ConfigError(f"{cap_name} must be >= {least}, got {cap}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{tol_name} must be finite and > 0, got {tol}")
+
+
 def cesaro_periodic_datum(
     problem: PeriodicProblem,
     n_max=256,
@@ -150,34 +159,31 @@ def cesaro_periodic_datum(
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.
 
-    The history records (n, ||P_n - P_{n-1}||, ||P_n - reference||) per
-    step; the error column needs ``reference`` (e.g. the resolvent datum).
-    Raises ConvergenceError carrying the history when n_max is hit first.
+    The orbit P^n(0) = P(P^{n-1}(0)) is built one period at a time through
+    :func:`poincare_map` and stops at the first n > 1 whose mean increment
+    is below ``tol``; ``n_max`` only caps the number of periods.  The
+    history records (n, ||P_n - P_{n-1}||, ||P_n - reference||) per
+    period; the error column needs ``reference`` (e.g. the resolvent datum).
+    Raises ConvergenceError carrying the history when n_max is hit first,
+    or at once when an increment is not finite.
     """
     if problem.mode != "linearized":
         raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
+    _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
-    k = problem.steps_per_period
-    orbit = evolve(
-        zeros_like_state(grid),
-        problem.forcing,
-        n_max * problem.period,
-        problem.cfg,
-        mode="linearized",
-        eta=problem.eta,
-        store_stride=k,
-    )
-    mean_u = np.zeros_like(orbit.states[0].u.values)
-    mean_th = np.zeros_like(orbit.states[0].theta.values)
+    z = zeros_like_state(grid)
+    mean_u = np.zeros_like(z.u.values)
+    mean_th = np.zeros_like(z.theta.values)
     history = []
     converged_at = None
     for n in range(1, n_max + 1):
-        z = orbit.states[n]  # P^n(0)
+        z = poincare_map(z, problem)  # P^n(0)
         prev_u, prev_th = mean_u, mean_th
         mean_u = prev_u + (z.u.values - prev_u) / n
         mean_th = prev_th + (z.theta.values - prev_th) / n
-        increment = max(
-            float(np.max(np.abs(mean_u - prev_u))), float(np.max(np.abs(mean_th - prev_th)))
+        # np.max, unlike max(), lets a NaN in either part through
+        increment = float(
+            np.max([np.max(np.abs(mean_u - prev_u)), np.max(np.abs(mean_th - prev_th))])
         )
         err = np.nan
         if reference is not None:
@@ -186,6 +192,12 @@ def cesaro_periodic_datum(
                 float(np.max(np.abs(mean_th - reference.theta.values))),
             )
         history.append((n, increment, err))
+        if not np.isfinite(increment):
+            raise ConvergenceError(
+                f"Cesaro increment is not finite at period {n}",
+                residual=increment,
+                history=history,
+            )
         if n > 1 and increment < tol:
             converged_at = n
             break
@@ -261,10 +273,12 @@ def nonlinear_periodic(
     solve the linear periodic problem it induces, repeat until successive
     iterates differ by less than ``outer_tol`` in the discrete sup-in-time
     product norm.  A non-contracting step raises ConvergenceError (the
-    numerical smallness condition failed).
+    numerical smallness condition failed), and so does a non-finite increment,
+    at the iteration that produced it.
     """
     if problem.mode not in ("full", "navier-stokes"):
         raise ConfigError("nonlinear_periodic needs mode 'full' or 'navier-stokes'")
+    _check_loop_bounds("outer_max", outer_max, 1, "outer_tol", outer_tol)
     grid = problem.grid
     if ctx is None:
         ctx = default_norm_context(grid)
@@ -295,6 +309,12 @@ def nonlinear_periodic(
             delta = trajectory_sup_norm(trajectory_difference(nxt, current), ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
+        if not np.isfinite(delta):
+            raise ConvergenceError(
+                f"outer increment is not finite at iteration {m}",
+                residual=delta,
+                history=history,
+            )
         if delta < outer_tol:
             current = nxt
             converged = True

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bqbox import GridSpec, State, read_field, write_field
+from bqbox import DiagnosticsError, GridSpec, State, cli, read_field, write_field
 from bqbox.cli import main
 from bqbox.norms import gaussian_profile
 
@@ -99,6 +99,21 @@ class TestNormsCommand:
             locals_ = [float(r[5]) for r in rows if r[0] == part and r[-1] == "0"]
             assert sup >= max(locals_)
 
+    def test_field_grid_mismatch(self, tmp_path, capsys):
+        # a field on a smaller box than the config's is refused before any ball scan
+        field_file = tmp_path / "small.bqf"
+        write_field(field_file, gaussian_profile(GridSpec(n=2, N=16, L=1.0), 0.1))
+        cfg = write_config(tmp_path / "c.json", {
+            "grid": {"n": 2, "N": 16, "L": BOX},
+            "field_file": str(field_file),
+            "norms": [{"p": 2.0, "lam": 0.5}],
+            "sampler": {"num_centers": 4, "num_radii": 4, "rho_max": 3.0},
+        })
+        assert main(["norms", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "L=1.0" in err and f"L={BOX}" in err
+
     def test_missing_field_file(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -130,6 +145,29 @@ def periodic_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def nonlinear_3d_config(**periodic):
+    return {
+        "grid": {"n": 3, "N": 8, "L": BOX},
+        "seed": 3,
+        "mode": "full",
+        "norm_p": 3.0,
+        "sampler": {"num_centers": 4, "num_radii": 4},
+        "forcing": {
+            "period": 1.0,
+            "F": [
+                {
+                    "harmonic": 0,
+                    "preset": "single-mode-tensor",
+                    "amplitude": 1e-3,
+                    "params": {"k": [0, 1, 0], "row": 0, "col": 1},
+                }
+            ],
+        },
+        "solve": {"dt": 0.0625, "substeps": 2},
+        "periodic": {"outer_tol": 1e-9, "outer_max": 12, **periodic},
+    }
 
 
 class TestPeriodicCommands:
@@ -179,29 +217,7 @@ class TestPeriodicCommands:
         assert main(["periodic-nonlinear", "--config", cfg, "--output", str(out)]) == 3
 
     def test_nonlinear_3d_pipeline(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "c.json",
-            {
-                "grid": {"n": 3, "N": 8, "L": BOX},
-                "seed": 3,
-                "mode": "full",
-                "norm_p": 3.0,
-                "sampler": {"num_centers": 4, "num_radii": 4},
-                "forcing": {
-                    "period": 1.0,
-                    "F": [
-                        {
-                            "harmonic": 0,
-                            "preset": "single-mode-tensor",
-                            "amplitude": 1e-3,
-                            "params": {"k": [0, 1, 0], "row": 0, "col": 1},
-                        }
-                    ],
-                },
-                "solve": {"dt": 0.0625, "substeps": 2},
-                "periodic": {"outer_tol": 1e-9, "outer_max": 12},
-            },
-        )
+        cfg = write_config(tmp_path / "c.json", nonlinear_3d_config())
         out = tmp_path / "out"
         assert main(["periodic-nonlinear", "--config", cfg, "--output", str(out)]) == 0
         _, rows = read_csv_rows(out / "residual.csv")
@@ -224,6 +240,24 @@ class TestPeriodicCommands:
         )
         out = tmp_path / "out"
         assert main(["periodic-linear", "--config", cfg, "--output", str(out)]) == 4
+
+
+    @pytest.mark.parametrize("bad", [{"n_max": 1}, {"n_max": 0}, {"tol": 0.0}, {"tol": -1e-9},
+                                     {"tol": float("nan")}])
+    def test_linear_loop_bounds_exit_2(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "c.json",
+                           periodic_config(periodic={"n_max": 400, "tol": 5e-9, **bad}))
+        out = tmp_path / "out"
+        assert main(["periodic-linear", "--config", cfg, "--output", str(out)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"outer_max": 0}, {"outer_tol": 0.0},
+                                     {"outer_tol": float("nan")}])
+    def test_nonlinear_loop_bounds_exit_2(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "c.json", nonlinear_3d_config(**bad))
+        out = tmp_path / "out"
+        assert main(["periodic-nonlinear", "--config", cfg, "--output", str(out)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
 
 
 class TestVerifyEstimates:
@@ -281,15 +315,18 @@ class TestConfigErrors:
 
 
 class TestDiagnosticsErrors:
-    def test_mid_run_diagnostics_error(self, tmp_path, capsys):
-        # the sampler fits the config's box but not the smaller box of the field file
-        field_file = tmp_path / "small.bqf"
-        write_field(field_file, gaussian_profile(GridSpec(n=2, N=16, L=1.0), 0.1))
+    def test_mid_run_diagnostics_error(self, tmp_path, capsys, monkeypatch):
+        def failing_table(*args, **kwargs):
+            raise DiagnosticsError("ball scan failed")
+
+        monkeypatch.setattr(cli, "morrey_lorentz_table", failing_table)
+        field_file = tmp_path / "f.bqf"
+        write_field(field_file, gaussian_profile(GridSpec(n=2, N=16, L=BOX), 0.5))
         cfg = write_config(tmp_path / "c.json", {
             "grid": {"n": 2, "N": 16, "L": BOX},
             "field_file": str(field_file),
             "norms": [{"p": 2.0, "lam": 0.5}],
-            "sampler": {"num_centers": 4, "num_radii": 4, "rho_max": 3.0},
+            "sampler": {"num_centers": 4, "num_radii": 4},
         })
         assert main(["norms", "--config", cfg, "--output", str(tmp_path / "o")]) == 6
         assert capsys.readouterr().err.startswith("diagnostics error:")

@@ -26,7 +26,7 @@ from bqbox import (
     verify_linear_operator,
     zeros_like_state,
 )
-from bqbox.duhamel import Trajectory, _CompiledForcing, _phi1, _phi2
+from bqbox.duhamel import Trajectory, _CompiledForcing, _phi1, _phi2, _StateRHS
 from bqbox.forcing import (
     HarmonicTerm,
     SampledScalarSeries,
@@ -391,6 +391,45 @@ class TestEvolve:
         forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, fv))
         with pytest.raises(Exception, match="period/16"):
             evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.25), mode="linearized")
+
+
+class TestPredictorReuse:
+    """The predictor takes the start evaluation exactly when G_state ignores t."""
+
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    def test_same_trajectory_one_call_fewer(self, grid3d_small, monkeypatch, mode, g_harmonic):
+        g = grid3d_small
+        T, n_steps = 1.0, 4
+        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-2)
+        theta0 = ScalarField(g, np.zeros(g.shape))
+        gf = None
+        if g_harmonic is not None:
+            theta0 = gaussian_profile(g, 0.2, amplitude=0.1)
+            gv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1.0)
+            gf = TimeFourierField(period=T, terms=(HarmonicTerm(g_harmonic, gv, 0.4),))
+        forcing = ForcingSpec(period=T, kappa=0.5, F=constant_in_time(T, Ft), g=gf)
+        init = State(random_div_free(g, seed=2, amplitude=0.1), theta0)
+        cfg = SolveConfig(dt=T / 16, substeps=2)
+        kappa = 0.0 if mode == "navier-stokes" else forcing.kappa
+        assert _StateRHS(g, forcing, kappa).time_dependent == (g_harmonic == 1)
+
+        calls = []
+        call = _StateRHS.__call__
+        monkeypatch.setattr(_StateRHS, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
+
+        def run():
+            calls.clear()
+            traj = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
+            return traj, len(calls)
+
+        default, default_calls = run()
+        monkeypatch.setattr(_StateRHS, "time_dependent", True)
+        always, always_calls = run()
+        for a, b in zip(default.states, always.states):
+            assert np.array_equal(a.u.values, b.u.values)
+            assert np.array_equal(a.theta.values, b.theta.values)
+        saved = 0 if g_harmonic == 1 else n_steps
+        assert default_calls == always_calls - saved
 
 
 class TestVerifyLinearOperator:

@@ -12,8 +12,10 @@ from bqbox import (
     DiagnosticsError,
     GridSpec,
     HypothesisError,
+    NormContext,
     NormParams,
     ScalarField,
+    State,
     TimeWeightParams,
     VectorField,
     holder_check,
@@ -21,9 +23,11 @@ from bqbox import (
     morrey_lorentz_norm,
     morrey_lorentz_table,
     scaling_check,
+    trajectory_sup_norm,
     verify_embeddings,
     weighted_time_sup,
 )
+from bqbox.duhamel import Trajectory
 from bqbox.norms import ball_indicator, gaussian_profile, unit_ball_volume
 
 INF = float("inf")
@@ -484,3 +488,15 @@ class TestWeightedTimeSubset:
         assert got < weighted_time_sup(samples, w, lam=0.0)
         with pytest.raises(DiagnosticsError, match="empty"):
             weighted_time_sup(samples, w, lam=0.0, t_grid=[0.3])
+
+
+class TestTrajectorySupNorm:
+    def test_nan_in_a_later_state_propagates(self, grid2d_box):
+        g = grid2d_box
+        good = State(VectorField(g, np.zeros((2,) + g.shape)), gaussian_profile(g, 0.5))
+        theta = good.theta.values.copy()
+        theta[1, 1] = np.nan
+        bad = State(good.u, ScalarField(g, theta))
+        traj = Trajectory(g, np.array([0.0, 0.5, 1.0]), [good, good, bad])
+        ctx = NormContext(NormParams(p=2.5, q=INF, lam=0.0), BallSampler(num_centers=4, num_radii=4))
+        assert np.isnan(trajectory_sup_norm(traj, ctx))

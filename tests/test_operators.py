@@ -22,6 +22,7 @@ from bqbox import (
 )
 from bqbox.grid import forward_coeffs, forward_transform, inverse_values
 from bqbox.norms import BallSampler, gaussian_profile
+from bqbox.operators import advection_coeffs
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -198,6 +199,20 @@ class TestProducts:
             k = tuple(int(g.wave_integers[(j,) + kidx]) for j in range(2))
             if any(abs(kj) > cut for kj in k):
                 assert abs(clean[kidx]) < 1e-14
+
+
+class TestAdvectionKernel:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_symmetric_path_is_bit_identical(self, n):
+        # u_b is u_a takes the n(n+1)/2-product path; a copy takes the n^2 one
+        g = GridSpec(n=n, N=16, L=2.0 * np.pi)
+        rng = np.random.Generator(np.random.Philox(n))
+        u = rng.standard_normal((n,) + g.shape)
+        th = rng.standard_normal(g.shape)
+        vel, th_row = advection_coeffs(g, u, u, th)
+        vel_ref, th_ref = advection_coeffs(g, u, u.copy(), th)
+        assert np.array_equal(vel, vel_ref)
+        assert np.array_equal(th_row, th_ref)
 
 
 class TestVerifyDispersive:

@@ -5,6 +5,7 @@ import pytest
 
 from bqbox import (
     BallSampler,
+    ConfigError,
     ConvergenceError,
     ForcingSpec,
     GridSpec,
@@ -25,7 +26,8 @@ from bqbox import (
     resolvent_periodic_datum,
     zeros_like_state,
 )
-from bqbox.forcing import HarmonicTerm, TimeFourierField
+from bqbox import periodic as periodic_mod
+from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile
 from bqbox.operators import div_coeffs, heat_semigroup
@@ -170,12 +172,83 @@ class TestCesaroDatum:
             cesaro_periodic_datum(prob, n_max=4, tol=1e-16)
         assert len(err.value.history) == 4
 
+    def test_stops_at_converged_period(self, grid2d_box, monkeypatch):
+        prob = linear_problem(grid2d_box, amp=2e-5, seed=9)
+        ref = resolvent_periodic_datum(prob)
+        calls = []
+        monkeypatch.setattr(periodic_mod, "poincare_map",
+                            lambda x, problem: calls.append(1) or poincare_map(x, problem))
+        sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
+        assert len(calls) == sol.meta["iterations"] == len(sol.history) < 600
+
+    @pytest.mark.parametrize("n_max, tol", [(600, 5e-9), (6, 1e-16)])
+    def test_history_matches_full_orbit(self, grid2d_box, n_max, tol):
+        # the period-by-period orbit restarts each period from real values at
+        # t = 0, so it matches one long evolve only up to roundoff
+        prob = linear_problem(grid2d_box, amp=2e-5, seed=9)
+        ref = resolvent_periodic_datum(prob)
+        want = full_orbit_history(prob, n_max, tol, ref)
+        if len(want) < n_max:
+            got = cesaro_periodic_datum(prob, n_max=n_max, tol=tol, reference=ref).history
+        else:
+            with pytest.raises(ConvergenceError) as err:
+                cesaro_periodic_datum(prob, n_max=n_max, tol=tol, reference=ref)
+            got = err.value.history
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for (_, inc, e), (_, inc_ref, e_ref) in zip(got, want):
+            assert inc == pytest.approx(inc_ref, rel=1e-12, abs=0.0)
+            assert e == pytest.approx(e_ref, rel=1e-12, abs=0.0)
+
+    def test_nonfinite_increment_names_period(self, grid2d_box):
+        g = grid2d_box
+        gv = single_mode_vector(g, k=(1, 0), component=1, amplitude=1.0)
+        forcing = ForcingSpec(period=T, kappa=0.5, g=constant_in_time(T, gv))
+        eta_values = gaussian_profile(g, 0.5).values
+        bad = eta_values.copy()
+        bad[2, 3] = np.nan
+        fields = [ScalarField(g, eta_values)] * 17
+        fields[5] = ScalarField(g, bad)
+        eta = SampledScalarSeries(times=np.arange(17) * (T / 16), fields=fields)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
+                               eta=eta, grid=g)
+        with pytest.raises(ConvergenceError, match="not finite at period 1") as err:
+            cesaro_periodic_datum(prob, n_max=50, tol=1e-9)
+        assert len(err.value.history) == 1
+
+    @pytest.mark.parametrize("n_max, tol", [(1, 1e-9), (0, 1e-9), (-2, 1e-9), (8, 0.0),
+                                            (8, -1e-9), (8, np.nan), (8, np.inf)])
+    def test_loop_bounds_rejected(self, grid2d_box, n_max, tol):
+        prob = linear_problem(grid2d_box)
+        with pytest.raises(ConfigError):
+            cesaro_periodic_datum(prob, n_max=n_max, tol=tol)
+
     def test_requires_linearized_mode(self, grid2d_box):
         forcing = ForcingSpec(period=T)
         prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="full",
                                grid=grid2d_box)
         with pytest.raises(HypothesisError):
             cesaro_periodic_datum(prob)
+
+
+def full_orbit_history(prob, n_max, tol, reference):
+    """Cesaro history read off one evolve over n_max periods, stopped as cesaro_periodic_datum is."""
+    orbit = evolve(zeros_like_state(prob.grid), prob.forcing, n_max * prob.period, prob.cfg,
+                   mode="linearized", eta=prob.eta, store_stride=prob.steps_per_period)
+    mean_u = np.zeros_like(reference.u.values)
+    mean_th = np.zeros_like(reference.theta.values)
+    history = []
+    for n in range(1, n_max + 1):
+        z = orbit.states[n]
+        prev_u, prev_th = mean_u, mean_th
+        mean_u = prev_u + (z.u.values - prev_u) / n
+        mean_th = prev_th + (z.theta.values - prev_th) / n
+        increment = max(np.max(np.abs(mean_u - prev_u)), np.max(np.abs(mean_th - prev_th)))
+        err = max(np.max(np.abs(mean_u - reference.u.values)),
+                  np.max(np.abs(mean_th - reference.theta.values)))
+        history.append((n, float(increment), float(err)))
+        if n > 1 and increment < tol:
+            break
+    return history
 
 
 class TestCheckPeriodicity:
@@ -274,6 +347,21 @@ class TestNonlinearPeriodic:
         prob = nonlinear_problem(grid2d_box, amp=40.0, dt=T / 16)
         with pytest.raises(ConvergenceError):
             nonlinear_periodic(prob, outer_tol=1e-11, outer_max=10, ctx=ctx_for(grid2d_box))
+
+    @pytest.mark.parametrize("outer_max, outer_tol", [(0, 1e-8), (-1, 1e-8), (4, 0.0),
+                                                      (4, np.nan)])
+    def test_loop_bounds_rejected(self, grid2d_box, outer_max, outer_tol):
+        prob = nonlinear_problem(grid2d_box, amp=1e-3)
+        with pytest.raises(ConfigError):
+            nonlinear_periodic(prob, outer_tol=outer_tol, outer_max=outer_max,
+                               ctx=ctx_for(grid2d_box))
+
+    def test_nonfinite_increment_names_iteration(self, grid2d_box, monkeypatch):
+        monkeypatch.setattr(periodic_mod, "trajectory_sup_norm", lambda traj, ctx: np.nan)
+        prob = nonlinear_problem(grid2d_box, amp=1e-3)
+        with pytest.raises(ConvergenceError, match="not finite at iteration 1") as err:
+            nonlinear_periodic(prob, ctx=ctx_for(grid2d_box))
+        assert len(err.value.history) == 1
 
     def test_buoyancy_coupled_solve(self, grid3d_small):
         # kappa > 0 with a gravity-type field: the coupling feeds theta back
