@@ -64,6 +64,36 @@ def _parser():
     return ap
 
 
+def _numeric_option(options, path, default, integral=False):
+    """The number at ``path`` ("snapshots", "periodic.n_max", ...) in the config options.
+
+    Absent or null gives ``default``.  Anything but a finite number, or a
+    fractional one where ``integral`` is set, is a ConfigError naming the key;
+    the subcommands read every option this way before any solver runs.
+    """
+    section, _, key = path.rpartition(".")
+    table = options.get(section, {}) if section else options
+    if table is None:
+        table = {}
+    if not isinstance(table, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {table!r}")
+    value = table.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{path} is out of range: {exc}") from exc
+
+
 def _state_norm_columns(cfg):
     cols = []
     for params in cfg.norms:
@@ -101,6 +131,7 @@ def _cmd_norms(cfg, outdir):
 def _cmd_evolve(cfg, outdir):
     if cfg.solve is None or cfg.t_end is None:
         raise ConfigError("evolve needs solve{} and t_end")
+    stride = _numeric_option(cfg.options, "snapshots", 0, integral=True)
     initial = build_initial(cfg.raw, cfg.grid, cfg.seed)
     traj = evolve(initial, cfg.forcing, cfg.t_end, cfg.solve, mode=cfg.mode)
     norm_cols = _state_norm_columns(cfg)
@@ -113,7 +144,6 @@ def _cmd_evolve(cfg, outdir):
             row.append(state_norm(s, ctx))
         rows.append(row)
     outputs = [write_csv(outdir / "trajectory.csv", header, rows)]
-    stride = int(cfg.options.get("snapshots") or 0)
     if stride > 0:
         for i in range(0, len(traj.states), stride):
             p = outdir / f"state_{i:05d}.bqf"
@@ -130,9 +160,8 @@ def _linear_problem(cfg):
 
 def _cmd_periodic_linear(cfg, outdir):
     problem = _linear_problem(cfg)
-    opts = cfg.options.get("periodic", {})
-    n_max = int(opts.get("n_max", 256))
-    tol = float(opts.get("tol", 1e-9))
+    n_max = _numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
+    tol = _numeric_option(cfg.options, "periodic.tol", 1e-9)
     reference = resolvent_periodic_datum(problem)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference)
     cross = max(
@@ -167,7 +196,9 @@ def _cmd_periodic_nonlinear(cfg, outdir):
     if cfg.solve is None or cfg.forcing is None:
         raise ConfigError("periodic-nonlinear needs solve{} and forcing{}")
     n = cfg.grid.n
-    p = float(cfg.options.get("norm_p") or (cfg.norms[0].p if cfg.norms else 3.0))
+    p = _numeric_option(cfg.options, "norm_p", cfg.norms[0].p if cfg.norms else 3.0)
+    outer_tol = _numeric_option(cfg.options, "periodic.outer_tol", 1e-8)
+    outer_max = _numeric_option(cfg.options, "periodic.outer_max", 16, integral=True)
     if not (2.0 < p <= n):
         raise HypothesisError(
             f'hypothesis "2 < p <= n" violated (p = {p:g}, n = {n}); '
@@ -175,14 +206,8 @@ def _cmd_periodic_nonlinear(cfg, outdir):
         )
     problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=_nonlinear_mode(cfg),
                               grid=cfg.grid)
-    opts = cfg.options.get("periodic", {})
     ctx = NormContext(NormParams(p=p, q=math.inf, lam=n - p), cfg.sampler, time_stride=4)
-    sol = nonlinear_periodic(
-        problem,
-        outer_tol=float(opts.get("outer_tol", 1e-8)),
-        outer_max=int(opts.get("outer_max", 16)),
-        ctx=ctx,
-    )
+    sol = nonlinear_periodic(problem, outer_tol=outer_tol, outer_max=outer_max, ctx=ctx)
     outputs = []
     write_field(outdir / "datum.bqf", sol.initial)
     outputs.append(outdir / "datum.bqf")
@@ -201,6 +226,7 @@ def _cmd_stability(cfg, outdir):
     if cfg.solve is None or cfg.forcing is None:
         raise ConfigError("stability subcommand needs solve{} and forcing{}")
     st = cfg.stability
+    K = _numeric_option(cfg.options, "estimates.K_emp", 1.0)
     params = StabilityParams(p=st["p"], q=st["q"], r=st["r"], b=st["b"])
     n = cfg.grid.n
     params.lam(n)  # p <= n hypothesis
@@ -243,14 +269,14 @@ def _cmd_stability(cfg, outdir):
                              ["fitted_slope", "slope_halfwidth", "points", "sup_D", "alpha_half"],
                              [fit_row + (table.sup_d, params.alpha / 2.0)]))
     c1, c2 = weighted_bilinear_constants(params.p, params.q, params.r)
-    rep = smallness_report(**_smallness_inputs(cfg, params, base))
+    rep = smallness_report(**_smallness_inputs(cfg, params, base, K))
     text = rep.text() + f"\nprinted weighted constants C1 = {c1:.6g}, C2 = {c2:.6g}\n"
     (outdir / "smallness.txt").write_text(text, encoding="utf-8")
     outputs.append(outdir / "smallness.txt")
     return outputs
 
 
-def _smallness_inputs(cfg, params, base):
+def _smallness_inputs(cfg, params, base, K):
     """Empirical inputs for the assembled contraction expressions."""
     from .norms import morrey_lorentz_norm, weighted_time_sup
     from .norms import TimeWeightParams
@@ -280,7 +306,6 @@ def _smallness_inputs(cfg, params, base):
             if forcing.f is not None:
                 total += morrey_lorentz_norm(forcing.f.value(t), half, cfg.sampler)
             ff_norm = max(ff_norm, total)
-    K = float(cfg.options.get("estimates", {}).get("K_emp", 1.0))
     return dict(
         p=params.p, b=params.b, kappa=forcing.kappa, K=K,
         rho=base.meta["solution_h_norm"], g_norm=g_norm, eta_sup=eta_sup, Ff_norm=ff_norm,
@@ -288,9 +313,8 @@ def _smallness_inputs(cfg, params, base):
 
 
 def _cmd_verify_estimates(cfg, outdir):
-    opts = cfg.options.get("estimates", {})
-    ensemble = int(opts.get("ensemble", 4))
-    p = float(opts.get("p", 3.0))
+    ensemble = _numeric_option(cfg.options, "estimates.ensemble", 4, integral=True)
+    p = _numeric_option(cfg.options, "estimates.p", 3.0)
     rows = refinement_comparison(cfg.grid, cfg.seed, ensemble=ensemble, p=p)
     outputs = [write_csv(outdir / "estimates.csv",
                          ["check", "value", "value_refined", "rel_change"], rows)]

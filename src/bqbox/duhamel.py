@@ -17,9 +17,18 @@ the state right-hand side does not depend on t (no g term with a nonzero
 harmonic) that is the start-point evaluation itself, so it is reused rather
 than computed again.
 
-State-independent forcing is integrated on a finer substep grid, so runs
-whose inhomogeneity is known in closed form (the linearized system) are
-limited only by the substep count, not by dt.
+State-independent forcing enters each step as one weighted sum.  Analytic
+harmonics (finite Fourier series in t) are sampled on a finer substep grid,
+so closed-form inhomogeneities are limited by the substep count, not by dt;
+the composite product trapezoid over the substeps is unrolled once per
+``evolve`` into per-mode weights A_j, and a step adds sum_j A_j r_j.
+Sampled terms (the linearized coupling, frozen nonlinearities) are linear
+between step nodes, so the single-step weights are exact for them.
+
+Every velocity increment is Leray-projected where it is made: the initial
+data, the forcing rows, the right-hand-side rows and the frozen extras.  The
+semigroup and the quadrature weights act per mode, so the stepped state
+stays divergence-free to roundoff without a projection per step.
 
 The buoyancy coupling is projected to mean zero: on the torus the k = 0 mode
 of I - e^{-TL} is singular, so all periodic machinery lives on the mean-free
@@ -182,10 +191,19 @@ def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
     return Trajectory(a.grid, a.times.copy(), states)
 
 
+def _real_values(grid, coeffs):
+    """Real part of the inverse transform, in its own contiguous array.
+
+    A ``.real`` view would keep the whole complex transform alive (twice
+    the bytes) and give every later pointwise product strided reads.
+    """
+    return np.ascontiguousarray(inverse_values(grid, coeffs).real)
+
+
 def _to_state(grid, vel_hat, th_hat):
     return State(
-        VectorField(grid, inverse_values(grid, vel_hat).real),
-        ScalarField(grid, inverse_values(grid, th_hat).real),
+        VectorField(grid, _real_values(grid, vel_hat)),
+        ScalarField(grid, _real_values(grid, th_hat)),
     )
 
 
@@ -198,9 +216,13 @@ class _CompiledForcing:
     """Spectral sources of the state-independent right-hand side.
 
     Analytic terms (finite Fourier series in t) are reduced once to constant
-    coefficient arrays with scalar time factors; sampled terms (frozen
-    couplings, frozen nonlinearities) interpolate linearly between the node
-    times of one period.
+    coefficient arrays with scalar time factors, which :meth:`rows_at`
+    evaluates.  Sampled terms (the linearized coupling, frozen
+    nonlinearities) are kept as one row per step node of one period; they
+    are linear on each step, so step i reads only the samples at nodes
+    i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled velocity rows
+    must already be Leray-projected, as every producer in this package
+    makes them.
     """
 
     def __init__(self, grid, forcing, mode, eta, extra, node_times):
@@ -208,9 +230,12 @@ class _CompiledForcing:
         self.period = forcing.period if forcing is not None else None
         self.analytic_vel = []  # (harmonic, phase, coeff_array)
         self.analytic_th = []
-        self.node_times = None
-        self.node_vel = None
-        self.node_th = None
+        self.steps = len(node_times) - 1  # S, the steps the node samples span
+        for rows in (extra.vel, extra.th) if extra is not None else ():
+            if rows is not None and len(rows) != len(node_times):
+                raise ConfigError(
+                    f"sampled forcing has {len(rows)} rows for {len(node_times)} step nodes"
+                )
 
         if forcing is not None and forcing.F is not None:
             for term in forcing.F.terms:
@@ -234,41 +259,18 @@ class _CompiledForcing:
                 buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
                 for t in node_times
             ]
-        node_th = None
-        if extra is not None:
-            if extra.vel is not None:
-                extra_vel = list(extra.vel)
-                node_vel = extra_vel if node_vel is None else [a + b for a, b in zip(node_vel, extra_vel)]
-            if extra.th is not None:
-                node_th = list(extra.th)
-        if node_vel is not None or node_th is not None:
-            self.node_times = np.asarray(node_times, dtype=float)
-            self.node_vel = node_vel
-            self.node_th = node_th
+        if extra is not None and extra.vel is not None:
+            extra_vel = list(extra.vel)
+            node_vel = extra_vel if node_vel is None else [a + b for a, b in zip(node_vel, extra_vel)]
+        self.node_vel = node_vel
+        self.node_th = list(extra.th) if extra is not None and extra.th is not None else None
 
     @property
-    def has_vel(self):
-        return bool(self.analytic_vel) or self.node_vel is not None
-
-    @property
-    def has_th(self):
-        return bool(self.analytic_th) or self.node_th is not None
-
-    def _node_interp(self, samples, t):
-        ts = self.node_times
-        tr = t
-        if self.period is not None and tr > ts[-1] + 1e-12:
-            tr = tr - self.period * np.floor(tr / self.period)
-        if tr <= ts[0]:
-            return samples[0]
-        if tr >= ts[-1]:
-            return samples[-1]
-        j, x = bracket(ts, tr)
-        if x == 0.0:
-            return samples[j]
-        return (1.0 - x) * samples[j] + x * samples[j + 1]
+    def analytic(self):
+        return bool(self.analytic_vel) or bool(self.analytic_th)
 
     def rows_at(self, t):
+        """Analytic rows (vel, th) at time t; None for an absent part."""
         vel = None
         th = None
         for m, phase, src in self.analytic_vel:
@@ -277,13 +279,54 @@ class _CompiledForcing:
         for m, phase, src in self.analytic_th:
             c = np.cos(2.0 * np.pi * m * t / self.period + phase)
             th = c * src if th is None else th + c * src
-        if self.node_vel is not None:
-            nv = self._node_interp(self.node_vel, t)
-            vel = nv if vel is None else vel + nv
-        if self.node_th is not None:
-            nt = self._node_interp(self.node_th, t)
-            th = nt if th is None else th + nt
         return vel, th
+
+    def step_samples(self, i):
+        """Sampled rows at the two nodes of step i, [vel_a, vel_b] and [th_a, th_b].
+
+        An absent part reads [None, None].
+        """
+        j = i % self.steps
+        vel = [None, None] if self.node_vel is None else self.node_vel[j:j + 2]
+        th = [None, None] if self.node_th is None else self.node_th[j:j + 2]
+        return vel, th
+
+
+def _substep_weights(grid, h, m):
+    """Per-mode weights A_0..A_{m-1} with int_a^{a+h} e^{-(a+h-s) k2} G(s) ds = sum_j A_j G(s_j).
+
+    G is sampled at m equally spaced nodes s_j and taken linear between
+    them; this is the composite product trapezoid acc <- e^{-h_s k2} acc +
+    Wa G(s_j) + Wb G(s_{j+1}) (h_s = h / (m - 1)) unrolled once, so a step
+    costs one weighted sum instead of m - 1 recursion passes.
+    """
+    k2 = grid.k_squared
+    h_s = h / (m - 1)
+    E_s = semigroup_factor(grid, h_s)
+    Wa_s, Wb_s = _trap_weights(h_s, k2)
+    weights = [np.zeros_like(k2) for _ in range(m)]
+    decay = np.ones_like(k2)  # e^{-(m-2-j) h_s k2} for the interval [s_j, s_{j+1}]
+    for j in range(m - 2, -1, -1):
+        weights[j] += decay * Wa_s
+        weights[j + 1] += decay * Wb_s
+        decay = decay * E_s
+    return weights
+
+
+def _weighted_sum(weights, rows):
+    """sum_j weights[j] * rows[j] over the rows that are not None; None if all are.
+
+    The sum is a new array; no row is modified.
+    """
+    acc = None
+    for w, r in zip(weights, rows):
+        if r is None:
+            continue
+        if acc is None:
+            acc = w * r
+        else:
+            acc += w * r
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +335,44 @@ class _CompiledForcing:
 
 
 class _StateRHS:
-    """G_state(x, t): advective terms and (in full mode) buoyancy coupling."""
+    """G_state(x, t): advective terms and (in full mode) buoyancy coupling.
+
+    One call is :func:`advection_coeffs` on the physical values, with the
+    coupling added before its single Leray projection.  The values are
+    inverse-transformed from the coefficients unless the caller already has
+    them (the start of a step whose state was just stored).
+    """
 
     def __init__(self, grid, forcing, kappa):
         self.grid = grid
         self.forcing = forcing
         self.kappa = kappa
-        self._g_cache = {}
+        self.coupled = kappa > 0.0 and forcing is not None and forcing.g is not None
+        self._g = {}  # g at the times of the current step only
 
     @cached_property
     def time_dependent(self):
         """Whether G_state depends on t: only through a g term with a nonzero harmonic."""
-        g = self.forcing.g if self.forcing is not None else None
-        return self.kappa > 0.0 and g is not None and any(term.harmonic != 0 for term in g.terms)
+        return self.coupled and any(term.harmonic != 0 for term in self.forcing.g.terms)
 
     def _g_real(self, t):
-        key = t if self.forcing.period is None else t - self.forcing.period * np.floor(
-            t / self.forcing.period
-        )
-        if key not in self._g_cache:
-            self._g_cache[key] = self.forcing.g.value(key).values
-        return self._g_cache[key]
+        """g at t: evaluated once if it ignores t, else kept for two times (one step)."""
+        period = self.forcing.period
+        key = t - period * np.floor(t / period) if self.time_dependent else 0.0
+        if key not in self._g:
+            if len(self._g) > 1:
+                del self._g[next(iter(self._g))]
+            self._g[key] = self.forcing.g.value(key).values
+        return self._g[key]
 
-    def __call__(self, u_hat, th_hat, t):
+    def __call__(self, u_hat, th_hat, t, values=None):
         grid = self.grid
-        u = inverse_values(grid, u_hat).real
-        th = inverse_values(grid, th_hat).real
-        vel, th_row = advection_coeffs(grid, u, u, th)
-        if self.kappa > 0.0 and self.forcing is not None and self.forcing.g is not None:
-            vel = vel + buoyancy_coeffs(grid, th, self._g_real(t), self.kappa)
-        return vel, th_row
+        if values is None:
+            values = (_real_values(grid, u_hat), _real_values(grid, th_hat))
+        u, th = values
+        if self.coupled:
+            return advection_coeffs(grid, u, u, th, self._g_real(t), self.kappa)
+        return advection_coeffs(grid, u, u, th)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +388,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     Modes: ``full`` (both nonlinearities), ``linearized`` (state-independent
     right-hand side, frozen temperature ``eta`` in the coupling), and
     ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0 and
-    no temperature forcing, and ignores kappa).
+    no temperature forcing, and ignores kappa).  ``extra`` holds one
+    coefficient row per step node of one forcing period (or of the whole
+    run without a forcing); its velocity rows must be Leray-projected.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -366,7 +419,6 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         cfg.check_period(forcing.period)
 
     dt = cfg.dt
-    node_times = None
     if forcing is not None:
         steps_per_period = int(round(forcing.period / dt))
         node_times = np.arange(steps_per_period + 1) * dt
@@ -378,79 +430,50 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     if mode in ("full", "navier-stokes"):
         state_rhs = _StateRHS(grid, forcing, kappa)
 
-    k2 = grid.k_squared
     E = semigroup_factor(grid, dt)
-    Wa, Wb = _trap_weights(dt, k2)
+    Wa, Wb = _trap_weights(dt, grid.k_squared)
     m = cfg.substeps
     h_s = dt / (m - 1)
-    E_s = semigroup_factor(grid, h_s)
-    Wa_s, Wb_s = _trap_weights(h_s, k2)
+    # the propagated state, the analytic rows at the m substep nodes, the two step-node samples
+    weights = [E] + (_substep_weights(grid, dt, m) if compiled.analytic else [None] * m) + [Wa, Wb]
 
     u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
-    th_hat = forward_coeffs(grid, initial.theta.values).astype(complex)
+    th_hat = forward_coeffs(grid, initial.theta.values)
 
     times = [0.0]
     states = [_to_state(grid, u_hat, th_hat)]
+    start_values = (states[0].u.values, states[0].theta.values)
     picard_iters_max = 0
 
     for i in range(n_steps):
         t_a = i * dt
         t_b = (i + 1) * dt
 
-        forced_vel = None
-        forced_th = None
-        if compiled.has_vel or compiled.has_th:
-            # composite product-trapezoid over the substep grid
+        rows = [(None, None)] * m
+        if compiled.analytic:
             rows = [compiled.rows_at(t_a + j * h_s) for j in range(m)]
-            acc_v, acc_t = None, None
-            for j in range(m - 1):
-                va, ta_ = rows[j]
-                vb, tb_ = rows[j + 1]
-                if acc_v is not None:
-                    acc_v = acc_v * E_s
-                if acc_t is not None:
-                    acc_t = acc_t * E_s
-                if va is not None or vb is not None:
-                    contrib = 0.0
-                    if va is not None:
-                        contrib = Wa_s[np.newaxis] * va
-                    if vb is not None:
-                        contrib = contrib + Wb_s[np.newaxis] * vb
-                    acc_v = contrib if acc_v is None else acc_v + contrib
-                if ta_ is not None or tb_ is not None:
-                    contrib = 0.0
-                    if ta_ is not None:
-                        contrib = Wa_s * ta_
-                    if tb_ is not None:
-                        contrib = contrib + Wb_s * tb_
-                    acc_t = contrib if acc_t is None else acc_t + contrib
-            forced_vel, forced_th = acc_v, acc_t
-
-        fixed_u = E[np.newaxis] * u_hat
-        fixed_th = E * th_hat
-        if forced_vel is not None:
-            fixed_u = fixed_u + forced_vel
-        if forced_th is not None:
-            fixed_th = fixed_th + forced_th
+        node_vel, node_th = compiled.step_samples(i)
+        fixed_u = _weighted_sum(weights, [u_hat] + [r[0] for r in rows] + node_vel)
+        fixed_th = _weighted_sum(weights, [th_hat] + [r[1] for r in rows] + node_th)
 
         if state_rhs is None:
             u_hat, th_hat = fixed_u, fixed_th
         else:
-            gs_va, gs_ta = state_rhs(u_hat, th_hat, t_a)
-            fixed_u = fixed_u + Wa[np.newaxis] * gs_va
-            fixed_th = fixed_th + Wa * gs_ta
+            gs_va, gs_ta = state_rhs(u_hat, th_hat, t_a, start_values)
+            fixed_u += Wa * gs_va
+            fixed_th += Wa * gs_ta
             # predictor: freeze the endpoint nonlinearity at the start state; a
             # time-independent G_state gives back the start evaluation
             if state_rhs.time_dependent:
-                gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b)
+                gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b, start_values)
             else:
                 gs_vb, gs_tb = gs_va, gs_ta
-            new_u = fixed_u + Wb[np.newaxis] * gs_vb
+            new_u = fixed_u + Wb * gs_vb
             new_th = fixed_th + Wb * gs_tb
             converged = False
             for it in range(cfg.picard_max):
                 gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
-                next_u = fixed_u + Wb[np.newaxis] * gs_vb
+                next_u = fixed_u + Wb * gs_vb
                 next_th = fixed_th + Wb * gs_tb
                 # np.max, unlike max(), lets a NaN in either row through
                 res = float(np.max([np.max(np.abs(next_u - new_u)),
@@ -477,10 +500,11 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
                 )
             u_hat, th_hat = new_u, new_th
 
-        u_hat = leray_coeffs(grid, u_hat)
+        start_values = None
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:
             times.append(t_b)
             states.append(_to_state(grid, u_hat, th_hat))
+            start_values = (states[-1].u.values, states[-1].theta.values)
 
     return Trajectory(
         grid,

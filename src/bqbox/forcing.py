@@ -146,7 +146,8 @@ class SampledSpectralForcing:
     """Extra inhomogeneity in coefficient space, sampled at node times.
 
     Used by the periodic engine to freeze a nonlinearity along a stored
-    trajectory; the time stepper interpolates the rows linearly between nodes.
+    trajectory, one row per step node; the time stepper takes the rows as
+    linear between nodes, so each step reads the rows at its two nodes.
     """
 
     times: np.ndarray

@@ -113,6 +113,16 @@ class GridSpec:
         return _read_only((2j * np.pi / self.L) * self.deriv_wave_integers)
 
     @cached_property
+    def dealiased_deriv(self):
+        """(2 pi / L) K times the 2/3 mask: the real part of a dealiased derivative.
+
+        Multiplying by it and then by i once gives the dealiased first
+        derivative; both steps are exact rearrangements of ``ik`` times the
+        mask, so results match that product value for value.
+        """
+        return _read_only((2.0 * np.pi / self.L) * self.deriv_wave_integers * self.dealias_mask)
+
+    @cached_property
     def deriv_k(self):
         """deriv_wave_integers as floats: the K of the Leray projector."""
         return _read_only(self.deriv_wave_integers.astype(float))
@@ -235,13 +245,17 @@ def _fft_axes(grid):
 
 
 def forward_coeffs(grid, values):
-    """Raw forward DFT of a real array (any leading component axes)."""
-    return np.fft.fftn(values, axes=_fft_axes(grid)) / float(grid.N**grid.n)
+    """Raw forward DFT of a real array (any leading component axes), divided by N**n.
+
+    The scaling happens inside the transform (``norm="forward"``); N is a
+    power of two, so it is exact and equals dividing afterwards bit for bit.
+    """
+    return np.fft.fftn(values, axes=_fft_axes(grid), norm="forward")
 
 
 def inverse_values(grid, coeffs):
     """Inverse of :func:`forward_coeffs`, returning the complex array."""
-    return np.fft.ifftn(coeffs * float(grid.N**grid.n), axes=_fft_axes(grid))
+    return np.fft.ifftn(coeffs, axes=_fft_axes(grid), norm="forward")
 
 
 def forward_transform(field):

@@ -7,11 +7,16 @@ k = 0, where constants are already divergence-free).  Everything is a pure
 function of immutable fields.
 
 The two nonlinear kernels of the mild-solution map live here, once:
-:func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule;
-for B(u, u) it transforms only the n(n+1)/2 distinct products of u (x) u)
+:func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule)
 and :func:`buoyancy_coeffs` (the coupling T_g).  The time steppers, the
 standalone Duhamel increments and the frozen-nonlinearity periodic solver
-all call them.  The multipliers (derivative, Leray, 2/3 mask) are cached
+all call them.  The advection kernel takes each divergence row straight
+from the transformed products (for B(u, u) only the n(n+1)/2 distinct
+products of u (x) u are transformed), through the real multiplier
+(2 pi / L) K times the 2/3 mask and one exact turn by -i.  Given g, it
+adds the coupling kappa dealias(theta g) before the single Leray
+projection of the velocity row, so the full-mode right-hand side costs one
+projection.  The multipliers (derivative, Leray, 2/3 mask) are cached
 read-only on the ``GridSpec``, so they are built once per grid.
 """
 
@@ -47,12 +52,26 @@ def grad_coeffs(grid, scalar_coeffs):
 
 
 def div_coeffs(grid, vector_coeffs):
-    return np.sum(grid.ik * vector_coeffs, axis=0)
+    """div v = sum_j d_j v_j in coefficient space, accumulated over j."""
+    ik = grid.ik
+    out = ik[0] * vector_coeffs[0]
+    for j in range(1, grid.n):
+        out += ik[j] * vector_coeffs[j]
+    return out
 
 
 def tensor_div_coeffs(grid, tensor_coeffs):
-    """(div F)_i = sum_j d_j F_ij in coefficient space."""
-    return np.sum(grid.ik[np.newaxis, :] * tensor_coeffs, axis=1)
+    """(div F)_i = sum_j d_j F_ij in coefficient space, accumulated over j.
+
+    Each step adds one (n, ...) column product, so the n^2 products
+    ik_j F_ij never exist at once; the sum runs in the order of j, as
+    ``np.sum(ik[None] * F, axis=1)`` does, and equals it bit for bit.
+    """
+    ik = grid.ik
+    out = ik[0] * tensor_coeffs[:, 0]
+    for j in range(1, grid.n):
+        out += ik[j] * tensor_coeffs[:, j]
+    return out
 
 
 def leray_coeffs(grid, vector_coeffs):
@@ -73,27 +92,62 @@ def _symmetric_pairs(n):
     return i, j, pair
 
 
-def advection_coeffs(grid, u_a, u_b, th_b):
-    """Advective rows (-P div(u_a (x) u_b), -div(u_a theta_b)) from real values.
+def _neg_dealiased_div(grid, columns, out=None):
+    """-sum_j i k_j c_j over the 2/3-rule modes, for the n coefficient arrays ``columns``.
 
-    Both products are dealiased before the divergence is taken.  When
-    ``u_b is u_a`` the tensor is symmetric, so only its n(n+1)/2 distinct
-    products are transformed and the full tensor is read from them; the
-    result is bit-identical to transforming all n^2 products.
+    The real multiplier (2 pi / L) K mask is summed first and the sum is
+    turned by -i once; both are exact, so this equals -div(dealias(c)).
     """
+    kd = grid.dealiased_deriv
+    out = np.multiply(kd[0], columns[0], out=out)
+    for j in range(1, grid.n):
+        out += kd[j] * columns[j]
+    out *= -1j
+    return out
+
+
+def _buoyancy_source(grid, th, g):
+    """theta g transformed and dealiased: the unprojected coupling row."""
+    c = forward_coeffs(grid, th[np.newaxis] * g)
+    c *= grid.dealias_mask
+    return c
+
+
+def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
+    """Rows (-P div(u_a (x) u_b) [+ kappa P(theta_b g)], -div(u_a theta_b)) from real values.
+
+    Products are dealiased by the 2/3 rule.  Each divergence row is read
+    straight from the transformed products; when ``u_b is u_a`` only the
+    n(n+1)/2 distinct products u_i u_j are transformed and row i reads
+    T_ij = T_ji from them.  With ``g`` the coupling kappa dealias(theta_b g)
+    joins the velocity row before its one Leray projection.  The mean of
+    the velocity row is set to zero; only the coupling has one.  Without
+    ``g`` the rows equal the composition of the coefficient primitives
+    above value for value.
+    """
+    n = grid.n
     if u_b is u_a:
-        i, j, pair = _symmetric_pairs(grid.n)
-        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[i] * u_a[j]))[pair]
+        i, j, pair = _symmetric_pairs(n)
+        uu_hat = forward_coeffs(grid, u_a[i] * u_a[j])
+        tensor = [[uu_hat[pair[r, c]] for c in range(n)] for r in range(n)]
     else:
-        uu_hat = dealias_coeffs(grid, forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
-    vel = -leray_coeffs(grid, tensor_div_coeffs(grid, uu_hat))
-    mix = dealias_coeffs(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
-    return vel, -div_coeffs(grid, mix)
+        tensor = forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :])
+    vel = np.empty((n,) + grid.shape, dtype=complex)
+    for r in range(n):
+        _neg_dealiased_div(grid, tensor[r], out=vel[r])
+    th_row = _neg_dealiased_div(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
+    if g is not None:
+        coupling = _buoyancy_source(grid, th_b, g)
+        coupling *= kappa
+        vel += coupling
+    vel = leray_coeffs(grid, vel)
+    vel[(Ellipsis,) + (0,) * n] = 0.0
+    return vel, th_row
 
 
 def buoyancy_coeffs(grid, th, g, kappa):
     """Coupling row kappa P(theta g) from real values, dealiased, with its mean removed."""
-    c = leray_coeffs(grid, dealias_coeffs(grid, forward_coeffs(grid, th[np.newaxis] * g)))
+    c = leray_coeffs(grid, _buoyancy_source(grid, th, g))
     c[(Ellipsis,) + (0,) * grid.n] = 0.0
     return kappa * c
 

@@ -1,0 +1,47 @@
+"""Every name the benchmark tracer wraps still resolves.
+
+``bench/tracer.py`` replaces the functions in its ``TARGETS`` table by
+name, inside a traced subprocess.  A refactor that renames one of them
+fails here, naming it, instead of as a crashed benchmark run.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _tracer()
+
+
+@pytest.mark.parametrize("module_name, attr", [(m, a) for m, a, _ in tracer.TARGETS],
+                         ids=[f"{m}.{a}" for m, a, _ in tracer.TARGETS])
+def test_target_resolves(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        assert hasattr(owner, part), f"{module_name}.{attr}: no attribute {part!r}"
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_cli_names_and_measured_arguments():
+    # the set-up clock and the per-span measures read these by name
+    cli = importlib.import_module("bqbox.cli")
+    for name in tracer.CLI_SOLVER_NAMES:
+        assert callable(getattr(cli, name, None)), f"bqbox.cli.{name}"
+    assert isinstance(cli._COMMANDS, dict)
+    evolve = inspect.signature(importlib.import_module("bqbox.duhamel").evolve).parameters
+    assert {"t_end", "cfg", "mode"} <= set(evolve)
+    cesaro = inspect.signature(importlib.import_module("bqbox.periodic").cesaro_periodic_datum)
+    assert "n_max" in cesaro.parameters

@@ -314,6 +314,61 @@ class TestConfigErrors:
         assert "harmonic 1" in capsys.readouterr().err
 
 
+def _stability_config(**estimates):
+    return {**nonlinear_3d_config(), "estimates": estimates,
+            "stability": {"p": 3.0, "q": 3.0, "r": 6.0, "b": 0.5}}
+
+
+class TestOptionParsing:
+    """Numeric options are parsed before any solver runs; a bad one exits 2 naming its key."""
+
+    @pytest.fixture
+    def no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solver ran before the options were parsed")
+
+        for name in ("build_initial", "evolve", "resolvent_periodic_datum",
+                     "nonlinear_periodic", "refinement_comparison"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("command, config, key", [
+        ("periodic-linear", periodic_config(periodic={"n_max": "many"}), "periodic.n_max"),
+        ("periodic-linear", periodic_config(periodic={"n_max": 2.7}), "periodic.n_max"),
+        ("periodic-linear", periodic_config(periodic={"n_max": True}), "periodic.n_max"),
+        ("periodic-linear", periodic_config(periodic={"tol": float("inf")}), "periodic.tol"),
+        ("periodic-linear", periodic_config(periodic={"tol": [1e-9]}), "periodic.tol"),
+        ("periodic-linear", periodic_config(periodic=5), "periodic"),
+        ("periodic-nonlinear", nonlinear_3d_config(outer_max="lots"), "periodic.outer_max"),
+        ("periodic-nonlinear", nonlinear_3d_config(outer_max=3.5), "periodic.outer_max"),
+        ("periodic-nonlinear", nonlinear_3d_config(outer_tol="small"), "periodic.outer_tol"),
+        ("periodic-nonlinear", {**nonlinear_3d_config(), "norm_p": "three"}, "norm_p"),
+        ("evolve", evolve_config(snapshots="8"), "snapshots"),
+        ("evolve", evolve_config(snapshots=2.5), "snapshots"),
+        ("verify-estimates", {"grid": {"n": 3, "N": 8, "L": BOX}, "estimates": {"ensemble": 2.5}},
+         "estimates.ensemble"),
+        ("verify-estimates", {"grid": {"n": 3, "N": 8, "L": BOX}, "estimates": {"p": float("nan")}},
+         "estimates.p"),
+        ("stability", _stability_config(K_emp="one"), "estimates.K_emp"),
+    ])
+    def test_bad_option_exits_2_before_solving(self, tmp_path, capsys, no_solver,
+                                              command, config, key):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be" in err
+
+    def test_integral_float_and_null_accepted(self, tmp_path):
+        # 8.0 is the integer 8; a null option takes its default
+        cfg = write_config(tmp_path / "c.json",
+                           evolve_config(snapshots=8.0, t_end=0.25, norms=[]))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output", str(out)]) == 0
+        assert [p.name for p in sorted(out.glob("state_*.bqf"))] == ["state_00000.bqf"]
+        cfg = write_config(tmp_path / "n.json", evolve_config(snapshots=None, t_end=0.25, norms=[]))
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "n")]) == 0
+        assert not list((tmp_path / "n").glob("state_*.bqf"))
+
+
 class TestDiagnosticsErrors:
     def test_mid_run_diagnostics_error(self, tmp_path, capsys, monkeypatch):
         def failing_table(*args, **kwargs):

@@ -26,7 +26,16 @@ from bqbox import (
     verify_linear_operator,
     zeros_like_state,
 )
-from bqbox.duhamel import Trajectory, _CompiledForcing, _phi1, _phi2, _StateRHS
+from bqbox.duhamel import (
+    Trajectory,
+    _CompiledForcing,
+    _phi1,
+    _phi2,
+    _StateRHS,
+    _substep_weights,
+    _trap_weights,
+    _weighted_sum,
+)
 from bqbox.forcing import (
     HarmonicTerm,
     SampledScalarSeries,
@@ -39,6 +48,8 @@ from bqbox.operators import dealias_coeffs, div_coeffs, leray_coeffs, tensor_div
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
+    random_smooth_tensor,
+    random_smooth_vector,
     single_mode_scalar,
     single_mode_tensor,
     single_mode_vector,
@@ -432,6 +443,76 @@ class TestPredictorReuse:
         assert default_calls == always_calls - saved
 
 
+class TestGCache:
+    """g is evaluated once per evolve if it ignores t, and once per step time otherwise."""
+
+    @pytest.mark.parametrize("g_harmonic", [0, 1])
+    def test_value_calls_and_cache_size(self, grid3d_small, monkeypatch, g_harmonic):
+        g = grid3d_small
+        T, n_steps = 1.0, 6
+        gv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1.0)
+        gf = TimeFourierField(period=T, terms=(HarmonicTerm(g_harmonic, gv, 0.4),))
+        forcing = ForcingSpec(period=T, kappa=0.5, g=gf)
+        init = State(random_div_free(g, seed=2, amplitude=0.1), gaussian_profile(g, 0.2, amplitude=0.1))
+        cfg = SolveConfig(dt=T / 16, substeps=2)
+
+        value_calls, cache_sizes = [], []
+        value = TimeFourierField.value
+        monkeypatch.setattr(TimeFourierField, "value",
+                            lambda self, t: value_calls.append(t) or value(self, t))
+        call = _StateRHS.__call__
+        monkeypatch.setattr(_StateRHS, "__call__",
+                            lambda self, *a: cache_sizes.append(len(self._g)) or call(self, *a))
+        evolve(init, forcing, n_steps * cfg.dt, cfg, mode="full")
+        assert len(value_calls) == (1 if g_harmonic == 0 else n_steps + 1)
+        assert max(cache_sizes) <= (1 if g_harmonic == 0 else 2)
+
+
+class TestStepQuadrature:
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_substep_weights_match_recursion(self, grid3d_small, m):
+        # sum_j A_j r_j against the composite recursion acc <- E_s acc + Wa r_j + Wb r_{j+1}
+        g = grid3d_small
+        dt = 1.0 / 16
+        rng = np.random.default_rng(m)
+        rows = [rng.standard_normal((g.n,) + g.shape) + 1j * rng.standard_normal((g.n,) + g.shape)
+                for _ in range(m)]
+        h_s = dt / (m - 1)
+        E_s = np.exp(-h_s * g.k_squared)
+        Wa_s, Wb_s = _trap_weights(h_s, g.k_squared)
+        want = 0.0
+        for j in range(m - 1):
+            want = want * E_s + Wa_s * rows[j] + Wb_s * rows[j + 1]
+        got = _weighted_sum(_substep_weights(g, dt, m), rows)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_weighted_sum_skips_absent_rows(self):
+        w = [np.array([2.0]), np.array([3.0]), np.array([5.0])]
+        assert _weighted_sum(w, [None, None, None]) is None
+        assert np.array_equal(_weighted_sum(w, [None, np.array([1.0]), np.array([1.0])]), [8.0])
+
+    def test_divergence_free_without_per_step_projection(self, grid3d_small):
+        # every increment is projected where it is made, so 256 full-mode steps
+        # with forcing and a time-dependent coupling stay divergence-free.  The
+        # forcing fills every mode: a mode decayed to roundoff size would make
+        # the per-mode relative residual meaningless with or without projection.
+        g = grid3d_small
+        T = 1.0
+        Ft = random_smooth_tensor(g, seed=1, exponent=1.0, amplitude=0.1)
+        fv = random_smooth_vector(g, seed=2, exponent=1.0, amplitude=0.1)
+        gv = random_smooth_vector(g, seed=3, exponent=1.0)
+        forcing = ForcingSpec(period=T, kappa=0.5,
+                              F=TimeFourierField(period=T, terms=(HarmonicTerm(1, Ft, 0.3),)),
+                              f=constant_in_time(T, fv),
+                              g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
+        init = State(random_div_free(g, seed=4, exponent=1.0, amplitude=0.2),
+                     random_smooth_scalar(g, seed=5, exponent=1.0, amplitude=0.2))
+        cfg = SolveConfig(dt=T / 64, substeps=2)
+        traj = evolve(init, forcing, 4 * T, cfg, mode="full")
+        assert len(traj.states) == 257
+        assert max(spectral_divergence_residual(s.u) for s in traj.states) <= 1e-12
+
+
 class TestVerifyLinearOperator:
     def _fields(self, g, amp=1.0):
         F = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=amp)
@@ -521,16 +602,13 @@ def _at_node_samplers(grid, ts):
     traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
                                  for v, th in zip(vels, ths)])
     series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
-    extra = SampledSpectralForcing(times=ts, vel=vels, th=ths)
-    compiled = _CompiledForcing(grid, None, "linearized", None, extra, ts)
     return {
         "trajectory": (lambda t: traj.sample(t).theta.values, ths),
         "scalar_series": (lambda t: series.value(t).values, ths),
-        "compiled_forcing": (lambda t: compiled.rows_at(t)[0], vels),
     }
 
 
-@pytest.mark.parametrize("source", ["trajectory", "scalar_series", "compiled_forcing"])
+@pytest.mark.parametrize("source", ["trajectory", "scalar_series"])
 @pytest.mark.parametrize("node", [2, 4])
 @pytest.mark.parametrize("offset", [0.0, -1e-13])
 def test_interpolation_snaps_to_node(grid2d, source, node, offset):
@@ -538,3 +616,31 @@ def test_interpolation_snaps_to_node(grid2d, source, node, offset):
     ts = np.arange(5) * 0.1
     sample, samples = _at_node_samplers(grid2d, ts)[source]
     assert np.array_equal(sample(ts[node] + offset), samples[node])
+
+
+@pytest.mark.parametrize("parts", ["vel", "th", "both"])
+def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
+    """Step i reads the node samples s[i mod S] and s[i mod S + 1] themselves, period after period."""
+    S = 4
+    ts = np.arange(S + 1) * 0.1
+    rng = np.random.default_rng(0)
+    vels = [rng.standard_normal((grid2d.n,) + grid2d.shape) for _ in ts]
+    ths = [rng.standard_normal(grid2d.shape) for _ in ts]
+    extra = SampledSpectralForcing(times=ts, vel=vels if parts != "th" else None,
+                                   th=ths if parts != "vel" else None)
+    compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), "linearized", None, extra, ts)
+    for i in range(3 * S):
+        vel, th = compiled.step_samples(i)
+        j = i % S
+        for got, samples, present in ((vel, vels, parts != "th"), (th, ths, parts != "vel")):
+            if present:
+                assert got[0] is samples[j] and got[1] is samples[j + 1]
+            else:
+                assert got == [None, None]
+
+
+def test_compiled_forcing_rejects_misaligned_samples(grid2d):
+    ts = np.arange(5) * 0.1
+    extra = SampledSpectralForcing(times=ts[:-1], th=[np.zeros(grid2d.shape)] * 4)
+    with pytest.raises(ConfigError, match="4 rows for 5 step nodes"):
+        _CompiledForcing(grid2d, None, "linearized", None, extra, ts)

@@ -22,7 +22,14 @@ from bqbox import (
 )
 from bqbox.grid import forward_coeffs, forward_transform, inverse_values
 from bqbox.norms import BallSampler, gaussian_profile
-from bqbox.operators import advection_coeffs
+from bqbox.operators import (
+    advection_coeffs,
+    buoyancy_coeffs,
+    dealias_coeffs,
+    div_coeffs,
+    leray_coeffs,
+    tensor_div_coeffs,
+)
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -213,6 +220,47 @@ class TestAdvectionKernel:
         vel_ref, th_ref = advection_coeffs(g, u, u.copy(), th)
         assert np.array_equal(vel, vel_ref)
         assert np.array_equal(th_row, th_ref)
+
+    @staticmethod
+    def _composed(g, u_a, u_b, th, gv, kappa):
+        """The rows built from the coefficient primitives one by one, two projections."""
+        uu_hat = dealias_coeffs(g, forward_coeffs(g, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
+        vel = -leray_coeffs(g, np.sum(g.ik[np.newaxis] * uu_hat, axis=1))
+        mix = dealias_coeffs(g, forward_coeffs(g, u_a * th[np.newaxis]))
+        return vel + buoyancy_coeffs(g, th, gv, kappa), -np.sum(g.ik * mix, axis=0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("same", [True, False])
+    def test_fused_rows_match_composition(self, n, same):
+        # advection plus coupling under one Leray projection against the
+        # advective and coupling rows projected separately
+        g = GridSpec(n=n, N=16, L=2.0 * np.pi)
+        rng = np.random.Generator(np.random.Philox(10 + n))
+        u = rng.standard_normal((n,) + g.shape)
+        u_b = u if same else rng.standard_normal((n,) + g.shape)
+        th = rng.standard_normal(g.shape)
+        gv = rng.standard_normal((n,) + g.shape)
+        vel, th_row = advection_coeffs(g, u, u_b, th, gv, 0.7)
+        vel_ref, th_ref = self._composed(g, u, u_b, th, gv, 0.7)
+        assert np.max(np.abs(vel - vel_ref)) <= 1e-14 * np.max(np.abs(vel_ref))
+        assert np.array_equal(th_row, th_ref)
+        assert np.all(vel[(Ellipsis,) + (0,) * n] == 0.0)
+        # without g the rows equal the composition value for value
+        vel0, th0 = advection_coeffs(g, u, u_b, th)
+        vel0_ref, th0_ref = self._composed(g, u, u_b, th, gv, 0.0)
+        assert np.array_equal(vel0, vel0_ref) and np.array_equal(th0, th0_ref)
+
+
+class TestDivergenceSums:
+    """Row-by-row divergence sums equal the full-product sums bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tensor_and_vector_divergence(self, n):
+        g = GridSpec(n=n, N=16, L=2.0 * np.pi)
+        rng = np.random.Generator(np.random.Philox(20 + n))
+        T = rng.standard_normal((n, n) + g.shape) + 1j * rng.standard_normal((n, n) + g.shape)
+        assert np.array_equal(tensor_div_coeffs(g, T), np.sum(g.ik[np.newaxis] * T, axis=1))
+        assert np.array_equal(div_coeffs(g, T[0]), np.sum(g.ik * T[0], axis=0))
 
 
 class TestVerifyDispersive:
