@@ -602,13 +602,18 @@ def _at_node_samplers(grid, ts):
     traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
                                  for v, th in zip(vels, ths)])
     series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
+    extra = SampledSpectralForcing(times=ts, vel=vels, th=ths)
+    compiled = _CompiledForcing(grid, None, "linearized", None, extra, ts)
+    dt = ts[1] - ts[0]
     return {
         "trajectory": (lambda t: traj.sample(t).theta.values, ths),
         "scalar_series": (lambda t: series.value(t).values, ths),
+        # the step that ends at the node reads it as its second sample
+        "compiled_forcing": (lambda t: compiled.step_samples(int(round(t / dt)) - 1)[0][1], vels),
     }
 
 
-@pytest.mark.parametrize("source", ["trajectory", "scalar_series"])
+@pytest.mark.parametrize("source", ["trajectory", "scalar_series", "compiled_forcing"])
 @pytest.mark.parametrize("node", [2, 4])
 @pytest.mark.parametrize("offset", [0.0, -1e-13])
 def test_interpolation_snaps_to_node(grid2d, source, node, offset):
