@@ -104,9 +104,6 @@ class ForcingSpec:
                 return tf.grid
         return None
 
-    def is_empty(self):
-        return self.F is None and self.f is None and (self.g is None or self.kappa == 0.0)
-
 
 def zero_forcing(period=1.0):
     return ForcingSpec(period=period)

@@ -39,7 +39,7 @@ so callers may parallelize freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -532,9 +532,6 @@ class NormContext:
     params: NormParams
     sampler: BallSampler
     time_stride: int = 1
-
-    def with_params(self, params):
-        return replace(self, params=params)
 
 
 def state_norm(state: State, ctx: NormContext):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duhamel import Trajectory, bilinear_increment, evolve
+from .duhamel import Trajectory, bilinear_path, evolve, state_difference
 from .errors import ConfigError, DiagnosticsError, HypothesisError
 from .norms import (
     BallSampler,
@@ -174,16 +174,10 @@ def perturb_and_compare(
     traj1 = evolve(base.initial, forcing, t_max, cfg, mode=mode)
     traj2 = evolve(perturbed_initial, forcing2, t_max, cfg, mode=mode)
 
-    pq = NormParams(p=params.q, q=math.inf, lam=lam)
-    pr = NormParams(p=params.r, q=math.inf, lam=lam)
     rows = []
     for t in snapped:
-        s1 = traj1.state_at(t)
-        s2 = traj2.state_at(t)
-        du = type(s1.u)(grid, s1.u.values - s2.u.values)
-        dth = type(s1.theta)(grid, s1.theta.values - s2.theta.values)
-        wu = t ** (params.alpha / 2.0) * morrey_lorentz_norm(du, pq, sampler)
-        wth = t ** (params.gamma / 2.0) * morrey_lorentz_norm(dth, pr, sampler)
+        gap = state_difference(traj1.state_at(t), traj2.state_at(t))
+        wu, wth = _weighted_parts(gap, t, params, sampler)
         rows.append((t, wu, wth, wu + wth))
 
     g_gap = 0.0
@@ -244,6 +238,17 @@ def fit_decay_exponent(series, window):
 # ---------------------------------------------------------------------------
 
 
+def _weighted_parts(state, t, params: StabilityParams, sampler):
+    """t^{alpha/2} ||u||_{q,inf,lam} and t^{gamma/2} ||theta||_{r,inf,lam}, with lam = n - p."""
+    lam = params.lam(state.grid.n)
+    pq = NormParams(p=params.q, q=math.inf, lam=lam)
+    pr = NormParams(p=params.r, q=math.inf, lam=lam)
+    return (
+        t ** (params.alpha / 2.0) * morrey_lorentz_norm(state.u, pq, sampler),
+        t ** (params.gamma / 2.0) * morrey_lorentz_norm(state.theta, pr, sampler),
+    )
+
+
 def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler=None, stride=1):
     """H_{q,r} norm: sup-in-time product norm plus the weighted sup."""
     grid = traj.grid
@@ -251,8 +256,6 @@ def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler=
     sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
     ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=lam), sampler, time_stride=stride)
     base = trajectory_sup_norm(traj, ctx)
-    pq = NormParams(p=params.q, q=math.inf, lam=lam)
-    pr = NormParams(p=params.r, q=math.inf, lam=lam)
     weighted = 0.0
     idx = list(range(0, len(traj.times), max(1, stride)))
     if idx[-1] != len(traj.times) - 1:
@@ -261,12 +264,7 @@ def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler=
         t = float(traj.times[i])
         if t <= 0:
             continue
-        s = traj.states[i]
-        weighted = max(
-            weighted,
-            t ** (params.alpha / 2.0) * morrey_lorentz_norm(s.u, pq, sampler)
-            + t ** (params.gamma / 2.0) * morrey_lorentz_norm(s.theta, pr, sampler),
-        )
+        weighted = max(weighted, sum(_weighted_parts(traj.states[i], t, params, sampler)))
     return base + weighted
 
 
@@ -285,8 +283,6 @@ def verify_weighted_bilinear(pairs, params: StabilityParams, sampler=None, strid
     grid = pairs[0][0].grid
     lam = params.lam(grid.n)
     sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
-    pq = NormParams(p=params.q, q=math.inf, lam=lam)
-    pr = NormParams(p=params.r, q=math.inf, lam=lam)
     ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=lam), sampler, time_stride=stride)
     ratios = []
     for a, b in pairs:
@@ -295,13 +291,9 @@ def verify_weighted_bilinear(pairs, params: StabilityParams, sampler=None, strid
         if na * nb == 0.0:
             continue
         best = 0.0
-        for t in [float(t) for t in a.times[1::stride] if t > 0]:
-            B = bilinear_increment(a, b, t)
-            val = state_norm(B, ctx) + (
-                t ** (params.alpha / 2.0) * morrey_lorentz_norm(B.u, pq, sampler)
-                + t ** (params.gamma / 2.0) * morrey_lorentz_norm(B.theta, pr, sampler)
-            )
-            best = max(best, val)
+        eval_times = [float(t) for t in a.times[1::stride] if t > 0]
+        for t, B in zip(eval_times, bilinear_path(a, b, eval_times)):
+            best = max(best, state_norm(B, ctx) + sum(_weighted_parts(B, t, params, sampler)))
         ratios.append(best / (na * nb))
     k_emp = max(ratios) if ratios else 0.0
     return WeightedBilinearReport(empirical_constant=k_emp, ratios=ratios, printed_constants=(c1, c2))

@@ -73,6 +73,20 @@ class TestPhiFunctions:
         assert _phi2(0.0) == pytest.approx(0.5, rel=1e-14)
         assert _phi1(-1e-9) == pytest.approx(1.0 - 0.5e-9, rel=1e-12)
 
+    def test_against_mpmath(self):
+        # the old phi2 switched to its direct form at |z| = 1e-5 and lost up
+        # to 5e-7 relative to cancellation just above it
+        mpmath = pytest.importorskip("mpmath")
+        z = np.concatenate([-np.logspace(-12, 3, 301), [-1.01e-5, -1e-4, -1e-3, -0.5, -0.4999]])
+        got1, got2 = _phi1(z), _phi2(z)
+        with mpmath.workdps(50):
+            for zi, p1, p2 in zip(z, got1, got2):
+                m = mpmath.mpf(float(zi))
+                want1 = mpmath.expm1(m) / m
+                want2 = (mpmath.expm1(m) - m) / (m * m)
+                assert abs(p1 - want1) <= 1e-14 * abs(want1), zi
+                assert abs(p2 - want2) <= 1e-14 * abs(want2), zi
+
 
 class TestBilinearIncrement:
     def test_zero_argument(self, grid2d_box):
@@ -380,6 +394,19 @@ class TestEvolve:
         with pytest.raises(ConvergenceError, match="not finite at step 0"):
             evolve(init, forcing, 0.125, SolveConfig(dt=0.0625), mode="full")
 
+    @pytest.mark.parametrize("node, stride, step", [(1, 1, 0), (2, 1, 1), (1, 2, 1), (3, 2, 3)])
+    def test_nonfinite_stored_state_names_step(self, grid3d_small, node, stride, step):
+        # linearized mode has no Picard residual: one NaN mode in a sampled
+        # temperature row must stop the run at the first stored state it reaches
+        g = grid3d_small
+        rows = [np.zeros(g.shape, dtype=complex) for _ in range(5)]
+        rows[node][1, 2, 3] = np.nan
+        extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
+        init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
+        with pytest.raises(ConvergenceError, match=f"stored state is not finite at step {step} "):
+            evolve(init, None, 0.25, SolveConfig(dt=0.0625), mode="linearized", extra=extra,
+                   store_stride=stride)
+
     @pytest.mark.parametrize("bad, phase", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan)])
     def test_nonfinite_forcing_rejected(self, grid3d_small, bad, phase):
         g = grid3d_small
@@ -510,6 +537,22 @@ class TestStepQuadrature:
         cfg = SolveConfig(dt=T / 64, substeps=2)
         traj = evolve(init, forcing, 4 * T, cfg, mode="full")
         assert len(traj.states) == 257
+        assert max(spectral_divergence_residual(s.u) for s in traj.states) <= 1e-12
+
+
+    def test_decayed_modes_do_not_read_as_divergence(self, grid3d):
+        # single-mode F and a harmonic-1 coupling leave most modes to decay to
+        # roundoff size; measured against their own amplitude they read up to
+        # 1e-4, against the peak amplitude they read roundoff
+        g = grid3d
+        T = 1.0
+        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=0.1)
+        gv = single_mode_vector(g, k=(0, 0, 1), component=2, amplitude=1.0)
+        forcing = ForcingSpec(period=T, kappa=0.5, F=constant_in_time(T, Ft),
+                              g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.0),)))
+        init = State(random_div_free(g, seed=1, amplitude=0.2),
+                     random_smooth_scalar(g, seed=2, amplitude=0.2))
+        traj = evolve(init, forcing, T, SolveConfig(dt=T / 32, substeps=2), mode="full")
         assert max(spectral_divergence_residual(s.u) for s in traj.states) <= 1e-12
 
 

@@ -19,6 +19,7 @@ from bqbox import (
     write_field,
     zeros_like_state,
 )
+from bqbox.grid import forward_coeffs
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -150,6 +151,29 @@ class TestState:
         bad = VectorField(grid2d, np.stack([grid2d.coordinates[0] * 0 + np.sin(
             2 * np.pi * grid2d.coordinates[0] / grid2d.L), np.zeros(grid2d.shape)]))
         assert spectral_divergence_residual(bad) > 1e-3
+
+    def test_divergence_residual_of_a_gradient(self, grid2d):
+        # u = grad sin(2 pi (x + 2y) / L) is parallel to its wavevector
+        x, y = grid2d.coordinates
+        w = 2 * np.pi / grid2d.L
+        c = np.cos(w * (x + 2 * y))
+        grad = VectorField(grid2d, np.stack([w * c, 2 * w * c]))
+        assert spectral_divergence_residual(grad) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("decay", [0.0, 1e-3, 1e-1])
+    def test_divergence_residual_bounded_by_per_mode_form(self, grid2d, decay):
+        # against the peak amplitude a mode reads at most its per-mode ratio,
+        # and at most 1e-13 where the per-mode form skipped it (below 1e-13 of the peak)
+        rng = np.random.default_rng(3)
+        coeffs = forward_coeffs(grid2d, rng.standard_normal((2,) + grid2d.shape))
+        coeffs *= np.exp(-decay * grid2d.k_squared)
+        dot = np.abs(np.sum(grid2d.deriv_k * coeffs, axis=0))
+        amp = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=0))
+        kmag = grid2d.deriv_k_norm
+        mask = (kmag > 0) & (amp > 1e-13 * np.max(amp))
+        per_mode = float(np.max(dot[mask] / (kmag[mask] * amp[mask])))
+        got = spectral_divergence_residual(grid2d, coeffs)
+        assert 0.0 < got <= max(per_mode, 1e-13)
 
     def test_zero_state(self, grid2d):
         s = zeros_like_state(grid2d)

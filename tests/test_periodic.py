@@ -211,9 +211,11 @@ class TestCesaroDatum:
         eta = SampledScalarSeries(times=np.arange(17) * (T / 16), fields=fields)
         prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
                                eta=eta, grid=g)
-        with pytest.raises(ConvergenceError, match="not finite at period 1") as err:
+        # the NaN row makes the end state of the first period non-finite, and
+        # evolve stops at storing it (step 15 of 16), before an increment is formed
+        with pytest.raises(ConvergenceError, match="stored state is not finite at step 15 ") as err:
             cesaro_periodic_datum(prob, n_max=50, tol=1e-9)
-        assert len(err.value.history) == 1
+        assert err.value.history == []
 
     @pytest.mark.parametrize("n_max, tol", [(1, 1e-9), (0, 1e-9), (-2, 1e-9), (8, 0.0),
                                             (8, -1e-9), (8, np.nan), (8, np.inf)])
