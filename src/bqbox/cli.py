@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_initial, load_config
+from .config import build_initial, load_config, numeric_option
 from .duhamel import evolve
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
 from .fileio import read_field, write_field
@@ -64,36 +64,6 @@ def _parser():
     return ap
 
 
-def _numeric_option(options, path, default, integral=False):
-    """The number at ``path`` ("snapshots", "periodic.n_max", ...) in the config options.
-
-    Absent or null gives ``default``.  Anything but a finite number, or a
-    fractional one where ``integral`` is set, is a ConfigError naming the key;
-    the subcommands read every option this way before any solver runs.
-    """
-    section, _, key = path.rpartition(".")
-    table = options.get(section, {}) if section else options
-    if table is None:
-        table = {}
-    if not isinstance(table, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {table!r}")
-    value = table.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
-    if integral:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
-        return int(value)
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{path} is out of range: {exc}") from exc
-
-
 def _state_norm_columns(cfg):
     cols = []
     for params in cfg.norms:
@@ -131,7 +101,7 @@ def _cmd_norms(cfg, outdir):
 def _cmd_evolve(cfg, outdir):
     if cfg.solve is None or cfg.t_end is None:
         raise ConfigError("evolve needs solve{} and t_end")
-    stride = _numeric_option(cfg.options, "snapshots", 0, integral=True)
+    stride = numeric_option(cfg.options, "snapshots", 0, integral=True)
     initial = build_initial(cfg.raw, cfg.grid, cfg.seed)
     traj = evolve(initial, cfg.forcing, cfg.t_end, cfg.solve, mode=cfg.mode)
     norm_cols = _state_norm_columns(cfg)
@@ -160,8 +130,8 @@ def _linear_problem(cfg):
 
 def _cmd_periodic_linear(cfg, outdir):
     problem = _linear_problem(cfg)
-    n_max = _numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
-    tol = _numeric_option(cfg.options, "periodic.tol", 1e-9)
+    n_max = numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
+    tol = numeric_option(cfg.options, "periodic.tol", 1e-9)
     reference = resolvent_periodic_datum(problem)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference)
     cross = max(
@@ -196,9 +166,9 @@ def _cmd_periodic_nonlinear(cfg, outdir):
     if cfg.solve is None or cfg.forcing is None:
         raise ConfigError("periodic-nonlinear needs solve{} and forcing{}")
     n = cfg.grid.n
-    p = _numeric_option(cfg.options, "norm_p", cfg.norms[0].p if cfg.norms else 3.0)
-    outer_tol = _numeric_option(cfg.options, "periodic.outer_tol", 1e-8)
-    outer_max = _numeric_option(cfg.options, "periodic.outer_max", 16, integral=True)
+    p = numeric_option(cfg.options, "norm_p", cfg.norms[0].p if cfg.norms else 3.0)
+    outer_tol = numeric_option(cfg.options, "periodic.outer_tol", 1e-8)
+    outer_max = numeric_option(cfg.options, "periodic.outer_max", 16, integral=True)
     if not (2.0 < p <= n):
         raise HypothesisError(
             f'hypothesis "2 < p <= n" violated (p = {p:g}, n = {n}); '
@@ -226,7 +196,7 @@ def _cmd_stability(cfg, outdir):
     if cfg.solve is None or cfg.forcing is None:
         raise ConfigError("stability subcommand needs solve{} and forcing{}")
     st = cfg.stability
-    K = _numeric_option(cfg.options, "estimates.K_emp", 1.0)
+    K = numeric_option(cfg.options, "estimates.K_emp", 1.0)
     params = StabilityParams(p=st["p"], q=st["q"], r=st["r"], b=st["b"])
     n = cfg.grid.n
     params.lam(n)  # p <= n hypothesis
@@ -313,8 +283,8 @@ def _smallness_inputs(cfg, params, base, K):
 
 
 def _cmd_verify_estimates(cfg, outdir):
-    ensemble = _numeric_option(cfg.options, "estimates.ensemble", 4, integral=True)
-    p = _numeric_option(cfg.options, "estimates.p", 3.0)
+    ensemble = numeric_option(cfg.options, "estimates.ensemble", 4, integral=True)
+    p = numeric_option(cfg.options, "estimates.p", 3.0)
     rows = refinement_comparison(cfg.grid, cfg.seed, ensemble=ensemble, p=p)
     outputs = [write_csv(outdir / "estimates.csv",
                          ["check", "value", "value_refined", "rel_change"], rows)]

@@ -53,6 +53,37 @@ def _require(d, key, kind, where):
     return val
 
 
+def numeric_option(options, path, default, integral=False):
+    """The number at ``path`` ("seed", "solve.picard_max", ...) in a config table.
+
+    Absent or null gives ``default``.  Anything but a finite number, or a
+    fractional one where ``integral`` is set, is a ConfigError naming the key.
+    :func:`load_config` reads its numeric keys this way, and the subcommands
+    read every option this way before any solver runs.
+    """
+    section, _, key = path.rpartition(".")
+    table = options.get(section, {}) if section else options
+    if table is None:
+        table = {}
+    if not isinstance(table, dict):
+        raise ConfigError(f"{section} must be a JSON object, got {table!r}")
+    value = table.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    if integral:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{path} is out of range: {exc}") from exc
+
+
 def _norm_params(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be an object with p/q/lam")
@@ -169,7 +200,7 @@ def load_config(path):
     except Exception as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    seed = int(raw.get("seed", 0))
+    seed = numeric_option(raw, "seed", 0, integral=True)
     mode = raw.get("mode", "full")
     if mode not in ("full", "linearized", "navier-stokes"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -180,9 +211,9 @@ def load_config(path):
         try:
             solve = SolveConfig(
                 dt=float(_require(sd, "dt", (int, float), "solve")),
-                substeps=int(sd.get("substeps", 4)),
-                picard_tol=float(sd.get("picard_tol", 1e-10)),
-                picard_max=int(sd.get("picard_max", 40)),
+                substeps=numeric_option(raw, "solve.substeps", 4, integral=True),
+                picard_tol=numeric_option(raw, "solve.picard_tol", 1e-10),
+                picard_max=numeric_option(raw, "solve.picard_max", 40, integral=True),
             )
         except ConfigError:
             raise
@@ -196,10 +227,12 @@ def load_config(path):
 
     norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
 
-    sd = raw.get("sampler", {})
+    num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True)
+    num_radii = numeric_option(raw, "sampler.num_radii", 12, integral=True)
+    sd = raw.get("sampler") or {}
     sampler = BallSampler(
-        num_centers=int(sd.get("num_centers", 64)),
-        num_radii=int(sd.get("num_radii", 12)),
+        num_centers=num_centers,
+        num_radii=num_radii,
         rho_min=sd.get("rho_min"),
         rho_max=sd.get("rho_max"),
         jitter_seed=sd.get("jitter_seed"),
@@ -223,9 +256,7 @@ def load_config(path):
             "t_max_periods": float(st.get("t_max_periods", 3.0)),
         }
 
-    t_end = raw.get("t_end")
-    if t_end is not None:
-        t_end = float(t_end)
+    t_end = numeric_option(raw, "t_end", None)
 
     options = {
         "initial": raw.get("initial"),

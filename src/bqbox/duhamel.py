@@ -217,19 +217,10 @@ def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
     return Trajectory(a.grid, a.times.copy(), states)
 
 
-def _real_values(grid, coeffs):
-    """Real part of the inverse transform, in its own contiguous array.
-
-    A ``.real`` view would keep the whole complex transform alive (twice
-    the bytes) and give every later pointwise product strided reads.
-    """
-    return np.ascontiguousarray(inverse_values(grid, coeffs).real)
-
-
 def _to_state(grid, vel_hat, th_hat):
     return State(
-        VectorField(grid, _real_values(grid, vel_hat)),
-        ScalarField(grid, _real_values(grid, th_hat)),
+        VectorField(grid, inverse_values(grid, vel_hat)),
+        ScalarField(grid, inverse_values(grid, th_hat)),
     )
 
 
@@ -392,7 +383,7 @@ class _StateRHS:
     def __call__(self, u_hat, th_hat, t, values=None):
         grid = self.grid
         if values is None:
-            values = (_real_values(grid, u_hat), _real_values(grid, th_hat))
+            values = (inverse_values(grid, u_hat), inverse_values(grid, th_hat))
         u, th = values
         if self.coupled:
             return advection_coeffs(grid, u, u, th, self._g_real(t), self.kappa)
@@ -604,21 +595,36 @@ def bilinear_increment(traj_a: Trajectory, traj_b: Trajectory, t, cfg=None):
 
 
 def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=None):
-    """Velocity coefficients (one-tuples) of T_g(t) for each of the ascending ``times``."""
+    """Velocity coefficients (one-tuples) of T_g(t) for each of the ascending ``times``.
+
+    Samples spanning exactly one period T of g (the frozen eta of linearized
+    mode) are read periodically, as ``evolve`` reads step j at samples
+    j mod S and j mod S + 1: the nodes repeat every period, and a time in
+    (rT, (r+1)T] reads the samples at its offset from rT.  A period start
+    thus reads sample S, which equals sample 0 for a periodic eta.
+    """
     if isinstance(theta_samples, Trajectory):
         theta_samples = theta_samples.theta_series()
     grid = g.grid
+    nodes = theta_samples.times
+    period = g.period
+    periodic = abs(nodes[-1] - period) <= 1e-9 * period
+    if periodic:
+        reps = max(1, math.ceil(times[-1] / period - 1e-9))
+        nodes = np.concatenate([nodes] + [r * period + nodes[1:] for r in range(1, reps)])
 
     def row_at(s):
+        if periodic:
+            s -= period * max(math.ceil(s / period - 1e-12) - 1, 0)
         return (buoyancy_coeffs(grid, theta_samples.value(s).values, g.value(s).values, kappa),)
 
-    return _duhamel_path(grid, theta_samples.times, row_at, times, factors)
+    return _duhamel_path(grid, nodes, row_at, times, factors)
 
 
 def coupling_increment(theta_samples, g: TimeFourierField, kappa, t, cfg=None):
     """T_g increment: int_0^t e^{-(t-s)L} [kappa P(theta g); 0] ds (mean-free)."""
     (vel,) = next(_coupling_path(theta_samples, g, kappa, [t]))
-    return _to_state(g.grid, vel, np.zeros(g.grid.shape, dtype=complex))
+    return _to_state(g.grid, vel, np.zeros(g.grid.spectral_shape, dtype=complex))
 
 
 def _step_count(t, cfg):
@@ -636,8 +642,8 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     n_steps = [_step_count(t, cfg) for t in times]
     compiled = _CompiledForcing(grid, forcing, "linearized", None, None, np.array([0.0, times[-1]]))
     nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
-    zero_v = np.zeros((grid.n,) + grid.shape, dtype=complex)
-    zero_t = np.zeros(grid.shape, dtype=complex)
+    zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
+    zero_t = np.zeros(grid.spectral_shape, dtype=complex)
 
     def row_at(s):
         vel, th = compiled.rows_at(s)

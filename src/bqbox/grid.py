@@ -2,9 +2,29 @@
 
 Every field lives on a uniform n-dimensional periodic grid with N points per
 axis and box side L; grid point i carries coordinate i * L / N.  The forward
-transform divides by N**n, so the k = 0 coefficient equals the field mean and
-Parseval reads  sum |values|^2 * cell_volume = L**n * sum |coeffs|^2.
-Wavevectors are integer-indexed with k_j in [-N/2, N/2).
+transform divides by N**n, so the k = 0 coefficient equals the field mean.
+
+Fields are real, so their coefficients are Hermitian, c(-k) = conj(c(k)),
+and half of them are redundant.  Every coefficient array holds only the
+half spectrum, ``GridSpec.spectral_shape = (N,)*(n-1) + (N//2+1,)``: the
+leading axes carry k_j in [-N/2, N/2) in FFT order, the last axis carries
+k_last in [0, N/2].  The modes with k_last < 0 are the conjugates of the
+stored interior planes 0 < k_last < N/2; the planes k_last = 0 and
+k_last = N/2 are their own mirror, so Hermitian symmetry constrains only
+them (:func:`hermitian_defect`).  Parseval therefore weights the interior
+planes twice and the two self-conjugate planes once:
+
+    sum |values|^2 * cell_volume = L**n * sum_k w(k_last) |coeffs(k)|^2,
+    w = 1 at k_last = 0 and N/2, w = 2 in between.
+
+The forward transform is ``rfft`` on the last axis followed by ``fftn``
+over the leading axes (both ``norm="forward"``), and the inverse is
+``ifftn`` then ``irfft(n=N)``.  The forward composition equals ``rfftn``
+bit for bit at the same speed (the inverse matches ``irfftn`` to roundoff,
+its leading axes taken in ``ifftn``'s order), and both keep the multi-axis
+stage in ``numpy.fft.fftn``/``ifftn``.  Every Fourier multiplier is built on the
+half shape once per grid and is a function of |k|, k_j or k_j^2, so it acts
+on the stored modes exactly as on the full spectrum.
 
 Fields are treated as immutable snapshots: operations return new containers
 and never mutate the arrays they were handed.
@@ -43,6 +63,11 @@ class GridSpec:
         return (self.N,) * self.n
 
     @property
+    def spectral_shape(self):
+        """Shape of a coefficient array: the half spectrum of the real transform."""
+        return (self.N,) * (self.n - 1) + (self.N // 2 + 1,)
+
+    @property
     def cell_volume(self):
         return (self.L / self.N) ** self.n
 
@@ -62,21 +87,26 @@ class GridSpec:
 
     @cached_property
     def wave_integers(self):
-        """Integer wavevectors, shape (n, N, ..., N), k_j in [-N/2, N/2)."""
+        """Integer wavevectors, shape (n,) + spectral_shape.
+
+        k_j in [-N/2, N/2) on the leading axes, k_last in [0, N/2] on the last.
+        """
         k1 = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-        axes = np.meshgrid(*([k1] * self.n), indexing="ij")
+        k_last = np.arange(self.N // 2 + 1, dtype=np.int64)
+        axes = np.meshgrid(*([k1] * (self.n - 1) + [k_last]), indexing="ij")
         return np.stack(axes)
 
     @cached_property
     def deriv_wave_integers(self):
         """Wavevectors for odd (derivative-type) multipliers.
 
-        The unpaired Nyquist mode k_j = -N/2 is set to zero so first
-        derivatives and the Leray projector stay Hermitian-consistent;
-        see the standard spectral-differentiation convention.
+        The unpaired Nyquist modes |k_j| = N/2 (k_j = -N/2 on a leading
+        axis, k_last = N/2 on the last) are set to zero so first derivatives
+        and the Leray projector stay Hermitian-consistent; see the standard
+        spectral-differentiation convention.
         """
         k = self.wave_integers.copy()
-        k[k == -self.N // 2] = 0
+        k[np.abs(k) == self.N // 2] = 0
         return k
 
     @cached_property
@@ -99,7 +129,7 @@ class GridSpec:
     def dealias_mask(self):
         """Boolean 2/3-rule mask: keep modes with |k_j| <= N//3 on every axis."""
         cut = self.N // 3
-        keep = np.ones(self.shape, dtype=bool)
+        keep = np.ones(self.spectral_shape, dtype=bool)
         for axis_k in self.wave_integers:
             keep &= np.abs(axis_k) <= cut
         return keep
@@ -197,9 +227,9 @@ class TensorField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier coefficients of a real field.
+    """Fourier coefficients of a real field, on the half spectrum.
 
-    ``coeffs`` has the same trailing shape as the grid; leading axes carry
+    ``coeffs`` has trailing shape ``grid.spectral_shape``; leading axes carry
     vector/tensor components.  coeff(0) is the mean of the field.
     """
 
@@ -208,10 +238,10 @@ class SpectralField:
 
     def __post_init__(self):
         sh = self.coeffs.shape
-        gsh = self.grid.shape
+        gsh = self.grid.spectral_shape
         if sh[-self.grid.n :] != gsh or len(sh) - self.grid.n not in (0, 1, 2):
             raise DiagnosticsError(
-                f"spectral coeffs shape {sh} incompatible with grid shape {gsh}"
+                f"spectral coeffs shape {sh} incompatible with spectral shape {gsh}"
             )
 
 
@@ -239,22 +269,30 @@ class State:
 # ---------------------------------------------------------------------------
 
 
-def _fft_axes(grid):
-    return tuple(range(-grid.n, 0))
+def _leading_axes(grid):
+    return tuple(range(-grid.n, -1))
 
 
 def forward_coeffs(grid, values):
-    """Raw forward DFT of a real array (any leading component axes), divided by N**n.
+    """Half-spectrum DFT of a real array (any leading component axes), divided by N**n.
 
-    The scaling happens inside the transform (``norm="forward"``); N is a
-    power of two, so it is exact and equals dividing afterwards bit for bit.
+    ``rfft`` on the last axis, then ``fftn`` over the leading axes.  The
+    scaling happens inside the transforms (``norm="forward"``); N is a power
+    of two, so it is exact and equals dividing afterwards bit for bit.
     """
-    return np.fft.fftn(values, axes=_fft_axes(grid), norm="forward")
+    half = np.fft.rfft(values, axis=-1, norm="forward")
+    return np.fft.fftn(half, axes=_leading_axes(grid), norm="forward")
 
 
 def inverse_values(grid, coeffs):
-    """Inverse of :func:`forward_coeffs`, returning the complex array."""
-    return np.fft.ifftn(coeffs, axes=_fft_axes(grid), norm="forward")
+    """Inverse of :func:`forward_coeffs`: the real array of N points per axis.
+
+    The imaginary parts that Hermitian symmetry forbids in the k_last = 0
+    and N/2 planes are dropped by ``irfft``; :func:`inverse_transform`
+    checks them first.
+    """
+    half = np.fft.ifftn(coeffs, axes=_leading_axes(grid), norm="forward")
+    return np.fft.irfft(half, n=grid.N, axis=-1, norm="forward")
 
 
 def forward_transform(field):
@@ -267,20 +305,23 @@ def forward_transform(field):
 def hermitian_defect(spec):
     """Worst relative violation of coeff(-k) == conj(coeff(k)).
 
-    Returns (defect, worst_wavevector).  The defect is measured relative to
-    the largest coefficient magnitude (0 for the zero field).
+    Only the self-conjugate planes k_last = 0 and k_last = N/2 can break it:
+    there -k is stored too, mirrored on the leading axes.  Returns (defect,
+    worst_wavevector).  The defect is measured relative to the largest
+    coefficient magnitude (0 for the zero field).
     """
     grid = spec.grid
     c = spec.coeffs
-    mirrored = c
-    for ax in _fft_axes(grid):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    diff = np.abs(c - np.conj(mirrored))
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return 0.0, (0,) * grid.n
-    flat = int(np.argmax(diff))
-    idx = np.unravel_index(flat, diff.shape)[-grid.n :]
+    planes = c[..., [0, grid.N // 2]]
+    mirrored = planes
+    for ax in _leading_axes(grid):
+        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
+    diff = np.abs(planes - np.conj(mirrored))
+    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)[-grid.n :]
+    idx = idx[:-1] + ((0, grid.N // 2)[idx[-1]],)
     worst_k = tuple(int(grid.wave_integers[(j,) + idx]) for j in range(grid.n))
     return float(np.max(diff) / scale), worst_k
 
@@ -294,14 +335,7 @@ def inverse_transform(spec):
             f"Hermitian symmetry violated (relative defect {defect:.3e} "
             f"at wavevector {worst_k})"
         )
-    complex_values = inverse_values(grid, spec.coeffs)
-    values = complex_values.real
-    scale = np.max(np.abs(values))
-    imag = np.max(np.abs(complex_values.imag))
-    if scale > 0 and imag > HERMITIAN_TOL * scale:
-        raise DiagnosticsError(
-            f"imaginary residue {imag:.3e} exceeds {HERMITIAN_TOL} of field magnitude"
-        )
+    values = inverse_values(grid, spec.coeffs)
     ncomp = spec.coeffs.ndim - grid.n
     if ncomp == 0:
         return ScalarField(grid, values)

@@ -17,7 +17,8 @@ products of u (x) u are transformed), through the real multiplier
 adds the coupling kappa dealias(theta g) before the single Leray
 projection of the velocity row, so the full-mode right-hand side costs one
 projection.  The multipliers (derivative, Leray, 2/3 mask) are cached
-read-only on the ``GridSpec``, so they are built once per grid.
+read-only on the ``GridSpec``, so they are built once per grid, on the
+half spectrum that every coefficient array holds.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
         tensor = [[uu_hat[pair[r, c]] for c in range(n)] for r in range(n)]
     else:
         tensor = forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :])
-    vel = np.empty((n,) + grid.shape, dtype=complex)
+    vel = np.empty((n,) + grid.spectral_shape, dtype=complex)
     for r in range(n):
         _neg_dealiased_div(grid, tensor[r], out=vel[r])
     th_row = _neg_dealiased_div(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
@@ -158,8 +159,7 @@ def buoyancy_coeffs(grid, th, g, kappa):
 
 
 def _real_field(grid, coeffs, kind):
-    values = inverse_values(grid, coeffs).real
-    return kind(grid, values)
+    return kind(grid, inverse_values(grid, coeffs))
 
 
 def heat_semigroup(f, t):

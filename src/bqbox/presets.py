@@ -44,45 +44,38 @@ def _random_smooth_coeffs(grid, rng, exponent, ncomp):
     return dealias_coeffs(grid, coeffs)
 
 
+def _peak_scaled(grid, coeffs, amplitude):
+    """Real values of ``coeffs``, scaled so that their largest magnitude is ``amplitude``."""
+    values = inverse_values(grid, coeffs)
+    peak = np.max(np.abs(values))
+    if peak > 0:
+        values = values * (amplitude / peak)
+    return values
+
+
 def random_div_free(grid, seed, exponent=2.0, amplitude=1.0):
     """Seeded divergence-free velocity with spectrum |k|^(-exponent).
 
     Bit-identical for identical (grid, seed, exponent, amplitude).
     """
     coeffs = _random_smooth_coeffs(grid, _rng(seed), exponent, grid.n)
-    coeffs = leray_coeffs(grid, coeffs)
-    values = inverse_values(grid, coeffs).real
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        values = values * (amplitude / peak)
-    return VectorField(grid, values)
+    return VectorField(grid, _peak_scaled(grid, leray_coeffs(grid, coeffs), amplitude))
 
 
 def random_smooth_scalar(grid, seed, exponent=2.0, amplitude=1.0):
     coeffs = _random_smooth_coeffs(grid, _rng(seed), exponent, 0)
-    values = inverse_values(grid, coeffs).real
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        values = values * (amplitude / peak)
-    return ScalarField(grid, values)
+    return ScalarField(grid, _peak_scaled(grid, coeffs, amplitude))
 
 
 def random_smooth_vector(grid, seed, exponent=2.0, amplitude=1.0):
     coeffs = _random_smooth_coeffs(grid, _rng(seed), exponent, grid.n)
-    values = inverse_values(grid, coeffs).real
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        values = values * (amplitude / peak)
-    return VectorField(grid, values)
+    return VectorField(grid, _peak_scaled(grid, coeffs, amplitude))
 
 
 def random_smooth_tensor(grid, seed, exponent=2.0, amplitude=1.0):
     n = grid.n
     coeffs = _random_smooth_coeffs(grid, _rng(seed), exponent, n * n)
-    values = inverse_values(grid, coeffs).real
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        values = values * (amplitude / peak)
+    values = _peak_scaled(grid, coeffs, amplitude)
     return TensorField(grid, values.reshape((n, n) + grid.shape))
 
 

@@ -43,16 +43,13 @@ def refine_field(fld, N_fine):
     for axis_k in grid.wave_integers:
         coeffs = coeffs * (np.abs(axis_k) < grid.N // 2)
     lead = coeffs.shape[: coeffs.ndim - grid.n]
-    out = np.zeros(lead + fine.shape, dtype=complex)
-    # copy each coarse mode k in [-N/2, N/2) to the matching fine index
-    src_idx = np.fft.fftfreq(grid.N, d=1.0 / grid.N).astype(int)
-    dest = np.where(src_idx >= 0, src_idx, N_fine + src_idx)
-    mesh_src = np.meshgrid(*([np.arange(grid.N)] * grid.n), indexing="ij")
-    mesh_dst = np.meshgrid(*([dest] * grid.n), indexing="ij")
-    out[(Ellipsis,) + tuple(m.ravel() for m in mesh_dst)] = coeffs[
-        (Ellipsis,) + tuple(m.ravel() for m in mesh_src)
-    ]
-    values = inverse_values(fine, out).real
+    out = np.zeros(lead + fine.spectral_shape, dtype=complex)
+    # copy each coarse mode to the matching fine index: k in [-N/2, N/2) on
+    # the leading axes, k_last in [0, N/2] on the last
+    idx = np.arange(grid.N)
+    dest = np.where(idx < grid.N // 2, idx, idx + N_fine - grid.N)
+    out[(Ellipsis,) + np.ix_(*[dest] * (grid.n - 1), np.arange(grid.N // 2 + 1))] = coeffs
+    values = inverse_values(fine, out)
     if isinstance(fld, ScalarField):
         return ScalarField(fine, values)
     if isinstance(fld, VectorField):

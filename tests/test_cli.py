@@ -314,6 +314,24 @@ class TestConfigErrors:
         assert "harmonic 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("patch, key", [
+        ({"seed": "abc"}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"t_end": "one"}, "t_end"),
+        ({"t_end": float("inf")}, "t_end"),
+        ({"solve": {"dt": 0.125, "substeps": "four"}}, "solve.substeps"),
+        ({"solve": {"dt": 0.125, "picard_tol": "tight"}}, "solve.picard_tol"),
+        ({"solve": {"dt": 0.125, "picard_max": 1.9}}, "solve.picard_max"),
+        ({"sampler": {"num_centers": "x"}}, "sampler.num_centers"),
+        ({"sampler": {"num_centers": 4, "num_radii": 2.5}}, "sampler.num_radii"),
+    ])
+    def test_bad_numeric_key(self, tmp_path, capsys, patch, key):
+        cfg = write_config(tmp_path / "c.json", {**evolve_config(), **patch})
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be" in err
+
+
 def _stability_config(**estimates):
     return {**nonlinear_3d_config(), "estimates": estimates,
             "stability": {"p": 3.0, "q": 3.0, "r": 6.0, "b": 0.5}}

@@ -399,7 +399,7 @@ class TestEvolve:
         # linearized mode has no Picard residual: one NaN mode in a sampled
         # temperature row must stop the run at the first stored state it reaches
         g = grid3d_small
-        rows = [np.zeros(g.shape, dtype=complex) for _ in range(5)]
+        rows = [np.zeros(g.spectral_shape, dtype=complex) for _ in range(5)]
         rows[node][1, 2, 3] = np.nan
         extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
@@ -502,8 +502,8 @@ class TestStepQuadrature:
         g = grid3d_small
         dt = 1.0 / 16
         rng = np.random.default_rng(m)
-        rows = [rng.standard_normal((g.n,) + g.shape) + 1j * rng.standard_normal((g.n,) + g.shape)
-                for _ in range(m)]
+        shape = (g.n,) + g.spectral_shape
+        rows = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(m)]
         h_s = dt / (m - 1)
         E_s = np.exp(-h_s * g.k_squared)
         Wa_s, Wb_s = _trap_weights(h_s, g.k_squared)

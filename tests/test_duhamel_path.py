@@ -15,6 +15,7 @@ from bqbox import (
     ForcingSpec,
     GridSpec,
     NormParams,
+    ScalarField,
     SolveConfig,
     State,
     bilinear_increment,
@@ -25,12 +26,14 @@ from bqbox import (
     forcing_increment,
     morrey_lorentz_norm,
     verify_linear_operator,
+    zeros_like_state,
 )
 from bqbox.duhamel import _CompiledForcing, _trap_weights, bilinear_path
-from bqbox.forcing import HarmonicTerm, TimeFourierField
+from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, semigroup_factor, tensor_div_coeffs
 from bqbox.presets import (
+    gaussian_bump,
     random_div_free,
     random_smooth_scalar,
     random_smooth_tensor,
@@ -86,8 +89,8 @@ def old_forcing(forcing, t, cfg):
     grid = forcing.grid
     compiled = _CompiledForcing(grid, forcing, "linearized", None, None, np.array([0.0, t]))
     nodes = np.linspace(0.0, t, (cfg.substeps - 1) * int(round(t / cfg.dt)) + 1)
-    zero_v = np.zeros((grid.n,) + grid.shape, dtype=complex)
-    zero_t = np.zeros(grid.shape, dtype=complex)
+    zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
+    zero_t = np.zeros(grid.spectral_shape, dtype=complex)
     rows = []
     for s in nodes:
         vel, th = compiled.rows_at(s)
@@ -263,6 +266,22 @@ class TestPathMatchesPerTimeLoop:
         got = duhamel_residual(traj, forcing, cfg, mode="linearized", eta=eta)
         want = old_residual(traj, forcing, cfg, "linearized", eta=eta)
         assert abs(got - want) <= 1e-14
+
+
+class TestPeriodicEta:
+    def test_linearized_residual_reads_one_period_eta_periodically(self, grid):
+        # eta spans one period; over two periods evolve reads its samples at
+        # nodes j mod S and j mod S + 1, and so must the coupling path
+        cfg = SolveConfig(dt=T / 16)
+        gv = random_smooth_vector(grid, seed=3)
+        forcing = ForcingSpec(period=T, kappa=1.0, g=TimeFourierField(
+            period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
+        bump = gaussian_bump(grid, 0.8).values
+        nodes = np.arange(17) * cfg.dt
+        eta = SampledScalarSeries(times=nodes, fields=[
+            ScalarField(grid, np.cos(2 * np.pi * t / T) * bump) for t in nodes])
+        traj = evolve(zeros_like_state(grid), forcing, 2 * T, cfg, mode="linearized", eta=eta)
+        assert duhamel_residual(traj, forcing, cfg, mode="linearized", eta=eta) <= 1e-13
 
 
 class TestStepFactorsBuiltOnce:

@@ -41,18 +41,24 @@ class TestGridSpec:
         with pytest.raises(DiagnosticsError):
             GridSpec(**kwargs)
 
-    def test_wave_integers_range(self, grid2d):
-        k = grid2d.wave_integers
-        assert k.min() == -grid2d.N // 2
-        assert k.max() == grid2d.N // 2 - 1
+    def test_wave_integers_range(self):
+        for n in (2, 3):
+            g = GridSpec(n=n, N=16, L=1.0)
+            k = g.wave_integers
+            assert g.spectral_shape == (16,) * (n - 1) + (9,)
+            assert k.shape == (n,) + g.spectral_shape
+            # leading axes in [-N/2, N/2) in FFT order, the last in [0, N/2]
+            for j in range(n - 1):
+                assert k[j].min() == -8 and k[j].max() == 7
+            assert np.array_equal(k[-1][(0,) * (n - 1)], np.arange(9))
 
 
 def _direct_dft(values, grid):
-    """O(N^{2n}) direct summation oracle for the normalized forward DFT."""
+    """O(N^{2n}) direct summation oracle for the normalized forward DFT, on the half spectrum."""
     N = grid.N
     idx = np.stack(np.meshgrid(*([np.arange(N)] * grid.n), indexing="ij"))
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    for kidx in np.ndindex(grid.shape):
+    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+    for kidx in np.ndindex(grid.spectral_shape):
         k = np.array([grid.wave_integers[(j,) + kidx] for j in range(grid.n)])
         phase = np.exp(-2j * np.pi * np.tensordot(k, idx, axes=1) / N)
         coeffs[kidx] = np.sum(values * phase) / N**grid.n
@@ -97,13 +103,21 @@ class TestForwardTransform:
         with pytest.raises(DiagnosticsError):
             forward_transform(ScalarField(grid2d, vals))
 
-    def test_parseval(self, grid2d):
+    def test_parseval(self):
+        # the interior last-axis planes stand for themselves and their
+        # conjugates, so they count twice; k_last = 0 and N/2 count once
         rng = np.random.Generator(np.random.Philox(8))
-        f = ScalarField(grid2d, rng.standard_normal(grid2d.shape))
-        spec = forward_transform(f)
-        lhs = np.sum(f.values**2) * grid2d.cell_volume
-        rhs = grid2d.L**grid2d.n * np.sum(np.abs(spec.coeffs) ** 2)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for n in (2, 3):
+            g = GridSpec(n=n, N=16, L=1.3)
+            f = ScalarField(g, rng.standard_normal(g.shape))
+            spec = forward_transform(f)
+            weight = np.full(g.N // 2 + 1, 2.0)
+            weight[[0, -1]] = 1.0
+            half = g.L**n * np.sum(weight * np.abs(spec.coeffs) ** 2)
+            full = g.L**n * np.sum(np.abs(np.fft.fftn(f.values, norm="forward")) ** 2)
+            lhs = np.sum(f.values**2) * g.cell_volume
+            assert half == pytest.approx(full, rel=1e-13)
+            assert lhs == pytest.approx(half, rel=1e-12)
 
     def test_linearity(self, grid2d):
         rng = np.random.Generator(np.random.Philox(9))
@@ -119,11 +133,11 @@ class TestForwardTransform:
 
 class TestInverseTransform:
     def test_zero(self, grid2d):
-        spec = SpectralField(grid2d, np.zeros(grid2d.shape, dtype=complex))
+        spec = SpectralField(grid2d, np.zeros(grid2d.spectral_shape, dtype=complex))
         assert np.all(inverse_transform(spec).values == 0.0)
 
     def test_hermitian_pair_gives_cosine(self, grid2d):
-        coeffs = np.zeros(grid2d.shape, dtype=complex)
+        coeffs = np.zeros(grid2d.spectral_shape, dtype=complex)
         coeffs[1, 0] = 0.5
         coeffs[-1, 0] = 0.5
         got = inverse_transform(SpectralField(grid2d, coeffs)).values
@@ -132,16 +146,31 @@ class TestInverseTransform:
         assert np.max(np.abs(got - want)) < 1e-13
 
     def test_delta_at_zero(self, grid2d):
-        coeffs = np.zeros(grid2d.shape, dtype=complex)
+        coeffs = np.zeros(grid2d.spectral_shape, dtype=complex)
         coeffs[0, 0] = -1.5
         got = inverse_transform(SpectralField(grid2d, coeffs)).values
         assert np.max(np.abs(got + 1.5)) < 1e-14
 
     def test_symmetry_violation_names_wavevector(self, grid2d):
-        coeffs = np.zeros(grid2d.shape, dtype=complex)
-        coeffs[2, 1] = 1.0  # no conjugate partner
-        with pytest.raises(DiagnosticsError, match=r"wavevector"):
+        coeffs = np.zeros(grid2d.spectral_shape, dtype=complex)
+        coeffs[2, 0] = 1.0  # k = (2, 0) lies in the k_last = 0 plane; (-2, 0) stays 0
+        with pytest.raises(DiagnosticsError, match=r"wavevector \(2, 0\)"):
             inverse_transform(SpectralField(grid2d, coeffs))
+
+
+    def test_symmetry_violation_in_nyquist_plane(self, grid2d):
+        coeffs = np.zeros(grid2d.spectral_shape, dtype=complex)
+        coeffs[3, grid2d.N // 2] = 1.0  # (-3, N/2) is the partner of (3, N/2)
+        with pytest.raises(DiagnosticsError, match=rf"wavevector \(3, {grid2d.N // 2}\)"):
+            inverse_transform(SpectralField(grid2d, coeffs))
+
+    def test_interior_planes_carry_no_constraint(self, grid2d):
+        # 0 < k_last < N/2 stands for both k and -k, so any value there is Hermitian
+        rng = np.random.Generator(np.random.Philox(5))
+        coeffs = np.zeros(grid2d.spectral_shape, dtype=complex)
+        coeffs[:, 1:-1] = rng.standard_normal(coeffs[:, 1:-1].shape) + 1j
+        back = inverse_transform(SpectralField(grid2d, coeffs))
+        assert np.max(np.abs(forward_coeffs(grid2d, back.values) - coeffs)) < 1e-13
 
 
 class TestState:

@@ -258,7 +258,8 @@ class TestDivergenceSums:
     def test_tensor_and_vector_divergence(self, n):
         g = GridSpec(n=n, N=16, L=2.0 * np.pi)
         rng = np.random.Generator(np.random.Philox(20 + n))
-        T = rng.standard_normal((n, n) + g.shape) + 1j * rng.standard_normal((n, n) + g.shape)
+        shape = (n, n) + g.spectral_shape
+        T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert np.array_equal(tensor_div_coeffs(g, T), np.sum(g.ik[np.newaxis] * T, axis=1))
         assert np.array_equal(div_coeffs(g, T[0]), np.sum(g.ik * T[0], axis=0))
 
