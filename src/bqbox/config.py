@@ -53,44 +53,49 @@ def _require(d, key, kind, where):
     return val
 
 
-def numeric_option(options, path, default, integral=False):
+def numeric_option(options, path, default, integral=False, prefix="", finite=True):
     """The number at ``path`` ("seed", "solve.picard_max", ...) in a config table.
 
     Absent or null gives ``default``.  Anything but a finite number, or a
     fractional one where ``integral`` is set, is a ConfigError naming the key.
+    ``prefix`` names where ``options`` itself sits, for tables a dotted path
+    cannot reach: ``numeric_option(term, "harmonic", 0, prefix="forcing.f[0]")``
+    names ``forcing.f[0].harmonic``.  With ``finite`` unset a non-finite
+    number is passed on, for a later check that names it better.
     :func:`load_config` reads its numeric keys this way, and the subcommands
     read every option this way before any solver runs.
     """
+    name = f"{prefix}.{path}" if prefix else path
     section, _, key = path.rpartition(".")
     table = options.get(section, {}) if section else options
     if table is None:
         table = {}
     if not isinstance(table, dict):
-        raise ConfigError(f"{section} must be a JSON object, got {table!r}")
+        raise ConfigError(f"{name.rpartition('.')[0]} must be a JSON object, got {table!r}")
     value = table.get(key)
     if value is None:
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if finite and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if integral:
         if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     try:
         return float(value)
     except OverflowError as exc:
-        raise ConfigError(f"{path} is out of range: {exc}") from exc
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
 
 
 def _norm_params(entry, where):
     if not isinstance(entry, dict):
         raise ConfigError(f"{where} must be an object with p/q/lam")
-    p = float(entry.get("p", 0))
-    q = entry.get("q")
-    q = math.inf if q in (None, "inf") else float(q)
-    lam = float(entry.get("lam", 0.0))
+    p = numeric_option(entry, "p", 0.0, prefix=where)
+    q = math.inf if entry.get("q") in (None, "inf", math.inf) else numeric_option(
+        entry, "q", None, prefix=where)
+    lam = numeric_option(entry, "lam", 0.0, prefix=where)
     try:
         return NormParams(p=p, q=q, lam=lam)
     except Exception as exc:
@@ -108,7 +113,8 @@ def _term_field(grid, term, target, seed, where):
         raise ConfigError(
             f"{where}: preset {preset!r} cannot target {target!r} (allowed: {sorted(allowed)})"
         )
-    amp = float(term.get("amplitude", 1.0))
+    # a non-finite amplitude is left to the forcing's pattern check, which names the harmonic
+    amp = numeric_option(term, "amplitude", 1.0, prefix=where, finite=False)
     return type(fld)(grid, amp * fld.values)
 
 
@@ -116,8 +122,10 @@ def build_forcing(cfg_dict, grid, seed):
     fc = cfg_dict.get("forcing")
     if fc is None:
         return None
-    period = float(_require(fc, "period", (int, float), "forcing"))
-    kappa = float(fc.get("kappa", 0.0))
+    period = numeric_option(cfg_dict, "forcing.period", None)
+    if period is None:
+        raise ConfigError("config is missing forcing.period")
+    kappa = numeric_option(cfg_dict, "forcing.kappa", 0.0)
     parts = {}
     for target in ("F", "f", "g"):
         terms = fc.get(target)
@@ -126,11 +134,15 @@ def build_forcing(cfg_dict, grid, seed):
             continue
         built = []
         for i, term in enumerate(terms):
-            fld = _term_field(grid, term, target, seed + 1000 * (i + 1), f"forcing.{target}[{i}]")
+            where = f"forcing.{target}[{i}]"
+            if not isinstance(term, dict):
+                raise ConfigError(f"{where} must be a JSON object, got {term!r}")
+            fld = _term_field(grid, term, target, seed + 1000 * (i + 1), where)
             built.append(
                 HarmonicTerm(
-                    harmonic=int(term.get("harmonic", 0)),
-                    phase=float(term.get("phase", 0.0)),
+                    harmonic=numeric_option(term, "harmonic", 0, integral=True, prefix=where),
+                    # a non-finite phase is left to the forcing's check, which names the harmonic
+                    phase=numeric_option(term, "phase", 0.0, prefix=where, finite=False),
                     field=fld,
                 )
             )
@@ -244,17 +256,16 @@ def load_config(path):
 
     stability = None
     if "stability" in raw:
-        st = raw["stability"]
         # defer the hypothesis checks (exit code 3) to the subcommand
-        stability = {
-            "p": float(_require(st, "p", (int, float), "stability")),
-            "q": float(_require(st, "q", (int, float), "stability")),
-            "r": float(_require(st, "r", (int, float), "stability")),
-            "b": float(_require(st, "b", (int, float), "stability")),
-            "initial_gap": float(st.get("initial_gap", 1e-4)),
-            "num_times": int(st.get("num_times", 20)),
-            "t_max_periods": float(st.get("t_max_periods", 3.0)),
-        }
+        stability = {key: numeric_option(raw, f"stability.{key}", None) for key in "pqrb"}
+        missing = [key for key, value in stability.items() if value is None]
+        if missing:
+            raise ConfigError(f"config is missing stability.{missing[0]}")
+        stability.update(
+            initial_gap=numeric_option(raw, "stability.initial_gap", 1e-4),
+            num_times=numeric_option(raw, "stability.num_times", 20, integral=True),
+            t_max_periods=numeric_option(raw, "stability.t_max_periods", 3.0),
+        )
 
     t_end = numeric_option(raw, "t_end", None)
 

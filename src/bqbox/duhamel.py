@@ -25,6 +25,15 @@ the composite product trapezoid over the substeps is unrolled once per
 Sampled terms (the linearized coupling, frozen nonlinearities) are linear
 between step nodes, so the single-step weights are exact for them.
 
+The state and the analytic forcing rows fill the half spectrum; every
+nonlinear row (the right-hand side, the sampled coupling, the frozen
+extras) is a band row of the 2/3 rule (``GridSpec.band_shape``).  A step
+forms the half-spectrum sum E x + sum_j A_j r_j and then adds each band row
+where it meets the state, ``acc[band] += W[band] * row``, in the order
+Wa then Wb; off the band those rows are 0, so this is the half-spectrum sum
+value for value.  The bilinear and coupling prefix paths step on the band
+and scatter each integral they yield to the half spectrum once.
+
 Every velocity increment is Leray-projected where it is made: the initial
 data, the forcing rows, the right-hand-side rows and the frozen extras.  The
 semigroup and the quadrature weights act per mode, so the stepped state
@@ -62,6 +71,7 @@ from .grid import (
     VectorField,
     forward_coeffs,
     inverse_values,
+    scatter_band,
 )
 from .norms import NormContext, NormParams, morrey_lorentz_norm, state_norm, trajectory_sup_norm
 from .operators import (
@@ -117,16 +127,20 @@ def _trap_weights(h, k2):
     return h * (p1 - p2), h * p2
 
 
-def _step_factors(grid, h, factors):
+def _step_factors(grid, h, factors, band=False):
     """(e^{-hL}, Wa, Wb) for a step of size h, built once per size in ``factors``.
 
     Sizes within 1e-12 relative are one: stored times i * dt carry roundoff.
+    With ``band`` the factors are those restricted to the 2/3-rule band,
+    cut once from the half-spectrum ones.
     """
-    for h0, built in factors.items():
-        if abs(h - h0) <= 1e-12 * h0:
-            return built
-    factors[h] = (semigroup_factor(grid, h),) + _trap_weights(h, grid.k_squared)
-    return factors[h]
+    key = next((h0 for h0 in factors if abs(h - h0) <= 1e-12 * h0), h)
+    if key not in factors:
+        factors[key] = {False: (semigroup_factor(grid, h),) + _trap_weights(h, grid.k_squared)}
+    built = factors[key]
+    if band not in built:
+        built[band] = tuple(f[grid.band] for f in built[False])
+    return built[band]
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +251,11 @@ class _CompiledForcing:
     evaluates.  Sampled terms (the linearized coupling, frozen
     nonlinearities) are kept as one row per step node of one period; they
     are linear on each step, so step i reads only the samples at nodes
-    i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled velocity rows
-    must already be Leray-projected, as every producer in this package
-    makes them.
+    i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled rows are
+    nonlinear rows, so they are band-shaped (``grid.band_shape``); the
+    analytic rows are not dealiased and fill the half spectrum.  Sampled
+    velocity rows must already be Leray-projected, as every producer in
+    this package makes them.
     """
 
     def __init__(self, grid, forcing, mode, eta, extra, node_times):
@@ -248,11 +264,20 @@ class _CompiledForcing:
         self.analytic_vel = []  # (harmonic, phase, coeff_array)
         self.analytic_th = []
         self.steps = len(node_times) - 1  # S, the steps the node samples span
-        for rows in (extra.vel, extra.th) if extra is not None else ():
-            if rows is not None and len(rows) != len(node_times):
-                raise ConfigError(
-                    f"sampled forcing has {len(rows)} rows for {len(node_times)} step nodes"
-                )
+        if extra is not None:
+            for rows, shape in ((extra.vel, (grid.n,) + grid.band_shape),
+                                (extra.th, grid.band_shape)):
+                if rows is None:
+                    continue
+                if len(rows) != len(node_times):
+                    raise ConfigError(
+                        f"sampled forcing has {len(rows)} rows for {len(node_times)} step nodes"
+                    )
+                bad = next((np.shape(r) for r in rows if np.shape(r) != shape), None)
+                if bad is not None:
+                    raise ConfigError(
+                        f"sampled forcing rows must have the band shape {shape}, got {bad}"
+                    )
 
         if forcing is not None and forcing.F is not None:
             for term in forcing.F.terms:
@@ -277,8 +302,11 @@ class _CompiledForcing:
                 for t in node_times
             ]
         if extra is not None and extra.vel is not None:
-            extra_vel = list(extra.vel)
-            node_vel = extra_vel if node_vel is None else [a + b for a, b in zip(node_vel, extra_vel)]
+            if node_vel is None:
+                node_vel = list(extra.vel)
+            else:
+                for row, extra_row in zip(node_vel, extra.vel):
+                    row += extra_row  # the coupling rows are this object's own
         self.node_vel = node_vel
         self.node_th = list(extra.th) if extra is not None and extra.th is not None else None
 
@@ -344,6 +372,22 @@ def _weighted_sum(weights, rows):
     return acc
 
 
+def _add_on_band(acc, grid, terms):
+    """acc[band] += w * row for each (w, row) of ``terms`` in order, skipping absent rows.
+
+    ``w`` is a band-restricted weight and ``row`` a band-shaped nonlinear
+    row; off the band the rows are 0, so ``acc`` keeps its values there.
+    The add runs box by box (``grid.band_blocks``).  Returns ``acc``,
+    modified in place.
+    """
+    for w, row in terms:
+        if row is not None:
+            term = w * row
+            for full_box, band_box in grid.band_blocks:
+                acc[full_box] += term[band_box]
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the nonlinear right-hand side in coefficient space
 # ---------------------------------------------------------------------------
@@ -404,8 +448,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     right-hand side, frozen temperature ``eta`` in the coupling), and
     ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0 and
     no temperature forcing, and ignores kappa).  ``extra`` holds one
-    coefficient row per step node of one forcing period (or of the whole
-    run without a forcing); its velocity rows must be Leray-projected.
+    band row (``grid.band_shape``) per step node of one forcing period (or of
+    the whole run without a forcing); its velocity rows must be Leray-projected.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -445,11 +489,13 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     if mode in ("full", "navier-stokes"):
         state_rhs = _StateRHS(grid, forcing, kappa)
 
-    E, Wa, Wb = _step_factors(grid, dt, {})
+    factors = {}
+    E = _step_factors(grid, dt, factors)[0]
+    _, Wa, Wb = _step_factors(grid, dt, factors, band=True)
     m = cfg.substeps
     h_s = dt / (m - 1)
-    # the propagated state, the analytic rows at the m substep nodes, the two step-node samples
-    weights = [E] + (_substep_weights(grid, dt, m) if compiled.analytic else [None] * m) + [Wa, Wb]
+    # the propagated state and the analytic rows at the m substep nodes
+    weights = [E] + (_substep_weights(grid, dt, m) if compiled.analytic else [None] * m)
 
     u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
     th_hat = forward_coeffs(grid, initial.theta.values)
@@ -467,28 +513,30 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         if compiled.analytic:
             rows = [compiled.rows_at(t_a + j * h_s) for j in range(m)]
         node_vel, node_th = compiled.step_samples(i)
-        fixed_u = _weighted_sum(weights, [u_hat] + [r[0] for r in rows] + node_vel)
-        fixed_th = _weighted_sum(weights, [th_hat] + [r[1] for r in rows] + node_th)
+        fixed_u = _weighted_sum(weights, [u_hat] + [r[0] for r in rows])
+        fixed_th = _weighted_sum(weights, [th_hat] + [r[1] for r in rows])
+        _add_on_band(fixed_u, grid, zip((Wa, Wb), node_vel))
+        _add_on_band(fixed_th, grid, zip((Wa, Wb), node_th))
 
         if state_rhs is None:
             u_hat, th_hat = fixed_u, fixed_th
         else:
             gs_va, gs_ta = state_rhs(u_hat, th_hat, t_a, start_values)
-            fixed_u += Wa * gs_va
-            fixed_th += Wa * gs_ta
+            _add_on_band(fixed_u, grid, [(Wa, gs_va)])
+            _add_on_band(fixed_th, grid, [(Wa, gs_ta)])
             # predictor: freeze the endpoint nonlinearity at the start state; a
             # time-independent G_state gives back the start evaluation
             if state_rhs.time_dependent:
                 gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b, start_values)
             else:
                 gs_vb, gs_tb = gs_va, gs_ta
-            new_u = fixed_u + Wb * gs_vb
-            new_th = fixed_th + Wb * gs_tb
+            new_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_vb)])
+            new_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_tb)])
             converged = False
             for it in range(cfg.picard_max):
                 gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
-                next_u = fixed_u + Wb * gs_vb
-                next_th = fixed_th + Wb * gs_tb
+                next_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_vb)])
+                next_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_tb)])
                 # np.max, unlike max(), lets a NaN in either row through
                 res = float(np.max([np.max(np.abs(next_u - new_u)),
                                     np.max(np.abs(next_th - new_th))]))
@@ -542,7 +590,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_path(grid, nodes, row_at, times, factors=None):
+def _duhamel_path(grid, nodes, row_at, times, factors=None, band=False):
     """Yield int_0^t e^{-(t-s)L} G(s) ds for each t of the ascending ``times``.
 
     ``row_at(s)`` is G(s), a tuple of coefficient arrays, sampled at the
@@ -550,14 +598,19 @@ def _duhamel_path(grid, nodes, row_at, times, factors=None):
     I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j) + Wb G(t_{j+1}) exactly per mode, one
     step per node.  A t more than 1e-12 past its last node is read by a partial
     step from that node, not kept.  Paths may share ``factors`` (:func:`_step_factors`).
+    With ``band`` the rows are band-shaped nonlinear rows: the path steps on
+    the band and scatters each yielded integral to the half spectrum once.
     """
     if nodes[0] > 1e-12:
         raise DiagnosticsError("trajectory must cover [0, t] starting at 0")
     factors = {} if factors is None else factors
 
     def step(h, acc, g_a, g_b):
-        E, Wa, Wb = _step_factors(grid, h, factors)
+        E, Wa, Wb = _step_factors(grid, h, factors, band)
         return tuple(E * i + Wa * a + Wb * b for i, a, b in zip(acc, g_a, g_b))
+
+    def full(acc):
+        return tuple(scatter_band(grid, a) for a in acc) if band else acc
 
     j = 0
     g_j = row_at(float(nodes[0]))
@@ -568,9 +621,9 @@ def _duhamel_path(grid, nodes, row_at, times, factors=None):
             acc = step(nodes[j + 1] - nodes[j], acc, g_j, g_next)
             j, g_j = j + 1, g_next
         if abs(t - nodes[j]) > 1e-12 * max(1.0, t):
-            yield step(t - nodes[j], acc, g_j, row_at(t))
+            yield full(step(t - nodes[j], acc, g_j, row_at(t)))
         else:
-            yield acc
+            yield full(acc)
 
 
 def _bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times, factors=None):
@@ -581,7 +634,7 @@ def _bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times, factors=None):
         sa, sb = traj_a.sample(s), traj_b.sample(s)
         return advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values)
 
-    return _duhamel_path(grid, traj_a.times, row_at, times, factors)
+    return _duhamel_path(grid, traj_a.times, row_at, times, factors, band=True)
 
 
 def bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times):
@@ -601,7 +654,8 @@ def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=Non
     mode) are read periodically, as ``evolve`` reads step j at samples
     j mod S and j mod S + 1: the nodes repeat every period, and a time in
     (rT, (r+1)T] reads the samples at its offset from rT.  A period start
-    thus reads sample S, which equals sample 0 for a periodic eta.
+    thus reads sample S, which equals sample 0 for a periodic eta.  Other
+    samples must cover every time: a later one is a DiagnosticsError.
     """
     if isinstance(theta_samples, Trajectory):
         theta_samples = theta_samples.theta_series()
@@ -612,13 +666,15 @@ def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=Non
     if periodic:
         reps = max(1, math.ceil(times[-1] / period - 1e-9))
         nodes = np.concatenate([nodes] + [r * period + nodes[1:] for r in range(1, reps)])
+    elif times[-1] > nodes[-1] + 1e-9 * max(1.0, abs(times[-1])):
+        raise DiagnosticsError(f"trajectory does not cover t = {times[-1]}")
 
     def row_at(s):
         if periodic:
             s -= period * max(math.ceil(s / period - 1e-12) - 1, 0)
         return (buoyancy_coeffs(grid, theta_samples.value(s).values, g.value(s).values, kappa),)
 
-    return _duhamel_path(grid, nodes, row_at, times, factors)
+    return _duhamel_path(grid, nodes, row_at, times, factors, band=True)
 
 
 def coupling_increment(theta_samples, g: TimeFourierField, kappa, t, cfg=None):

@@ -26,12 +26,26 @@ stage in ``numpy.fft.fftn``/``ifftn``.  Every Fourier multiplier is built on the
 half shape once per grid and is a function of |k|, k_j or k_j^2, so it acts
 on the stored modes exactly as on the full spectrum.
 
+Nonlinear rows (advection, buoyancy, and the frozen and sampled rows made
+from them) are dealiased by the 2/3 rule, so they vanish outside the band
+|k_j| <= N//3 on every axis.  They are stored on the band alone,
+``GridSpec.band_shape = (2 (N//3) + 1,)*(n-1) + (N//3 + 1,)`` (4851 of the
+17408 half-spectrum modes at N = 32), with the band rows of each leading axis
+in FFT order.  ``coeffs[grid.band]`` cuts a half-spectrum array to the band,
+``full[grid.band] = row`` (or ``+=``) puts a row back, and
+:func:`band_coeffs` transforms products straight onto the band, visiting only
+the lines it keeps.  The semigroup, the quadrature weights and the Leray and
+derivative multipliers act per mode, so each has a band restriction
+(``band_leray``, ``band_deriv``) that gives the band of the full
+result bit for bit.
+
 Fields are treated as immutable snapshots: operations return new containers
 and never mutate the arrays they were handed.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,6 +148,47 @@ class GridSpec:
             keep &= np.abs(axis_k) <= cut
         return keep
 
+    @property
+    def band_shape(self):
+        """Shape of a nonlinear row: the 2/3-rule band of the half spectrum."""
+        cut = self.N // 3
+        return (2 * cut + 1,) * (self.n - 1) + (cut + 1,)
+
+    @cached_property
+    def band_rows(self):
+        """Indices of a leading axis kept by the band, k_j = 0..N//3 then -N//3..-1."""
+        cut = self.N // 3
+        return _read_only(np.r_[0 : cut + 1, self.N - cut : self.N])
+
+    @cached_property
+    def band(self):
+        """Index selecting the band: ``coeffs[grid.band]`` is the ``dealias_mask`` modes.
+
+        An ``np.ix_`` index behind an Ellipsis, so it gathers from (and, as
+        an assignment target, scatters into) arrays with any leading
+        component axes; the result has trailing shape ``band_shape`` and
+        keeps the FFT order, so band index 0 is k = 0.
+        """
+        lead = [self.band_rows] * (self.n - 1)
+        return (Ellipsis,) + np.ix_(*lead, np.arange(self.N // 3 + 1))
+
+    @cached_property
+    def band_blocks(self):
+        """The band as 2**(n-1) boxes of basic slices, (half-spectrum index, band index) each.
+
+        Each leading axis keeps two runs, k_j >= 0 and k_j < 0; adding a band
+        row box by box through views is the same elementwise update as
+        through ``band``, without its gather and scatter copies.
+        """
+        cut = self.N // 3
+        runs = ((slice(0, cut + 1), slice(0, cut + 1)),
+                (slice(self.N - cut, None), slice(cut + 1, None)))
+        return tuple(
+            ((Ellipsis,) + tuple(full for full, _ in box) + (slice(0, cut + 1),),
+             (Ellipsis,) + tuple(part for _, part in box) + (slice(None),))
+            for box in itertools.product(runs, repeat=self.n - 1)
+        )
+
     # Operator multipliers, built once per grid and shared read-only.
 
     @cached_property
@@ -142,14 +197,14 @@ class GridSpec:
         return _read_only((2j * np.pi / self.L) * self.deriv_wave_integers)
 
     @cached_property
-    def dealiased_deriv(self):
-        """(2 pi / L) K times the 2/3 mask: the real part of a dealiased derivative.
+    def band_deriv(self):
+        """(2 pi / L) K on the band: the real part of a nonlinear row's derivative.
 
         Multiplying by it and then by i once gives the dealiased first
-        derivative; both steps are exact rearrangements of ``ik`` times the
-        mask, so results match that product value for value.
+        derivative on the band; both steps are exact rearrangements of ``ik``
+        times the 2/3 mask, so results match that product value for value.
         """
-        return _read_only((2.0 * np.pi / self.L) * self.deriv_wave_integers * self.dealias_mask)
+        return _read_only((2.0 * np.pi / self.L) * self.deriv_wave_integers[self.band])
 
     @cached_property
     def deriv_k(self):
@@ -161,6 +216,11 @@ class GridSpec:
         """1 / |K|^2, and 0 where K = 0."""
         k2 = np.sum(self.deriv_k * self.deriv_k, axis=0)
         return _read_only(np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0))
+
+    @cached_property
+    def band_leray(self):
+        """(K, 1 / |K|^2) on the band: the Leray multipliers of a nonlinear row."""
+        return _read_only(self.deriv_k[self.band]), _read_only(self.deriv_k_inv_squared[self.band])
 
     @cached_property
     def deriv_k_norm(self):
@@ -282,6 +342,29 @@ def forward_coeffs(grid, values):
     """
     half = np.fft.rfft(values, axis=-1, norm="forward")
     return np.fft.fftn(half, axes=_leading_axes(grid), norm="forward")
+
+
+def band_coeffs(grid, values):
+    """``forward_coeffs(grid, values)[grid.band]``, transforming only the lines the band keeps.
+
+    ``rfft`` on the last axis keeps k_last <= N//3; then each leading axis,
+    in the order ``fftn`` takes them (axis -2, then -3), gets its own
+    ``fftn`` call and is cut to the band rows before the next, so later
+    transforms see only band lines.  Every line is the 1-D transform
+    ``forward_coeffs`` makes of it, so the result equals its band bit for bit.
+    """
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward")[..., : grid.N // 3 + 1]
+    for ax in reversed(_leading_axes(grid)):
+        coeffs = np.take(np.fft.fftn(coeffs, axes=(ax,), norm="forward"), grid.band_rows, axis=ax)
+    return coeffs
+
+
+def scatter_band(grid, row):
+    """The half-spectrum array that is the band-shaped ``row`` on the band and 0 off it."""
+    full = np.zeros(row.shape[: row.ndim - grid.n] + grid.spectral_shape, dtype=complex)
+    for full_box, band_box in grid.band_blocks:
+        full[full_box] = row[band_box]
+    return full
 
 
 def inverse_values(grid, coeffs):

@@ -541,11 +541,17 @@ def state_norm(state: State, ctx: NormContext):
     )
 
 
+def sup_time_indices(count, stride):
+    """The stored states a sup-in-time reads: every ``stride``-th from 0, and the last."""
+    idx = list(range(0, count, max(1, stride)))
+    if idx[-1] != count - 1:
+        idx.append(count - 1)
+    return idx
+
+
 def trajectory_sup_norm(traj, ctx: NormContext):
     """Discrete sup-in-time of the product norm over the stored grid (NaN if any norm is)."""
-    idx = list(range(0, len(traj.times), max(1, ctx.time_stride)))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
+    idx = sup_time_indices(len(traj.times), ctx.time_stride)
     return float(np.max([state_norm(traj.states[i], ctx) for i in idx]))
 
 

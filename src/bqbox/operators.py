@@ -16,9 +16,16 @@ products of u (x) u are transformed), through the real multiplier
 (2 pi / L) K times the 2/3 mask and one exact turn by -i.  Given g, it
 adds the coupling kappa dealias(theta g) before the single Leray
 projection of the velocity row, so the full-mode right-hand side costs one
-projection.  The multipliers (derivative, Leray, 2/3 mask) are cached
-read-only on the ``GridSpec``, so they are built once per grid, on the
-half spectrum that every coefficient array holds.
+projection.  Both kernels return band rows (``GridSpec.band_shape``, the
+2/3-rule band): the products are transformed by
+:func:`bqbox.grid.band_coeffs`, which visits only the lines the band keeps,
+and the derivative and Leray multipliers are their band restrictions.
+Callers add the rows into a half-spectrum state where they meet it
+(``state[grid.band] += w * row``).
+The multipliers (derivative, Leray, 2/3 mask, and their band restrictions)
+are cached read-only on the ``GridSpec``, so they are built once per grid;
+:func:`leray_coeffs` picks the half-spectrum or the band set by the shape
+it is handed.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .grid import (
     SpectralField,
     TensorField,
     VectorField,
+    band_coeffs,
     forward_coeffs,
     inverse_values,
 )
@@ -76,9 +84,13 @@ def tensor_div_coeffs(grid, tensor_coeffs):
 
 
 def leray_coeffs(grid, vector_coeffs):
-    K = grid.deriv_k
+    """v - K (K . v) / |K|^2 on the half spectrum, or on the band for a band-shaped row."""
+    if vector_coeffs.shape[1:] == grid.band_shape:
+        K, inv_k2 = grid.band_leray
+    else:
+        K, inv_k2 = grid.deriv_k, grid.deriv_k_inv_squared
     dot = np.sum(K * vector_coeffs, axis=0)
-    return vector_coeffs - K * (dot * grid.deriv_k_inv_squared)[np.newaxis]
+    return vector_coeffs - K * (dot * inv_k2)[np.newaxis]
 
 
 def dealias_coeffs(grid, coeffs):
@@ -94,12 +106,12 @@ def _symmetric_pairs(n):
 
 
 def _neg_dealiased_div(grid, columns, out=None):
-    """-sum_j i k_j c_j over the 2/3-rule modes, for the n coefficient arrays ``columns``.
+    """-sum_j i k_j c_j on the band, for the n band-shaped arrays ``columns``.
 
-    The real multiplier (2 pi / L) K mask is summed first and the sum is
-    turned by -i once; both are exact, so this equals -div(dealias(c)).
+    The real multiplier (2 pi / L) K is summed first and the sum is turned
+    by -i once; both are exact, so this equals the band of -div(dealias(c)).
     """
-    kd = grid.dealiased_deriv
+    kd = grid.band_deriv
     out = np.multiply(kd[0], columns[0], out=out)
     for j in range(1, grid.n):
         out += kd[j] * columns[j]
@@ -107,38 +119,35 @@ def _neg_dealiased_div(grid, columns, out=None):
     return out
 
 
-def _buoyancy_source(grid, th, g):
-    """theta g transformed and dealiased: the unprojected coupling row."""
-    c = forward_coeffs(grid, th[np.newaxis] * g)
-    c *= grid.dealias_mask
-    return c
-
-
 def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
-    """Rows (-P div(u_a (x) u_b) [+ kappa P(theta_b g)], -div(u_a theta_b)) from real values.
+    """Band rows (-P div(u_a (x) u_b) [+ kappa P(theta_b g)], -div(u_a theta_b)) from real values.
 
-    Products are dealiased by the 2/3 rule.  Each divergence row is read
-    straight from the transformed products; when ``u_b is u_a`` only the
-    n(n+1)/2 distinct products u_i u_j are transformed and row i reads
-    T_ij = T_ji from them.  With ``g`` the coupling kappa dealias(theta_b g)
-    joins the velocity row before its one Leray projection.  The mean of
-    the velocity row is set to zero; only the coupling has one.  Without
-    ``g`` the rows equal the composition of the coefficient primitives
-    above value for value.
+    Products are dealiased by the 2/3 rule, so the rows are band-shaped
+    (``grid.band_shape``) and equal the band of the full composition.  Each
+    divergence row is read straight from the transformed products; when
+    ``u_b is u_a`` only the n(n+1)/2 distinct products u_i u_j are
+    transformed and row i reads T_ij = T_ji from them.  With ``g`` the
+    coupling kappa dealias(theta_b g) joins the velocity row before its one
+    Leray projection.  The mean of the velocity row is set to zero; only
+    the coupling has one.  Without ``g`` the rows equal the band of the
+    composition of the coefficient primitives above value for value.
     """
     n = grid.n
     if u_b is u_a:
         i, j, pair = _symmetric_pairs(n)
-        uu_hat = forward_coeffs(grid, u_a[i] * u_a[j])
+        uu = np.empty((len(i),) + grid.shape)
+        for p, (a, b) in enumerate(zip(i, j)):
+            np.multiply(u_a[a], u_a[b], out=uu[p])  # no gathered copies of u
+        uu_hat = band_coeffs(grid, uu)
         tensor = [[uu_hat[pair[r, c]] for c in range(n)] for r in range(n)]
     else:
-        tensor = forward_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :])
-    vel = np.empty((n,) + grid.spectral_shape, dtype=complex)
+        tensor = band_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :])
+    vel = np.empty((n,) + grid.band_shape, dtype=complex)
     for r in range(n):
         _neg_dealiased_div(grid, tensor[r], out=vel[r])
-    th_row = _neg_dealiased_div(grid, forward_coeffs(grid, u_a * th_b[np.newaxis]))
+    th_row = _neg_dealiased_div(grid, band_coeffs(grid, u_a * th_b[np.newaxis]))
     if g is not None:
-        coupling = _buoyancy_source(grid, th_b, g)
+        coupling = band_coeffs(grid, th_b[np.newaxis] * g)
         coupling *= kappa
         vel += coupling
     vel = leray_coeffs(grid, vel)
@@ -147,8 +156,8 @@ def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
 
 
 def buoyancy_coeffs(grid, th, g, kappa):
-    """Coupling row kappa P(theta g) from real values, dealiased, with its mean removed."""
-    c = leray_coeffs(grid, _buoyancy_source(grid, th, g))
+    """Band row of the coupling kappa P(theta g) from real values, with its mean removed."""
+    c = leray_coeffs(grid, band_coeffs(grid, th[np.newaxis] * g))
     c[(Ellipsis,) + (0,) * grid.n] = 0.0
     return kappa * c
 

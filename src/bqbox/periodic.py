@@ -27,18 +27,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duhamel import (
-    SolveConfig,
-    Trajectory,
-    _to_state,
-    evolve,
-    state_difference,
-    trajectory_difference,
-)
+from .duhamel import SolveConfig, Trajectory, _to_state, evolve, state_difference
 from .errors import ConfigError, ConvergenceError, HypothesisError
 from .forcing import ForcingSpec, SampledScalarSeries, SampledSpectralForcing
 from .grid import ScalarField, State, VectorField, forward_coeffs, zeros_like_state
-from .norms import BallSampler, NormContext, NormParams, state_norm, trajectory_sup_norm
+from .norms import (
+    BallSampler,
+    NormContext,
+    NormParams,
+    state_norm,
+    sup_time_indices,
+    trajectory_sup_norm,
+)
 from .operators import advection_coeffs, leray_coeffs
 
 _MEAN_TOL = 1e-12
@@ -230,7 +230,7 @@ def cesaro_periodic_datum(
 
 
 def _frozen_extra(traj: Trajectory) -> SampledSpectralForcing:
-    """Freeze -P div(v (x) v) and -div(eta v) along a stored iterate."""
+    """Freeze -P div(v (x) v) and -div(eta v) along a stored iterate, as band rows."""
     grid = traj.grid
     vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values)
                     for s in traj.states))
@@ -258,6 +258,17 @@ def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
         eta=eta_series,
         extra=extra,
     )
+
+
+def _sup_increment(nxt: Trajectory, current: Trajectory, ctx: NormContext) -> float:
+    """``trajectory_sup_norm(trajectory_difference(nxt, current), ctx)``, one state at a time.
+
+    Reads the stored states of :func:`trajectory_sup_norm` (``ctx.time_stride``,
+    the last always), so no difference trajectory is held.
+    """
+    idx = sup_time_indices(len(nxt.times), ctx.time_stride)
+    return float(np.max([state_norm(state_difference(nxt.states[i], current.states[i]), ctx)
+                         for i in idx]))
 
 
 def nonlinear_periodic(
@@ -300,13 +311,14 @@ def nonlinear_periodic(
         zero_eta = SampledScalarSeries(times=node_times,
                                        fields=[zero_field] * len(node_times))
     for m in range(1, outer_max + 1):
+        extra = None  # the last iterate's rows go before the next are built
         eta_series = current.theta_series() if current is not None else zero_eta
         extra = _frozen_extra(current) if current is not None else None
         nxt = _linear_periodic_solve(problem, eta_series, extra)
         if current is None:
             delta = trajectory_sup_norm(nxt, ctx)
         else:
-            delta = trajectory_sup_norm(trajectory_difference(nxt, current), ctx)
+            delta = _sup_increment(nxt, current, ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
         if not np.isfinite(delta):
@@ -337,6 +349,8 @@ def nonlinear_periodic(
             history=history,
         )
     datum = current.states[0]
+    # the loop's trajectories and frozen rows are not read again
+    del current, nxt, eta_series, extra, zero_eta
     certify = evolve(
         datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode
     )

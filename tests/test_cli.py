@@ -375,6 +375,48 @@ class TestOptionParsing:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key} must be" in err
 
+    @staticmethod
+    def _patched(config, section, key, value, index=None):
+        cfg = json.loads(json.dumps(config))
+        table = cfg[section] if index is None else cfg[section][index[0]]
+        if index is not None and len(index) > 1:
+            table = table[index[1]]
+        table[key] = value
+        return cfg
+
+    @pytest.mark.parametrize("command, base, section, index, key, value, name", [
+        ("periodic-linear", periodic_config(), "forcing", None, "kappa", "abc", "forcing.kappa"),
+        ("periodic-linear", periodic_config(), "forcing", None, "period", "T", "forcing.period"),
+        ("periodic-linear", periodic_config(), "forcing", ("f", 0), "harmonic", 1.5,
+         "forcing.f[0].harmonic"),
+        ("periodic-linear", periodic_config(), "forcing", ("f", 0), "harmonic", "one",
+         "forcing.f[0].harmonic"),
+        ("periodic-linear", periodic_config(), "forcing", ("f", 0), "phase", "x",
+         "forcing.f[0].phase"),
+        ("periodic-linear", periodic_config(), "forcing", ("f", 0), "amplitude", True,
+         "forcing.f[0].amplitude"),
+        ("periodic-nonlinear", nonlinear_3d_config(), "forcing", ("F", 0), "harmonic", 0.5,
+         "forcing.F[0].harmonic"),
+        ("evolve", evolve_config(), "norms", (0,), "p", "three", "norms[0].p"),
+        ("evolve", evolve_config(), "norms", (0,), "q", "big", "norms[0].q"),
+        ("evolve", evolve_config(), "norms", (0,), "lam", [0.5], "norms[0].lam"),
+        ("stability", _stability_config(), "stability", None, "p", "three", "stability.p"),
+        ("stability", _stability_config(), "stability", None, "num_times", 2.5,
+         "stability.num_times"),
+        ("stability", _stability_config(), "stability", None, "initial_gap", "tiny",
+         "stability.initial_gap"),
+        ("stability", _stability_config(), "stability", None, "t_max_periods", float("nan"),
+         "stability.t_max_periods"),
+    ])
+    def test_bad_config_number_exits_2_naming_key(self, tmp_path, capsys, no_solver, command,
+                                                  base, section, index, key, value, name):
+        # these keys were converted with bare float()/int(): a string was a
+        # traceback (exit 1) and a fractional harmonic was silently truncated
+        cfg = write_config(tmp_path / "c.json", self._patched(base, section, key, value, index))
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{name} must be" in err
+
     def test_integral_float_and_null_accepted(self, tmp_path):
         # 8.0 is the integer 8; a null option takes its default
         cfg = write_config(tmp_path / "c.json",

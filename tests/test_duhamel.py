@@ -1,5 +1,7 @@
 """Duhamel increments, the exponential integrator, and the estimate checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -399,8 +401,8 @@ class TestEvolve:
         # linearized mode has no Picard residual: one NaN mode in a sampled
         # temperature row must stop the run at the first stored state it reaches
         g = grid3d_small
-        rows = [np.zeros(g.spectral_shape, dtype=complex) for _ in range(5)]
-        rows[node][1, 2, 3] = np.nan
+        rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
+        rows[node][1, 2, 2] = np.nan
         extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
         with pytest.raises(ConvergenceError, match=f"stored state is not finite at step {step} "):
@@ -645,14 +647,17 @@ def _at_node_samplers(grid, ts):
     traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
                                  for v, th in zip(vels, ths)])
     series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
-    extra = SampledSpectralForcing(times=ts, vel=vels, th=ths)
+    # sampled spectral rows are band-shaped nonlinear rows
+    vel_rows = [rng.standard_normal((grid.n,) + grid.band_shape) for _ in ts]
+    extra = SampledSpectralForcing(times=ts, vel=vel_rows)
     compiled = _CompiledForcing(grid, None, "linearized", None, extra, ts)
     dt = ts[1] - ts[0]
     return {
         "trajectory": (lambda t: traj.sample(t).theta.values, ths),
         "scalar_series": (lambda t: series.value(t).values, ths),
         # the step that ends at the node reads it as its second sample
-        "compiled_forcing": (lambda t: compiled.step_samples(int(round(t / dt)) - 1)[0][1], vels),
+        "compiled_forcing": (lambda t: compiled.step_samples(int(round(t / dt)) - 1)[0][1],
+                             vel_rows),
     }
 
 
@@ -672,8 +677,8 @@ def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
     S = 4
     ts = np.arange(S + 1) * 0.1
     rng = np.random.default_rng(0)
-    vels = [rng.standard_normal((grid2d.n,) + grid2d.shape) for _ in ts]
-    ths = [rng.standard_normal(grid2d.shape) for _ in ts]
+    vels = [rng.standard_normal((grid2d.n,) + grid2d.band_shape) for _ in ts]
+    ths = [rng.standard_normal(grid2d.band_shape) for _ in ts]
     extra = SampledSpectralForcing(times=ts, vel=vels if parts != "th" else None,
                                    th=ths if parts != "vel" else None)
     compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), "linearized", None, extra, ts)
@@ -691,4 +696,17 @@ def test_compiled_forcing_rejects_misaligned_samples(grid2d):
     ts = np.arange(5) * 0.1
     extra = SampledSpectralForcing(times=ts[:-1], th=[np.zeros(grid2d.shape)] * 4)
     with pytest.raises(ConfigError, match="4 rows for 5 step nodes"):
+        _CompiledForcing(grid2d, None, "linearized", None, extra, ts)
+
+
+@pytest.mark.parametrize("part", ["vel", "th"])
+def test_compiled_forcing_rejects_rows_off_the_band_shape(grid2d, part):
+    # a half-spectrum row is not a nonlinear row: it must be cut to the band first
+    ts = np.arange(5) * 0.1
+    band = (grid2d.n,) + grid2d.band_shape if part == "vel" else grid2d.band_shape
+    full = (grid2d.n,) + grid2d.spectral_shape if part == "vel" else grid2d.spectral_shape
+    rows = [np.zeros(band, dtype=complex) for _ in ts]
+    rows[3] = np.zeros(full, dtype=complex)
+    extra = SampledSpectralForcing(times=ts, **{part: rows})
+    with pytest.raises(ConfigError, match=re.escape(f"band shape {band}, got {full}")):
         _CompiledForcing(grid2d, None, "linearized", None, extra, ts)

@@ -12,6 +12,7 @@ import pytest
 import bqbox.duhamel as duhamel
 from bqbox import (
     BallSampler,
+    DiagnosticsError,
     ForcingSpec,
     GridSpec,
     NormParams,
@@ -30,7 +31,7 @@ from bqbox import (
 )
 from bqbox.duhamel import _CompiledForcing, _trap_weights, bilinear_path
 from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
-from bqbox.grid import forward_coeffs, inverse_values
+from bqbox.grid import forward_coeffs, inverse_values, scatter_band
 from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, semigroup_factor, tensor_div_coeffs
 from bqbox.presets import (
     gaussian_bump,
@@ -73,14 +74,16 @@ def old_bilinear(traj_a, traj_b, t):
     rows = []
     for s in nodes:
         sa, sb = traj_a.sample(s), traj_b.sample(s)
-        rows.append(advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values))
+        band_rows = advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values)
+        rows.append(tuple(scatter_band(grid, r) for r in band_rows))
     return old_accumulate(grid, nodes, rows, t)
 
 
 def old_coupling(theta_samples, g, kappa, t):
     grid = g.grid
     nodes = old_nodes(theta_samples.times, t)
-    rows = [(buoyancy_coeffs(grid, theta_samples.value(s).values, g.value(s).values, kappa),)
+    rows = [(scatter_band(grid, buoyancy_coeffs(grid, theta_samples.value(s).values,
+                                                g.value(s).values, kappa)),)
             for s in nodes]
     return old_accumulate(grid, nodes, rows, t)
 
@@ -282,6 +285,30 @@ class TestPeriodicEta:
             ScalarField(grid, np.cos(2 * np.pi * t / T) * bump) for t in nodes])
         traj = evolve(zeros_like_state(grid), forcing, 2 * T, cfg, mode="linearized", eta=eta)
         assert duhamel_residual(traj, forcing, cfg, mode="linearized", eta=eta) <= 1e-13
+
+
+class TestCouplingCoverage:
+    def test_short_trajectory_is_not_held_past_its_end(self, grid):
+        # a run to t = 0.5 of a period-1 forcing covers no time past 0.5: the
+        # coupling increment must say so, as the bilinear one does
+        cfg = SolveConfig(dt=T / 16)
+        forcing = coupled_forcing(grid)
+        traj = evolve(initial_state(grid, 50), forcing, 0.5, cfg, mode="full")
+        for increment in (lambda t: coupling_increment(traj, forcing.g, forcing.kappa, t),
+                          lambda t: bilinear_increment(traj, traj, t)):
+            with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
+                increment(0.9)
+            assert np.max(np.abs(increment(0.5).u.values)) > 0.0
+        series = traj.theta_series()
+        with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
+            list(duhamel._coupling_path(series, forcing.g, forcing.kappa, [0.25, 0.9]))
+
+    def test_one_period_samples_are_read_periodically(self, runs):
+        # samples spanning one period T cover every later time: t = 1.25 reads
+        # the period's samples again, from the period start
+        _, forcing, uniform, _ = runs
+        late = coupling_increment(uniform, forcing.g, forcing.kappa, 1.25)
+        assert np.all(np.isfinite(late.u.values)) and np.max(np.abs(late.u.values)) > 0.0
 
 
 class TestStepFactorsBuiltOnce:

@@ -19,7 +19,7 @@ from bqbox import (
     write_field,
     zeros_like_state,
 )
-from bqbox.grid import forward_coeffs
+from bqbox.grid import band_coeffs, forward_coeffs, scatter_band
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -129,6 +129,51 @@ class TestForwardTransform:
             + 0.3 * forward_transform(ScalarField(grid2d, g)).coeffs
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
+
+
+class TestBand:
+    """The 2/3-rule band that every nonlinear row is stored on."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_band_selects_exactly_the_dealias_mask(self, n, N):
+        g = GridSpec(n=n, N=N, L=2.0 * np.pi)
+        selected = np.zeros(g.spectral_shape, dtype=bool)
+        selected[g.band] = True
+        assert np.array_equal(selected, g.dealias_mask)
+        assert g.band_shape == g.dealias_mask[g.band].shape
+        assert g.dealias_mask[g.band].all()
+        # FFT order is kept: band index 0 is k = 0, and |k_j| <= N // 3 throughout
+        k_band = g.wave_integers[g.band]
+        assert np.all(k_band[(Ellipsis,) + (0,) * n] == 0)
+        assert np.max(np.abs(k_band)) == N // 3
+        # the boxes of band_blocks tile the band once, each box onto its band-row box
+        hits = np.zeros(g.spectral_shape, dtype=int)
+        band_index = np.arange(np.prod(g.band_shape)).reshape(g.band_shape)
+        placed = np.full(g.spectral_shape, -1)
+        for full_box, band_box in g.band_blocks:
+            hits[full_box] += 1
+            placed[full_box] = band_index[band_box]
+        assert np.array_equal(hits, g.dealias_mask.astype(int))
+        assert np.array_equal(placed[g.band], band_index)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
+    def test_band_coeffs_is_the_band_of_forward_coeffs_bit_for_bit(self, n, N, lead):
+        g = GridSpec(n=n, N=N, L=2.0 * np.pi)
+        values = np.random.default_rng(N + n + len(lead)).standard_normal(lead + g.shape)
+        got = band_coeffs(g, values)
+        want = forward_coeffs(g, values)[g.band]
+        assert got.shape == lead + g.band_shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scatter_band_fills_the_band_only(self, grid2d):
+        row = np.arange(np.prod(grid2d.band_shape), dtype=complex).reshape(grid2d.band_shape) + 1
+        full = scatter_band(grid2d, np.stack([row, 2 * row]))
+        assert full.shape == (2,) + grid2d.spectral_shape
+        assert np.array_equal(full[grid2d.band], np.stack([row, 2 * row]))
+        assert np.all(full[:, ~grid2d.dealias_mask] == 0)
 
 
 class TestInverseTransform:

@@ -223,32 +223,50 @@ class TestAdvectionKernel:
 
     @staticmethod
     def _composed(g, u_a, u_b, th, gv, kappa):
-        """The rows built from the coefficient primitives one by one, two projections."""
+        """The half-spectrum rows built from the coefficient primitives one by one, two projections."""
         uu_hat = dealias_coeffs(g, forward_coeffs(g, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
         vel = -leray_coeffs(g, np.sum(g.ik[np.newaxis] * uu_hat, axis=1))
         mix = dealias_coeffs(g, forward_coeffs(g, u_a * th[np.newaxis]))
-        return vel + buoyancy_coeffs(g, th, gv, kappa), -np.sum(g.ik * mix, axis=0)
+        coupling = leray_coeffs(g, dealias_coeffs(g, forward_coeffs(g, th[np.newaxis] * gv)))
+        coupling[(Ellipsis,) + (0,) * g.n] = 0.0
+        return vel + kappa * coupling, -np.sum(g.ik * mix, axis=0)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("same", [True, False])
     def test_fused_rows_match_composition(self, n, same):
         # advection plus coupling under one Leray projection against the
-        # advective and coupling rows projected separately
+        # advective and coupling rows projected separately; the kernel's rows
+        # are the band of the composition, which is exactly 0 off the band
         g = GridSpec(n=n, N=16, L=2.0 * np.pi)
         rng = np.random.Generator(np.random.Philox(10 + n))
         u = rng.standard_normal((n,) + g.shape)
         u_b = u if same else rng.standard_normal((n,) + g.shape)
         th = rng.standard_normal(g.shape)
         gv = rng.standard_normal((n,) + g.shape)
+        off_band = ~g.dealias_mask
         vel, th_row = advection_coeffs(g, u, u_b, th, gv, 0.7)
         vel_ref, th_ref = self._composed(g, u, u_b, th, gv, 0.7)
-        assert np.max(np.abs(vel - vel_ref)) <= 1e-14 * np.max(np.abs(vel_ref))
-        assert np.array_equal(th_row, th_ref)
+        assert vel.shape == (n,) + g.band_shape and th_row.shape == g.band_shape
+        assert np.all(vel_ref[:, off_band] == 0.0) and np.all(th_ref[off_band] == 0.0)
+        assert np.max(np.abs(vel - vel_ref[g.band])) <= 1e-14 * np.max(np.abs(vel_ref))
+        assert np.array_equal(th_row, th_ref[g.band])
         assert np.all(vel[(Ellipsis,) + (0,) * n] == 0.0)
         # without g the rows equal the composition value for value
         vel0, th0 = advection_coeffs(g, u, u_b, th)
         vel0_ref, th0_ref = self._composed(g, u, u_b, th, gv, 0.0)
-        assert np.array_equal(vel0, vel0_ref) and np.array_equal(th0, th0_ref)
+        assert np.all(vel0_ref[:, off_band] == 0.0) and np.all(th0_ref[off_band] == 0.0)
+        assert np.array_equal(vel0, vel0_ref[g.band]) and np.array_equal(th0, th0_ref[g.band])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_buoyancy_row_is_band_of_composition(self, n):
+        g = GridSpec(n=n, N=16, L=2.0 * np.pi)
+        rng = np.random.Generator(np.random.Philox(30 + n))
+        th = rng.standard_normal(g.shape)
+        gv = rng.standard_normal((n,) + g.shape)
+        u0 = np.zeros((n,) + g.shape)
+        coupling = self._composed(g, u0, u0, th, gv, 0.7)[0]
+        assert np.all(coupling[:, ~g.dealias_mask] == 0.0)
+        assert np.array_equal(buoyancy_coeffs(g, th, gv, 0.7), coupling[g.band])
 
 
 class TestDivergenceSums:

@@ -1,5 +1,7 @@
 """Periodic-orbit construction: Poincare map, averaging, resolvent, fixed point."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,9 +29,10 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
+from bqbox.duhamel import trajectory_difference
 from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
-from bqbox.norms import gaussian_profile
+from bqbox.norms import gaussian_profile, trajectory_sup_norm
 from bqbox.operators import div_coeffs, heat_semigroup
 from bqbox.presets import (
     random_div_free,
@@ -412,3 +415,62 @@ class TestNonlinearPeriodic:
             assert np.array_equal(a.u.values, b.u.values)
         assert ns.residual_max < 1e-9
         assert np.max(np.abs(ns.trajectory.states[-1].theta.values)) == 0.0
+
+
+class TestNonlinearPeriodicMemory:
+    """The outer loop holds no difference trajectory, and the certify run holds no loop state."""
+
+    @staticmethod
+    def _problem():
+        from bqbox.presets import gravity_field
+
+        g = GridSpec(n=3, N=16, L=2.0 * np.pi)
+        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
+        forcing = ForcingSpec(
+            period=T,
+            kappa=0.3,
+            F=constant_in_time(T, random_smooth_tensor(g, seed=4, amplitude=1e-3)),
+            f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
+            g=constant_in_time(T, gravity_field(g, G=1.0, soft_cells=2.0)),
+        )
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
+                               mode="full", grid=g)
+        ctx = NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), BallSampler(4, 4), time_stride=4)
+        return prob, ctx
+
+    def test_history_matches_materialized_difference(self, monkeypatch):
+        prob, ctx = self._problem()
+        iterates = []
+        solve = periodic_mod._linear_periodic_solve
+        monkeypatch.setattr(periodic_mod, "_linear_periodic_solve",
+                            lambda *a: iterates.append(solve(*a)) or iterates[-1])
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        assert len(iterates) == len(sol.history) >= 3
+        # stride 4 reads states 0, 4, ..., 16; strides 3 and 5 step past the
+        # last state, which must still be read
+        want = [trajectory_sup_norm(iterates[0], ctx)] + [
+            trajectory_sup_norm(trajectory_difference(b, a), ctx)
+            for a, b in zip(iterates, iterates[1:])
+        ]
+        assert [delta for _, delta, _ in sol.history] == want
+        for stride in (3, 5):
+            ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
+            got = periodic_mod._sup_increment(iterates[1], iterates[0], ctx_s)
+            assert got == trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
+
+    def test_peak_memory_in_stored_trajectories(self):
+        # the loop holds the current and the next iterate (two trajectories)
+        # plus band-sized frozen rows; a materialized outer difference, full-size
+        # frozen rows, or loop state kept through the certify run push the peak
+        # past four trajectories
+        prob, ctx = self._problem()
+        nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)  # multiplier caches built outside
+        tracemalloc.start()
+        try:
+            sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        traj_bytes = sum(s.u.values.nbytes + s.theta.values.nbytes for s in sol.trajectory.states)
+        assert len(sol.trajectory.states) == 17
+        assert peak < 4.0 * traj_bytes
