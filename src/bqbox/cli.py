@@ -103,22 +103,26 @@ def _cmd_evolve(cfg, outdir):
         raise ConfigError("evolve needs solve{} and t_end")
     stride = numeric_option(cfg.options, "snapshots", 0, integral=True)
     initial = build_initial(cfg.raw, cfg.grid, cfg.seed)
-    traj = evolve(initial, cfg.forcing, cfg.t_end, cfg.solve, mode=cfg.mode)
     norm_cols = _state_norm_columns(cfg)
     header = ["time", "energy", "divergence_residual"] + [c[0] for c in norm_cols]
     rows = []
-    for i, t in enumerate(traj.times):
-        s = traj.states[i]
-        row = [t, traj.energy(i), spectral_divergence_residual(s.u)]
+    snapshots = []  # (index, state) of every stride-th stored state
+
+    def on_state(t, s):
+        # one stored state at a time: its row now, the state itself only if it is a snapshot
+        if stride > 0 and len(rows) % stride == 0:
+            snapshots.append((len(rows), s))
+        row = [t, s.energy(), spectral_divergence_residual(s.u)]
         for _, ctx in norm_cols:
             row.append(state_norm(s, ctx))
         rows.append(row)
+
+    evolve(initial, cfg.forcing, cfg.t_end, cfg.solve, mode=cfg.mode, on_state=on_state)
     outputs = [write_csv(outdir / "trajectory.csv", header, rows)]
-    if stride > 0:
-        for i in range(0, len(traj.states), stride):
-            p = outdir / f"state_{i:05d}.bqf"
-            write_field(p, traj.states[i])
-            outputs.append(p)
+    for i, s in snapshots:
+        p = outdir / f"state_{i:05d}.bqf"
+        write_field(p, s)
+        outputs.append(p)
     return outputs
 
 

@@ -43,13 +43,16 @@ class RunConfig:
 
 
 def _require(d, key, kind, where):
+    """d[key], which must be present and of ``kind`` (a type or a tuple of types).
+
+    A JSON boolean is never taken for a number, though ``bool`` is an ``int``.
+    """
     if key not in d:
         raise ConfigError(f"config is missing {where}.{key}")
     val = d[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {type(val).__name__}")
+    if isinstance(val, bool) or not isinstance(val, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ConfigError(f"{where}.{key} must be {names}, got {type(val).__name__}")
     return val
 
 
@@ -102,12 +105,43 @@ def _norm_params(entry, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _term_field(grid, term, target, seed, where):
-    preset = _require(term, "preset", str, where)
-    params = dict(term.get("params", {}))
+# preset parameters that are counts or indices, and those that are points of the box
+_INTEGRAL_PARAMS = frozenset({"seed", "component", "row", "col"})
+_POINT_PARAMS = frozenset({"k", "center"})
+
+
+def _preset_field(grid, preset, spec, seed, where):
+    """The field of ``preset`` with the ``params`` of ``spec``, checked key by key.
+
+    Every scalar parameter must be a number (an integer for the counts and
+    indices), and ``k`` and ``center`` lists of ``grid.n`` numbers; a bad
+    value is a ConfigError naming ``{where}.params.{key}``.  A random preset
+    without a ``seed`` parameter takes ``seed``.
+    """
+    raw = spec.get("params", {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}.params must be a JSON object, got {raw!r}")
+    prefix = f"{where}.params"
+    params = {}
+    for key, value in raw.items():
+        if key in _POINT_PARAMS:
+            if not (isinstance(value, list) and len(value) == grid.n and all(
+                    not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+                    for v in value)):
+                raise ConfigError(
+                    f"{prefix}.{key} must be a list of {grid.n} finite numbers, got {value!r}")
+            params[key] = value
+        elif value is not None:
+            params[key] = numeric_option(raw, key, None, integral=key in _INTEGRAL_PARAMS,
+                                         prefix=prefix)
     if preset.startswith("random") and "seed" not in params:
         params["seed"] = seed
-    fld = make_preset(preset, grid, params)
+    return make_preset(preset, grid, params)
+
+
+def _term_field(grid, term, target, seed, where):
+    preset = _require(term, "preset", str, where)
+    fld = _preset_field(grid, preset, term, seed, where)
     allowed = {"F": _TENSOR_PRESETS, "f": _VECTOR_PRESETS, "g": _VECTOR_PRESETS}[target]
     if preset not in allowed:
         raise ConfigError(
@@ -171,18 +205,12 @@ def build_initial(cfg_dict, grid, seed):
         preset = _require(u_spec, "preset", str, "initial.u")
         if preset not in _VECTOR_PRESETS:
             raise ConfigError(f"initial.u preset must be a vector preset, got {preset!r}")
-        params = dict(u_spec.get("params", {}))
-        if preset.startswith("random") and "seed" not in params:
-            params["seed"] = seed
-        u = make_preset(preset, grid, params)
+        u = _preset_field(grid, preset, u_spec, seed, "initial.u")
     if th_spec:
         preset = _require(th_spec, "preset", str, "initial.theta")
         if preset not in _SCALAR_PRESETS:
             raise ConfigError(f"initial.theta preset must be a scalar preset, got {preset!r}")
-        params = dict(th_spec.get("params", {}))
-        if preset.startswith("random") and "seed" not in params:
-            params["seed"] = seed + 17
-        theta = make_preset(preset, grid, params)
+        theta = _preset_field(grid, preset, th_spec, seed + 17, "initial.theta")
     zero = zeros_like_state(grid)
     return State(u if u is not None else zero.u, theta if theta is not None else zero.theta)
 
@@ -241,13 +269,12 @@ def load_config(path):
 
     num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True)
     num_radii = numeric_option(raw, "sampler.num_radii", 12, integral=True)
-    sd = raw.get("sampler") or {}
     sampler = BallSampler(
         num_centers=num_centers,
         num_radii=num_radii,
-        rho_min=sd.get("rho_min"),
-        rho_max=sd.get("rho_max"),
-        jitter_seed=sd.get("jitter_seed"),
+        rho_min=numeric_option(raw, "sampler.rho_min", None),
+        rho_max=numeric_option(raw, "sampler.rho_max", None),
+        jitter_seed=numeric_option(raw, "sampler.jitter_seed", None, integral=True),
     )
     try:
         sampler.radii(grid)

@@ -49,6 +49,11 @@ product trapezoid as one prefix path, I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j)
 evaluation time: ``duhamel_residual`` and the bilinear checks are O(n_t).
 ``verify_linear_operator`` uses the exact kernel int_0^inf e^{-s k^2} ds = 1/k^2.
 
+A caller that reads each stored state once (the ``evolve`` subcommand's
+rows, the stability gaps) passes ``on_state(t, state)`` to ``evolve``: every
+stored state goes to it as soon as it is checked finite and is not kept, so
+the run holds one state instead of the trajectory.
+
 Stepping is sequential in time; within a step the multiplier arithmetic is
 data-parallel per mode.  Trajectories are immutable once produced and safe
 to share across threads for the verification operations.
@@ -209,11 +214,6 @@ class Trajectory:
 
     def theta_series(self):
         return SampledScalarSeries.from_trajectory(self)
-
-    def energy(self, i):
-        s = self.states[i]
-        w = self.grid.cell_volume
-        return 0.5 * w * float(np.sum(s.u.values**2) + np.sum(s.theta.values**2))
 
 
 def state_difference(a: State, b: State) -> State:
@@ -441,7 +441,8 @@ class _StateRHS:
 _MODES = ("full", "linearized", "navier-stokes")
 
 
-def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, store_stride=1):
+def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, store_stride=1,
+           on_state=None):
     """Integrate the mild formulation from ``initial`` up to ``t_end``.
 
     Modes: ``full`` (both nonlinearities), ``linearized`` (state-independent
@@ -450,6 +451,13 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     no temperature forcing, and ignores kappa).  ``extra`` holds one
     band row (``grid.band_shape``) per step node of one forcing period (or of
     the whole run without a forcing); its velocity rows must be Leray-projected.
+
+    A state is stored at t = 0, every ``store_stride`` steps and at ``t_end``.
+    Without ``on_state`` the stored states are returned as the Trajectory.
+    With it, ``on_state(t, state)`` receives each one as soon as it is
+    checked finite, nothing is kept, and the Trajectory returned has no
+    times or states, only ``meta``.  The consumer must not modify the state's
+    arrays: the next step reads them.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -500,9 +508,19 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
     th_hat = forward_coeffs(grid, initial.theta.values)
 
-    times = [0.0]
-    states = [_to_state(grid, u_hat, th_hat)]
-    start_values = (states[0].u.values, states[0].theta.values)
+    times = []
+    states = []
+
+    def store(t, state):
+        if on_state is None:
+            times.append(t)
+            states.append(state)
+        else:
+            on_state(t, state)
+
+    state = _to_state(grid, u_hat, th_hat)
+    start_values = (state.u.values, state.theta.values)
+    store(0.0, state)
     picard_iters_max = 0
 
     for i in range(n_steps):
@@ -515,6 +533,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         node_vel, node_th = compiled.step_samples(i)
         fixed_u = _weighted_sum(weights, [u_hat] + [r[0] for r in rows])
         fixed_th = _weighted_sum(weights, [th_hat] + [r[1] for r in rows])
+        del rows  # the m analytic rows are not held through the Picard loop
         _add_on_band(fixed_u, grid, zip((Wa, Wb), node_vel))
         _add_on_band(fixed_th, grid, zip((Wa, Wb), node_th))
 
@@ -568,8 +587,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
             start_values = (state.u.values, state.theta.values)
             if not (np.all(np.isfinite(start_values[0])) and np.all(np.isfinite(start_values[1]))):
                 raise ConvergenceError(f"stored state is not finite at step {i} (t = {t_b:.6g})")
-            times.append(t_b)
-            states.append(state)
+            store(t_b, state)
 
     return Trajectory(
         grid,

@@ -323,6 +323,11 @@ class State:
     def max_norm(self):
         return max(np.max(np.abs(self.u.values)), np.max(np.abs(self.theta.values)))
 
+    def energy(self):
+        """(1/2) int |u|^2 + theta^2 dx, summed over the grid points."""
+        w = self.grid.cell_volume
+        return 0.5 * w * float(np.sum(self.u.values**2) + np.sum(self.theta.values**2))
+
 
 # ---------------------------------------------------------------------------
 # transforms

@@ -171,14 +171,26 @@ def perturb_and_compare(
     forcing = problem.forcing
     forcing2 = replace(forcing, g=perturbed_g) if perturbed_g is not None else forcing
     mode = problem.mode if problem.mode in ("full", "navier-stokes") else "full"
-    traj1 = evolve(base.initial, forcing, t_max, cfg, mode=mode)
-    traj2 = evolve(perturbed_initial, forcing2, t_max, cfg, mode=mode)
+    # every step is stored, so the snapped time k dt is the state of step k
+    wanted = {round(t / cfg.dt): t for t in snapped}
+    base_states = {}
+
+    def keep_base(t, state):
+        k = round(t / cfg.dt)
+        if k in wanted:
+            base_states[k] = state
 
     rows = []
-    for t in snapped:
-        gap = state_difference(traj1.state_at(t), traj2.state_at(t))
-        wu, wth = _weighted_parts(gap, t, params, sampler)
-        rows.append((t, wu, wth, wu + wth))
+
+    def add_row(t, state):
+        k = round(t / cfg.dt)
+        if k in wanted:
+            gap = state_difference(base_states.pop(k), state)
+            wu, wth = _weighted_parts(gap, wanted[k], params, sampler)
+            rows.append((wanted[k], wu, wth, wu + wth))
+
+    evolve(base.initial, forcing, t_max, cfg, mode=mode, on_state=keep_base)
+    evolve(perturbed_initial, forcing2, t_max, cfg, mode=mode, on_state=add_row)
 
     g_gap = 0.0
     if perturbed_g is not None and forcing.g is not None:

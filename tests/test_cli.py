@@ -1,13 +1,19 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bqbox import DiagnosticsError, GridSpec, State, cli, read_field, write_field
+from bqbox import duhamel
 from bqbox.cli import main
-from bqbox.norms import gaussian_profile
+from bqbox.config import build_initial, load_config
+from bqbox.forcing import SampledSpectralForcing
+from bqbox.grid import spectral_divergence_residual
+from bqbox.norms import NormContext, gaussian_profile, state_norm
+from bqbox.report import write_csv
 
 BOX = 6.283185307179586
 
@@ -70,6 +76,107 @@ class TestEvolveCommand:
         assert snaps
         state = read_field(snaps[0])
         assert isinstance(state, State)
+
+
+def evolve_3d_config(**overrides):
+    """A forced, coupled 3-D full-mode run; N = 8 and 8 steps unless overridden."""
+    return evolve_config(**{
+        "grid": {"n": 3, "N": 8, "L": BOX},
+        "forcing": {
+            "period": 1.0, "kappa": 0.5,
+            "F": [{"harmonic": 0, "preset": "single-mode-tensor", "amplitude": 1e-3,
+                   "params": {"k": [0, 1, 0], "row": 0, "col": 1}}],
+            "f": [{"harmonic": 1, "phase": 0.3, "preset": "single-mode-vector",
+                   "amplitude": 1e-3, "params": {"k": [1, 0, 0], "component": 2}}],
+            "g": [{"harmonic": 0, "preset": "gravity", "params": {"G": 1.0}}],
+        },
+        "t_end": 0.5,
+        **overrides,
+    })
+
+
+def collected_evolve_outputs(config_path, outdir):
+    """``trajectory.csv`` and ``state_*.bqf`` built from the whole collected trajectory.
+
+    The reference for the streamed ``evolve`` subcommand: one ``evolve``
+    call returns every stored state, then each row is formed with the same
+    arithmetic in the same order.
+    """
+    cfg = load_config(config_path)
+    traj = duhamel.evolve(build_initial(cfg.raw, cfg.grid, cfg.seed), cfg.forcing, cfg.t_end,
+                          cfg.solve, mode=cfg.mode)
+    cols = [(f"xnorm_p{p.p:g}_lam{p.lam:g}", NormContext(p, cfg.sampler)) for p in cfg.norms]
+    w = cfg.grid.cell_volume
+    rows = []
+    for t, s in zip(traj.times, traj.states):
+        energy = 0.5 * w * float(np.sum(s.u.values**2) + np.sum(s.theta.values**2))
+        rows.append([t, energy, spectral_divergence_residual(s.u)]
+                    + [state_norm(s, ctx) for _, ctx in cols])
+    outdir.mkdir()
+    write_csv(outdir / "trajectory.csv",
+              ["time", "energy", "divergence_residual"] + [c[0] for c in cols], rows)
+    stride = cfg.options["snapshots"]
+    for i in range(0, len(traj.states), stride):
+        write_field(outdir / f"state_{i:05d}.bqf", traj.states[i])
+
+
+class TestEvolveStreaming:
+    """``bqbox evolve`` forms each row as its state arrives and keeps only the snapshots."""
+
+    @pytest.mark.parametrize("config", [evolve_config(snapshots=3),
+                                        evolve_3d_config(snapshots=3)], ids=["2d", "3d"])
+    def test_outputs_match_collected_trajectory(self, tmp_path, config):
+        path = write_config(tmp_path / "c.json", config)
+        assert main(["evolve", "--config", path, "--output", str(tmp_path / "streamed")]) == 0
+        collected_evolve_outputs(path, tmp_path / "collected")
+        names = sorted(p.name for p in (tmp_path / "collected").iterdir())
+        n_states = round(config["t_end"] / config["solve"]["dt"]) + 1
+        assert len(names) == 1 + len(range(0, n_states, 3))
+        assert sorted(p.name for p in (tmp_path / "streamed").iterdir()) == sorted(
+            names + ["manifest.json"])
+        for name in names:
+            got = (tmp_path / "streamed" / name).read_bytes()
+            assert got == (tmp_path / "collected" / name).read_bytes(), name
+
+    def test_peak_memory_is_one_step_plus_few_states(self, tmp_path):
+        # 3-D N = 16 over 64 steps against the same run over one step: the
+        # one-step run already holds the step's working arrays and the norm
+        # scans, so the difference is what the longer run keeps; collecting
+        # the trajectory would keep all 65 states
+        def peak(steps):
+            dt = 1.0 / 64
+            config = evolve_3d_config(grid={"n": 3, "N": 16, "L": BOX},
+                                      solve={"dt": dt, "substeps": 4}, t_end=steps * dt)
+            cfg = load_config(write_config(tmp_path / f"c{steps}.json", config))
+            outdir = tmp_path / f"out{steps}"
+            outdir.mkdir(exist_ok=True)
+            tracemalloc.start()
+            try:
+                cli._cmd_evolve(cfg, outdir)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        state_bytes = 4 * 16**3 * 8
+        peak(1)  # multiplier caches and imports outside the measured runs
+        one, many = peak(1), peak(64)
+        assert many < one + 4 * state_bytes
+
+    def test_nonfinite_stored_state_writes_nothing(self, tmp_path, monkeypatch):
+        # a NaN in the sampled temperature row of node 2 stops the run at step 1,
+        # after two stored states (one of them a snapshot) reached the consumer
+        g = GridSpec(n=3, N=8, L=BOX)
+        rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
+        rows[2][1, 2, 2] = np.nan
+        extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
+        real = duhamel.evolve
+        monkeypatch.setattr(cli, "evolve", lambda *a, **kw: real(*a, extra=extra, **kw))
+        path = write_config(tmp_path / "c.json", evolve_config(
+            grid={"n": 3, "N": 8, "L": BOX}, mode="linearized", t_end=0.25, snapshots=1))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", path, "--output", str(out)]) == 4
+        assert not (out / "trajectory.csv").exists()
+        assert not list(out.glob("state_*.bqf"))
 
 
 class TestNormsCommand:
@@ -324,6 +431,30 @@ class TestConfigErrors:
         ({"solve": {"dt": 0.125, "picard_max": 1.9}}, "solve.picard_max"),
         ({"sampler": {"num_centers": "x"}}, "sampler.num_centers"),
         ({"sampler": {"num_centers": 4, "num_radii": 2.5}}, "sampler.num_radii"),
+        # a JSON boolean is not a number, though bool is an int
+        ({"grid": {"n": 2, "N": 16, "L": True}}, "grid.L"),
+        ({"solve": {"dt": True, "substeps": 4}}, "solve.dt"),
+        ({"sampler": {"num_centers": 4, "num_radii": 4, "rho_max": "abc"}}, "sampler.rho_max"),
+        ({"sampler": {"num_centers": 4, "num_radii": 4, "rho_min": [0.5]}}, "sampler.rho_min"),
+        ({"sampler": {"num_centers": 4, "num_radii": 4, "jitter_seed": "x"}},
+         "sampler.jitter_seed"),
+        ({"sampler": {"num_centers": 4, "num_radii": 4, "jitter_seed": 1.5}},
+         "sampler.jitter_seed"),
+        ({"initial": {"u": {"preset": "taylor-green", "params": {"amplitude": "big"}}}},
+         "initial.u.params.amplitude"),
+        ({"initial": {"theta": {"preset": "gaussian-bump", "params": {"sigma": True}}}},
+         "initial.theta.params.sigma"),
+        ({"initial": {"theta": {"preset": "gaussian-bump",
+                                "params": {"sigma": 0.5, "center": [1.0]}}}},
+         "initial.theta.params.center"),
+        ({"initial": {"u": {"preset": "random-div-free", "params": {"seed": 2.5}}}},
+         "initial.u.params.seed"),
+        ({"forcing": {"period": 1.0, "F": [{"preset": "single-mode-tensor",
+                                            "params": {"k": "x"}}]}},
+         "forcing.F[0].params.k"),
+        ({"forcing": {"period": 1.0, "F": [{"preset": "single-mode-tensor",
+                                            "params": {"k": [0, 1], "row": "first"}}]}},
+         "forcing.F[0].params.row"),
     ])
     def test_bad_numeric_key(self, tmp_path, capsys, patch, key):
         cfg = write_config(tmp_path / "c.json", {**evolve_config(), **patch})

@@ -472,6 +472,42 @@ class TestPredictorReuse:
         assert default_calls == always_calls - saved
 
 
+class TestStateConsumer:
+    """``on_state`` sees every stored state, bit for bit, and nothing is kept."""
+
+    @pytest.mark.parametrize("mode, stride, n_steps", [
+        ("full", 1, 4), ("linearized", 1, 4), ("full", 3, 7), ("linearized", 3, 7),
+    ])
+    def test_same_sequence_as_collected(self, grid3d_small, mode, stride, n_steps):
+        # n_steps 7 at stride 3 stores steps 3, 6 and the short last step 7
+        g = grid3d_small
+        T = 1.0
+        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-2)
+        fv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1e-2)
+        gv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1.0)
+        forcing = ForcingSpec(period=T, kappa=0.5, F=constant_in_time(T, Ft),
+                              f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.3),)),
+                              g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
+        init = State(random_div_free(g, seed=2, amplitude=0.1), gaussian_profile(g, 0.2, 0.1))
+        cfg = SolveConfig(dt=T / 16, substeps=3)
+        eta = None
+        if mode == "linearized":
+            eta = SampledScalarSeries(np.arange(17) * cfg.dt,
+                                      [gaussian_profile(g, 0.2, 0.1)] * 17)
+        collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, eta=eta,
+                           store_stride=stride)
+        seen = []
+        streamed = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, eta=eta,
+                          store_stride=stride, on_state=lambda t, s: seen.append((t, s)))
+        assert [t for t, _ in seen] == list(collected.times)
+        assert len(collected.times) == {1: 5, 3: 4}[stride]
+        for (_, s), c in zip(seen, collected.states):
+            assert np.array_equal(s.u.values, c.u.values)
+            assert np.array_equal(s.theta.values, c.theta.values)
+        assert streamed.states == [] and len(streamed.times) == 0
+        assert streamed.meta == collected.meta
+
+
 class TestGCache:
     """g is evaluated once per evolve if it ignores t, and once per step time otherwise."""
 

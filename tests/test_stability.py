@@ -1,6 +1,7 @@
 """Weighted separation experiments, decay fits, and the closed-form constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from bqbox.presets import (
     single_mode_tensor,
     single_mode_vector,
 )
-from bqbox.stability import coupling_time_constant
+from bqbox.duhamel import state_difference
+from bqbox.stability import _weighted_parts, coupling_time_constant
 
 T = 0.5
 SP = dict(p=3.0, q=6.0, r=6.0, b=3.0)
@@ -215,6 +217,58 @@ class TestPerturbAndCompare:
         assert all(a >= b for a, b in zip(tail, tail[1:]))
         fit = fit_decay_exponent([(r[0], r[3]) for r in table.rows], window=(T, 6 * T))
         assert fit.slope <= -sp.alpha / 2.0
+
+    @staticmethod
+    def _perturbed(base):
+        g = base.initial.grid
+        gap = random_div_free(g, seed=5, amplitude=1e-4)
+        return State(VectorField(g, base.initial.u.values + gap.values), base.initial.theta)
+
+    def test_rows_match_collected_trajectories(self, grid3d_small):
+        # the gaps formed as the perturbed states arrive equal, bit for bit,
+        # those read from two whole collected trajectories
+        base = base_solution(grid3d_small)
+        pert = self._perturbed(base)
+        sp = StabilityParams(**SP)
+        table = perturb_and_compare(base, pert, None, sp, np.geomspace(T / 16, 2 * T, 7))
+        cfg = base.problem.cfg
+        sampler = BallSampler(num_centers=8, num_radii=6)
+        t_max = table.meta["t_max"]
+        traj1 = evolve(base.initial, base.problem.forcing, t_max, cfg, mode="full")
+        traj2 = evolve(pert, base.problem.forcing, t_max, cfg, mode="full")
+        want = []
+        for t in table.meta["snapped_times"]:
+            wu, wth = _weighted_parts(state_difference(traj1.state_at(t), traj2.state_at(t)),
+                                      t, sp, sampler)
+            want.append((t, wu, wth, wu + wth))
+        assert len(want) == 7
+        assert table.rows == want
+
+    def test_peak_memory_keeps_only_snapped_states(self, grid3d_small):
+        # a run over 64 steps against one over a single step: the single-step
+        # run already holds the evolve working arrays, the norm scans and one
+        # kept state, so the longer run may add only its other snapped states
+        # and a few more; two collected trajectories would add 2 * 64 states
+        base = base_solution(grid3d_small)
+        pert = self._perturbed(base)
+        sp = StabilityParams(**SP)
+        dt = base.problem.cfg.dt
+
+        def peak(t_grid):
+            tracemalloc.start()
+            try:
+                table = perturb_and_compare(base, pert, None, sp, t_grid)
+                return tracemalloc.get_traced_memory()[1], table
+            finally:
+                tracemalloc.stop()
+
+        peak([dt])  # multiplier caches outside the measured runs
+        one, _ = peak([dt])
+        many, table = peak(np.geomspace(dt, 64 * dt, 6))
+        snapped = table.meta["snapped_times"]
+        assert len(snapped) == 6 and snapped[-1] == 64 * dt
+        state_bytes = base.initial.u.values.nbytes + base.initial.theta.values.nbytes
+        assert many < one + (len(snapped) + 4) * state_bytes
 
     def test_g_gap_norm_reported(self, grid3d_small):
         g = grid3d_small
