@@ -32,7 +32,6 @@ from .forcing import (
     SampledScalarSeries,
     TimeFourierField,
     constant_in_time,
-    zero_forcing,
 )
 from .grid import (
     GridSpec,
@@ -44,7 +43,6 @@ from .grid import (
     forward_transform,
     inverse_transform,
     spectral_divergence_residual,
-    state_divergence_residual,
     zeros_like_state,
 )
 from .norms import (

@@ -52,7 +52,10 @@ evaluation time: ``duhamel_residual`` and the bilinear checks are O(n_t).
 A caller that reads each stored state once (the ``evolve`` subcommand's
 rows, the stability gaps) passes ``on_state(t, state)`` to ``evolve``: every
 stored state goes to it as soon as it is checked finite and is not kept, so
-the run holds one state instead of the trajectory.
+the run holds one state instead of the trajectory.  A step, in turn, holds
+only what its next read needs: the analytic rows are added one substep at a
+time, the start state goes once the predictor has read it, and the Picard
+iterates ping-pong between two buffers per field.
 
 Stepping is sequential in time; within a step the multiplier arithmetic is
 data-parallel per mode.  Trajectories are immutable once produced and safe
@@ -356,22 +359,6 @@ def _substep_weights(grid, h, m):
     return weights
 
 
-def _weighted_sum(weights, rows):
-    """sum_j weights[j] * rows[j] over the rows that are not None; None if all are.
-
-    The sum is a new array; no row is modified.
-    """
-    acc = None
-    for w, r in zip(weights, rows):
-        if r is None:
-            continue
-        if acc is None:
-            acc = w * r
-        else:
-            acc += w * r
-    return acc
-
-
 def _add_on_band(acc, grid, terms):
     """acc[band] += w * row for each (w, row) of ``terms`` in order, skipping absent rows.
 
@@ -432,6 +419,46 @@ class _StateRHS:
         if self.coupled:
             return advection_coeffs(grid, u, u, th, self._g_real(t), self.kappa)
         return advection_coeffs(grid, u, u, th)
+
+
+def _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i):
+    """Close the implicit endpoint x = fixed + Wb G_state(x, t_b) of step i by Picard iteration.
+
+    Starts from the predictor rows ``gs_b`` and returns (u_hat, th_hat,
+    iterations).  The iterates ping-pong between two buffers per field: each
+    is written over the one before the last, whose buffer then holds the
+    difference that the residual reads.
+    """
+    grid = state_rhs.grid
+    new_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_b[0])])
+    new_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_b[1])])
+    next_u, next_th = np.empty_like(new_u), np.empty_like(new_th)
+    for it in range(cfg.picard_max):
+        gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
+        np.copyto(next_u, fixed_u)
+        np.copyto(next_th, fixed_th)
+        _add_on_band(next_u, grid, [(Wb, gs_vb)])
+        _add_on_band(next_th, grid, [(Wb, gs_tb)])
+        diff_u = np.subtract(next_u, new_u, out=new_u)
+        diff_th = np.subtract(next_th, new_th, out=new_th)
+        # np.max, unlike max(), lets a NaN in either row through
+        res = float(np.max([np.max(np.abs(diff_u)), np.max(np.abs(diff_th))]))
+        if not np.isfinite(res):
+            raise ConvergenceError(
+                f"Picard residual is not finite at step {i} (t = {t_b:.6g})",
+                residual=res,
+            )
+        scale = max(float(np.max(np.abs(next_u))), float(np.max(np.abs(next_th))), 1e-30)
+        if res <= cfg.picard_tol * scale:
+            return next_u, next_th, it + 1
+        new_u, next_u = next_u, diff_u
+        new_th, next_th = next_th, diff_th
+    raise ConvergenceError(
+        f"Picard iteration did not reach {cfg.picard_tol} "
+        f"(last residual {res / scale:.3e}); the smallness hypotheses "
+        "are violated numerically",
+        residual=res / scale,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +529,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     _, Wa, Wb = _step_factors(grid, dt, factors, band=True)
     m = cfg.substeps
     h_s = dt / (m - 1)
-    # the propagated state and the analytic rows at the m substep nodes
-    weights = [E] + (_substep_weights(grid, dt, m) if compiled.analytic else [None] * m)
+    # the weights A_j of the analytic rows at the m substep nodes
+    substep_weights = _substep_weights(grid, dt, m) if compiled.analytic else []
 
     u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
     th_hat = forward_coeffs(grid, initial.theta.values)
@@ -527,13 +554,16 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         t_a = i * dt
         t_b = (i + 1) * dt
 
-        rows = [(None, None)] * m
-        if compiled.analytic:
-            rows = [compiled.rows_at(t_a + j * h_s) for j in range(m)]
+        # E x + sum_j A_j r_j, one pair of analytic rows at a time
+        fixed_u, fixed_th = E * u_hat, E * th_hat
+        for j, A in enumerate(substep_weights):
+            vel, th = compiled.rows_at(t_a + j * h_s)
+            if vel is not None:
+                fixed_u += A * vel
+            if th is not None:
+                fixed_th += A * th
+        vel = th = None  # the last rows are not held through the step
         node_vel, node_th = compiled.step_samples(i)
-        fixed_u = _weighted_sum(weights, [u_hat] + [r[0] for r in rows])
-        fixed_th = _weighted_sum(weights, [th_hat] + [r[1] for r in rows])
-        del rows  # the m analytic rows are not held through the Picard loop
         _add_on_band(fixed_u, grid, zip((Wa, Wb), node_vel))
         _add_on_band(fixed_th, grid, zip((Wa, Wb), node_th))
 
@@ -546,40 +576,15 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
             # predictor: freeze the endpoint nonlinearity at the start state; a
             # time-independent G_state gives back the start evaluation
             if state_rhs.time_dependent:
-                gs_vb, gs_tb = state_rhs(u_hat, th_hat, t_b, start_values)
+                gs_b = state_rhs(u_hat, th_hat, t_b, start_values)
             else:
-                gs_vb, gs_tb = gs_va, gs_ta
-            new_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_vb)])
-            new_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_tb)])
-            converged = False
-            for it in range(cfg.picard_max):
-                gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
-                next_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_vb)])
-                next_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_tb)])
-                # np.max, unlike max(), lets a NaN in either row through
-                res = float(np.max([np.max(np.abs(next_u - new_u)),
-                                    np.max(np.abs(next_th - new_th))]))
-                if not np.isfinite(res):
-                    raise ConvergenceError(
-                        f"Picard residual is not finite at step {i} (t = {t_b:.6g})",
-                        residual=res,
-                    )
-                scale = max(
-                    float(np.max(np.abs(next_u))), float(np.max(np.abs(next_th))), 1e-30
-                )
-                new_u, new_th = next_u, next_th
-                picard_iters_max = max(picard_iters_max, it + 1)
-                if res <= cfg.picard_tol * scale:
-                    converged = True
-                    break
-            if not converged:
-                raise ConvergenceError(
-                    f"Picard iteration did not reach {cfg.picard_tol} "
-                    f"(last residual {res / scale:.3e}); the smallness hypotheses "
-                    "are violated numerically",
-                    residual=res / scale,
-                )
-            u_hat, th_hat = new_u, new_th
+                gs_b = gs_va, gs_ta
+            # the start state and its rows are not read again in this step
+            u_hat = th_hat = state = start_values = gs_va = gs_ta = None
+            u_hat, th_hat, iters = _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i)
+            picard_iters_max = max(picard_iters_max, iters)
+        # only the state goes into the next step
+        fixed_u = fixed_th = gs_b = None
 
         start_values = None
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:

@@ -105,10 +105,6 @@ class ForcingSpec:
         return None
 
 
-def zero_forcing(period=1.0):
-    return ForcingSpec(period=period)
-
-
 @dataclass
 class SampledScalarSeries:
     """A scalar field known at node times; linear interpolation in between."""

@@ -352,13 +352,14 @@ def forward_coeffs(grid, values):
 def band_coeffs(grid, values):
     """``forward_coeffs(grid, values)[grid.band]``, transforming only the lines the band keeps.
 
-    ``rfft`` on the last axis keeps k_last <= N//3; then each leading axis,
-    in the order ``fftn`` takes them (axis -2, then -3), gets its own
-    ``fftn`` call and is cut to the band rows before the next, so later
-    transforms see only band lines.  Every line is the 1-D transform
-    ``forward_coeffs`` makes of it, so the result equals its band bit for bit.
+    ``rfft`` on the last axis keeps k_last <= N//3, copied so the whole
+    ``rfft`` output is freed at once; then each leading axis, in the order
+    ``fftn`` takes them (axis -2, then -3), gets its own ``fftn`` call and is
+    cut to the band rows before the next, so later transforms see only band
+    lines.  Every line is the 1-D transform ``forward_coeffs`` makes of it,
+    so the result equals its band bit for bit.
     """
-    coeffs = np.fft.rfft(values, axis=-1, norm="forward")[..., : grid.N // 3 + 1]
+    coeffs = np.fft.rfft(values, axis=-1, norm="forward")[..., : grid.N // 3 + 1].copy()
     for ax in reversed(_leading_axes(grid)):
         coeffs = np.take(np.fft.fftn(coeffs, axes=(ax,), norm="forward"), grid.band_rows, axis=ax)
     return coeffs
@@ -450,10 +451,6 @@ def spectral_divergence_residual(u, coeffs=None):
     kmag = grid.deriv_k_norm
     np.divide(dot, kmag, out=dot, where=kmag > 0)
     return float(np.max(dot) / peak)
-
-
-def state_divergence_residual(state):
-    return spectral_divergence_residual(state.u)
 
 
 def zeros_like_state(grid):

@@ -27,9 +27,13 @@ ladder (at most N/2, since rho <= L/2); a ball is then a fixed set of flat
 offsets into the padded array, cached per radius, and a center is one flat
 index.  Each radius gathers ``padded[start + offset]`` for a chunk of
 centers at a time, with at most ``_GATHER_CHUNK_VALUES`` values per chunk,
-so the transient memory of a scan is bounded whatever the ball size.  The
-sorted values of a ball do not depend on the gather order, so the table is
-the same, bit for bit, as that of a modulo gather.
+into one scan buffer that the table allocates once and reuses for every
+radius and chunk.  The gather fills the buffer a center at a time, so no
+index array of the chunk is built; the q = inf rows are then sorted in place
+and reduced by an in-place prefix sum.  The scan thus holds the padded field
+and one buffer, whatever the ball size.  The sorted values of a ball do not
+depend on the gather order, so the table is the same, bit for bit, as that
+of a modulo gather.
 
 Norm evaluations are pure functions of immutable fields; individual ball
 evaluations are independent and the final sup is an associative reduction,
@@ -143,7 +147,8 @@ class BallSampler:
 
 
 # Cap on the values one gather produces: centers are scanned in chunks of
-# at most this many ball values, which bounds the transient memory of a scan.
+# at most this many ball values, and the table's one scan buffer (reused for
+# every radius and chunk, sorted and prefix-summed in place) holds that many.
 _GATHER_CHUNK_VALUES = 1 << 22
 
 
@@ -191,10 +196,20 @@ def _pad_periodic(grid, values, width, centers):
     return padded, starts
 
 
-def _gather_ball_values(grid, padded, width, starts, rho):
-    """Padded values on the ball of radius rho around each start, shape (C, m)."""
+def _gather_ball_values(grid, padded, width, starts, rho, out=None):
+    """Padded values on the ball of radius rho around each start, shape (C, m).
+
+    Fills ``out`` (a new array if None) one center row at a time, so no
+    (C, m) index array is built, and returns it.  Every index lies inside
+    ``padded`` by the choice of ``width``; ``mode="clip"`` only skips the
+    buffered bounds check of the default mode.
+    """
     offsets = _flat_ball_offsets(grid.n, grid.N, grid.L, float(rho), width)
-    return padded[starts[:, np.newaxis] + offsets[np.newaxis, :]]
+    if out is None:
+        out = np.empty((len(starts), offsets.size), dtype=padded.dtype)
+    for start, row in zip(starts, out):
+        np.take(padded, start + offsets, out=row, mode="clip")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +220,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _weak_norm_rows(sorted_desc, w, p):
-    """t^{1/p} f**(t) maximized over step endpoints, one value per row."""
+    """t^{1/p} f**(t) maximized over step endpoints, one value per row.
+
+    For finite p the rows are overwritten by their prefix sums.
+    """
     if p == INF:
         return sorted_desc[:, 0]
     m = sorted_desc.shape[1]
-    S = np.cumsum(sorted_desc, axis=1)
+    S = np.cumsum(sorted_desc, axis=1, out=sorted_desc)
     S *= w
     S *= (np.arange(1, m + 1) * w) ** (1.0 / p - 1.0)
     return np.max(S, axis=1)
@@ -323,17 +341,20 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     radii = sampler.radii(grid)
     width = max(_ball_reach(grid, rho) for rho in radii)
     padded, starts = _pad_periodic(grid, values, width, centers)
+    sizes = [_ball_offsets(grid.n, grid.N, grid.L, float(rho)).shape[0] for rho in radii]
+    chunks = [min(len(starts), max(1, _GATHER_CHUNK_VALUES // m)) for m in sizes]
+    scan = np.empty(max(c * m for c, m in zip(chunks, sizes)), dtype=padded.dtype)
     rows = []
-    for rho in radii:
+    for rho, m, chunk in zip(radii, sizes, chunks):
         weight = float(rho) ** (-params.lam / params.p)
-        m = _ball_offsets(grid.n, grid.N, grid.L, float(rho)).shape[0]
-        chunk = max(1, _GATHER_CHUNK_VALUES // m)
         for lo in range(0, len(starts), chunk):
-            gathered = _gather_ball_values(grid, padded, width, starts[lo:lo + chunk], rho)
+            part = starts[lo:lo + chunk]
+            gathered = _gather_ball_values(grid, padded, width, part, rho,
+                                           out=scan[:len(part) * m].reshape(len(part), m))
             if params.q == INF:
-                # rebinding frees the unsorted chunk before the reduction allocates
-                gathered = np.sort(gathered, axis=1)[:, ::-1]
-                local = _weak_norm_rows(gathered, w, params.p) * weight
+                # ascending in place, read reversed: NaN comes first, as in a descending copy
+                gathered.sort(axis=1)
+                local = _weak_norm_rows(gathered[:, ::-1], w, params.p) * weight
             else:
                 local = [_lorentz_from_values(g, w, params.p, params.q) * weight
                          for g in gathered]

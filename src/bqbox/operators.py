@@ -17,8 +17,8 @@ products of u (x) u are transformed), through the real multiplier
 adds the coupling kappa dealias(theta g) before the single Leray
 projection of the velocity row, so the full-mode right-hand side costs one
 projection.  Both kernels return band rows (``GridSpec.band_shape``, the
-2/3-rule band): the products are transformed by
-:func:`bqbox.grid.band_coeffs`, which visits only the lines the band keeps,
+2/3-rule band): the products are formed and transformed one at a time
+by :func:`bqbox.grid.band_coeffs`, which visits only the lines the band keeps,
 and the derivative and Leray multipliers are their band restrictions.
 Callers add the rows into a half-spectrum state where they meet it
 (``state[grid.band] += w * row``).
@@ -119,6 +119,20 @@ def _neg_dealiased_div(grid, columns, out=None):
     return out
 
 
+def _band_products(grid, pairs):
+    """``band_coeffs`` of each product a * b of the real arrays in ``pairs``, stacked.
+
+    One product is formed and transformed at a time in one reused buffer, so
+    no stack of products or of their ``rfft`` outputs exists; each line is
+    transformed as in a stacked call, so the rows match it bit for bit.
+    """
+    rows = np.empty((len(pairs),) + grid.band_shape, dtype=complex)
+    product = np.empty(grid.shape)
+    for row, (a, b) in zip(rows, pairs):
+        row[...] = band_coeffs(grid, np.multiply(a, b, out=product))
+    return rows
+
+
 def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
     """Band rows (-P div(u_a (x) u_b) [+ kappa P(theta_b g)], -div(u_a theta_b)) from real values.
 
@@ -135,19 +149,17 @@ def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
     n = grid.n
     if u_b is u_a:
         i, j, pair = _symmetric_pairs(n)
-        uu = np.empty((len(i),) + grid.shape)
-        for p, (a, b) in enumerate(zip(i, j)):
-            np.multiply(u_a[a], u_a[b], out=uu[p])  # no gathered copies of u
-        uu_hat = band_coeffs(grid, uu)
+        uu_hat = _band_products(grid, [(u_a[a], u_a[b]) for a, b in zip(i, j)])
         tensor = [[uu_hat[pair[r, c]] for c in range(n)] for r in range(n)]
     else:
-        tensor = band_coeffs(grid, u_a[:, np.newaxis] * u_b[np.newaxis, :])
+        tensor = _band_products(grid, [(a, b) for a in u_a for b in u_b])
+        tensor = tensor.reshape((n, n) + grid.band_shape)
     vel = np.empty((n,) + grid.band_shape, dtype=complex)
     for r in range(n):
         _neg_dealiased_div(grid, tensor[r], out=vel[r])
-    th_row = _neg_dealiased_div(grid, band_coeffs(grid, u_a * th_b[np.newaxis]))
+    th_row = _neg_dealiased_div(grid, _band_products(grid, [(a, th_b) for a in u_a]))
     if g is not None:
-        coupling = band_coeffs(grid, th_b[np.newaxis] * g)
+        coupling = _band_products(grid, [(th_b, gj) for gj in g])
         coupling *= kappa
         vel += coupling
     vel = leray_coeffs(grid, vel)
@@ -157,7 +169,7 @@ def advection_coeffs(grid, u_a, u_b, th_b, g=None, kappa=0.0):
 
 def buoyancy_coeffs(grid, th, g, kappa):
     """Band row of the coupling kappa P(theta g) from real values, with its mean removed."""
-    c = leray_coeffs(grid, band_coeffs(grid, th[np.newaxis] * g))
+    c = leray_coeffs(grid, _band_products(grid, [(th, gj) for gj in g]))
     c[(Ellipsis,) + (0,) * grid.n] = 0.0
     return kappa * c
 

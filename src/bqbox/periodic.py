@@ -260,11 +260,19 @@ def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
     )
 
 
+def _sup_states(traj: Trajectory, ctx: NormContext) -> Trajectory:
+    """``traj`` keeping only the stored states :func:`_sup_increment` reads; the others are None."""
+    keep = set(sup_time_indices(len(traj.times), ctx.time_stride))
+    states = [s if i in keep else None for i, s in enumerate(traj.states)]
+    return Trajectory(traj.grid, traj.times, states, traj.meta)
+
+
 def _sup_increment(nxt: Trajectory, current: Trajectory, ctx: NormContext) -> float:
     """``trajectory_sup_norm(trajectory_difference(nxt, current), ctx)``, one state at a time.
 
     Reads the stored states of :func:`trajectory_sup_norm` (``ctx.time_stride``,
-    the last always), so no difference trajectory is held.
+    the last always), so no difference trajectory is held and ``current``
+    may be cut to those states (:func:`_sup_states`).
     """
     idx = sup_time_indices(len(nxt.times), ctx.time_stride)
     return float(np.max([state_norm(state_difference(nxt.states[i], current.states[i]), ctx)
@@ -311,9 +319,17 @@ def nonlinear_periodic(
         zero_eta = SampledScalarSeries(times=node_times,
                                        fields=[zero_field] * len(node_times))
     for m in range(1, outer_max + 1):
-        extra = None  # the last iterate's rows go before the next are built
-        eta_series = current.theta_series() if current is not None else zero_eta
-        extra = _frozen_extra(current) if current is not None else None
+        # the rows of the iterate before go before the next are built, and
+        # ``nxt`` must not keep the whole of ``current`` alive
+        extra = nxt = None
+        eta_series = zero_eta
+        if current is not None:
+            eta_series = current.theta_series()
+            extra = _frozen_extra(current)
+            # the solve reads this iterate only through eta and the frozen rows,
+            # and the increment reads its sup states (state 0, the datum, among
+            # them), so the velocities of the other states go before the solve
+            current = _sup_states(current, ctx)
         nxt = _linear_periodic_solve(problem, eta_series, extra)
         if current is None:
             delta = trajectory_sup_norm(nxt, ctx)

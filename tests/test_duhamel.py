@@ -1,6 +1,7 @@
 """Duhamel increments, the exponential integrator, and the estimate checks."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from bqbox.duhamel import (
     _StateRHS,
     _substep_weights,
     _trap_weights,
-    _weighted_sum,
 )
 from bqbox.forcing import (
     HarmonicTerm,
@@ -508,6 +508,41 @@ class TestStateConsumer:
         assert streamed.meta == collected.meta
 
 
+class TestStepWorkingSet:
+    """One full-mode step holds a few states of working arrays, not the sums of all its parts."""
+
+    def test_peak_of_a_step_in_states(self):
+        # 3-D N = 16 with F, a harmonic-1 f and a harmonic-1 g (so the
+        # predictor makes its own right-hand-side call), stored states
+        # discarded: what stays is the forcing rows, the step factors, the g
+        # cache and one step's arrays; the analytic substep rows held at once,
+        # the Picard copies, the start state held through the Picard loop, and
+        # the stacked products with their whole rfft outputs put it at 15 states
+        g = GridSpec(n=3, N=16, L=2 * np.pi)
+        T = 1.0
+        Ft = random_smooth_tensor(g, seed=4, amplitude=1e-3)
+        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
+        gv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1.0)
+        forcing = ForcingSpec(period=T, kappa=0.3, F=constant_in_time(T, Ft),
+                              f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
+                              g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
+        init = State(random_div_free(g, seed=2, amplitude=1e-2), gaussian_profile(g, 0.5, 1e-2))
+        cfg = SolveConfig(dt=T / 16, substeps=4)
+
+        def peak(steps):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evolve(init, forcing, steps * cfg.dt, cfg, mode="full", on_state=lambda t, s: None)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        state_bytes = 4 * 16**3 * 8
+        peak(1)  # multiplier caches outside the measured runs
+        assert peak(4) < 12 * state_bytes
+
+
 class TestGCache:
     """g is evaluated once per evolve if it ignores t, and once per step time otherwise."""
 
@@ -548,13 +583,8 @@ class TestStepQuadrature:
         want = 0.0
         for j in range(m - 1):
             want = want * E_s + Wa_s * rows[j] + Wb_s * rows[j + 1]
-        got = _weighted_sum(_substep_weights(g, dt, m), rows)
+        got = sum(A * r for A, r in zip(_substep_weights(g, dt, m), rows))
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-
-    def test_weighted_sum_skips_absent_rows(self):
-        w = [np.array([2.0]), np.array([3.0]), np.array([5.0])]
-        assert _weighted_sum(w, [None, None, None]) is None
-        assert np.array_equal(_weighted_sum(w, [None, np.array([1.0]), np.array([1.0])]), [8.0])
 
     def test_divergence_free_without_per_step_projection(self, grid3d_small):
         # every increment is projected where it is made, so 256 full-mode steps

@@ -408,9 +408,9 @@ class TestPaddedBallScan:
         calls = []
         gather = norms_mod._gather_ball_values
 
-        def spy(grid, padded, width, starts, rho):
+        def spy(grid, padded, width, starts, rho, out=None):
             calls.append((float(rho), len(starts)))
-            return gather(grid, padded, width, starts, rho)
+            return gather(grid, padded, width, starts, rho, out=out)
 
         monkeypatch.setattr(norms_mod, "_gather_ball_values", spy)
         for sampler in (BallSampler(num_centers=16, num_radii=5, jitter_seed=N),
@@ -466,7 +466,45 @@ class TestPaddedBallScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 256 * 2**20
+        # the padded field (16 MiB) and the one scan buffer (32 MiB): no index
+        # array and no sorted or prefix-summed copy of a chunk
+        assert peak < 72 * 2**20
+
+    @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
+    def test_gather_into_buffer_returns_it(self, n, N, L):
+        g = any_grid(n, N, L)
+        rng = np.random.Generator(np.random.Philox(7 * N + n))
+        values = rng.standard_normal(N**n)
+        centers = rng.integers(0, N, size=(7, n))
+        for rho in (0.3 * g.cell_size, 1.5 * g.cell_size, 0.31 * L, L / 2.0):
+            width = norms_mod._ball_reach(g, rho)
+            padded, starts = norms_mod._pad_periodic(g, values, width, centers)
+            offsets = norms_mod._flat_ball_offsets(n, N, L, float(rho), width)
+            want = padded[starts[:, np.newaxis] + offsets[np.newaxis, :]]  # index-array gather
+            buf = np.full(want.shape, np.nan)
+            got = norms_mod._gather_ball_values(g, padded, width, starts, rho, out=buf)
+            assert got is buf
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, modulo_gather(g, values, centers, rho))
+            assert np.array_equal(norms_mod._gather_ball_values(g, padded, width, starts, rho), want)
+
+    @pytest.mark.parametrize("p", [INF, 3.0])
+    def test_nan_cell_gives_nan_rows(self, p):
+        # the in-place ascending sort read reversed puts NaN first, as the
+        # descending copy did, so every ball holding the NaN cell reads NaN
+        g = GridSpec(n=2, N=16, L=1.0)
+        values = gaussian_profile(g, 0.2).values.copy()
+        values[3, 5] = np.nan
+        sampler = BallSampler(num_centers=16, num_radii=4)
+        rows = morrey_lorentz_table(ScalarField(g, values), NormParams(p=p, lam=0.5), sampler)
+        centers = sampler.centers(g)
+        holds_nan = np.concatenate([
+            np.isnan(modulo_gather(g, values.ravel(), centers, rho)).any(axis=1)
+            for rho in sampler.radii(g)
+        ])
+        got = np.array([r.local_norm for r in rows])
+        assert holds_nan.any() and not holds_nan.all()
+        assert np.array_equal(np.isnan(got), holds_nan)
 
     def test_non_positive_ladder_rejected(self, grid2d):
         for bad in (0.0, -0.1):

@@ -20,9 +20,10 @@ from bqbox import (
     tensor_divergence,
     verify_dispersive,
 )
-from bqbox.grid import forward_coeffs, forward_transform, inverse_values
+from bqbox.grid import band_coeffs, forward_coeffs, forward_transform, inverse_values
 from bqbox.norms import BallSampler, gaussian_profile
 from bqbox.operators import (
+    _band_products,
     advection_coeffs,
     buoyancy_coeffs,
     dealias_coeffs,
@@ -220,6 +221,18 @@ class TestAdvectionKernel:
         vel_ref, th_ref = advection_coeffs(g, u, u.copy(), th)
         assert np.array_equal(vel, vel_ref)
         assert np.array_equal(th_row, th_ref)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (3, 16), (3, 32)])
+    def test_products_one_at_a_time_match_stacked_transform(self, n, N):
+        g = GridSpec(n=n, N=N, L=2.0 * np.pi)
+        rng = np.random.Generator(np.random.Philox(20 + n))
+        u = rng.standard_normal((n,) + g.shape)
+        th = rng.standard_normal(g.shape)
+        pairs = [(u[a], u[b]) for a in range(n) for b in range(a, n)] + [(c, th) for c in u]
+        got = _band_products(g, pairs)
+        want = band_coeffs(g, np.stack([a * b for a, b in pairs]))
+        assert got.shape == want.shape == (len(pairs),) + g.band_shape
+        assert np.array_equal(got, want)
 
     @staticmethod
     def _composed(g, u_a, u_b, th, gv, kappa):

@@ -1,6 +1,7 @@
 """Periodic-orbit construction: Poincare map, averaging, resolvent, fixed point."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
-from bqbox.duhamel import trajectory_difference
+from bqbox.duhamel import state_difference, trajectory_difference
 from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
-from bqbox.norms import gaussian_profile, trajectory_sup_norm
+from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
 from bqbox.operators import div_coeffs, heat_semigroup
 from bqbox.presets import (
     random_div_free,
@@ -417,6 +418,38 @@ class TestNonlinearPeriodic:
         assert np.max(np.abs(ns.trajectory.states[-1].theta.values)) == 0.0
 
 
+def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx):
+    """The outer loop as it was before iterates were cut to their sup states.
+
+    Every iterate is kept whole until the next replaces it; returns the
+    history, datum, residuals and sup norm :func:`nonlinear_periodic` reports.
+    """
+    grid = problem.grid
+    current, history = None, []
+    node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
+    zero_eta = SampledScalarSeries(times=node_times,
+                                   fields=[ScalarField(grid, np.zeros(grid.shape))] * len(node_times))
+    for m in range(1, outer_max + 1):
+        eta_series = current.theta_series() if current is not None else zero_eta
+        extra = periodic_mod._frozen_extra(current) if current is not None else None
+        nxt = periodic_mod._linear_periodic_solve(problem, eta_series, extra)
+        if current is None:
+            delta = trajectory_sup_norm(nxt, ctx)
+        else:
+            idx = sup_time_indices(len(nxt.times), ctx.time_stride)
+            delta = float(np.max([state_norm(state_difference(nxt.states[i], current.states[i]), ctx)
+                                  for i in idx]))
+        ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
+        history.append((m, delta, ratio))
+        current = nxt
+        if delta < outer_tol:
+            break
+    datum = current.states[0]
+    certify = evolve(datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode)
+    res_max, res_norm = check_periodicity(certify, ctx)
+    return history, datum, res_max, res_norm, trajectory_sup_norm(certify, ctx)
+
+
 class TestNonlinearPeriodicMemory:
     """The outer loop holds no difference trajectory, and the certify run holds no loop state."""
 
@@ -457,6 +490,47 @@ class TestNonlinearPeriodicMemory:
             ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
             got = periodic_mod._sup_increment(iterates[1], iterates[0], ctx_s)
             assert got == trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
+
+    def test_outputs_match_collected_loop(self):
+        prob, ctx = self._problem()
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        history, datum, res_max, res_norm, sol_norm = collected_nonlinear_periodic(
+            prob, 1e-10, 16, ctx)
+        assert len(history) >= 3
+        np.testing.assert_array_equal(np.array(sol.history), np.array(history))
+        assert np.array_equal(sol.initial.u.values, datum.u.values)
+        assert np.array_equal(sol.initial.theta.values, datum.theta.values)
+        assert (sol.residual_max, sol.residual_norm) == (res_max, res_norm)
+        assert sol.meta["solution_h_norm"] == sol_norm
+
+    def test_off_sup_states_released_once_frozen(self, monkeypatch):
+        # when the next linear solve starts, the last iterate's frozen rows and
+        # eta exist; of its states only those the increment reads are alive,
+        # and eta still holds a temperature for every one of them
+        prob, ctx = self._problem()
+        iterates = []  # per iterate, weak references to each state and its velocity values
+        checked = []
+        solve = periodic_mod._linear_periodic_solve
+
+        def spy(problem, eta_series, extra):
+            if iterates:
+                assert extra is not None
+                last = iterates[-1]
+                keep = set(sup_time_indices(len(last), ctx.time_stride))
+                assert 0 in keep and len(keep) < len(last)
+                for i, (state, u_values) in enumerate(last):
+                    assert (state() is not None) == (i in keep), i
+                    assert (u_values() is not None) == (i in keep), i
+                assert len(eta_series.fields) == len(last)
+                checked.append(len(iterates))
+            traj = solve(problem, eta_series, extra)
+            iterates.append([(weakref.ref(s), weakref.ref(s.u.values)) for s in traj.states])
+            return traj
+
+        monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        assert checked == list(range(1, len(sol.history)))
+        assert len(checked) >= 2
 
     def test_peak_memory_in_stored_trajectories(self):
         # the loop holds the current and the next iterate (two trajectories)
