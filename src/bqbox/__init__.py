@@ -6,6 +6,8 @@ inversion, nonlinear periodic solutions by a frozen-nonlinearity contraction,
 and Lorentz / Morrey-Lorentz norm diagnostics.
 """
 
+__version__ = "0.1.0"  # the one source: pyproject.toml and every manifest read it
+
 from .duhamel import (
     SolveConfig,
     Trajectory,

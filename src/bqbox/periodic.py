@@ -6,10 +6,17 @@ routes to the fixed datum are implemented and cross-validated:
 
 * Cesaro averaging of the orbit of 0, (1/n) sum_{k<=n} P^k(0), whose error
   decays like O(1/n) because the discrete map contracts on the mean-free
-  subspace (the torus spectral gap); the orbit is advanced one period at a
-  time and stops at the first converged mean, so ``n_max`` only caps it;
+  subspace (the torus spectral gap); c = P(0) is one stepped period, and
+  the orbit P^n(0) = e^{-TL} P^{n-1}(0) + c is then advanced on the affine
+  map in coefficient space, one multiply-add per period, until the first
+  converged mean, so ``n_max`` only caps it;
 * a direct per-mode resolvent inversion (I - e^{-TL})^{-1} c, exact up to
   solver tolerance, used as the independent oracle.
+
+Both routes rest on the same stepped image c = P(0), so their agreement
+checks the averaging and the inversion, not c itself; the Cesaro datum is
+certified by a stepped one-period evolve from it, which reads neither c nor
+the affine orbit.
 
 The nonlinear periodic solution is a fixed point of the outer map that
 freezes the whole nonlinearity along the current periodic iterate, solves
@@ -30,7 +37,14 @@ import numpy as np
 from .duhamel import SolveConfig, Trajectory, _to_state, evolve, state_difference
 from .errors import ConfigError, ConvergenceError, HypothesisError
 from .forcing import ForcingSpec, SampledScalarSeries, SampledSpectralForcing
-from .grid import ScalarField, State, VectorField, forward_coeffs, zeros_like_state
+from .grid import (
+    ScalarField,
+    State,
+    VectorField,
+    forward_coeffs,
+    inverse_values,
+    zeros_like_state,
+)
 from .norms import (
     BallSampler,
     NormContext,
@@ -39,7 +53,7 @@ from .norms import (
     sup_time_indices,
     trajectory_sup_norm,
 )
-from .operators import advection_coeffs, leray_coeffs
+from .operators import advection_coeffs, leray_coeffs, semigroup_factor
 
 _MEAN_TOL = 1e-12
 
@@ -150,6 +164,17 @@ def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
         raise ConfigError(f"{tol_name} must be finite and > 0, got {tol}")
 
 
+def _affine_period(decay, z_hat, c_hat):
+    """One period of the affine map, P^n(0) = e^{-TL} P^{n-1}(0) + c, in place.
+
+    ``z_hat`` and ``c_hat`` are (velocity, temperature) coefficient pairs;
+    ``decay`` is e^{-TL} per mode.
+    """
+    for z, c in zip(z_hat, c_hat):
+        z *= decay
+        z += c
+
+
 def cesaro_periodic_datum(
     problem: PeriodicProblem,
     n_max=256,
@@ -159,28 +184,38 @@ def cesaro_periodic_datum(
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.
 
-    The orbit P^n(0) = P(P^{n-1}(0)) is built one period at a time through
-    :func:`poincare_map` and stops at the first n > 1 whose mean increment
-    is below ``tol``; ``n_max`` only caps the number of periods.  The
-    history records (n, ||P_n - P_{n-1}||, ||P_n - reference||) per
-    period; the error column needs ``reference`` (e.g. the resolvent datum).
-    Raises ConvergenceError carrying the history when n_max is hit first,
-    or at once when an increment is not finite.
+    c = P(0) is the one stepped period (:func:`poincare_map`).  Linearized
+    dynamics have no state-dependent right-hand side, so P is affine and the
+    orbit P^n(0) = e^{-TL} P^{n-1}(0) + c is advanced in coefficient space,
+    holding only c and the current term; each term is transformed back for
+    the mean.  It stops at the first n > 1 whose mean increment is below
+    ``tol``; ``n_max`` only caps the number of periods.  The history records
+    (n, ||P_n - P_{n-1}||, ||P_n - reference||) per period; the error column
+    needs ``reference`` (e.g. the resolvent datum).  Raises ConvergenceError
+    carrying the history when n_max is hit first, or at once when an
+    increment is not finite.  The certifying run is a stepped evolve from
+    the datum.
     """
     if problem.mode != "linearized":
         raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
     _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
-    z = zeros_like_state(grid)
-    mean_u = np.zeros_like(z.u.values)
-    mean_th = np.zeros_like(z.theta.values)
+    c = poincare_map(zeros_like_state(grid), problem)  # P(0), the orbit's first term
+    z_u, z_th = c.u.values, c.theta.values
+    c_hat = (forward_coeffs(grid, z_u), forward_coeffs(grid, z_th))
+    z_hat = tuple(part.copy() for part in c_hat)
+    decay = semigroup_factor(grid, problem.period)
+    mean_u = np.zeros_like(z_u)
+    mean_th = np.zeros_like(z_th)
     history = []
     converged_at = None
     for n in range(1, n_max + 1):
-        z = poincare_map(z, problem)  # P^n(0)
+        if n > 1:
+            _affine_period(decay, z_hat, c_hat)
+            z_u, z_th = (inverse_values(grid, part) for part in z_hat)
         prev_u, prev_th = mean_u, mean_th
-        mean_u = prev_u + (z.u.values - prev_u) / n
-        mean_th = prev_th + (z.theta.values - prev_th) / n
+        mean_u = prev_u + (z_u - prev_u) / n
+        mean_th = prev_th + (z_th - prev_th) / n
         # np.max, unlike max(), lets a NaN in either part through
         increment = float(
             np.max([np.max(np.abs(mean_u - prev_u)), np.max(np.abs(mean_th - prev_th))])
@@ -209,6 +244,8 @@ def cesaro_periodic_datum(
             history=history,
         )
     datum = State(VectorField(grid, mean_u), ScalarField(grid, mean_th))
+    # the orbit is not read again
+    del c, c_hat, z_hat, z_u, z_th, prev_u, prev_th
     certify = evolve(
         datum, problem.forcing, problem.period, problem.cfg, mode="linearized", eta=problem.eta
     )
@@ -324,7 +361,8 @@ def nonlinear_periodic(
         extra = nxt = None
         eta_series = zero_eta
         if current is not None:
-            eta_series = current.theta_series()
+            if zero_eta is not None:  # only the g-coupling reads eta
+                eta_series = current.theta_series()
             extra = _frozen_extra(current)
             # the solve reads this iterate only through eta and the frozen rows,
             # and the increment reads its sup states (state 0, the datum, among

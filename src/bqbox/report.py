@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -55,7 +57,7 @@ def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s):
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "bqbox": _package_version(),
+            "bqbox": __version__,
         },
         "written_at_unix": time.time(),
     }
@@ -63,11 +65,3 @@ def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
-
-def _package_version():
-    try:
-        from importlib.metadata import version
-
-        return version("bqbox")
-    except Exception:
-        return "unknown"

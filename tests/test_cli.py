@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bqbox
 from bqbox import DiagnosticsError, GridSpec, State, cli, read_field, write_field
 from bqbox import duhamel
 from bqbox.cli import main
@@ -60,6 +61,13 @@ class TestEvolveCommand:
         assert all(a > b for a, b in zip(energy, energy[1:]))
         assert all(float(r[2]) <= 1e-10 for r in rows)
         assert (out / "manifest.json").exists()
+
+    def test_manifest_carries_package_version(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", evolve_config())
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["versions"]["bqbox"] == bqbox.__version__ != "unknown"
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", evolve_config())

@@ -19,6 +19,7 @@ from bqbox import (
     ScalarField,
     SolveConfig,
     State,
+    Trajectory,
     VectorField,
     cesaro_periodic_datum,
     check_periodicity,
@@ -177,13 +178,23 @@ class TestCesaroDatum:
         assert len(err.value.history) == 4
 
     def test_stops_at_converged_period(self, grid2d_box, monkeypatch):
+        # c = P(0) is the one stepped period; every later term is one affine
+        # update, and the only other evolve is the certify run
         prob = linear_problem(grid2d_box, amp=2e-5, seed=9)
         ref = resolvent_periodic_datum(prob)
-        calls = []
+        stepped, affine, evolves = [], [], []
+        affine_period = periodic_mod._affine_period
         monkeypatch.setattr(periodic_mod, "poincare_map",
-                            lambda x, problem: calls.append(1) or poincare_map(x, problem))
+                            lambda x, problem: stepped.append(1) or poincare_map(x, problem))
+        monkeypatch.setattr(periodic_mod, "_affine_period",
+                            lambda *a: affine.append(1) or affine_period(*a))
+        monkeypatch.setattr(periodic_mod, "evolve",
+                            lambda *a, **k: evolves.append(1) or evolve(*a, **k))
         sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
-        assert len(calls) == sol.meta["iterations"] == len(sol.history) < 600
+        assert len(stepped) == 1
+        assert len(evolves) == 2
+        assert len(affine) == sol.meta["iterations"] - 1
+        assert sol.meta["iterations"] == len(sol.history) < 600
 
     @pytest.mark.parametrize("n_max, tol", [(600, 5e-9), (6, 1e-16)])
     def test_history_matches_full_orbit(self, grid2d_box, n_max, tol):
@@ -234,6 +245,93 @@ class TestCesaroDatum:
                                grid=grid2d_box)
         with pytest.raises(HypothesisError):
             cesaro_periodic_datum(prob)
+
+
+def stepped_cesaro(prob, n_max, tol, reference=None):
+    """The Cesaro loop as it was before the orbit moved onto the affine map.
+
+    Every term P^n(0) = P(P^{n-1}(0)) is one stepped period through
+    :func:`poincare_map`.  Returns the history and the mean at the stop,
+    or None for the mean when ``n_max`` is hit first.
+    """
+    z = zeros_like_state(prob.grid)
+    mean_u = np.zeros_like(z.u.values)
+    mean_th = np.zeros_like(z.theta.values)
+    history = []
+    for n in range(1, n_max + 1):
+        z = poincare_map(z, prob)
+        prev_u, prev_th = mean_u, mean_th
+        mean_u = prev_u + (z.u.values - prev_u) / n
+        mean_th = prev_th + (z.theta.values - prev_th) / n
+        increment = float(
+            np.max([np.max(np.abs(mean_u - prev_u)), np.max(np.abs(mean_th - prev_th))])
+        )
+        err = np.nan
+        if reference is not None:
+            err = max(float(np.max(np.abs(mean_u - reference.u.values))),
+                      float(np.max(np.abs(mean_th - reference.theta.values))))
+        history.append((n, increment, err))
+        if n > 1 and increment < tol:
+            return history, (mean_u, mean_th)
+    return history, None
+
+
+def coupled_linear_problem(grid):
+    """Linearized, with a g-coupling on a frozen, time-varying eta: the sampled-row path."""
+    fv = random_smooth_vector(grid, seed=3, amplitude=1e-4)
+    gv = single_mode_vector(grid, k=(1,) + (0,) * (grid.n - 1), component=1, amplitude=1.0)
+    forcing = ForcingSpec(period=T, kappa=0.5, g=constant_in_time(T, gv),
+                          f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.4),)))
+    times = np.arange(17) * (T / 16)
+    # cos(x + y) against the cos(x) of g: mean-free buoyancy rows
+    fields = [single_mode_scalar(grid, (1, 1) + (0,) * (grid.n - 2),
+                                 1e-4 * (1.0 + 0.5 * np.sin(2 * np.pi * t / T)))
+              for t in times]
+    eta = SampledScalarSeries(times=times, fields=fields)
+    return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
+                           mode="linearized", eta=eta, grid=grid)
+
+
+class TestAffineOrbit:
+    """The affine orbit against the period-by-period stepped orbit it replaced."""
+
+    @staticmethod
+    def _problem(case):
+        if case == "2d":
+            return linear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=2e-5, seed=9)
+        if case == "3d":
+            return linear_problem(GridSpec(n=3, N=8, L=2.0 * np.pi), amp=2e-5, seed=5)
+        return coupled_linear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi))
+
+    @staticmethod
+    def _assert_histories_match(got, want):
+        assert [row[0] for row in got] == [row[0] for row in want]
+        for (_, inc, e), (_, inc_ref, e_ref) in zip(got, want):
+            assert inc == pytest.approx(inc_ref, rel=1e-12, abs=0.0)
+            assert e == pytest.approx(e_ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["2d", "3d", "coupled"])
+    def test_matches_stepped_orbit(self, case):
+        prob = self._problem(case)
+        ref = resolvent_periodic_datum(prob)
+        want, (want_u, want_th) = stepped_cesaro(prob, 600, 5e-9, ref)
+        sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
+        assert 10 < sol.meta["iterations"] == len(want) < 600
+        self._assert_histories_match(sol.history, want)
+        scale = max(np.max(np.abs(want_u)), np.max(np.abs(want_th)))
+        assert np.max(np.abs(sol.initial.u.values - want_u)) <= 1e-12 * scale
+        assert np.max(np.abs(sol.initial.theta.values - want_th)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case", ["2d", "coupled"])
+    def test_nmax_exhaustion_matches_stepped_orbit(self, case):
+        prob = self._problem(case)
+        ref = resolvent_periodic_datum(prob)
+        want, mean = stepped_cesaro(prob, 6, 1e-16, ref)
+        assert mean is None
+        with pytest.raises(ConvergenceError, match="within n_max = 6") as err:
+            cesaro_periodic_datum(prob, n_max=6, tol=1e-16, reference=ref)
+        assert err.value.residual == err.value.history[-1][1]
+        self._assert_histories_match(err.value.history, want)
 
 
 def full_orbit_history(prob, n_max, tol, reference):
@@ -502,6 +600,30 @@ class TestNonlinearPeriodicMemory:
         assert np.array_equal(sol.initial.theta.values, datum.theta.values)
         assert (sol.residual_max, sol.residual_norm) == (res_max, res_norm)
         assert sol.meta["solution_h_norm"] == sol_norm
+
+    def test_theta_series_only_for_the_coupling(self, monkeypatch):
+        # eta is read only by a g-coupling with kappa > 0: without one the
+        # loop builds no temperature series and its outputs do not move
+        calls = []
+        theta_series = Trajectory.theta_series
+        monkeypatch.setattr(Trajectory, "theta_series",
+                            lambda traj: calls.append(1) or theta_series(traj))
+        prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
+        ctx = ctx_for(prob.grid)
+        sol = nonlinear_periodic(prob, outer_tol=1e-11, ctx=ctx)
+        assert calls == [] and len(sol.history) >= 3
+        history, datum, res_max, res_norm, sol_norm = collected_nonlinear_periodic(
+            prob, 1e-11, 16, ctx)
+        assert len(calls) == len(history) - 1  # the copy builds it every iteration
+        np.testing.assert_array_equal(np.array(sol.history), np.array(history))
+        assert np.array_equal(sol.initial.u.values, datum.u.values)
+        assert np.array_equal(sol.initial.theta.values, datum.theta.values)
+        assert (sol.residual_max, sol.residual_norm) == (res_max, res_norm)
+
+        calls.clear()
+        prob, ctx = self._problem()  # g set, kappa = 0.3
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        assert len(calls) == len(sol.history) - 1 >= 2
 
     def test_off_sup_states_released_once_frozen(self, monkeypatch):
         # when the next linear solve starts, the last iterate's frozen rows and
