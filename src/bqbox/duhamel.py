@@ -11,11 +11,17 @@ exponential trapezoidal product rule (the integrand is interpolated linearly
 between nodes and the kernel e^{-(t-s)|k'|^2} integrated exactly per mode;
 see Hochbruck & Ostermann, Acta Numerica 19 (2010) for the family).  The
 implicit endpoint is closed by Picard iteration; its failure to contract is
-the numerical signature of violated smallness and is reported as such.  The
-Picard predictor freezes the endpoint nonlinearity at the start state; when
-the state right-hand side does not depend on t (no g term with a nonzero
-harmonic) that is the start-point evaluation itself, so it is reused rather
-than computed again.
+the numerical signature of violated smallness and is reported as such.
+
+Each time node has one nonlinearity value, as in the prefix paths below:
+t = 0 gets an evaluation of its own, and every later node t_{i+1} takes
+Picard's last evaluation G(x^(K-1), t_{i+1}), the Wb term that formed the
+accepted x_{i+1}, as the Wa term of the next step ("first same as last",
+Hairer, Norsett & Wanner, Solving ODEs I (1993)).  A step thus makes as
+many evaluations as Picard iterations.  Picard starts from the quadratic
+extrapolation 3 (G_i - G_{i-1}) + G_{i-2} of the last three node values
+(linear from two, G_i from one), which needs no evaluation of its own,
+whether or not G depends on t.
 
 State-independent forcing enters each step as one weighted sum.  Analytic
 harmonics (finite Fourier series in t) are sampled on a finer substep grid,
@@ -54,7 +60,9 @@ rows, the stability gaps) passes ``on_state(t, state)`` to ``evolve``: every
 stored state goes to it as soon as it is checked finite and is not kept, so
 the run holds one state instead of the trajectory.  A step, in turn, holds
 only what its next read needs: the analytic rows are added one substep at a
-time, the start state goes once the predictor has read it, and the Picard
+time, the start state goes once its semigroup image is formed, the
+extrapolated rows are added into Picard's first iterate box by box, at most
+three node values are held (two through the Picard loop), and the Picard
 iterates ping-pong between two buffers per field.
 
 Stepping is sequential in time; within a step the multiplier arithmetic is
@@ -383,10 +391,9 @@ def _add_on_band(acc, grid, terms):
 class _StateRHS:
     """G_state(x, t): advective terms and (in full mode) buoyancy coupling.
 
-    One call is :func:`advection_coeffs` on the physical values, with the
-    coupling added before its single Leray projection.  The values are
-    inverse-transformed from the coefficients unless the caller already has
-    them (the start of a step whose state was just stored).
+    One call is :func:`advection_coeffs` on the physical values
+    inverse-transformed from the coefficients, with the coupling added
+    before its single Leray projection.  ``evaluations`` counts the calls.
     """
 
     def __init__(self, grid, forcing, kappa):
@@ -395,6 +402,7 @@ class _StateRHS:
         self.kappa = kappa
         self.coupled = kappa > 0.0 and forcing is not None and forcing.g is not None
         self._g = {}  # g at the times of the current step only
+        self.evaluations = 0
 
     @cached_property
     def time_dependent(self):
@@ -411,34 +419,36 @@ class _StateRHS:
             self._g[key] = self.forcing.g.value(key).values
         return self._g[key]
 
-    def __call__(self, u_hat, th_hat, t, values=None):
+    def __call__(self, u_hat, th_hat, t):
+        self.evaluations += 1
         grid = self.grid
-        if values is None:
-            values = (inverse_values(grid, u_hat), inverse_values(grid, th_hat))
-        u, th = values
+        u, th = inverse_values(grid, u_hat), inverse_values(grid, th_hat)
         if self.coupled:
             return advection_coeffs(grid, u, u, th, self._g_real(t), self.kappa)
         return advection_coeffs(grid, u, u, th)
 
 
-def _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i):
+def _picard(state_rhs, fixed_u, fixed_th, new_u, new_th, Wb, t_b, cfg, i):
     """Close the implicit endpoint x = fixed + Wb G_state(x, t_b) of step i by Picard iteration.
 
-    Starts from the predictor rows ``gs_b`` and returns (u_hat, th_hat,
-    iterations).  The iterates ping-pong between two buffers per field: each
-    is written over the one before the last, whose buffer then holds the
-    difference that the residual reads.
+    Starts from the predicted endpoint (``new_u``, ``new_th``), whose
+    buffers it reuses, and returns (u_hat, th_hat, rows, iterations): the
+    accepted iterate x^(K) = fixed + Wb G_state(x^(K-1), t_b) and that last
+    evaluation, ``rows``, which is the one nonlinearity value of node t_b.
+    Each iteration makes one evaluation, so ``iterations`` counts them.
+    The iterates ping-pong between two buffers per field: each is written
+    over the one before the last, whose buffer then holds the difference
+    that the residual reads.
     """
     grid = state_rhs.grid
-    new_u = _add_on_band(fixed_u.copy(), grid, [(Wb, gs_b[0])])
-    new_th = _add_on_band(fixed_th.copy(), grid, [(Wb, gs_b[1])])
     next_u, next_th = np.empty_like(new_u), np.empty_like(new_th)
     for it in range(cfg.picard_max):
-        gs_vb, gs_tb = state_rhs(new_u, new_th, t_b)
+        rows = None  # the evaluation before goes before the next is made
+        rows = state_rhs(new_u, new_th, t_b)
         np.copyto(next_u, fixed_u)
         np.copyto(next_th, fixed_th)
-        _add_on_band(next_u, grid, [(Wb, gs_vb)])
-        _add_on_band(next_th, grid, [(Wb, gs_tb)])
+        _add_on_band(next_u, grid, [(Wb, rows[0])])
+        _add_on_band(next_th, grid, [(Wb, rows[1])])
         diff_u = np.subtract(next_u, new_u, out=new_u)
         diff_th = np.subtract(next_th, new_th, out=new_th)
         # np.max, unlike max(), lets a NaN in either row through
@@ -450,7 +460,7 @@ def _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i):
             )
         scale = max(float(np.max(np.abs(next_u))), float(np.max(np.abs(next_th))), 1e-30)
         if res <= cfg.picard_tol * scale:
-            return next_u, next_th, it + 1
+            return next_u, next_th, rows, it + 1
         new_u, next_u = next_u, diff_u
         new_th, next_th = next_th, diff_th
     raise ConvergenceError(
@@ -466,6 +476,9 @@ def _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i):
 # ---------------------------------------------------------------------------
 
 _MODES = ("full", "linearized", "navier-stokes")
+# weights of the last 1, 2 or 3 equally spaced node values, newest first, that
+# extrapolate them to the next node: constant, linear, quadratic
+_EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
 def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, store_stride=1,
@@ -483,8 +496,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     Without ``on_state`` the stored states are returned as the Trajectory.
     With it, ``on_state(t, state)`` receives each one as soon as it is
     checked finite, nothing is kept, and the Trajectory returned has no
-    times or states, only ``meta``.  The consumer must not modify the state's
-    arrays: the next step reads them.
+    times or states, only ``meta``.  ``meta`` totals the run's right-hand-side evaluations
+    (``rhs_evaluations``) and Picard iterations (``picard_iterations``); a
+    full or navier-stokes run makes one evaluation more than iterations.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -545,10 +559,12 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         else:
             on_state(t, state)
 
-    state = _to_state(grid, u_hat, th_hat)
-    start_values = (state.u.values, state.theta.values)
-    store(0.0, state)
-    picard_iters_max = 0
+    # G_state at the last (at most three) nodes, newest first, one value per
+    # node: t = 0 has an evaluation of its own, every later node the Picard
+    # evaluation that formed its state
+    nodes = [] if state_rhs is None else [state_rhs(u_hat, th_hat, 0.0)]
+    store(0.0, _to_state(grid, u_hat, th_hat))
+    picard_iters_max = picard_iterations = 0
 
     for i in range(n_steps):
         t_a = i * dt
@@ -570,29 +586,30 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         if state_rhs is None:
             u_hat, th_hat = fixed_u, fixed_th
         else:
-            gs_va, gs_ta = state_rhs(u_hat, th_hat, t_a, start_values)
-            _add_on_band(fixed_u, grid, [(Wa, gs_va)])
-            _add_on_band(fixed_th, grid, [(Wa, gs_ta)])
-            # predictor: freeze the endpoint nonlinearity at the start state; a
-            # time-independent G_state gives back the start evaluation
-            if state_rhs.time_dependent:
-                gs_b = state_rhs(u_hat, th_hat, t_b, start_values)
-            else:
-                gs_b = gs_va, gs_ta
-            # the start state and its rows are not read again in this step
-            u_hat = th_hat = state = start_values = gs_va = gs_ta = None
-            u_hat, th_hat, iters = _picard(state_rhs, fixed_u, fixed_th, gs_b, Wb, t_b, cfg, i)
+            u_hat = th_hat = None  # the start state is not read again
+            _add_on_band(fixed_u, grid, [(Wa, nodes[0][0])])
+            _add_on_band(fixed_th, grid, [(Wa, nodes[0][1])])
+            # predictor: the node values extrapolated to t_b
+            coeffs = _EXTRAPOLATION[len(nodes) - 1]
+            first_u = _add_on_band(fixed_u.copy(), grid,
+                                   ((c * Wb, g[0]) for c, g in zip(coeffs, nodes)))
+            first_th = _add_on_band(fixed_th.copy(), grid,
+                                    ((c * Wb, g[1]) for c, g in zip(coeffs, nodes)))
+            del nodes[2:]  # the oldest value is not read again
+            u_hat, th_hat, rows, iters = _picard(state_rhs, fixed_u, fixed_th, first_u, first_th,
+                                                 Wb, t_b, cfg, i)
+            nodes.insert(0, rows)
+            picard_iterations += iters
             picard_iters_max = max(picard_iters_max, iters)
-        # only the state goes into the next step
-        fixed_u = fixed_th = gs_b = None
+        # only the state and the node values go into the next step
+        fixed_u = fixed_th = first_u = first_th = None
 
-        start_values = None
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:
             state = _to_state(grid, u_hat, th_hat)
-            start_values = (state.u.values, state.theta.values)
-            if not (np.all(np.isfinite(start_values[0])) and np.all(np.isfinite(start_values[1]))):
+            if not (np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.theta.values))):
                 raise ConvergenceError(f"stored state is not finite at step {i} (t = {t_b:.6g})")
             store(t_b, state)
+            state = None
 
     return Trajectory(
         grid,
@@ -603,6 +620,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
             "dt": dt,
             "substeps": m,
             "picard_iters_max": picard_iters_max,
+            "picard_iterations": picard_iterations,
+            "rhs_evaluations": 0 if state_rhs is None else state_rhs.evaluations,
             "n2_flag": grid.n == 2,
         },
     )

@@ -13,10 +13,11 @@ routes to the fixed datum are implemented and cross-validated:
 * a direct per-mode resolvent inversion (I - e^{-TL})^{-1} c, exact up to
   solver tolerance, used as the independent oracle.
 
-Both routes rest on the same stepped image c = P(0), so their agreement
-checks the averaging and the inversion, not c itself; the Cesaro datum is
-certified by a stepped one-period evolve from it, which reads neither c nor
-the affine orbit.
+Both routes rest on the same stepped image c = P(0), which a caller of both
+(the ``periodic-linear`` subcommand) steps once and hands to each, so their
+agreement checks the averaging and the inversion, not c itself; the Cesaro
+datum is certified by a stepped one-period evolve from it, which reads
+neither c nor the affine orbit.
 
 The nonlinear periodic solution is a fixed point of the outer map that
 freezes the whole nonlinearity along the current periodic iterate, solves
@@ -151,9 +152,14 @@ def _invert_resolvent(problem: PeriodicProblem, c: State) -> State:
     return _to_state(grid, x_u, x_th)
 
 
-def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
-    """Fixed datum via per-mode inversion of I - e^{-TL} on mean-free data."""
-    return _invert_resolvent(problem, poincare_map(zeros_like_state(problem.grid), problem))
+def resolvent_periodic_datum(problem: PeriodicProblem, image: State | None = None) -> State:
+    """Fixed datum via per-mode inversion of I - e^{-TL} on mean-free data.
+
+    ``image`` is c = P(0) when the caller has stepped it already.
+    """
+    if image is None:
+        image = poincare_map(zeros_like_state(problem.grid), problem)
+    return _invert_resolvent(problem, image)
 
 
 def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
@@ -181,10 +187,12 @@ def cesaro_periodic_datum(
     tol=1e-9,
     reference: State | None = None,
     ctx: NormContext | None = None,
+    image: State | None = None,
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.
 
-    c = P(0) is the one stepped period (:func:`poincare_map`).  Linearized
+    c = P(0) is the one stepped period (:func:`poincare_map`), or ``image``
+    when the caller has stepped it already; it is only read.  Linearized
     dynamics have no state-dependent right-hand side, so P is affine and the
     orbit P^n(0) = e^{-TL} P^{n-1}(0) + c is advanced in coefficient space,
     holding only c and the current term; each term is transformed back for
@@ -200,7 +208,8 @@ def cesaro_periodic_datum(
         raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
     _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
-    c = poincare_map(zeros_like_state(grid), problem)  # P(0), the orbit's first term
+    # P(0), the orbit's first term
+    c = image if image is not None else poincare_map(zeros_like_state(grid), problem)
     z_u, z_th = c.u.values, c.theta.values
     c_hat = (forward_coeffs(grid, z_u), forward_coeffs(grid, z_th))
     z_hat = tuple(part.copy() for part in c_hat)

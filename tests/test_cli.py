@@ -8,7 +8,7 @@ import pytest
 
 import bqbox
 from bqbox import DiagnosticsError, GridSpec, State, cli, read_field, write_field
-from bqbox import duhamel
+from bqbox import duhamel, periodic
 from bqbox.cli import main
 from bqbox.config import build_initial, load_config
 from bqbox.forcing import SampledSpectralForcing
@@ -297,6 +297,25 @@ class TestPeriodicCommands:
         header, hist = read_csv_rows(out / "history.csv")
         assert header[0] == "iteration"
         assert len(hist) > 5
+
+    def test_linear_steps_the_zero_image_once(self, tmp_path, monkeypatch):
+        # both routes start from c = P(0): one stepped period for it and one
+        # certifying period, with the outputs of each route stepping its own c
+        cfg = write_config(tmp_path / "c.json", periodic_config())
+        evolves = []
+        for module in (cli, periodic):
+            monkeypatch.setattr(module, "evolve", lambda *a, _evolve=module.evolve, **kw:
+                                evolves.append(1) or _evolve(*a, **kw))
+        assert main(["periodic-linear", "--config", cfg, "--output", str(tmp_path / "one")]) == 0
+        assert len(evolves) == 2
+
+        resolvent, cesaro = cli.resolvent_periodic_datum, cli.cesaro_periodic_datum
+        monkeypatch.setattr(cli, "resolvent_periodic_datum", lambda problem, image: resolvent(problem))
+        monkeypatch.setattr(cli, "cesaro_periodic_datum",
+                            lambda problem, image, **kw: cesaro(problem, **kw))
+        assert main(["periodic-linear", "--config", cfg, "--output", str(tmp_path / "two")]) == 0
+        for name in ("datum.bqf", "residual.csv", "history.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
     def test_nonlinear_pipeline(self, tmp_path):
         cfg = write_config(

@@ -29,14 +29,19 @@ from bqbox import (
     verify_linear_operator,
     zeros_like_state,
 )
+from bqbox import duhamel
 from bqbox.duhamel import (
     Trajectory,
+    _add_on_band,
     _CompiledForcing,
     _phi1,
     _phi2,
     _StateRHS,
+    _step_factors,
     _substep_weights,
+    _to_state,
     _trap_weights,
+    state_difference,
 )
 from bqbox.forcing import (
     HarmonicTerm,
@@ -433,13 +438,52 @@ class TestEvolve:
             evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.25), mode="linearized")
 
 
-class TestPredictorReuse:
-    """The predictor takes the start evaluation exactly when G_state ignores t."""
+def _two_value_loop(init, forcing, n_steps, cfg, mode):
+    """Stored states of the step with two nonlinearity values per node.
 
-    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
-    def test_same_trajectory_one_call_fewer(self, grid3d_small, monkeypatch, mode, g_harmonic):
-        g = grid3d_small
-        T, n_steps = 1.0, 4
+    Each step evaluates G_state afresh at its start and starts Picard from
+    the start state's nonlinearity (evaluated at t_b when G_state depends on
+    t); the forcing is analytic only.
+    """
+    g = init.grid
+    dt = cfg.dt
+    rhs = _StateRHS(g, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
+    compiled = _CompiledForcing(g, forcing, mode, None, None, np.arange(n_steps + 1) * dt)
+    E = _step_factors(g, dt, {})[0]
+    _, Wa, Wb = _step_factors(g, dt, {}, band=True)
+    h_s = dt / (cfg.substeps - 1)
+    u = leray_coeffs(g, forward_coeffs(g, init.u.values))
+    th = forward_coeffs(g, init.theta.values)
+    states = [_to_state(g, u, th)]
+    for i in range(n_steps):
+        t_a, t_b = i * dt, (i + 1) * dt
+        fixed = [E * u, E * th]
+        for j, A in enumerate(_substep_weights(g, dt, cfg.substeps)):
+            for k, row in enumerate(compiled.rows_at(t_a + j * h_s)):
+                if row is not None:
+                    fixed[k] = fixed[k] + A * row
+        g_a = rhs(u, th, t_a)
+        fixed = [_add_on_band(f, g, [(Wa, r)]) for f, r in zip(fixed, g_a)]
+        g_b = rhs(u, th, t_b) if rhs.time_dependent else g_a
+        x = [_add_on_band(f.copy(), g, [(Wb, r)]) for f, r in zip(fixed, g_b)]
+        for _ in range(cfg.picard_max):
+            nxt = [_add_on_band(f.copy(), g, [(Wb, r)]) for f, r in zip(fixed, rhs(*x, t_b))]
+            res = max(np.max(np.abs(a - b)) for a, b in zip(nxt, x))
+            x = nxt
+            if res <= cfg.picard_tol * max(np.max(np.abs(a)) for a in nxt):
+                break
+        u, th = x
+        states.append(_to_state(g, u, th))
+    return states
+
+
+class TestOneValuePerNode:
+    """Each node gets one nonlinearity value: t = 0 its own, every later node
+    Picard's last evaluation; the predictor extrapolates the last three."""
+
+    @staticmethod
+    def _problem(g, g_harmonic, picard_tol=1e-10):
+        T = 1.0
         Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-2)
         theta0 = ScalarField(g, np.zeros(g.shape))
         gf = None
@@ -449,27 +493,64 @@ class TestPredictorReuse:
             gf = TimeFourierField(period=T, terms=(HarmonicTerm(g_harmonic, gv, 0.4),))
         forcing = ForcingSpec(period=T, kappa=0.5, F=constant_in_time(T, Ft), g=gf)
         init = State(random_div_free(g, seed=2, amplitude=0.1), theta0)
-        cfg = SolveConfig(dt=T / 16, substeps=2)
-        kappa = 0.0 if mode == "navier-stokes" else forcing.kappa
-        assert _StateRHS(g, forcing, kappa).time_dependent == (g_harmonic == 1)
+        return init, forcing, SolveConfig(dt=T / 16, substeps=2, picard_tol=picard_tol)
 
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    def test_one_call_per_picard_iteration_after_the_first_node(
+            self, grid3d_small, monkeypatch, mode, g_harmonic):
+        init, forcing, cfg = self._problem(grid3d_small, g_harmonic)
+        calls, iterations = [], []
+        call = _StateRHS.__call__
+        monkeypatch.setattr(_StateRHS, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
+        picard = duhamel._picard
+        monkeypatch.setattr(duhamel, "_picard",
+                            lambda *a: (lambda out: iterations.append(out[3]) or out)(picard(*a)))
+        n_steps = 6
+        evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
+        assert len(iterations) == n_steps
+        assert len(calls) == 1 + sum(iterations)
+
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    def test_close_to_two_values_per_node(self, grid3d_small, mode, g_harmonic):
+        # both close the same implicit steps to picard_tol; they differ only in
+        # which Picard iterate gives a node its nonlinearity, so the states
+        # agree to a small multiple of picard_tol
+        n_steps = 8
+        init, forcing, cfg = self._problem(grid3d_small, g_harmonic, picard_tol=1e-12)
+        got = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states
+        ref = _two_value_loop(init, forcing, n_steps, cfg, mode)
+        scale = max(s.max_norm() for s in ref)
+        for a, b in zip(got, ref):
+            assert state_difference(a, b).max_norm() <= 1e-11 * scale
+
+
+class TestStepCounters:
+    """``meta`` totals the right-hand-side evaluations and Picard iterations of a run."""
+
+    @pytest.mark.parametrize("mode", ["full", "navier-stokes", "linearized"])
+    def test_meta_counts_match_calls(self, grid3d_small, monkeypatch, mode):
+        g = grid3d_small
+        T, n_steps = 1.0, 5
+        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-2)
+        forcing = ForcingSpec(period=T, F=constant_in_time(T, Ft))
+        init = State(random_div_free(g, seed=2, amplitude=0.1), ScalarField(g, np.zeros(g.shape)))
+        cfg = SolveConfig(dt=T / 16, substeps=2)
         calls = []
         call = _StateRHS.__call__
         monkeypatch.setattr(_StateRHS, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
-
-        def run():
-            calls.clear()
-            traj = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
-            return traj, len(calls)
-
-        default, default_calls = run()
-        monkeypatch.setattr(_StateRHS, "time_dependent", True)
-        always, always_calls = run()
-        for a, b in zip(default.states, always.states):
-            assert np.array_equal(a.u.values, b.u.values)
-            assert np.array_equal(a.theta.values, b.theta.values)
-        saved = 0 if g_harmonic == 1 else n_steps
-        assert default_calls == always_calls - saved
+        collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
+        collected_calls = len(calls)
+        streamed = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode,
+                          on_state=lambda t, s: None)
+        assert len(calls) == 2 * collected_calls
+        assert streamed.meta == collected.meta
+        assert collected.meta["rhs_evaluations"] == collected_calls
+        picard = collected.meta["picard_iterations"]
+        if mode == "linearized":
+            assert collected_calls == picard == 0
+        else:
+            assert collected_calls == 1 + picard
+            assert n_steps <= picard <= n_steps * collected.meta["picard_iters_max"]
 
 
 class TestStateConsumer:
@@ -512,12 +593,13 @@ class TestStepWorkingSet:
     """One full-mode step holds a few states of working arrays, not the sums of all its parts."""
 
     def test_peak_of_a_step_in_states(self):
-        # 3-D N = 16 with F, a harmonic-1 f and a harmonic-1 g (so the
-        # predictor makes its own right-hand-side call), stored states
-        # discarded: what stays is the forcing rows, the step factors, the g
-        # cache and one step's arrays; the analytic substep rows held at once,
-        # the Picard copies, the start state held through the Picard loop, and
-        # the stacked products with their whole rfft outputs put it at 15 states
+        # 3-D N = 16 with F, a harmonic-1 f and a harmonic-1 g (so G_state
+        # depends on t), stored states discarded: what stays is the forcing
+        # rows, the step factors, the g cache, up to three node values of the
+        # nonlinearity and one step's arrays; the analytic substep rows held
+        # at once, the Picard copies, the start state held through the Picard
+        # loop, and the stacked products with their whole rfft outputs put it
+        # at 15 states
         g = GridSpec(n=3, N=16, L=2 * np.pi)
         T = 1.0
         Ft = random_smooth_tensor(g, seed=4, amplitude=1e-3)
