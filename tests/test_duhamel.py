@@ -524,6 +524,36 @@ class TestOneValuePerNode:
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
 
 
+class TestPredictorReuse:
+    """Reusing the node values, for the start term and the extrapolated
+    predictor, keeps the trajectory of the two-value loop with fewer calls;
+    a time-dependent g saves at least the predictor's call of every step."""
+
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    def test_same_trajectory_one_call_fewer(self, grid3d_small, monkeypatch, mode, g_harmonic):
+        n_steps = 8
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, g_harmonic,
+                                                          picard_tol=1e-12)
+        calls = []
+        call = _StateRHS.__call__
+        monkeypatch.setattr(_StateRHS, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
+
+        def run(loop):
+            calls.clear()
+            return loop(), len(calls)
+
+        got, got_calls = run(lambda: evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states)
+        ref, ref_calls = run(lambda: _two_value_loop(init, forcing, n_steps, cfg, mode))
+        scale = max(s.max_norm() for s in ref)
+        for a, b in zip(got, ref):
+            assert state_difference(a, b).max_norm() <= 1e-11 * scale
+        # the extrapolated predictor may take more Picard iterations than one
+        # started from the start state's value, so only the sum is bounded
+        assert got_calls < ref_calls
+        if g_harmonic == 1:
+            assert got_calls <= ref_calls - n_steps
+
+
 class TestStepCounters:
     """``meta`` totals the right-hand-side evaluations and Picard iterations of a run."""
 
