@@ -84,11 +84,14 @@ def _cmd_norms(cfg, outdir):
         parts = [("u", loaded.u), ("theta", loaded.theta)]
     else:
         parts = [("field", loaded)]
+    for label, fld in parts:
+        if not np.all(np.isfinite(fld.values)):
+            raise DiagnosticsError(f"field file part {label} has non-finite values")
     rows = []
     for params in cfg.norms:
         for label, fld in parts:
             table = morrey_lorentz_table(fld, params, cfg.sampler)
-            sup = max(r.local_norm for r in table)
+            sup = float(np.max([r.local_norm for r in table]))
             for r in table:
                 center = ";".join(format(c, ".17g") for c in r.center)
                 rows.append((label, params.p, params.lam, center, r.radius, r.local_norm, 0))

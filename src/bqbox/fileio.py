@@ -8,6 +8,7 @@ component count identifies the payload: 1 scalar, n vector, n+1 state
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -45,22 +46,26 @@ def write_field(path, obj):
 
 
 def read_field(path):
+    """Read a field file; the payload goes straight into one preallocated array."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise FieldIOError(f"{path}: truncated header")
+            magic, n, N, L, ncomp = _HEADER.unpack(head)
+            if magic != MAGIC:
+                raise FieldIOError(f"{path}: bad magic {magic!r}")
+            grid = GridSpec(n=n, N=N, L=L)
+            expected = ncomp * N**n * 8
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size != expected:
+                raise FieldIOError(f"{path}: payload has {size} bytes, expected {expected}")
+            comps = np.empty((ncomp,) + grid.shape, dtype="<f8")
+            got = fh.readinto(comps)
     except OSError as exc:
         raise FieldIOError(f"cannot read field file {path}: {exc}") from exc
-    if len(raw) < _HEADER.size:
-        raise FieldIOError(f"{path}: truncated header")
-    magic, n, N, L, ncomp = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FieldIOError(f"{path}: bad magic {magic!r}")
-    grid = GridSpec(n=n, N=N, L=L)
-    expected = ncomp * N**n * 8
-    payload = raw[_HEADER.size :]
-    if len(payload) != expected:
-        raise FieldIOError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    comps = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.shape).copy()
+    if got != expected:
+        raise FieldIOError(f"{path}: payload has {got} bytes, expected {expected}")
     if ncomp == 1:
         return ScalarField(grid, comps[0])
     if ncomp == n:

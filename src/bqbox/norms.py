@@ -25,15 +25,17 @@ The ball scan never reduces indices modulo N.  |f| is padded periodically
 once per table, by the largest integer reach of any ball on the radius
 ladder (at most N/2, since rho <= L/2); a ball is then a fixed set of flat
 offsets into the padded array, cached per radius, and a center is one flat
-index.  Each radius gathers ``padded[start + offset]`` for a chunk of
-centers at a time, with at most ``_GATHER_CHUNK_VALUES`` values per chunk,
-into one scan buffer that the table allocates once and reuses for every
-radius and chunk.  The gather fills the buffer a center at a time, so no
-index array of the chunk is built; the q = inf rows are then sorted in place
-and reduced by an in-place prefix sum.  The scan thus holds the padded field
-and one buffer, whatever the ball size.  The sorted values of a ball do not
-depend on the gather order, so the table is the same, bit for bit, as that
-of a modulo gather.
+index.  The offsets of every radius are read off one min-image distance
+table, built once per grid.  Each radius gathers ``padded[start + offset]``
+for a chunk of centers at a time, with at most ``_GATHER_CHUNK_VALUES``
+values per chunk, into one scan buffer that the table allocates once and
+reuses for every radius and chunk.  The gather fills the buffer a center at
+a time, so no index array of the chunk is built; the q = inf rows are then
+sorted in place and reduced by an in-place prefix sum.  The scan thus holds
+the padded field and one 8 MiB buffer, whatever the ball size; |f| itself
+is dropped once it is padded.  The sorted values of a ball do not depend on
+the gather order, so the table is the same, bit for bit, as that of a
+modulo gather.
 
 Norm evaluations are pure functions of immutable fields; individual ball
 evaluations are independent and the final sup is an associative reduction,
@@ -148,20 +150,45 @@ class BallSampler:
 
 # Cap on the values one gather produces: centers are scanned in chunks of
 # at most this many ball values, and the table's one scan buffer (reused for
-# every radius and chunk, sorted and prefix-summed in place) holds that many.
-_GATHER_CHUNK_VALUES = 1 << 22
+# every radius and chunk, sorted and prefix-summed in place) holds that many,
+# 8 MiB of float64.  Each row is gathered, sorted and reduced on its own, so
+# the cap sets memory and cache use only, never a value.  On a 64^3 state no
+# other power of two from 2^18 to 2^22 scanned faster.
+_GATHER_CHUNK_VALUES = 1 << 20
+
+
+def _min_image_disp(N):
+    """Min-image integer offset of each grid index, in the smallest signed type."""
+    disp = (np.arange(N) + N // 2) % N - N // 2
+    return disp.astype(np.min_scalar_type(-((N + 1) // 2)))
+
+
+@lru_cache(maxsize=8)
+def _min_image_dist2(n, N, L):
+    """Squared torus distance of every grid point to the origin, shape (N,)*n."""
+    d2 = (_min_image_disp(N) * (L / N)) ** 2
+    dist2 = d2
+    for j in range(1, n):
+        dist2 = np.add.outer(dist2, d2)
+    dist2.flags.writeable = False
+    return dist2
 
 
 @lru_cache(maxsize=512)
 def _ball_offsets(n, N, L, rho):
-    """Index offsets of cells within torus distance rho of a grid point."""
+    """Index offsets of cells within torus distance rho of a grid point.
+
+    Shape (m, n), min-image offsets in [-N/2, N/2] held in the smallest
+    signed integer type, rows in C order of the grid point.  They threshold
+    the grid's one cached distance table, with a slack of 1e-12 h^2 so a
+    cell exactly at distance rho is inside.
+    """
     h = L / N
-    half = np.arange(N)
-    disp = (half + N // 2) % N - N // 2  # min-image integer offsets
-    axes = np.meshgrid(*([disp] * n), indexing="ij")
-    dist2 = sum((a * h) ** 2 for a in axes)
-    inside = dist2 <= rho * rho + 1e-12 * h * h
-    offsets = np.stack([a[inside] for a in axes], axis=1)
+    disp = _min_image_disp(N)
+    inside = np.nonzero(_min_image_dist2(n, N, L) <= rho * rho + 1e-12 * h * h)
+    offsets = np.empty((inside[0].size, n), dtype=disp.dtype)
+    for j, idx in enumerate(inside):
+        offsets[:, j] = disp[idx]
     offsets.flags.writeable = False
     return offsets
 
@@ -180,7 +207,8 @@ def _flat_ball_offsets(n, N, L, rho, width):
 
 def _ball_reach(grid, rho):
     """Largest integer offset, along any axis, of a cell in the ball."""
-    return int(np.max(np.abs(_ball_offsets(grid.n, grid.N, grid.L, float(rho)))))
+    offsets = _ball_offsets(grid.n, grid.N, grid.L, float(rho))
+    return max(-int(offsets.min()), int(offsets.max()))
 
 
 def _pad_periodic(grid, values, width, centers):
@@ -334,13 +362,18 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     """Per-(center, radius) localized norms; the sup is the Morrey estimate."""
     grid = f.grid
     params.tau(grid.n)  # validates lam < n
-    values = np.abs(_as_scalar_values(f)).ravel()
+    values = _as_scalar_values(f).ravel()
+    if isinstance(f, ScalarField):
+        values = np.abs(values)  # a magnitude is non-negative already: no copy
     w = grid.cell_volume
     centers = sampler.centers(grid)
     coords = [tuple(c * grid.cell_size) for c in centers]
     radii = sampler.radii(grid)
     width = max(_ball_reach(grid, rho) for rho in radii)
     padded, starts = _pad_periodic(grid, values, width, centers)
+    # at lam = 0 the sup over arbitrarily large balls reduces to the whole box
+    whole = _lorentz_from_values(values, w, params.p, params.q) if params.lam == 0.0 else None
+    del values  # the scan reads only the padded copy
     sizes = [_ball_offsets(grid.n, grid.N, grid.L, float(rho)).shape[0] for rho in radii]
     chunks = [min(len(starts), max(1, _GATHER_CHUNK_VALUES // m)) for m in sizes]
     scan = np.empty(max(c * m for c, m in zip(chunks, sizes)), dtype=padded.dtype)
@@ -360,9 +393,7 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
                          for g in gathered]
             rows.extend(BallNormRow(coords[lo + i], float(rho), float(val))
                         for i, val in enumerate(local))
-    if params.lam == 0.0:
-        # the sup over arbitrarily large balls reduces to the whole box
-        whole = _lorentz_from_values(values, w, params.p, params.q)
+    if whole is not None:
         rows.append(BallNormRow((np.nan,) * grid.n, np.inf, float(whole)))
     return rows
 
@@ -382,7 +413,7 @@ def morrey_lorentz_norm(f, params: NormParams, sampler: BallSampler | None = Non
     if sampler is None:
         sampler = BallSampler()
     rows = morrey_lorentz_table(f, params, sampler)
-    return max(r.local_norm for r in rows)
+    return float(np.max([r.local_norm for r in rows]))  # NaN if any ball is
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import bqbox
-from bqbox import DiagnosticsError, GridSpec, State, cli, read_field, write_field
+from bqbox import (DiagnosticsError, GridSpec, ScalarField, State, VectorField, cli, read_field,
+                   write_field)
 from bqbox import duhamel, periodic
 from bqbox.cli import main
 from bqbox.config import build_initial, load_config
@@ -228,6 +229,28 @@ class TestNormsCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "L=1.0" in err and f"L={BOX}" in err
+
+    def test_non_finite_field_rejected_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        # one NaN temperature cell: refused with exit 6, naming the part, no table
+        g = GridSpec(n=3, N=8, L=BOX)
+        theta = gaussian_profile(g, 1.0).values.copy()
+        theta[5, 6, 3] = np.nan
+        field_file = tmp_path / "nan.bqf"
+        write_field(field_file, State(VectorField(g, np.ones((3,) + g.shape)), ScalarField(g, theta)))
+        scans = []
+        monkeypatch.setattr(cli, "morrey_lorentz_table", lambda *a, **k: scans.append(a))
+        cfg = write_config(tmp_path / "c.json", {
+            "grid": {"n": 3, "N": 8, "L": BOX},
+            "field_file": str(field_file),
+            "norms": [{"p": 3.0, "lam": 0.5}],
+            "sampler": {"num_centers": 8, "num_radii": 3},
+        })
+        out = tmp_path / "o"
+        assert main(["norms", "--config", cfg, "--output", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("diagnostics error:") and "theta" in err
+        assert not scans
+        assert not (out / "norms.csv").exists()
 
     def test_missing_field_file(self, tmp_path):
         cfg = write_config(

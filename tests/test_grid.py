@@ -302,6 +302,20 @@ class TestFieldFiles:
         with pytest.raises(FieldIOError):
             read_field(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "head.bqf"
+        p.write_bytes(b"BQF1" + b"\0" * 8)
+        with pytest.raises(FieldIOError, match="truncated header"):
+            read_field(p)
+
+    @pytest.mark.parametrize("extra", [1, 8, 64])
+    def test_trailing_bytes(self, tmp_path, grid2d, extra):
+        p = tmp_path / "long.bqf"
+        write_field(p, ScalarField(grid2d, np.ones(grid2d.shape)))
+        p.write_bytes(p.read_bytes() + b"\0" * extra)
+        with pytest.raises(FieldIOError, match=f"payload has {16 * 16 * 8 + extra} bytes"):
+            read_field(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FieldIOError):
             read_field(tmp_path / "absent.bqf")

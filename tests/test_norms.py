@@ -382,6 +382,16 @@ def reference_table(f, params, sampler):
     return np.array(rows)
 
 
+def meshgrid_offsets(n, N, L, rho, slack=1e-12):
+    """Reference ball offsets: a full meshgrid of min-image offsets per radius."""
+    h = L / N
+    disp = (np.arange(N) + N // 2) % N - N // 2
+    axes = np.meshgrid(*([disp] * n), indexing="ij")
+    dist2 = sum((a * h) ** 2 for a in axes)
+    inside = dist2 <= rho * rho + slack * h * h
+    return np.stack([a[inside] for a in axes], axis=1)
+
+
 def table_array(rows):
     return np.array([(*r.center, r.radius, r.local_norm) for r in rows])
 
@@ -448,10 +458,36 @@ class TestPaddedBallScan:
                 want = norms_mod._lorentz_from_values(sample, g.cell_volume, 2.5, q)
                 assert got == want
 
+    @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
+    def test_offsets_match_meshgrid_construction(self, n, N, L):
+        g = any_grid(n, N, L)
+        h = g.cell_size
+        # radii sqrt(k) h lie exactly on a cell distance; for some k, rho^2 rounds
+        # below the cell's distance and only the 1e-12 h^2 slack keeps the cell
+        on_cell = [float(np.sqrt(k) * h) for k in (1, 2, 4, 5, 13, 18, 29)]
+        slack_matters = False
+        for rho in on_cell + [0.3 * h, 1.5 * h, 0.31 * L, L / 2.0]:
+            got = norms_mod._ball_offsets(n, N, L, float(rho))
+            want = meshgrid_offsets(n, N, L, float(rho))
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)  # element for element, so the same order
+            assert np.iinfo(got.dtype).bits == 8
+            assert norms_mod._ball_reach(g, rho) == int(np.max(np.abs(want)))
+            slack_matters |= len(want) != len(meshgrid_offsets(n, N, L, float(rho), slack=0.0))
+        assert slack_matters
+
+    def test_offset_type_holds_half_the_grid(self):
+        for N, bits in ((8, 8), (255, 8), (256, 8), (257, 16), (512, 16)):
+            disp = norms_mod._min_image_disp(N)
+            assert np.iinfo(disp.dtype).bits == bits
+            assert np.array_equal(disp, (np.arange(N) + N // 2) % N - N // 2)
+        assert norms_mod._ball_reach(any_grid(2, 256, 1.0), 0.5) == 128
+
     def test_cached_offsets_are_read_only(self):
         offsets = norms_mod._ball_offsets(3, 8, 1.0, 0.3)
         flat = norms_mod._flat_ball_offsets(3, 8, 1.0, 0.3, 3)
-        for arr in (offsets, flat):
+        dist2 = norms_mod._min_image_dist2(3, 8, 1.0)
+        for arr in (offsets, flat, dist2):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -466,9 +502,11 @@ class TestPaddedBallScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the padded field (16 MiB) and the one scan buffer (32 MiB): no index
-        # array and no sorted or prefix-summed copy of a chunk
-        assert peak < 72 * 2**20
+        # the padded field (16 MiB), the one scan buffer (8 MiB), the distance
+        # table (2 MiB) and the offsets: no index array, no sorted or
+        # prefix-summed copy of a chunk, no |f| beside the padded copy.
+        # 31.8 MiB measured with cold offset caches, numpy 2.4
+        assert peak < 35 * 2**20
 
     @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
     def test_gather_into_buffer_returns_it(self, n, N, L):
@@ -505,6 +543,19 @@ class TestPaddedBallScan:
         got = np.array([r.local_norm for r in rows])
         assert holds_nan.any() and not holds_nan.all()
         assert np.array_equal(np.isnan(got), holds_nan)
+
+    def test_nan_cell_makes_the_sup_nan(self):
+        # the first ball misses the NaN cell, so a sup that keeps its first
+        # value over NaN (Python max) would hide it
+        g = GridSpec(n=3, N=8, L=2 * np.pi)
+        values = gaussian_profile(g, 1.0).values.copy()
+        values[5, 6, 3] = np.nan
+        f = ScalarField(g, values)
+        params = NormParams(p=3.0, lam=0.5)
+        sampler = BallSampler(num_centers=8, num_radii=3)
+        local = [r.local_norm for r in morrey_lorentz_table(f, params, sampler)]
+        assert not np.isnan(local[0]) and np.isnan(local).any()
+        assert np.isnan(morrey_lorentz_norm(f, params, sampler))
 
     def test_non_positive_ladder_rejected(self, grid2d):
         for bad in (0.0, -0.1):
