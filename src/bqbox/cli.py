@@ -275,20 +275,23 @@ def _smallness_inputs(cfg, params, base, K):
             [(t, forcing.g.value(t)) for t in ts],
             TimeWeightParams(p=params.p, b=params.b), lam, cfg.sampler,
         )
-    eta_sup = max(
+    # np.max, unlike max(), lets a NaN sample through in any order
+    eta_sup = float(np.max([
         morrey_lorentz_norm(s.theta, NormParams(p=params.p, q=math.inf, lam=lam), cfg.sampler)
         for s in base.trajectory.states[:: max(1, len(base.trajectory.states) // 4)]
-    )
+    ]))
     half = NormParams(p=params.p / 2.0, q=math.inf, lam=lam) if params.p > 2 else None
     ff_norm = 0.0
     if half is not None:
+        totals = []
         for t in ts:
             total = 0.0
             if forcing.F is not None:
                 total += morrey_lorentz_norm(forcing.F.value(t), half, cfg.sampler)
             if forcing.f is not None:
                 total += morrey_lorentz_norm(forcing.f.value(t), half, cfg.sampler)
-            ff_norm = max(ff_norm, total)
+            totals.append(total)
+        ff_norm = float(np.max(totals))
     return dict(
         p=params.p, b=params.b, kappa=forcing.kappa, K=K,
         rho=base.meta["solution_h_norm"], g_norm=g_norm, eta_sup=eta_sup, Ff_norm=ff_norm,

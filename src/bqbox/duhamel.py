@@ -235,13 +235,6 @@ def state_difference(a: State, b: State) -> State:
     )
 
 
-def trajectory_difference(a: Trajectory, b: Trajectory) -> Trajectory:
-    if len(a.times) != len(b.times) or np.max(np.abs(a.times - b.times)) > 1e-9:
-        raise DiagnosticsError("trajectories must share a time grid to be differenced")
-    states = [state_difference(x, y) for x, y in zip(a.states, b.states)]
-    return Trajectory(a.grid, a.times.copy(), states)
-
-
 def _to_state(grid, vel_hat, th_hat):
     return State(
         VectorField(grid, inverse_values(grid, vel_hat)),
@@ -868,11 +861,12 @@ def verify_bilinear_estimate(pairs, p, sampler=None, eval_stride=1):
         eval_times = [float(t) for t in a.times[1::eval_stride] if t > 0]
         if not eval_times or eval_times[-1] != float(a.times[-1]):
             eval_times.append(float(a.times[-1]))
-        best = max(state_norm(B, ctx) for B in bilinear_path(a, b, eval_times))
+        # np.max, unlike max(), lets a NaN through in any order
+        best = float(np.max([state_norm(B, ctx) for B in bilinear_path(a, b, eval_times)]))
         ratios.append(best / (na * nb))
     if not ratios:
         return BilinearReport(empirical_constant=0.0, ratios=[])
-    return BilinearReport(empirical_constant=max(ratios), ratios=ratios)
+    return BilinearReport(empirical_constant=float(np.max(ratios)), ratios=ratios)
 
 
 def _default_sampler():

@@ -528,19 +528,20 @@ def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler=None, t_g
     """sup over the time grid of t^beta ||g(., t)||_{b, inf, lam}.
 
     ``samples`` is a sequence of (t, field) pairs; ``t_grid`` optionally
-    restricts which times enter the sup.
+    restricts which times enter the sup.  NaN if any sample's norm is.
     """
     keep = None if t_grid is None else set(t_grid)
     entries = [(t, f) for (t, f) in samples if keep is None or t in keep]
     if not entries:
         raise DiagnosticsError("weighted time sup over an empty time grid")
     params = NormParams(p=weights.b, q=INF, lam=lam)
-    best = 0.0
+    values = []
     for t, f in entries:
         if t <= 0 or not np.isfinite(t):
             raise DiagnosticsError(f"time grid must be positive and finite, got {t}")
-        best = max(best, t**weights.beta * morrey_lorentz_norm(f, params, sampler))
-    return best
+        values.append(t**weights.beta * morrey_lorentz_norm(f, params, sampler))
+    # np.max, unlike max(), lets a NaN at any time through
+    return float(np.max(values))
 
 
 @dataclass

@@ -23,7 +23,13 @@ The nonlinear periodic solution is a fixed point of the outer map that
 freezes the whole nonlinearity along the current periodic iterate, solves
 the resulting linear periodic problem, and repeats; its empirical
 contraction ratio is the numerical stand-in for the small-data condition
-that makes the iteration contract.
+that makes the iteration contract.  No iterate is held whole: the solve
+streams each stored state into a reader that builds its frozen band rows,
+keeps its temperature when a g-coupling reads it, and keeps the state only
+at the sup-in-time indices, where it forms its increment term against the
+previous iterate's matching state and releases that one.  The rows of the
+converged iterate are built and not read, one row pass more than the loop
+needs, in exchange for never holding an iterate's states.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -275,15 +281,18 @@ def cesaro_periodic_datum(
 # ---------------------------------------------------------------------------
 
 
-def _frozen_extra(traj: Trajectory) -> SampledSpectralForcing:
-    """Freeze -P div(v (x) v) and -div(eta v) along a stored iterate, as band rows."""
-    grid = traj.grid
-    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values)
-                    for s in traj.states))
-    return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
+def _frozen_extra(state: State):
+    """Band rows of -P div(v (x) v) and -div(eta v) frozen at one stored state, (vel, th)."""
+    u = state.u.values
+    return advection_coeffs(state.grid, u, u, state.theta.values)
 
 
-def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
+def _linear_periodic_solve(problem, eta_series, extra, on_state):
+    """Periodic solution of the linear problem with ``eta`` and ``extra`` frozen.
+
+    Steps P(0) once, inverts the resolvent on it, and streams the stored
+    states of one period from that datum into ``on_state(t, state)``.
+    """
     grid = problem.grid
     c = evolve(
         zeros_like_state(grid),
@@ -295,7 +304,7 @@ def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
         extra=extra,
         store_stride=problem.steps_per_period,
     ).states[-1]
-    return evolve(
+    evolve(
         _invert_resolvent(problem, c),
         problem.forcing,
         problem.period,
@@ -303,26 +312,65 @@ def _linear_periodic_solve(problem, eta_series, extra) -> Trajectory:
         mode="linearized",
         eta=eta_series,
         extra=extra,
+        on_state=on_state,
     )
 
 
-def _sup_states(traj: Trajectory, ctx: NormContext) -> Trajectory:
-    """``traj`` keeping only the stored states :func:`_sup_increment` reads; the others are None."""
-    keep = set(sup_time_indices(len(traj.times), ctx.time_stride))
-    states = [s if i in keep else None for i, s in enumerate(traj.states)]
-    return Trajectory(traj.grid, traj.times, states, traj.meta)
+class _Iterate:
+    """What the outer loop keeps of one periodic iterate, read one stored state at a time.
 
-
-def _sup_increment(nxt: Trajectory, current: Trajectory, ctx: NormContext) -> float:
-    """``trajectory_sup_norm(trajectory_difference(nxt, current), ctx)``, one state at a time.
-
-    Reads the stored states of :func:`trajectory_sup_norm` (``ctx.time_stride``,
-    the last always), so no difference trajectory is held and ``current``
-    may be cut to those states (:func:`_sup_states`).
+    Called as ``on_state(t, state)`` for each state in order, it builds the
+    state's frozen band rows (:func:`_frozen_extra`), keeps its temperature
+    when a g-coupling reads eta (``coupled``), and keeps the state itself
+    only at the sup-in-time indices (``ctx.time_stride``, the last always;
+    state 0, the datum, among them).  Each kept state also forms its term of
+    the outer increment: its norm against ``previous``'s matching state,
+    which is then released, or its own norm without a previous iterate.
     """
-    idx = sup_time_indices(len(nxt.times), ctx.time_stride)
-    return float(np.max([state_norm(state_difference(nxt.states[i], current.states[i]), ctx)
-                         for i in idx]))
+
+    def __init__(self, count, ctx, coupled, previous=None):
+        self.ctx = ctx
+        self.keep = frozenset(sup_time_indices(count, ctx.time_stride))
+        self.times, self.vel, self.th = [], [], []
+        self.thetas = [] if coupled else None
+        self.sup = {}
+        self.terms = []
+        self._previous = None if previous is None else previous.sup
+
+    @classmethod
+    def read(cls, traj: Trajectory, ctx, coupled):
+        """The iterate of a stored trajectory (an initial guess); no increment is formed."""
+        it = cls(len(traj.times), ctx, coupled)
+        it.terms = None
+        for t, state in zip(traj.times, traj.states):
+            it(t, state)
+        return it
+
+    def __call__(self, t, state):
+        i = len(self.times)
+        self.times.append(t)
+        vel, th = _frozen_extra(state)
+        self.vel.append(vel)
+        self.th.append(th)
+        if self.thetas is not None:
+            self.thetas.append(state.theta)
+        if i not in self.keep:
+            return
+        self.sup[i] = state
+        if self.terms is not None:
+            diff = state if self._previous is None else state_difference(
+                state, self._previous.pop(i))
+            self.terms.append(state_norm(diff, self.ctx))
+
+    def increment(self):
+        """Sup over the kept states of the increment terms (NaN if any term is)."""
+        return float(np.max(self.terms))
+
+    def extra(self):
+        return SampledSpectralForcing(times=self.times, vel=self.vel, th=self.th)
+
+    def eta(self):
+        return SampledScalarSeries(times=self.times, fields=self.thetas)
 
 
 def nonlinear_periodic(
@@ -340,6 +388,15 @@ def nonlinear_periodic(
     product norm.  A non-contracting step raises ConvergenceError (the
     numerical smallness condition failed), and so does a non-finite increment,
     at the iteration that produced it.
+
+    The loop holds of the last iterate its frozen band rows, its temperatures
+    (only when a g-coupling reads eta) and its sup-in-time states; the next
+    iterate streams in state by state (:class:`_Iterate`) and never exists
+    whole.  The converged iterate's rows are built too, though nothing reads
+    them: one frozen-row pass more than the outer iterations need.
+    ``initial_guess``, a stored one-period trajectory, is read the same way.
+    The certifying run is a stepped evolve from the datum that returns its
+    whole trajectory.
     """
     if problem.mode not in ("full", "navier-stokes"):
         raise ConfigError("nonlinear_periodic needs mode 'full' or 'navier-stokes'")
@@ -353,35 +410,30 @@ def nonlinear_periodic(
         raise HypothesisError(
             f'hypothesis "2 < p <= n" violated (p = {p}, n = {grid.n})'
         )
-    current = initial_guess
+    coupled = problem.forcing.g is not None and problem.forcing.kappa > 0
+    current = None if initial_guess is None else _Iterate.read(initial_guess, ctx, coupled)
     history = []
     ratios = []
     converged = False
     zero_eta = None
-    if problem.forcing.g is not None and problem.forcing.kappa > 0:
+    if coupled:
         # the zero-th iterate freezes theta = 0 in the coupling
         node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
         zero_field = ScalarField(grid, np.zeros(grid.shape))
         zero_eta = SampledScalarSeries(times=node_times,
                                        fields=[zero_field] * len(node_times))
     for m in range(1, outer_max + 1):
-        # the rows of the iterate before go before the next are built, and
-        # ``nxt`` must not keep the whole of ``current`` alive
-        extra = nxt = None
+        extra = None
         eta_series = zero_eta
         if current is not None:
-            if zero_eta is not None:  # only the g-coupling reads eta
-                eta_series = current.theta_series()
-            extra = _frozen_extra(current)
-            # the solve reads this iterate only through eta and the frozen rows,
-            # and the increment reads its sup states (state 0, the datum, among
-            # them), so the velocities of the other states go before the solve
-            current = _sup_states(current, ctx)
-        nxt = _linear_periodic_solve(problem, eta_series, extra)
-        if current is None:
-            delta = trajectory_sup_norm(nxt, ctx)
-        else:
-            delta = _sup_increment(nxt, current, ctx)
+            extra = current.extra()
+            if coupled:  # only the g-coupling reads eta
+                eta_series = current.eta()
+        # the solve streams the next iterate into its reader; the reader holds
+        # of ``current`` only the sup states it has not yet differenced
+        nxt = _Iterate(problem.steps_per_period + 1, ctx, coupled, current)
+        _linear_periodic_solve(problem, eta_series, extra, nxt)
+        delta = nxt.increment()
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
         if not np.isfinite(delta):
@@ -411,8 +463,8 @@ def nonlinear_periodic(
             residual=history[-1][1],
             history=history,
         )
-    datum = current.states[0]
-    # the loop's trajectories and frozen rows are not read again
+    datum = current.sup[0]
+    # the loop's frozen rows and sup states are not read again
     del current, nxt, eta_series, extra, zero_eta
     certify = evolve(
         datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode

@@ -302,12 +302,14 @@ def verify_weighted_bilinear(pairs, params: StabilityParams, sampler=None, strid
         nb = weighted_trajectory_norm(b, params, sampler, stride)
         if na * nb == 0.0:
             continue
-        best = 0.0
         eval_times = [float(t) for t in a.times[1::stride] if t > 0]
-        for t, B in zip(eval_times, bilinear_path(a, b, eval_times)):
-            best = max(best, state_norm(B, ctx) + sum(_weighted_parts(B, t, params, sampler)))
+        # np.max, unlike max(), lets a NaN through in any order
+        best = float(np.max([0.0] + [
+            state_norm(B, ctx) + sum(_weighted_parts(B, t, params, sampler))
+            for t, B in zip(eval_times, bilinear_path(a, b, eval_times))
+        ]))
         ratios.append(best / (na * nb))
-    k_emp = max(ratios) if ratios else 0.0
+    k_emp = float(np.max(ratios)) if ratios else 0.0
     return WeightedBilinearReport(empirical_constant=k_emp, ratios=ratios, printed_constants=(c1, c2))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from bqbox import (DiagnosticsError, GridSpec, ScalarField, State, VectorField, 
 from bqbox import duhamel, periodic
 from bqbox.cli import main
 from bqbox.config import build_initial, load_config
-from bqbox.forcing import SampledSpectralForcing
+from bqbox.duhamel import Trajectory
+from bqbox.forcing import ForcingSpec, SampledSpectralForcing, constant_in_time
 from bqbox.grid import spectral_divergence_residual
-from bqbox.norms import NormContext, gaussian_profile, state_norm
+from bqbox import norms as norms_mod
+from bqbox.norms import BallSampler, NormContext, gaussian_profile, state_norm
+from bqbox.presets import random_smooth_scalar, random_smooth_tensor
 from bqbox.report import write_csv
 
 BOX = 6.283185307179586
@@ -415,6 +419,47 @@ class TestPeriodicCommands:
         out = tmp_path / "out"
         assert main(["periodic-nonlinear", "--config", cfg, "--output", str(out)]) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+
+class TestSmallnessInputs:
+    """The sups behind the smallness report keep one NaN sample wherever it falls."""
+
+    @staticmethod
+    def _inputs(nan_theta=None):
+        g = GridSpec(n=3, N=8, L=1.0)
+        forcing = ForcingSpec(period=1.0, F=constant_in_time(1.0, random_smooth_tensor(g, seed=3)))
+        cfg = SimpleNamespace(forcing=forcing, grid=g, sampler=BallSampler(4, 4))
+        states = []
+        for i in range(5):
+            theta = random_smooth_scalar(g, seed=10 + i).values
+            if i == nan_theta:
+                theta[1, 2, 3] = np.nan
+            states.append(State(VectorField(g, np.zeros((3,) + g.shape)), ScalarField(g, theta)))
+        base = SimpleNamespace(trajectory=Trajectory(g, np.linspace(0.0, 1.0, 5), states),
+                               meta={"solution_h_norm": 1.0})
+        return cli._smallness_inputs(cfg, SimpleNamespace(p=3.0, b=3.0), base, 1.0)
+
+    @pytest.mark.parametrize("at", [0, 4])
+    def test_nan_temperature_reaches_eta_sup(self, at):
+        assert np.isfinite(self._inputs()["eta_sup"])
+        assert np.isnan(self._inputs(nan_theta=at)["eta_sup"])
+
+    @pytest.mark.parametrize("at", [0, 4])
+    def test_nan_forcing_norm_reaches_ff_norm(self, monkeypatch, at):
+        # the F norm at the at-th of the five sampled times is NaN
+        real, calls = norms_mod.morrey_lorentz_norm, []
+
+        def norm(f, params, sampler=None):
+            if params.p == 1.5:
+                calls.append(1)
+                if len(calls) == at + 1:
+                    return np.nan
+            return real(f, params, sampler)
+
+        assert np.isfinite(self._inputs()["Ff_norm"])
+        monkeypatch.setattr(norms_mod, "morrey_lorentz_norm", norm)
+        got = self._inputs()
+        assert len(calls) == 5 and np.isnan(got["Ff_norm"]) and np.isfinite(got["eta_sup"])
 
 
 class TestVerifyEstimates:

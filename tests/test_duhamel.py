@@ -809,6 +809,37 @@ class TestVerifyBilinear:
         rep2 = verify_bilinear_estimate([(scaled, tb)], p=3.0, sampler=BallSampler(4, 4))
         assert rep2.empirical_constant == pytest.approx(rep1.empirical_constant, rel=1e-10)
 
+    @staticmethod
+    def _nan_norm(monkeypatch, nan_calls):
+        """``duhamel.state_norm`` returning NaN at the given (1-based) calls; returns the call log."""
+        real, calls = duhamel.state_norm, []
+
+        def norm(state, ctx):
+            calls.append(1)
+            return np.nan if len(calls) in nan_calls else real(state, ctx)
+
+        monkeypatch.setattr(duhamel, "state_norm", norm)
+        return calls
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_nan_sample_reaches_best(self, grid3d_small, monkeypatch, at):
+        # one NaN norm along the bilinear path, wherever it falls, makes the ratio NaN
+        ta, tb = self._pair(grid3d_small, 20)
+        n_eval = len(ta.times) - 1
+        calls = self._nan_norm(monkeypatch, {1 if at == "first" else n_eval})
+        rep = verify_bilinear_estimate([(ta, tb)], p=3.0, sampler=BallSampler(4, 4))
+        assert len(calls) == n_eval
+        assert np.isnan(rep.ratios[0]) and np.isnan(rep.empirical_constant)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_ratio_reaches_constant(self, grid3d_small, monkeypatch, bad):
+        pairs = [self._pair(grid3d_small, 20), self._pair(grid3d_small, 30)]
+        n_eval = len(pairs[0][0].times) - 1
+        self._nan_norm(monkeypatch, set(range(bad * n_eval + 1, (bad + 1) * n_eval + 1)))
+        rep = verify_bilinear_estimate(pairs, p=3.0, sampler=BallSampler(4, 4))
+        assert np.isnan(rep.ratios[bad]) and np.isfinite(rep.ratios[1 - bad])
+        assert np.isnan(rep.empirical_constant)
+
     def test_hypothesis_gate(self, grid3d_small):
         ta, tb = self._pair(grid3d_small, 30)
         with pytest.raises(HypothesisError, match="2 < p <= n"):

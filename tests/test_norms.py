@@ -296,6 +296,17 @@ class TestWeightedTimeSup:
         base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0))
         assert got == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["nan-first", "nan-last"])
+    def test_nan_sample_propagates(self, grid2d_box, order):
+        # one NaN cell at t = 0.5 beside a finite sample, in either order
+        f = gaussian_profile(grid2d_box, 0.5)
+        bad = f.values.copy()
+        bad[3, 5] = np.nan
+        w = TimeWeightParams(p=3.0, b=2.0)
+        assert np.isfinite(weighted_time_sup([(1.0, f)], w, lam=0.0))
+        samples = [(0.5, ScalarField(grid2d_box, bad)), (1.0, f)][::order]
+        assert np.isnan(weighted_time_sup(samples, w, lam=0.0))
+
     def test_requires_positive_times(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         with pytest.raises(DiagnosticsError):

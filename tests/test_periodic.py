@@ -31,11 +31,16 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
-from bqbox.duhamel import state_difference, trajectory_difference
-from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
+from bqbox.duhamel import state_difference
+from bqbox.forcing import (
+    HarmonicTerm,
+    SampledScalarSeries,
+    SampledSpectralForcing,
+    TimeFourierField,
+)
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
-from bqbox.operators import div_coeffs, heat_semigroup
+from bqbox.operators import advection_coeffs, div_coeffs, heat_semigroup
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -461,7 +466,14 @@ class TestNonlinearPeriodic:
                                ctx=ctx_for(grid2d_box))
 
     def test_nonfinite_increment_names_iteration(self, grid2d_box, monkeypatch):
-        monkeypatch.setattr(periodic_mod, "trajectory_sup_norm", lambda traj, ctx: np.nan)
+        # one NaN term among finite ones must still reach the increment
+        calls = []
+
+        def nan_second(state, ctx):
+            calls.append(1)
+            return np.nan if len(calls) == 2 else state_norm(state, ctx)
+
+        monkeypatch.setattr(periodic_mod, "state_norm", nan_second)
         prob = nonlinear_problem(grid2d_box, amp=1e-3)
         with pytest.raises(ConvergenceError, match="not finite at iteration 1") as err:
             nonlinear_periodic(prob, ctx=ctx_for(grid2d_box))
@@ -516,27 +528,50 @@ class TestNonlinearPeriodic:
         assert np.max(np.abs(ns.trajectory.states[-1].theta.values)) == 0.0
 
 
-def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx):
-    """The outer loop as it was before iterates were cut to their sup states.
+def trajectory_difference(a, b):
+    """The stored states of ``a - b``, all at once: the oracle of the streamed increment."""
+    assert np.array_equal(a.times, b.times)
+    return Trajectory(a.grid, a.times, [state_difference(x, y) for x, y in zip(a.states, b.states)])
 
-    Every iterate is kept whole until the next replaces it; returns the
-    history, datum, residuals and sup norm :func:`nonlinear_periodic` reports.
+
+def frozen_extra(traj):
+    """Band rows of the nonlinearity frozen along a whole stored iterate."""
+    grid = traj.grid
+    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values)
+                    for s in traj.states))
+    return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
+
+
+def stored_linear_solve(problem, eta_series, extra):
+    """The linear periodic solve returning its whole stored iterate."""
+    cfg, forcing = problem.cfg, problem.forcing
+    c = evolve(zeros_like_state(problem.grid), forcing, problem.period, cfg, mode="linearized",
+               eta=eta_series, extra=extra, store_stride=problem.steps_per_period).states[-1]
+    return evolve(periodic_mod._invert_resolvent(problem, c), forcing, problem.period, cfg,
+                  mode="linearized", eta=eta_series, extra=extra)
+
+
+def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_guess=None):
+    """The outer loop with every iterate stored whole and its difference materialized.
+
+    Each iterate is kept until the next replaces it, and its rows and
+    temperatures are read from the stored trajectory; returns the history,
+    datum, residuals and sup norm :func:`nonlinear_periodic` reports.
     """
     grid = problem.grid
-    current, history = None, []
+    coupled = problem.forcing.g is not None and problem.forcing.kappa > 0
+    current, history = initial_guess, []
     node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
     zero_eta = SampledScalarSeries(times=node_times,
                                    fields=[ScalarField(grid, np.zeros(grid.shape))] * len(node_times))
     for m in range(1, outer_max + 1):
-        eta_series = current.theta_series() if current is not None else zero_eta
-        extra = periodic_mod._frozen_extra(current) if current is not None else None
-        nxt = periodic_mod._linear_periodic_solve(problem, eta_series, extra)
-        if current is None:
-            delta = trajectory_sup_norm(nxt, ctx)
-        else:
-            idx = sup_time_indices(len(nxt.times), ctx.time_stride)
-            delta = float(np.max([state_norm(state_difference(nxt.states[i], current.states[i]), ctx)
-                                  for i in idx]))
+        eta_series = None
+        if coupled:
+            eta_series = current.theta_series() if current is not None else zero_eta
+        extra = frozen_extra(current) if current is not None else None
+        nxt = stored_linear_solve(problem, eta_series, extra)
+        diff = nxt if current is None else trajectory_difference(nxt, current)
+        delta = trajectory_sup_norm(diff, ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
         current = nxt
@@ -548,8 +583,24 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx):
     return history, datum, res_max, res_norm, trajectory_sup_norm(certify, ctx)
 
 
+def streamed_iterates(monkeypatch):
+    """Record every state each linear solve streams; returns the list of iterates."""
+    iterates = []
+    solve = periodic_mod._linear_periodic_solve
+
+    def spy(problem, eta_series, extra, on_state):
+        states = []
+        solve(problem, eta_series, extra,
+              lambda t, state: states.append((t, state)) or on_state(t, state))
+        times, kept = zip(*states)
+        iterates.append(Trajectory(problem.grid, np.asarray(times), list(kept)))
+
+    monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
+    return iterates
+
+
 class TestNonlinearPeriodicMemory:
-    """The outer loop holds no difference trajectory, and the certify run holds no loop state."""
+    """The outer loop holds no iterate whole, and the certify run holds no loop state."""
 
     @staticmethod
     def _problem():
@@ -569,96 +620,140 @@ class TestNonlinearPeriodicMemory:
         ctx = NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), BallSampler(4, 4), time_stride=4)
         return prob, ctx
 
-    def test_history_matches_materialized_difference(self, monkeypatch):
-        prob, ctx = self._problem()
-        iterates = []
-        solve = periodic_mod._linear_periodic_solve
-        monkeypatch.setattr(periodic_mod, "_linear_periodic_solve",
-                            lambda *a: iterates.append(solve(*a)) or iterates[-1])
-        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        assert len(iterates) == len(sol.history) >= 3
-        # stride 4 reads states 0, 4, ..., 16; strides 3 and 5 step past the
-        # last state, which must still be read
-        want = [trajectory_sup_norm(iterates[0], ctx)] + [
-            trajectory_sup_norm(trajectory_difference(b, a), ctx)
-            for a, b in zip(iterates, iterates[1:])
-        ]
-        assert [delta for _, delta, _ in sol.history] == want
-        for stride in (3, 5):
-            ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
-            got = periodic_mod._sup_increment(iterates[1], iterates[0], ctx_s)
-            assert got == trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
-
-    def test_outputs_match_collected_loop(self):
-        prob, ctx = self._problem()
-        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        history, datum, res_max, res_norm, sol_norm = collected_nonlinear_periodic(
-            prob, 1e-10, 16, ctx)
-        assert len(history) >= 3
+    @staticmethod
+    def _assert_same(sol, collected):
+        history, datum, res_max, res_norm, sol_norm = collected
         np.testing.assert_array_equal(np.array(sol.history), np.array(history))
         assert np.array_equal(sol.initial.u.values, datum.u.values)
         assert np.array_equal(sol.initial.theta.values, datum.theta.values)
         assert (sol.residual_max, sol.residual_norm) == (res_max, res_norm)
         assert sol.meta["solution_h_norm"] == sol_norm
 
+    def test_history_matches_materialized_difference(self, monkeypatch):
+        prob, ctx = self._problem()
+        iterates = streamed_iterates(monkeypatch)
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        assert len(iterates) == len(sol.history) >= 3
+        assert all(len(it.states) == prob.steps_per_period + 1 for it in iterates)
+        want = [trajectory_sup_norm(iterates[0], ctx)] + [
+            trajectory_sup_norm(trajectory_difference(b, a), ctx)
+            for a, b in zip(iterates, iterates[1:])
+        ]
+        assert [delta for _, delta, _ in sol.history] == want
+        # stride 4 reads states 0, 4, ..., 16; strides 3 and 5 step past the
+        # last state, which must still be read
+        for stride in (3, 5):
+            ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
+            previous = periodic_mod._Iterate.read(iterates[0], ctx_s, coupled=True)
+            reader = periodic_mod._Iterate(len(iterates[1].times), ctx_s, True, previous)
+            for t, state in zip(iterates[1].times, iterates[1].states):
+                reader(t, state)
+            want = trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
+            assert reader.increment() == want
+            assert previous.sup == {}  # each previous sup state released once differenced
+
+    def test_outputs_match_collected_loop(self):
+        prob, ctx = self._problem()
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        collected = collected_nonlinear_periodic(prob, 1e-10, 16, ctx)
+        assert len(collected[0]) >= 3
+        self._assert_same(sol, collected)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_outputs_match_collected_loop_from_guess(self, coupled):
+        # the guess's rows, temperatures (with a coupling) and sup states are
+        # all read: the history differs from the run without a guess
+        if coupled:
+            prob, ctx = self._problem()
+        else:
+            prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
+            ctx = ctx_for(prob.grid, stride=4)
+        g = prob.grid
+        guess_state = State(random_div_free(g, seed=77, amplitude=1e-3),
+                            random_smooth_scalar(g, seed=78, amplitude=1e-3))
+        guess = evolve(guess_state, prob.forcing, T, prob.cfg, mode="full")
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx, initial_guess=guess)
+        collected = collected_nonlinear_periodic(prob, 1e-10, 16, ctx, initial_guess=guess)
+        assert len(collected[0]) >= 3
+        self._assert_same(sol, collected)
+        unguessed = collected_nonlinear_periodic(prob, 1e-10, 16, ctx)
+        assert collected[0][0][1] != unguessed[0][0][1]
+        assert collected[0][1][1] != unguessed[0][1][1]
+
     def test_theta_series_only_for_the_coupling(self, monkeypatch):
         # eta is read only by a g-coupling with kappa > 0: without one the
-        # loop builds no temperature series and its outputs do not move
-        calls = []
-        theta_series = Trajectory.theta_series
-        monkeypatch.setattr(Trajectory, "theta_series",
-                            lambda traj: calls.append(1) or theta_series(traj))
+        # loop keeps no temperatures and its outputs do not move
+        seen = []
+        solve = periodic_mod._linear_periodic_solve
+
+        def spy(problem, eta_series, extra, on_state):
+            seen.append((eta_series, on_state.thetas))
+            solve(problem, eta_series, extra, on_state)
+
+        monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
         ctx = ctx_for(prob.grid)
         sol = nonlinear_periodic(prob, outer_tol=1e-11, ctx=ctx)
-        assert calls == [] and len(sol.history) >= 3
-        history, datum, res_max, res_norm, sol_norm = collected_nonlinear_periodic(
-            prob, 1e-11, 16, ctx)
-        assert len(calls) == len(history) - 1  # the copy builds it every iteration
-        np.testing.assert_array_equal(np.array(sol.history), np.array(history))
-        assert np.array_equal(sol.initial.u.values, datum.u.values)
-        assert np.array_equal(sol.initial.theta.values, datum.theta.values)
-        assert (sol.residual_max, sol.residual_norm) == (res_max, res_norm)
+        assert len(seen) == len(sol.history) >= 3
+        assert all(eta is None and thetas is None for eta, thetas in seen)
+        self._assert_same(sol, collected_nonlinear_periodic(prob, 1e-11, 16, ctx))
 
-        calls.clear()
+        seen.clear()
         prob, ctx = self._problem()  # g set, kappa = 0.3
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        assert len(calls) == len(sol.history) - 1 >= 2
+        assert len(seen) == len(sol.history) >= 3
+        count = prob.steps_per_period + 1
+        assert all(len(thetas) == count for _, thetas in seen)
+        assert all(np.max(np.abs(f.values)) == 0.0 for f in seen[0][0].fields)
+        for (eta, _), (_, thetas) in zip(seen[1:], seen):
+            assert len(eta.fields) == count
+            assert all(a is b for a, b in zip(eta.fields, thetas))
 
     def test_off_sup_states_released_once_frozen(self, monkeypatch):
-        # when the next linear solve starts, the last iterate's frozen rows and
-        # eta exist; of its states only those the increment reads are alive,
-        # and eta still holds a temperature for every one of them
+        # during a streamed solve no state outside the sup indices outlives
+        # its on_state call; the last iterate's sup states are alive when the
+        # next solve starts and released by the time it returns
         prob, ctx = self._problem()
+        keep = set(sup_time_indices(prob.steps_per_period + 1, ctx.time_stride))
+        assert 0 in keep and len(keep) < prob.steps_per_period + 1
         iterates = []  # per iterate, weak references to each state and its velocity values
-        checked = []
         solve = periodic_mod._linear_periodic_solve
 
-        def spy(problem, eta_series, extra):
-            if iterates:
-                assert extra is not None
-                last = iterates[-1]
-                keep = set(sup_time_indices(len(last), ctx.time_stride))
-                assert 0 in keep and len(keep) < len(last)
-                for i, (state, u_values) in enumerate(last):
-                    assert (state() is not None) == (i in keep), i
-                    assert (u_values() is not None) == (i in keep), i
-                assert len(eta_series.fields) == len(last)
-                checked.append(len(iterates))
-            traj = solve(problem, eta_series, extra)
-            iterates.append([(weakref.ref(s), weakref.ref(s.u.values)) for s in traj.states])
-            return traj
+        def dead(refs, indices):
+            return all(refs[i][0]() is None and refs[i][1]() is None for i in indices)
+
+        def alive(refs, indices):
+            return all(refs[i][0]() is not None and refs[i][1]() is not None for i in indices)
+
+        def spy(problem, eta_series, extra, on_state):
+            last = iterates[-1] if iterates else None
+            if last is not None:
+                assert len(extra.vel) == len(extra.th) == len(last)
+                assert alive(last, keep) and dead(last, set(range(len(last))) - keep)
+            refs = []
+
+            def watch(t, state):
+                assert dead(refs, set(range(len(refs))) - keep)
+                on_state(t, state)
+                refs.append((weakref.ref(state), weakref.ref(state.u.values)))
+
+            solve(problem, eta_series, extra, watch)
+            assert dead(refs, set(range(len(refs))) - keep) and alive(refs, keep)
+            if last is not None:
+                assert dead(last, range(len(last)))
+            iterates.append(refs)
 
         monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        assert checked == list(range(1, len(sol.history)))
-        assert len(checked) >= 2
+        assert len(iterates) == len(sol.history) >= 3
 
     def test_peak_memory_in_stored_trajectories(self):
-        # the loop holds the current and the next iterate (two trajectories)
-        # plus band-sized frozen rows; a materialized outer difference, full-size
-        # frozen rows, or loop state kept through the certify run push the peak
-        # past four trajectories
+        # the loop holds the band-sized frozen rows of two iterates, the
+        # temperatures the coupling reads and the sup states of two iterates,
+        # but never an iterate's states; the certify trajectory is the one
+        # whole trajectory of the run.  An iterate held whole, full-size frozen
+        # rows, or loop state kept through the certify run push the peak past
+        # the bound (2.24 trajectories measured)
         prob, ctx = self._problem()
         nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)  # multiplier caches built outside
         tracemalloc.start()
@@ -669,4 +764,4 @@ class TestNonlinearPeriodicMemory:
             tracemalloc.stop()
         traj_bytes = sum(s.u.values.nbytes + s.theta.values.nbytes for s in sol.trajectory.states)
         assert len(sol.trajectory.states) == 17
-        assert peak < 4.0 * traj_bytes
+        assert peak < 2.45 * traj_bytes

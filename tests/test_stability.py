@@ -30,6 +30,7 @@ from bqbox import (
     weighted_trajectory_norm,
     zeros_like_state,
 )
+from bqbox import stability as stability_mod
 from bqbox.duhamel import Trajectory, evolve
 from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.norms import morrey_lorentz_norm
@@ -320,6 +321,36 @@ class TestVerifyWeightedBilinear:
         rep = verify_weighted_bilinear([(z, z)], StabilityParams(**SP),
                                        sampler=BallSampler(4, 4))
         assert rep.empirical_constant == 0.0
+
+    @staticmethod
+    def _nan_norm(monkeypatch, nan_calls):
+        """``stability.state_norm`` returning NaN at the given (1-based) calls."""
+        real, calls = stability_mod.state_norm, []
+
+        def norm(state, ctx):
+            calls.append(1)
+            return np.nan if len(calls) in nan_calls else real(state, ctx)
+
+        monkeypatch.setattr(stability_mod, "state_norm", norm)
+        return calls
+
+    @pytest.mark.parametrize("at", ["first", "last"])
+    def test_nan_sample_reaches_best(self, grid3d_small, monkeypatch, at):
+        # stride 2 evaluates B at two stored times per pair
+        pairs = self._pairs(grid3d_small)[:1]
+        calls = self._nan_norm(monkeypatch, {1 if at == "first" else 2})
+        rep = verify_weighted_bilinear(pairs, StabilityParams(**SP), sampler=BallSampler(4, 4),
+                                       stride=2)
+        assert len(calls) == 2
+        assert np.isnan(rep.ratios[0]) and np.isnan(rep.empirical_constant)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_nan_ratio_reaches_constant(self, grid3d_small, monkeypatch, bad):
+        self._nan_norm(monkeypatch, {2 * bad + 1, 2 * bad + 2})
+        rep = verify_weighted_bilinear(self._pairs(grid3d_small), StabilityParams(**SP),
+                                       sampler=BallSampler(4, 4), stride=2)
+        assert np.isnan(rep.ratios[bad]) and np.isfinite(rep.ratios[1 - bad])
+        assert np.isnan(rep.empirical_constant)
 
 
 class TestSmallnessReport:
