@@ -21,7 +21,9 @@ Hairer, Norsett & Wanner, Solving ODEs I (1993)).  A step thus makes as
 many evaluations as Picard iterations.  Picard starts from the quadratic
 extrapolation 3 (G_i - G_{i-1}) + G_{i-2} of the last three node values
 (linear from two, G_i from one), which needs no evaluation of its own,
-whether or not G depends on t.
+whether or not G depends on t.  A caller that already holds G at a nearby
+solution, one band row per node (the certifying run of the nonlinear
+periodic solve), hands those rows in instead, and Picard starts from them.
 
 State-independent forcing enters each step as one weighted sum.  Analytic
 harmonics (finite Fourier series in t) are sampled on a finer substep grid,
@@ -301,10 +303,7 @@ class _CompiledForcing:
             and forcing.g is not None
             and forcing.kappa > 0.0
         ):
-            node_vel = [
-                buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
-                for t in node_times
-            ]
+            node_vel = _coupling_rows(grid, forcing, eta, node_times)
         if extra is not None and extra.vel is not None:
             if node_vel is None:
                 node_vel = list(extra.vel)
@@ -339,6 +338,14 @@ class _CompiledForcing:
         vel = [None, None] if self.node_vel is None else self.node_vel[j:j + 2]
         th = [None, None] if self.node_th is None else self.node_th[j:j + 2]
         return vel, th
+
+
+def _coupling_rows(grid, forcing, eta, node_times):
+    """Band rows of the linearized coupling kappa P(eta g), one per node of ``node_times``."""
+    return [
+        buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
+        for t in node_times
+    ]
 
 
 def _substep_weights(grid, h, m):
@@ -475,7 +482,7 @@ _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
 def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, store_stride=1,
-           on_state=None):
+           on_state=None, _predictor=None):
     """Integrate the mild formulation from ``initial`` up to ``t_end``.
 
     Modes: ``full`` (both nonlinearities), ``linearized`` (state-independent
@@ -492,6 +499,14 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     times or states, only ``meta``.  ``meta`` totals the run's right-hand-side evaluations
     (``rhs_evaluations``) and Picard iterations (``picard_iterations``); a
     full or navier-stokes run makes one evaluation more than iterations.
+
+    ``_predictor`` (private; full and navier-stokes modes) is a list of one
+    (vel, th) pair of band rows per step node, G_state at a nearby solution
+    (the converged iterate of :func:`bqbox.periodic.nonlinear_periodic`).
+    Step i's Picard then starts from ``fixed + Wb row[i + 1]`` instead of the
+    extrapolated node values, and the entry is set to None once read, so
+    the rows go as the states come.  Only the start changes: every step
+    still passes Picard's residual test with the full right-hand side.
     """
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
@@ -516,6 +531,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     n_steps = int(round(t_end / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"t_end = {t_end} must be a positive multiple of dt = {cfg.dt}")
+    if _predictor is not None and len(_predictor) != n_steps + 1:
+        raise ConfigError(f"predictor has {len(_predictor)} rows for {n_steps + 1} step nodes")
     if forcing is not None:
         cfg.check_period(forcing.period)
 
@@ -556,6 +573,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
     # node: t = 0 has an evaluation of its own, every later node the Picard
     # evaluation that formed its state
     nodes = [] if state_rhs is None else [state_rhs(u_hat, th_hat, 0.0)]
+    if _predictor is not None:
+        _predictor[0] = None  # node 0 has an evaluation of its own
     store(0.0, _to_state(grid, u_hat, th_hat))
     picard_iters_max = picard_iterations = 0
 
@@ -582,13 +601,17 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
             u_hat = th_hat = None  # the start state is not read again
             _add_on_band(fixed_u, grid, [(Wa, nodes[0][0])])
             _add_on_band(fixed_th, grid, [(Wa, nodes[0][1])])
-            # predictor: the node values extrapolated to t_b
-            coeffs = _EXTRAPOLATION[len(nodes) - 1]
-            first_u = _add_on_band(fixed_u.copy(), grid,
-                                   ((c * Wb, g[0]) for c, g in zip(coeffs, nodes)))
-            first_th = _add_on_band(fixed_th.copy(), grid,
-                                    ((c * Wb, g[1]) for c, g in zip(coeffs, nodes)))
-            del nodes[2:]  # the oldest value is not read again
+            if _predictor is None:
+                # predictor: the node values extrapolated to t_b
+                guess = [(c * Wb, g) for c, g in zip(_EXTRAPOLATION[len(nodes) - 1], nodes)]
+                del nodes[2:]  # the oldest value is not read again
+            else:
+                guess = [(Wb, _predictor[i + 1])]
+                _predictor[i + 1] = None
+                del nodes[1:]  # only the Wa value is read again
+            first_u = _add_on_band(fixed_u.copy(), grid, ((w, g[0]) for w, g in guess))
+            first_th = _add_on_band(fixed_th.copy(), grid, ((w, g[1]) for w, g in guess))
+            guess = None
             u_hat, th_hat, rows, iters = _picard(state_rhs, fixed_u, fixed_th, first_u, first_th,
                                                  Wb, t_b, cfg, i)
             nodes.insert(0, rows)

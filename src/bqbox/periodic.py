@@ -27,9 +27,12 @@ that makes the iteration contract.  No iterate is held whole: the solve
 streams each stored state into a reader that builds its frozen band rows,
 keeps its temperature when a g-coupling reads it, and keeps the state only
 at the sup-in-time indices, where it forms its increment term against the
-previous iterate's matching state and releases that one.  The rows of the
-converged iterate are built and not read, one row pass more than the loop
-needs, in exchange for never holding an iterate's states.
+previous iterate's matching state and releases that one.  Each linear
+solve steps P(0) = P_F(0) + P_rows(0): the image P_F(0) of the analytic
+forcing alone is the first solve's, which freezes nothing, and later solves
+step only their frozen rows from zero.  The rows of the converged iterate
+are G at its states, so they start the Picard iteration of each step of
+the certifying run, which is still a stepped full-mode period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -37,11 +40,11 @@ kept mean-free and the datum mean is fixed to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duhamel import SolveConfig, Trajectory, _to_state, evolve, state_difference
+from .duhamel import SolveConfig, Trajectory, _coupling_rows, _to_state, evolve, state_difference
 from .errors import ConfigError, ConvergenceError, HypothesisError
 from .forcing import ForcingSpec, SampledScalarSeries, SampledSpectralForcing
 from .grid import (
@@ -287,33 +290,54 @@ def _frozen_extra(state: State):
     return advection_coeffs(state.grid, u, u, state.theta.values)
 
 
-def _linear_periodic_solve(problem, eta_series, extra, on_state):
-    """Periodic solution of the linear problem with ``eta`` and ``extra`` frozen.
+def _with_coupling(problem, eta_series, extra):
+    """New rows: the coupling rows kappa P(eta g) per node, plus ``extra``'s velocity rows."""
+    node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
+    vel = _coupling_rows(problem.grid, problem.forcing, eta_series, node_times)
+    if extra is None:
+        return SampledSpectralForcing(times=node_times, vel=vel)
+    for row, extra_row in zip(vel, extra.vel):
+        row += extra_row
+    return SampledSpectralForcing(times=node_times, vel=vel, th=extra.th)
 
-    Steps P(0) once, inverts the resolvent on it, and streams the stored
-    states of one period from that datum into ``on_state(t, state)``.
+
+def _linear_periodic_solve(problem, eta_series, extra, on_state, forced=None):
+    """Periodic solution of the linear problem with ``eta`` and ``extra`` frozen; returns P(0).
+
+    Steps P(0), inverts the resolvent on it, and streams the stored states
+    of one period from that datum into ``on_state(t, state)``.  A g-coupling
+    reads the frozen temperature ``eta_series`` (None freezes theta = 0): its
+    coupling rows are summed with the frozen velocity rows once, and both
+    evolves read those rows, with ``g`` dropped from the forcing they see.
+
+    P(0) is affine in the forcing and the frozen rows, P(0) = P_F(0) +
+    P_rows(0).  ``forced``, when given, is P_F(0), the image of the analytic
+    forcing alone (the P(0) of a solve that freezes nothing): only the rows
+    are then stepped from zero, under the forcing without F and f, and
+    added to it.  Without it the whole P(0) is stepped.  Returns P(0), which
+    is P_F(0) for a solve that freezes nothing.
     """
-    grid = problem.grid
-    c = evolve(
-        zeros_like_state(grid),
-        problem.forcing,
-        problem.period,
-        problem.cfg,
-        mode="linearized",
-        eta=eta_series,
-        extra=extra,
-        store_stride=problem.steps_per_period,
-    ).states[-1]
-    evolve(
-        _invert_resolvent(problem, c),
-        problem.forcing,
-        problem.period,
-        problem.cfg,
-        mode="linearized",
-        eta=eta_series,
-        extra=extra,
-        on_state=on_state,
-    )
+    grid, forcing = problem.grid, problem.forcing
+    if forcing.g is not None:
+        if eta_series is not None and forcing.kappa > 0:
+            extra = _with_coupling(problem, eta_series, extra)
+        forcing = replace(forcing, g=None)
+
+    def image(part):
+        return evolve(zeros_like_state(grid), part, problem.period, problem.cfg,
+                      mode="linearized", extra=extra,
+                      store_stride=problem.steps_per_period).states[-1]
+
+    if forced is None:
+        c = image(forcing)
+    else:
+        c = image(replace(forcing, F=None, f=None))
+        # the frozen part's image is this solve's own: P_F(0) is added into it
+        for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
+            np.add(part.values, whole.values, out=part.values)
+    evolve(_invert_resolvent(problem, c), forcing, problem.period, problem.cfg,
+           mode="linearized", extra=extra, on_state=on_state)
+    return c
 
 
 class _Iterate:
@@ -326,6 +350,8 @@ class _Iterate:
     state 0, the datum, among them).  Each kept state also forms its term of
     the outer increment: its norm against ``previous``'s matching state,
     which is then released, or its own norm without a previous iterate.
+    The rows freeze the nonlinearity of the next linear solve, or, for the
+    converged iterate, start the certifying run's Picard (:meth:`predictor`).
     """
 
     def __init__(self, count, ctx, coupled, previous=None):
@@ -350,8 +376,14 @@ class _Iterate:
         i = len(self.times)
         self.times.append(t)
         vel, th = _frozen_extra(state)
-        self.vel.append(vel)
-        self.th.append(th)
+        # one block per node: the certifying run frees a node's rows once read,
+        # and a whole block is a hole that a stored temperature can reuse
+        block = np.empty(vel.size + th.size, dtype=complex)
+        block[:vel.size] = vel.ravel()
+        block[vel.size:] = th.ravel()
+        self.vel.append(block[:vel.size].reshape(vel.shape))
+        self.th.append(block[vel.size:].reshape(th.shape))
+        del vel, th  # the separate rows go before the sup-state work below
         if self.thetas is not None:
             self.thetas.append(state.theta)
         if i not in self.keep:
@@ -371,6 +403,17 @@ class _Iterate:
 
     def eta(self):
         return SampledScalarSeries(times=self.times, fields=self.thetas)
+
+    def predictor(self, problem):
+        """G_state along this iterate, one (vel, th) band-row pair per node.
+
+        The frozen rows, with the coupling rows of the iterate's own
+        temperatures summed in when a g-coupling reads them.
+        """
+        rows = self.extra()
+        if self.thetas is not None:
+            rows = _with_coupling(problem, self.eta(), rows)
+        return list(zip(rows.vel, rows.th))
 
 
 def nonlinear_periodic(
@@ -392,11 +435,17 @@ def nonlinear_periodic(
     The loop holds of the last iterate its frozen band rows, its temperatures
     (only when a g-coupling reads eta) and its sup-in-time states; the next
     iterate streams in state by state (:class:`_Iterate`) and never exists
-    whole.  The converged iterate's rows are built too, though nothing reads
-    them: one frozen-row pass more than the outer iterations need.
-    ``initial_guess``, a stored one-period trajectory, is read the same way.
-    The certifying run is a stepped evolve from the datum that returns its
-    whole trajectory.
+    whole.  It also holds P_F(0), the first solve's image, which freezes
+    nothing, so that each later solve steps only its frozen rows
+    (:func:`_linear_periodic_solve`).  ``initial_guess``, a stored
+    one-period trajectory, is read the same way; its run has no such image
+    and steps every P(0) whole.
+
+    The certifying run is a stepped full-mode evolve from the datum that
+    returns its whole trajectory.  The converged iterate's rows, G_state at
+    the states it converged to, start each step's Picard iteration and are
+    dropped as the run reads them; every step still passes Picard's
+    residual test with the full right-hand side.
     """
     if problem.mode not in ("full", "navier-stokes"):
         raise ConfigError("nonlinear_periodic needs mode 'full' or 'navier-stokes'")
@@ -415,16 +464,10 @@ def nonlinear_periodic(
     history = []
     ratios = []
     converged = False
-    zero_eta = None
-    if coupled:
-        # the zero-th iterate freezes theta = 0 in the coupling
-        node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
-        zero_field = ScalarField(grid, np.zeros(grid.shape))
-        zero_eta = SampledScalarSeries(times=node_times,
-                                       fields=[zero_field] * len(node_times))
+    forced = None  # P_F(0), once a solve that freezes nothing has stepped it
     for m in range(1, outer_max + 1):
-        extra = None
-        eta_series = zero_eta
+        # the zero-th iterate freezes nothing: no rows, and theta = 0 in the coupling
+        extra = eta_series = None
         if current is not None:
             extra = current.extra()
             if coupled:  # only the g-coupling reads eta
@@ -432,7 +475,10 @@ def nonlinear_periodic(
         # the solve streams the next iterate into its reader; the reader holds
         # of ``current`` only the sup states it has not yet differenced
         nxt = _Iterate(problem.steps_per_period + 1, ctx, coupled, current)
-        _linear_periodic_solve(problem, eta_series, extra, nxt)
+        image = _linear_periodic_solve(problem, eta_series, extra, nxt, forced)
+        if current is None:  # this solve froze nothing: its image is P_F(0)
+            forced = image
+        del image  # no other image is held through the next solve
         delta = nxt.increment()
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
@@ -464,10 +510,12 @@ def nonlinear_periodic(
             history=history,
         )
     datum = current.sup[0]
-    # the loop's frozen rows and sup states are not read again
-    del current, nxt, eta_series, extra, zero_eta
+    predictor = current.predictor(problem)
+    # nothing else of the loop is read again
+    del current, nxt, eta_series, extra, forced
     certify = evolve(
-        datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode
+        datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
+        _predictor=predictor,
     )
     res_max, res_norm = check_periodicity(certify, ctx)
     sol_norm = trajectory_sup_norm(certify, ctx)

@@ -142,7 +142,7 @@ _REQUIRED = {
 
 
 def make_preset(name, grid, params=None):
-    """Build a named preset field; unknown names and missing params are errors."""
+    """Build a named preset field; unknown names, missing params and non-finite values fail."""
     params = dict(params or {})
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
@@ -153,4 +153,9 @@ def make_preset(name, grid, params=None):
     for key in params:
         if key not in allowed:
             raise ConfigError(f"preset {name!r} does not take parameter {key!r}")
-    return fn(grid, **params)
+    # a degenerate parameter (sigma = 0, soft_cells = 0) divides by zero: refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        field = fn(grid, **params)
+    if not np.all(np.isfinite(field.values)):
+        raise ConfigError(f"preset {name!r} with parameters {params} has non-finite values")
+    return field

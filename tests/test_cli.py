@@ -558,6 +558,20 @@ class TestConfigErrors:
         assert err.startswith("config error:") and f"{key} must be" in err
 
 
+    @pytest.mark.parametrize("command, patch, preset", [
+        ("evolve", {"initial": {"theta": {"preset": "gaussian-bump", "params": {"sigma": 0}}}},
+         "gaussian-bump"),
+        ("evolve", {"forcing": {"period": 1.0, "kappa": 0.5, "g": [
+            {"harmonic": 0, "preset": "gravity", "params": {"soft_cells": 0}}]}}, "gravity"),
+    ])
+    def test_non_finite_preset_exits_2(self, tmp_path, capsys, command, patch, preset):
+        cfg = write_config(tmp_path / "c.json", {**evolve_config(), **patch})
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"preset '{preset}' with parameters" in err and "non-finite" in err
+
+
 def _stability_config(**estimates):
     return {**nonlinear_3d_config(), "estimates": estimates,
             "stability": {"p": 3.0, "q": 3.0, "r": 6.0, "b": 0.5}}

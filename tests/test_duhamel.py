@@ -554,6 +554,55 @@ class TestPredictorReuse:
             assert got_calls <= ref_calls - n_steps
 
 
+class TestNodeRowPredictor:
+    """Picard started from one row of G_state per node along a nearby solution."""
+
+    @staticmethod
+    def _rows(traj, forcing, mode):
+        grid = traj.grid
+        rhs = _StateRHS(grid, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
+        return [rhs(forward_coeffs(grid, s.u.values), forward_coeffs(grid, s.theta.values), t)
+                for t, s in zip(traj.times, traj.states)]
+
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    def test_rows_of_the_solution_close_each_step_at_once(self, grid3d_small, mode, g_harmonic):
+        # rows of the run's own states: each step's first Picard iterate is
+        # accepted, so the run makes the t = 0 evaluation plus one per step,
+        # and drops every row it was handed
+        n_steps = 8
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, g_harmonic)
+        cold = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
+        rows = self._rows(cold, forcing, mode)
+        warm = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, _predictor=rows)
+        assert warm.meta["rhs_evaluations"] == n_steps + 1
+        assert warm.meta["picard_iterations"] == n_steps
+        assert cold.meta["rhs_evaluations"] > n_steps + 1
+        assert rows == [None] * (n_steps + 1)
+        scale = max(s.max_norm() for s in cold.states)
+        for a, b in zip(warm.states, cold.states):
+            assert state_difference(a, b).max_norm() <= 1e-12 * scale
+
+    def test_far_rows_still_converge(self, grid3d_small):
+        # rows of another solution only move Picard's start: every step still
+        # closes to picard_tol, so the run ends near the extrapolated one
+        n_steps = 8
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0, picard_tol=1e-12)
+        other = State(random_div_free(grid3d_small, seed=5, amplitude=0.1), init.theta)
+        rows = self._rows(evolve(other, forcing, n_steps * cfg.dt, cfg), forcing, "full")
+        warm = evolve(init, forcing, n_steps * cfg.dt, cfg, _predictor=rows)
+        cold = evolve(init, forcing, n_steps * cfg.dt, cfg)
+        assert warm.meta["picard_iterations"] > n_steps
+        scale = max(s.max_norm() for s in cold.states)
+        for a, b in zip(warm.states, cold.states):
+            assert state_difference(a, b).max_norm() <= 1e-11 * scale
+
+    def test_one_row_per_step_node(self, grid3d_small):
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0)
+        rows = self._rows(evolve(init, forcing, 4 * cfg.dt, cfg), forcing, "full")
+        with pytest.raises(ConfigError, match="predictor has 5 rows for 4 step nodes"):
+            evolve(init, forcing, 3 * cfg.dt, cfg, _predictor=rows)
+
+
 class TestStepCounters:
     """``meta`` totals the right-hand-side evaluations and Picard iterations of a run."""
 

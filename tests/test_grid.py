@@ -158,7 +158,7 @@ class TestBand:
         assert np.array_equal(placed[g.band], band_index)
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("N", [8, 16, 32])
+    @pytest.mark.parametrize("N", [8, 16, 32, 64])
     @pytest.mark.parametrize("lead", [(), (2,), (3, 2)])
     def test_band_coeffs_is_the_band_of_forward_coeffs_bit_for_bit(self, n, N, lead):
         g = GridSpec(n=n, N=N, L=2.0 * np.pi)

@@ -1,5 +1,6 @@
 """Periodic-orbit construction: Poincare map, averaging, resolvent, fixed point."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -30,6 +31,7 @@ from bqbox import (
     resolvent_periodic_datum,
     zeros_like_state,
 )
+from bqbox import duhamel as duhamel_mod
 from bqbox import periodic as periodic_mod
 from bqbox.duhamel import state_difference
 from bqbox.forcing import (
@@ -40,7 +42,7 @@ from bqbox.forcing import (
 )
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
-from bqbox.operators import advection_coeffs, div_coeffs, heat_semigroup
+from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, heat_semigroup
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -528,6 +530,67 @@ class TestNonlinearPeriodic:
         assert np.max(np.abs(ns.trajectory.states[-1].theta.values)) == 0.0
 
 
+class TestSplitImageAndWarmStart:
+    """P(0) stepped as P_F(0) plus the frozen part, and the certify run's warm start."""
+
+    @staticmethod
+    def _frozen_problem(coupled):
+        from bqbox.presets import gravity_field
+
+        g = GridSpec(n=3, N=8, L=2.0 * np.pi)
+        cfg = SolveConfig(dt=T / 16, substeps=4)
+        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-2)
+        gf = None
+        if coupled:  # a time-dependent coupling: the g of each node is read
+            gf = TimeFourierField(period=T, terms=(HarmonicTerm(1, gravity_field(g), 0.3),))
+        forcing = ForcingSpec(
+            period=T, kappa=0.3 if coupled else 0.0, g=gf,
+            F=constant_in_time(T, random_smooth_tensor(g, seed=4, amplitude=1e-2)),
+            f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
+        )
+        prob = PeriodicProblem(forcing=forcing, cfg=cfg, mode="full", grid=g)
+        # an iterate to freeze: one full-mode period from a nonzero state
+        x0 = State(random_div_free(g, seed=11, amplitude=0.1),
+                   random_smooth_scalar(g, seed=12, amplitude=0.1))
+        iterate = evolve(x0, forcing, T, cfg, mode="full")
+        eta = iterate.theta_series() if coupled else None
+        return prob, eta, frozen_extra(iterate)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_superposed_image_matches_direct(self, coupled):
+        prob, eta, extra = self._frozen_problem(coupled)
+
+        def ignore(t, state):
+            pass
+
+        solve = periodic_mod._linear_periodic_solve
+        forced = solve(prob, None, None, ignore)
+        direct = solve(prob, eta, extra, ignore)
+        split = solve(prob, eta, extra, ignore, forced)
+        scale = direct.max_norm()
+        # the frozen part moves P(0) well above the tolerance
+        assert state_difference(direct, forced).max_norm() > 1e-2 * scale
+        assert state_difference(split, direct).max_norm() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("case", ["2d", "coupled"])
+    def test_warm_started_certify_run(self, case):
+        # the converged iterate's rows close every certify step in one Picard
+        # iteration, and the run matches one started from the extrapolation
+        if case == "2d":
+            prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
+            ctx = ctx_for(prob.grid)
+        else:
+            prob, ctx = TestNonlinearPeriodicMemory._problem()
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        steps = prob.steps_per_period
+        assert sol.trajectory.meta["rhs_evaluations"] == steps + 1
+        cold = evolve(sol.initial, prob.forcing, T, prob.cfg, mode=prob.mode)
+        assert cold.meta["rhs_evaluations"] > steps + 1
+        scale = max(s.max_norm() for s in cold.states)
+        for a, b in zip(sol.trajectory.states, cold.states):
+            assert state_difference(a, b).max_norm() <= 1e-12 * scale
+
+
 def trajectory_difference(a, b):
     """The stored states of ``a - b``, all at once: the oracle of the streamed increment."""
     assert np.array_equal(a.times, b.times)
@@ -542,25 +605,55 @@ def frozen_extra(traj):
     return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
 
 
-def stored_linear_solve(problem, eta_series, extra):
-    """The linear periodic solve returning its whole stored iterate."""
-    cfg, forcing = problem.cfg, problem.forcing
-    c = evolve(zeros_like_state(problem.grid), forcing, problem.period, cfg, mode="linearized",
-               eta=eta_series, extra=extra, store_stride=problem.steps_per_period).states[-1]
-    return evolve(periodic_mod._invert_resolvent(problem, c), forcing, problem.period, cfg,
+def stored_linear_solve(problem, eta_series, extra, forced=None):
+    """The linear periodic solve returning its whole stored iterate and its P(0).
+
+    The coupling reads ``eta_series`` inside ``evolve``, with g kept in the
+    forcing.  With ``forced`` = P_F(0), P(0) is that image plus the image of
+    the frozen part alone: the forcing without F and f (g and kappa kept).
+    """
+    cfg, forcing, grid = problem.cfg, problem.forcing, problem.grid
+
+    def image(part):
+        return evolve(zeros_like_state(grid), part, problem.period, cfg, mode="linearized",
+                      eta=eta_series, extra=extra, store_stride=problem.steps_per_period).states[-1]
+
+    if forced is None:
+        c = image(forcing)
+    else:
+        rows = image(dataclasses.replace(forcing, F=None, f=None))
+        c = State(VectorField(grid, forced.u.values + rows.u.values),
+                  ScalarField(grid, forced.theta.values + rows.theta.values))
+    traj = evolve(periodic_mod._invert_resolvent(problem, c), forcing, problem.period, cfg,
                   mode="linearized", eta=eta_series, extra=extra)
+    return traj, c
+
+
+def predictor_rows(problem, traj):
+    """G_state along a stored iterate per node: frozen rows plus its own coupling rows."""
+    forcing = problem.forcing
+    extra = frozen_extra(traj)
+    if forcing.g is not None and forcing.kappa > 0:
+        for vel, t, state in zip(extra.vel, traj.times, traj.states):
+            vel += buoyancy_coeffs(traj.grid, state.theta.values, forcing.g.value(t).values,
+                                   forcing.kappa)
+    return list(zip(extra.vel, extra.th))
 
 
 def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_guess=None):
     """The outer loop with every iterate stored whole and its difference materialized.
 
     Each iterate is kept until the next replaces it, and its rows and
-    temperatures are read from the stored trajectory; returns the history,
-    datum, residuals and sup norm :func:`nonlinear_periodic` reports.
+    temperatures are read from the stored trajectory.  The zero-th iterate
+    freezes theta = 0 through an all-zero eta; its P(0) is P_F(0), which
+    later solves add their frozen part to (without an initial guess), and
+    the converged iterate's rows start the certify run's Picard.  Returns
+    the history, datum, residuals and sup norm :func:`nonlinear_periodic`
+    reports.
     """
     grid = problem.grid
     coupled = problem.forcing.g is not None and problem.forcing.kappa > 0
-    current, history = initial_guess, []
+    current, history, forced = initial_guess, [], None
     node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
     zero_eta = SampledScalarSeries(times=node_times,
                                    fields=[ScalarField(grid, np.zeros(grid.shape))] * len(node_times))
@@ -569,7 +662,9 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
         if coupled:
             eta_series = current.theta_series() if current is not None else zero_eta
         extra = frozen_extra(current) if current is not None else None
-        nxt = stored_linear_solve(problem, eta_series, extra)
+        nxt, image = stored_linear_solve(problem, eta_series, extra, forced)
+        if current is None:
+            forced = image
         diff = nxt if current is None else trajectory_difference(nxt, current)
         delta = trajectory_sup_norm(diff, ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
@@ -578,7 +673,8 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
         if delta < outer_tol:
             break
     datum = current.states[0]
-    certify = evolve(datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode)
+    certify = evolve(datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
+                     _predictor=predictor_rows(problem, current))
     res_max, res_norm = check_periodicity(certify, ctx)
     return history, datum, res_max, res_norm, trajectory_sup_norm(certify, ctx)
 
@@ -588,12 +684,13 @@ def streamed_iterates(monkeypatch):
     iterates = []
     solve = periodic_mod._linear_periodic_solve
 
-    def spy(problem, eta_series, extra, on_state):
+    def spy(problem, eta_series, extra, on_state, forced=None):
         states = []
-        solve(problem, eta_series, extra,
-              lambda t, state: states.append((t, state)) or on_state(t, state))
+        image = solve(problem, eta_series, extra,
+                      lambda t, state: states.append((t, state)) or on_state(t, state), forced)
         times, kept = zip(*states)
         iterates.append(Trajectory(problem.grid, np.asarray(times), list(kept)))
+        return image
 
     monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
     return iterates
@@ -686,9 +783,9 @@ class TestNonlinearPeriodicMemory:
         seen = []
         solve = periodic_mod._linear_periodic_solve
 
-        def spy(problem, eta_series, extra, on_state):
+        def spy(problem, eta_series, extra, on_state, forced=None):
             seen.append((eta_series, on_state.thetas))
-            solve(problem, eta_series, extra, on_state)
+            return solve(problem, eta_series, extra, on_state, forced)
 
         monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
@@ -704,7 +801,7 @@ class TestNonlinearPeriodicMemory:
         assert len(seen) == len(sol.history) >= 3
         count = prob.steps_per_period + 1
         assert all(len(thetas) == count for _, thetas in seen)
-        assert all(np.max(np.abs(f.values)) == 0.0 for f in seen[0][0].fields)
+        assert seen[0][0] is None  # the zero-th iterate freezes theta = 0
         for (eta, _), (_, thetas) in zip(seen[1:], seen):
             assert len(eta.fields) == count
             assert all(a is b for a, b in zip(eta.fields, thetas))
@@ -725,7 +822,7 @@ class TestNonlinearPeriodicMemory:
         def alive(refs, indices):
             return all(refs[i][0]() is not None and refs[i][1]() is not None for i in indices)
 
-        def spy(problem, eta_series, extra, on_state):
+        def spy(problem, eta_series, extra, on_state, forced=None):
             last = iterates[-1] if iterates else None
             if last is not None:
                 assert len(extra.vel) == len(extra.th) == len(last)
@@ -737,15 +834,42 @@ class TestNonlinearPeriodicMemory:
                 on_state(t, state)
                 refs.append((weakref.ref(state), weakref.ref(state.u.values)))
 
-            solve(problem, eta_series, extra, watch)
+            image = solve(problem, eta_series, extra, watch, forced)
             assert dead(refs, set(range(len(refs))) - keep) and alive(refs, keep)
             if last is not None:
                 assert dead(last, range(len(last)))
             iterates.append(refs)
+            return image
 
         monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
         assert len(iterates) == len(sol.history) >= 3
+
+    def test_coupling_rows_built_once_per_solve(self, monkeypatch):
+        # the zero-th iterate freezes theta = 0 and builds no coupling rows;
+        # every later solve builds one row per node and hands the same summed
+        # rows to both of its evolves, with g dropped from their forcing; the
+        # certify run's predictor builds one more set
+        prob, ctx = self._problem()
+        builds, linear = [], []
+        buoyancy = duhamel_mod.buoyancy_coeffs
+        monkeypatch.setattr(duhamel_mod, "buoyancy_coeffs",
+                            lambda *a: builds.append(1) or buoyancy(*a))
+
+        def spy(initial, forcing, *a, **k):
+            if k["mode"] == "linearized":
+                linear.append((forcing, k.get("eta"), k.get("extra")))
+            return evolve(initial, forcing, *a, **k)
+
+        monkeypatch.setattr(periodic_mod, "evolve", spy)
+        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
+        solves = len(sol.history)
+        assert solves >= 3 and len(linear) == 2 * solves
+        assert len(builds) == (prob.steps_per_period + 1) * solves
+        assert all(forcing.g is None and eta is None for forcing, eta, _ in linear)
+        assert linear[0][2] is linear[1][2] is None
+        for (_, _, first), (_, _, second) in zip(linear[2::2], linear[3::2]):
+            assert first is second and len(first.vel) == prob.steps_per_period + 1
 
     def test_peak_memory_in_stored_trajectories(self):
         # the loop holds the band-sized frozen rows of two iterates, the

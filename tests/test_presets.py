@@ -89,6 +89,15 @@ class TestMakePreset:
         with pytest.raises(ConfigError, match="does not take parameter"):
             make_preset("taylor-green", grid2d, {"sigma": 1.0})
 
+    @pytest.mark.parametrize("name, params", [
+        ("gaussian-bump", {"sigma": 0.0}),
+        ("gravity", {"soft_cells": 0.0}),
+        ("taylor-green", {"amplitude": float("inf")}),
+    ])
+    def test_non_finite_field_rejected(self, grid2d, name, params):
+        with pytest.raises(ConfigError, match=f"preset '{name}' with parameters .* non-finite"):
+            make_preset(name, grid2d, params)
+
     def test_single_mode_matches_cosine(self, grid2d):
         f = single_mode_scalar(grid2d, k=(2, 1), amplitude=0.7)
         x, y = grid2d.coordinates
