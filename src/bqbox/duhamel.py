@@ -295,7 +295,7 @@ class _CompiledForcing:
                 f_hat = forward_coeffs(grid, term.field.values)
                 self.analytic_th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
 
-        node_vel = None
+        extra_vel = None if extra is None else extra.vel
         if (
             mode == "linearized"
             and eta is not None
@@ -303,14 +303,9 @@ class _CompiledForcing:
             and forcing.g is not None
             and forcing.kappa > 0.0
         ):
-            node_vel = _coupling_rows(grid, forcing, eta, node_times)
-        if extra is not None and extra.vel is not None:
-            if node_vel is None:
-                node_vel = list(extra.vel)
-            else:
-                for row, extra_row in zip(node_vel, extra.vel):
-                    row += extra_row  # the coupling rows are this object's own
-        self.node_vel = node_vel
+            self.node_vel = _coupling_rows(grid, forcing, eta, node_times, extra_vel)
+        else:
+            self.node_vel = None if extra_vel is None else list(extra_vel)
         self.node_th = list(extra.th) if extra is not None and extra.th is not None else None
 
     @property
@@ -340,12 +335,19 @@ class _CompiledForcing:
         return vel, th
 
 
-def _coupling_rows(grid, forcing, eta, node_times):
-    """Band rows of the linearized coupling kappa P(eta g), one per node of ``node_times``."""
-    return [
+def _coupling_rows(grid, forcing, eta, node_times, extra_vel=None):
+    """Band rows of the linearized coupling kappa P(eta g), one per node of ``node_times``.
+
+    ``extra_vel``, one velocity row per node, is added into the new rows.
+    """
+    rows = [
         buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
         for t in node_times
     ]
+    if extra_vel is not None:
+        for row, extra_row in zip(rows, extra_vel):
+            row += extra_row
+    return rows
 
 
 def _substep_weights(grid, h, m):

@@ -30,9 +30,10 @@ at the sup-in-time indices, where it forms its increment term against the
 previous iterate's matching state and releases that one.  Each linear
 solve steps P(0) = P_F(0) + P_rows(0): the image P_F(0) of the analytic
 forcing alone is the first solve's, which freezes nothing, and later solves
-step only their frozen rows from zero.  The rows of the converged iterate
-are G at its states, so they start the Picard iteration of each step of
-the certifying run, which is still a stepped full-mode period.
+step only their frozen rows and eta coupling from zero.  The rows of the
+converged iterate are G at its states, so they start the Picard iteration
+of each step of the certifying run, which is still a stepped full-mode
+period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -290,42 +291,25 @@ def _frozen_extra(state: State):
     return advection_coeffs(state.grid, u, u, state.theta.values)
 
 
-def _with_coupling(problem, eta_series, extra):
-    """New rows: the coupling rows kappa P(eta g) per node, plus ``extra``'s velocity rows."""
-    node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
-    vel = _coupling_rows(problem.grid, problem.forcing, eta_series, node_times)
-    if extra is None:
-        return SampledSpectralForcing(times=node_times, vel=vel)
-    for row, extra_row in zip(vel, extra.vel):
-        row += extra_row
-    return SampledSpectralForcing(times=node_times, vel=vel, th=extra.th)
-
-
 def _linear_periodic_solve(problem, eta_series, extra, on_state, forced=None):
     """Periodic solution of the linear problem with ``eta`` and ``extra`` frozen; returns P(0).
 
     Steps P(0), inverts the resolvent on it, and streams the stored states
-    of one period from that datum into ``on_state(t, state)``.  A g-coupling
-    reads the frozen temperature ``eta_series`` (None freezes theta = 0): its
-    coupling rows are summed with the frozen velocity rows once, and both
-    evolves read those rows, with ``g`` dropped from the forcing they see.
+    of one period from that datum into ``on_state(t, state)``.
 
-    P(0) is affine in the forcing and the frozen rows, P(0) = P_F(0) +
+    P(0) is affine in the forcing and the frozen data, P(0) = P_F(0) +
     P_rows(0).  ``forced``, when given, is P_F(0), the image of the analytic
-    forcing alone (the P(0) of a solve that freezes nothing): only the rows
-    are then stepped from zero, under the forcing without F and f, and
-    added to it.  Without it the whole P(0) is stepped.  Returns P(0), which
-    is P_F(0) for a solve that freezes nothing.
+    forcing alone (the P(0) of a solve that freezes nothing): only the
+    frozen rows and the eta coupling are then stepped from zero, under the
+    forcing without F and f (g and kappa kept), and added to it.  Without it
+    the whole P(0) is stepped.  Returns P(0), which is P_F(0) for a solve
+    that freezes nothing.
     """
     grid, forcing = problem.grid, problem.forcing
-    if forcing.g is not None:
-        if eta_series is not None and forcing.kappa > 0:
-            extra = _with_coupling(problem, eta_series, extra)
-        forcing = replace(forcing, g=None)
 
     def image(part):
         return evolve(zeros_like_state(grid), part, problem.period, problem.cfg,
-                      mode="linearized", extra=extra,
+                      mode="linearized", eta=eta_series, extra=extra,
                       store_stride=problem.steps_per_period).states[-1]
 
     if forced is None:
@@ -336,7 +320,7 @@ def _linear_periodic_solve(problem, eta_series, extra, on_state, forced=None):
         for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
             np.add(part.values, whole.values, out=part.values)
     evolve(_invert_resolvent(problem, c), forcing, problem.period, problem.cfg,
-           mode="linearized", extra=extra, on_state=on_state)
+           mode="linearized", eta=eta_series, extra=extra, on_state=on_state)
     return c
 
 
@@ -376,14 +360,8 @@ class _Iterate:
         i = len(self.times)
         self.times.append(t)
         vel, th = _frozen_extra(state)
-        # one block per node: the certifying run frees a node's rows once read,
-        # and a whole block is a hole that a stored temperature can reuse
-        block = np.empty(vel.size + th.size, dtype=complex)
-        block[:vel.size] = vel.ravel()
-        block[vel.size:] = th.ravel()
-        self.vel.append(block[:vel.size].reshape(vel.shape))
-        self.th.append(block[vel.size:].reshape(th.shape))
-        del vel, th  # the separate rows go before the sup-state work below
+        self.vel.append(vel)
+        self.th.append(th)
         if self.thetas is not None:
             self.thetas.append(state.theta)
         if i not in self.keep:
@@ -410,10 +388,10 @@ class _Iterate:
         The frozen rows, with the coupling rows of the iterate's own
         temperatures summed in when a g-coupling reads them.
         """
-        rows = self.extra()
+        vel = self.vel
         if self.thetas is not None:
-            rows = _with_coupling(problem, self.eta(), rows)
-        return list(zip(rows.vel, rows.th))
+            vel = _coupling_rows(problem.grid, problem.forcing, self.eta(), self.times, vel)
+        return list(zip(vel, self.th))
 
 
 def nonlinear_periodic(
@@ -436,8 +414,8 @@ def nonlinear_periodic(
     (only when a g-coupling reads eta) and its sup-in-time states; the next
     iterate streams in state by state (:class:`_Iterate`) and never exists
     whole.  It also holds P_F(0), the first solve's image, which freezes
-    nothing, so that each later solve steps only its frozen rows
-    (:func:`_linear_periodic_solve`).  ``initial_guess``, a stored
+    nothing, so that each later solve steps only its frozen rows and eta
+    coupling (:func:`_linear_periodic_solve`).  ``initial_guess``, a stored
     one-period trajectory, is read the same way; its run has no such image
     and steps every P(0) whole.
 
@@ -465,9 +443,16 @@ def nonlinear_periodic(
     ratios = []
     converged = False
     forced = None  # P_F(0), once a solve that freezes nothing has stepped it
+    zero_eta = None
+    if coupled:
+        # the zero-th iterate freezes theta = 0 in the coupling
+        node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
+        zero_field = ScalarField(grid, np.zeros(grid.shape))
+        zero_eta = SampledScalarSeries(times=node_times,
+                                       fields=[zero_field] * len(node_times))
     for m in range(1, outer_max + 1):
-        # the zero-th iterate freezes nothing: no rows, and theta = 0 in the coupling
-        extra = eta_series = None
+        extra = None
+        eta_series = zero_eta
         if current is not None:
             extra = current.extra()
             if coupled:  # only the g-coupling reads eta
@@ -512,7 +497,7 @@ def nonlinear_periodic(
     datum = current.sup[0]
     predictor = current.predictor(problem)
     # nothing else of the loop is read again
-    del current, nxt, eta_series, extra, forced
+    del current, nxt, eta_series, extra, zero_eta, forced
     certify = evolve(
         datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
         _predictor=predictor,
