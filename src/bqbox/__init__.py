@@ -11,11 +11,8 @@ __version__ = "0.1.0"  # the one source: pyproject.toml and every manifest read 
 from .duhamel import (
     SolveConfig,
     Trajectory,
-    bilinear_increment,
-    coupling_increment,
     duhamel_residual,
     evolve,
-    forcing_increment,
     verify_bilinear_estimate,
     verify_linear_operator,
 )
@@ -38,12 +35,9 @@ from .forcing import (
 from .grid import (
     GridSpec,
     ScalarField,
-    SpectralField,
     State,
     TensorField,
     VectorField,
-    forward_transform,
-    inverse_transform,
     spectral_divergence_residual,
     zeros_like_state,
 )
@@ -63,13 +57,10 @@ from .norms import (
     weighted_time_sup,
 )
 from .operators import (
-    dealias,
-    divergence,
     gradient,
     heat_semigroup,
     leray_project,
     pointwise_product,
-    tensor_divergence,
     verify_dispersive,
 )
 from .periodic import (

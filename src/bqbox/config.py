@@ -268,6 +268,8 @@ def load_config(path):
     norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
 
     num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True)
+    if num_centers < 1:
+        raise ConfigError(f"sampler.num_centers must be at least 1, got {num_centers}")
     num_radii = numeric_option(raw, "sampler.num_radii", 12, integral=True)
     sampler = BallSampler(
         num_centers=num_centers,

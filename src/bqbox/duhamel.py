@@ -51,10 +51,10 @@ The buoyancy coupling is projected to mean zero: on the torus the k = 0 mode
 of I - e^{-TL} is singular, so all periodic machinery lives on the mean-free
 subspace and the mean of the coupling is removed uniformly.
 
-The standalone increments over a stored trajectory (B, T_g, C) use the same
-product trapezoid as one prefix path, I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j)
-+ Wb G(t_{j+1}) with the factors built once per step size, read at every
-evaluation time: ``duhamel_residual`` and the bilinear checks are O(n_t).
+The Duhamel terms over a stored trajectory (B, T_g, C) are prefix paths
+with the same product trapezoid, I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j)
++ Wb G(t_{j+1}) with the factors built once per step size, each read at
+every evaluation time: ``duhamel_residual`` and the bilinear checks are O(n_t).
 ``verify_linear_operator`` uses the exact kernel int_0^inf e^{-s k^2} ds = 1/k^2.
 
 A caller that reads each stored state once (the ``evolve`` subcommand's
@@ -198,17 +198,6 @@ class Trajectory:
     times: np.ndarray
     states: list
     meta: dict = field(default_factory=dict)
-
-    def index_of(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise DiagnosticsError(
-                f"time {t} is not on the stored grid (nearest {self.times[idx]})"
-            )
-        return idx
-
-    def state_at(self, t):
-        return self.states[self.index_of(t)]
 
     def sample(self, t):
         """State at t, linearly interpolated between stored nodes."""
@@ -646,7 +635,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
 
 
 # ---------------------------------------------------------------------------
-# standalone Duhamel increments (prefix quadrature over stored trajectories)
+# Duhamel terms (prefix quadrature over stored trajectories)
 # ---------------------------------------------------------------------------
 
 
@@ -702,11 +691,6 @@ def bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times):
     return (_to_state(traj_a.grid, vel, th) for vel, th in _bilinear_path(traj_a, traj_b, times))
 
 
-def bilinear_increment(traj_a: Trajectory, traj_b: Trajectory, t, cfg=None):
-    """B(a, b)(t) = -int_0^t grad . e^{-(t-s)L} [P(u_a (x) u_b); u_a theta_b] ds."""
-    return next(bilinear_path(traj_a, traj_b, [t]))
-
-
 def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=None):
     """Velocity coefficients (one-tuples) of T_g(t) for each of the ascending ``times``.
 
@@ -737,12 +721,6 @@ def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=Non
     return _duhamel_path(grid, nodes, row_at, times, factors, band=True)
 
 
-def coupling_increment(theta_samples, g: TimeFourierField, kappa, t, cfg=None):
-    """T_g increment: int_0^t e^{-(t-s)L} [kappa P(theta g); 0] ds (mean-free)."""
-    (vel,) = next(_coupling_path(theta_samples, g, kappa, [t]))
-    return _to_state(g.grid, vel, np.zeros(g.grid.spectral_shape, dtype=complex))
-
-
 def _step_count(t, cfg):
     n_steps = int(round(t / cfg.dt))
     if abs(n_steps * cfg.dt - t) > 1e-9 * max(1.0, t):
@@ -754,7 +732,7 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     """Coefficients of C(t) at each ascending time (a multiple of dt), substeps - 1 nodes a step."""
     grid = forcing.grid
     if grid is None:
-        raise ConfigError("forcing_increment needs a forcing with at least one component")
+        raise ConfigError("the forcing term C needs a forcing with at least one component")
     n_steps = [_step_count(t, cfg) for t in times]
     compiled = _CompiledForcing(grid, forcing, "linearized", None, None, np.array([0.0, times[-1]]))
     nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
@@ -766,11 +744,6 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
         return (zero_v if vel is None else vel, zero_t if th is None else th)
 
     return _duhamel_path(grid, nodes, row_at, times, factors)
-
-
-def forcing_increment(forcing: ForcingSpec, t, cfg: SolveConfig):
-    """C increment: int_0^t grad . e^{-(t-s)L} [P F; f] ds on the substep grid."""
-    return _to_state(forcing.grid, *next(_forcing_path(forcing, [t], cfg)))
 
 
 def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full", eta=None):

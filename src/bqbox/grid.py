@@ -11,20 +11,20 @@ leading axes carry k_j in [-N/2, N/2) in FFT order, the last axis carries
 k_last in [0, N/2].  The modes with k_last < 0 are the conjugates of the
 stored interior planes 0 < k_last < N/2; the planes k_last = 0 and
 k_last = N/2 are their own mirror, so Hermitian symmetry constrains only
-them (:func:`hermitian_defect`).  Parseval therefore weights the interior
-planes twice and the two self-conjugate planes once:
+them.  Parseval therefore weights the interior planes twice and the two
+self-conjugate planes once:
 
     sum |values|^2 * cell_volume = L**n * sum_k w(k_last) |coeffs(k)|^2,
     w = 1 at k_last = 0 and N/2, w = 2 in between.
 
-The forward transform is ``rfft`` on the last axis followed by ``fftn``
-over the leading axes (both ``norm="forward"``), and the inverse is
-``ifftn`` then ``irfft(n=N)``.  The forward composition equals ``rfftn``
-bit for bit, though ``rfftn`` runs 10-20% faster on a 3-D grid at N = 32
-and 64; the inverse matches ``irfftn`` to roundoff, its leading axes taken
-in ``ifftn``'s order, at about its speed.  Every Fourier multiplier is
-built on the half shape once per grid and is a function of |k|, k_j or
-k_j^2, so it acts on the stored modes exactly as on the full spectrum.
+The forward transform is one ``rfftn`` over the grid axes (``rfft`` on
+the last axis, then ``fft`` over the leading axes, ``norm="forward"``), and
+the inverse is ``ifftn`` then ``irfft(n=N)``.  The inverse matches
+``irfftn`` to roundoff, its leading axes taken in ``ifftn``'s order, at
+about its speed, but not bit for bit, so it stays two calls.  Every Fourier
+multiplier is built on the half shape once per grid and is a function of
+|k|, k_j or k_j^2, so it acts on the stored modes exactly as on the full
+spectrum.
 
 Nonlinear rows (advection, buoyancy, and the frozen and sampled rows made
 from them) are dealiased by the 2/3 rule, so they vanish outside the band
@@ -52,8 +52,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DiagnosticsError
-
-HERMITIAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -133,11 +131,6 @@ class GridSpec:
         """|2*pi*k/L|^2, the (negated) Laplacian multiplier."""
         kk = self.wavevectors
         return np.sum(kk * kk, axis=0)
-
-    @cached_property
-    def spectral_gap(self):
-        """Smallest nonzero eigenvalue of -Laplacian: (2*pi/L)**2."""
-        return (2.0 * np.pi / self.L) ** 2
 
     @cached_property
     def dealias_mask(self):
@@ -256,9 +249,6 @@ class VectorField:
                 f"vector values shape {self.values.shape} incompatible with grid"
             )
 
-    def component(self, i):
-        return ScalarField(self.grid, self.values[i])
-
     @property
     def magnitude(self):
         """Pointwise Euclidean magnitude as a ScalarField."""
@@ -283,26 +273,6 @@ class TensorField:
         n = self.grid.n
         flat = self.values.reshape((n * n,) + self.grid.shape)
         return ScalarField(self.grid, np.sqrt(np.sum(flat**2, axis=0)))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a real field, on the half spectrum.
-
-    ``coeffs`` has trailing shape ``grid.spectral_shape``; leading axes carry
-    vector/tensor components.  coeff(0) is the mean of the field.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        sh = self.coeffs.shape
-        gsh = self.grid.spectral_shape
-        if sh[-self.grid.n :] != gsh or len(sh) - self.grid.n not in (0, 1, 2):
-            raise DiagnosticsError(
-                f"spectral coeffs shape {sh} incompatible with spectral shape {gsh}"
-            )
 
 
 @dataclass(frozen=True)
@@ -341,19 +311,18 @@ def _leading_axes(grid):
 def forward_coeffs(grid, values):
     """Half-spectrum DFT of a real array (any leading component axes), divided by N**n.
 
-    ``rfft`` on the last axis, then ``fftn`` over the leading axes.  The
-    scaling happens inside the transforms (``norm="forward"``); N is a power
-    of two, so it is exact and equals dividing afterwards bit for bit.
+    One ``rfftn`` over the n grid axes.  The scaling happens inside the
+    transform (``norm="forward"``); N is a power of two, so it is exact and
+    equals dividing afterwards bit for bit.
     """
-    half = np.fft.rfft(values, axis=-1, norm="forward")
-    return np.fft.fftn(half, axes=_leading_axes(grid), norm="forward")
+    return np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)), norm="forward")
 
 
 def band_coeffs(grid, values):
     """``forward_coeffs(grid, values)[grid.band]``, transforming only the lines the band keeps.
 
     ``rfft`` on the last axis keeps k_last <= N//3; then each leading axis,
-    in the order ``fftn`` takes them (axis -2, then -3), is copied to be the
+    in the order ``rfftn`` takes them (axis -2, then -3), is copied to be the
     contiguous last axis, gets its own ``fft`` call there and is cut to the
     band rows before the next, so later transforms see only band lines and
     every transform reads contiguous lines.  Every line is the 1-D
@@ -382,63 +351,13 @@ def inverse_values(grid, coeffs):
     """Inverse of :func:`forward_coeffs`: the real array of N points per axis.
 
     The imaginary parts that Hermitian symmetry forbids in the k_last = 0
-    and N/2 planes are dropped by ``irfft``; :func:`inverse_transform`
-    checks them first.
+    and N/2 planes are dropped by ``irfft``.
     """
     half = np.fft.ifftn(coeffs, axes=_leading_axes(grid), norm="forward")
     return np.fft.irfft(half, n=grid.N, axis=-1, norm="forward")
 
 
-def forward_transform(field):
-    """Forward DFT of a Scalar/Vector/TensorField, normalized by N**n."""
-    if not np.all(np.isfinite(field.values)):
-        raise DiagnosticsError("forward transform rejected non-finite field values")
-    return SpectralField(field.grid, forward_coeffs(field.grid, field.values))
-
-
-def hermitian_defect(spec):
-    """Worst relative violation of coeff(-k) == conj(coeff(k)).
-
-    Only the self-conjugate planes k_last = 0 and k_last = N/2 can break it:
-    there -k is stored too, mirrored on the leading axes.  Returns (defect,
-    worst_wavevector).  The defect is measured relative to the largest
-    coefficient magnitude (0 for the zero field).
-    """
-    grid = spec.grid
-    c = spec.coeffs
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0, (0,) * grid.n
-    planes = c[..., [0, grid.N // 2]]
-    mirrored = planes
-    for ax in _leading_axes(grid):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    diff = np.abs(planes - np.conj(mirrored))
-    idx = np.unravel_index(int(np.argmax(diff)), diff.shape)[-grid.n :]
-    idx = idx[:-1] + ((0, grid.N // 2)[idx[-1]],)
-    worst_k = tuple(int(grid.wave_integers[(j,) + idx]) for j in range(grid.n))
-    return float(np.max(diff) / scale), worst_k
-
-
-def inverse_transform(spec):
-    """Inverse DFT back to a real field; rejects broken Hermitian symmetry."""
-    grid = spec.grid
-    defect, worst_k = hermitian_defect(spec)
-    if defect > HERMITIAN_TOL:
-        raise DiagnosticsError(
-            f"Hermitian symmetry violated (relative defect {defect:.3e} "
-            f"at wavevector {worst_k})"
-        )
-    values = inverse_values(grid, spec.coeffs)
-    ncomp = spec.coeffs.ndim - grid.n
-    if ncomp == 0:
-        return ScalarField(grid, values)
-    if ncomp == 1:
-        return VectorField(grid, values)
-    return TensorField(grid, values)
-
-
-def spectral_divergence_residual(u, coeffs=None):
+def spectral_divergence_residual(u):
     """Spectral divergence residual of a velocity field, relative to its peak.
 
     max over modes of |K . u_hat(K)| / (|K| max_K' |u_hat(K')|); 0 for the
@@ -446,9 +365,8 @@ def spectral_divergence_residual(u, coeffs=None):
     own, keeps roundoff on modes decayed to near nothing from reading as
     divergence; a gradient field reads 1 at its largest mode.
     """
-    grid = u.grid if coeffs is None else u
-    if coeffs is None:
-        coeffs = forward_coeffs(grid, u.values)
+    grid = u.grid
+    coeffs = forward_coeffs(grid, u.values)
     peak = np.sqrt(np.max(np.sum(np.abs(coeffs) ** 2, axis=0)))
     if peak == 0.0:
         return 0.0

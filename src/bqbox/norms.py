@@ -44,7 +44,6 @@ so callers may parallelize freely.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -606,7 +605,3 @@ def trajectory_sup_norm(traj, ctx: NormContext):
     """Discrete sup-in-time of the product norm over the stored grid (NaN if any norm is)."""
     idx = sup_time_indices(len(traj.times), ctx.time_stride)
     return float(np.max([state_norm(traj.states[i], ctx) for i in idx]))
-
-
-def unit_ball_volume(n):
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)

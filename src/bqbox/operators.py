@@ -9,8 +9,8 @@ function of immutable fields.
 The two nonlinear kernels of the mild-solution map live here, once:
 :func:`advection_coeffs` (the bilinear term B, dealiased by the 2/3 rule)
 and :func:`buoyancy_coeffs` (the coupling T_g).  The time steppers, the
-standalone Duhamel increments and the frozen-nonlinearity periodic solver
-all call them.  The advection kernel takes each divergence row straight
+prefix Duhamel paths and the frozen-nonlinearity periodic solver all call
+them.  The advection kernel takes each divergence row straight
 from the transformed products (for B(u, u) only the n(n+1)/2 distinct
 products of u (x) u are transformed), through the real multiplier
 (2 pi / L) K times the 2/3 mask and one exact turn by -i.  Given g, it
@@ -35,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticsError, HypothesisError
-from .grid import (
-    ScalarField,
-    SpectralField,
-    TensorField,
-    VectorField,
-    band_coeffs,
-    forward_coeffs,
-    inverse_values,
-)
+from .grid import ScalarField, TensorField, VectorField, band_coeffs, forward_coeffs, inverse_values
 
 # ---------------------------------------------------------------------------
 # coefficient-space primitives (shared with the time steppers)
@@ -195,27 +187,9 @@ def gradient(f: ScalarField) -> VectorField:
     return _real_field(f.grid, coeffs, VectorField)
 
 
-def divergence(v: VectorField) -> ScalarField:
-    coeffs = div_coeffs(v.grid, forward_coeffs(v.grid, v.values))
-    return _real_field(v.grid, coeffs, ScalarField)
-
-
-def tensor_divergence(F: TensorField) -> VectorField:
-    coeffs = tensor_div_coeffs(F.grid, forward_coeffs(F.grid, F.values))
-    return _real_field(F.grid, coeffs, VectorField)
-
-
 def leray_project(v: VectorField) -> VectorField:
     coeffs = leray_coeffs(v.grid, forward_coeffs(v.grid, v.values))
     return _real_field(v.grid, coeffs, VectorField)
-
-
-def dealias(f):
-    """2/3-rule truncation of a field (or SpectralField)."""
-    if isinstance(f, SpectralField):
-        return SpectralField(f.grid, dealias_coeffs(f.grid, f.coeffs))
-    coeffs = dealias_coeffs(f.grid, forward_coeffs(f.grid, f.values))
-    return _real_field(f.grid, coeffs, type(f))
 
 
 def pointwise_product(a, b):

@@ -647,6 +647,9 @@ class TestOptionParsing:
          "stability.initial_gap"),
         ("stability", _stability_config(), "stability", None, "t_max_periods", float("nan"),
          "stability.t_max_periods"),
+        # -8 was a TypeError from round() of a complex cube root; 0 scanned one center
+        ("evolve", evolve_config(), "sampler", None, "num_centers", -8, "sampler.num_centers"),
+        ("evolve", evolve_config(), "sampler", None, "num_centers", 0, "sampler.num_centers"),
     ])
     def test_bad_config_number_exits_2_naming_key(self, tmp_path, capsys, no_solver, command,
                                                   base, section, index, key, value, name):

@@ -18,12 +18,9 @@ from bqbox import (
     SolveConfig,
     State,
     VectorField,
-    bilinear_increment,
     constant_in_time,
-    coupling_increment,
     duhamel_residual,
     evolve,
-    forcing_increment,
     spectral_divergence_residual,
     verify_bilinear_estimate,
     verify_linear_operator,
@@ -33,7 +30,10 @@ from bqbox import duhamel
 from bqbox.duhamel import (
     Trajectory,
     _add_on_band,
+    _bilinear_path,
     _CompiledForcing,
+    _coupling_path,
+    _forcing_path,
     _phi1,
     _phi2,
     _StateRHS,
@@ -67,6 +67,12 @@ from bqbox.presets import (
 def constant_trajectory(grid, state, t_end, n_nodes=5):
     times = np.linspace(0.0, t_end, n_nodes)
     return Trajectory(grid, times, [state] * n_nodes)
+
+
+def path_point(grid, path):
+    """The state of a Duhamel path read at its one time; T_g's velocity-only rows get theta = 0."""
+    vel, *th = next(path)
+    return _to_state(grid, vel, th[0] if th else np.zeros(grid.spectral_shape, dtype=complex))
 
 
 class TestPhiFunctions:
@@ -103,9 +109,9 @@ class TestBilinearIncrement:
             State(taylor_green(grid2d_box), gaussian_profile(grid2d_box, 0.5)),
             0.1,
         )
-        inc = bilinear_increment(z, a, 0.1)
+        inc = path_point(grid2d_box, _bilinear_path(z, a, [0.1]))
         assert inc.max_norm() == 0.0
-        inc2 = bilinear_increment(a, z, 0.1)
+        inc2 = path_point(grid2d_box, _bilinear_path(a, z, [0.1]))
         assert inc2.max_norm() == 0.0
 
     def test_linearity_in_each_slot(self, grid2d_box):
@@ -116,8 +122,8 @@ class TestBilinearIncrement:
         )
         a = constant_trajectory(grid2d_box, s, 0.2)
         a2 = constant_trajectory(grid2d_box, s2, 0.2)
-        one = bilinear_increment(a, a, 0.2)
-        dbl = bilinear_increment(a2, a, 0.2)
+        one = path_point(grid2d_box, _bilinear_path(a, a, [0.2]))
+        dbl = path_point(grid2d_box, _bilinear_path(a2, a, [0.2]))
         scale = max(np.max(np.abs(dbl.u.values)), np.max(np.abs(dbl.theta.values)))
         assert np.max(np.abs(dbl.u.values - 2 * one.u.values)) <= 1e-10 * scale
         assert np.max(np.abs(dbl.theta.values - 2 * one.theta.values)) <= 1e-10 * scale
@@ -131,7 +137,7 @@ class TestBilinearIncrement:
         s = State(u, th)
         t = 0.05
         traj = constant_trajectory(g, s, t, n_nodes=2)
-        got = bilinear_increment(traj, traj, t)
+        got = path_point(g, _bilinear_path(traj, traj, [t]))
 
         outer = u.values[:, np.newaxis] * u.values[np.newaxis, :]
         uu_hat = dealias_coeffs(g, forward_coeffs(g, outer))
@@ -156,14 +162,14 @@ class TestBilinearIncrement:
     def test_velocity_row_is_projected(self, grid2d_box):
         s = State(taylor_green(grid2d_box, amplitude=0.5), gaussian_profile(grid2d_box, 0.4))
         traj = constant_trajectory(grid2d_box, s, 0.1)
-        inc = bilinear_increment(traj, traj, 0.1)
+        inc = path_point(grid2d_box, _bilinear_path(traj, traj, [0.1]))
         assert spectral_divergence_residual(inc.u) <= 1e-10
 
     def test_coverage_gap(self, grid2d_box):
         s = State(taylor_green(grid2d_box), gaussian_profile(grid2d_box, 0.4))
         traj = constant_trajectory(grid2d_box, s, 0.1)
         with pytest.raises(Exception, match="cover"):
-            bilinear_increment(traj, traj, 0.5)
+            path_point(grid2d_box, _bilinear_path(traj, traj, [0.5]))
 
 
 class TestCouplingIncrement:
@@ -171,7 +177,7 @@ class TestCouplingIncrement:
         g = grid2d_box
         z = constant_trajectory(g, zeros_like_state(g), 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        inc = coupling_increment(z, gfield, kappa=0.5, t=0.1)
+        inc = path_point(g, _coupling_path(z, gfield, 0.5, [0.1]))
         assert inc.max_norm() == 0.0
 
     def test_linear_in_kappa(self, grid2d_box):
@@ -179,8 +185,8 @@ class TestCouplingIncrement:
         s = State(zeros_like_state(g).u, gaussian_profile(g, 0.5))
         traj = constant_trajectory(g, s, 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        one = coupling_increment(traj, gfield, kappa=0.5, t=0.1)
-        two = coupling_increment(traj, gfield, kappa=1.0, t=0.1)
+        one = path_point(g, _coupling_path(traj, gfield, 0.5, [0.1]))
+        two = path_point(g, _coupling_path(traj, gfield, 1.0, [0.1]))
         assert np.max(np.abs(two.u.values - 2 * one.u.values)) <= 1e-12 * np.max(
             np.abs(two.u.values)
         )
@@ -190,7 +196,7 @@ class TestCouplingIncrement:
         s = State(zeros_like_state(g).u, gaussian_profile(g, 0.5))
         traj = constant_trajectory(g, s, 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        inc = coupling_increment(traj, gfield, kappa=0.7, t=0.1)
+        inc = path_point(g, _coupling_path(traj, gfield, 0.7, [0.1]))
         assert np.max(np.abs(inc.theta.values)) == 0.0
 
     def test_per_mode_closed_form(self, grid2d_box):
@@ -204,7 +210,7 @@ class TestCouplingIncrement:
         gfield = constant_in_time(1.0, gv)
         kappa = 0.9
         t = 0.2
-        got = coupling_increment(traj, gfield, kappa, t)
+        got = path_point(g, _coupling_path(traj, gfield, kappa, [t]))
         prod = th.values[np.newaxis] * gv.values
         c = dealias_coeffs(g, forward_coeffs(g, prod))
         c = leray_coeffs(g, c)
@@ -219,8 +225,8 @@ class TestForcingIncrement:
     def test_zero_forcing_errors(self, grid2d_box):
         forcing = ForcingSpec(period=1.0)
         cfg = SolveConfig(dt=0.05)
-        with pytest.raises(Exception):
-            forcing_increment(forcing, 0.1, cfg)
+        with pytest.raises(ConfigError, match="at least one component"):
+            _forcing_path(forcing, [0.1], cfg)
 
     def test_constant_single_mode_closed_form(self, grid2d_box):
         g = grid2d_box
@@ -228,7 +234,7 @@ class TestForcingIncrement:
         forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, fv))
         cfg = SolveConfig(dt=0.05, substeps=4)
         t = 0.25
-        got = forcing_increment(forcing, t, cfg)
+        got = path_point(g, _forcing_path(forcing, [t], cfg))
         src = div_coeffs(g, forward_coeffs(g, fv.values))
         sig = g.k_squared
         kernel = np.where(sig > 0, (1 - np.exp(-t * np.where(sig > 0, sig, 1))) / np.where(sig > 0, sig, 1), t)
@@ -241,10 +247,12 @@ class TestForcingIncrement:
         Ft = single_mode_tensor(g, k=(0, 1), row=0, col=1, amplitude=1.0)
         fv = single_mode_vector(g, k=(1, 0), component=0, amplitude=1.0)
         cfg = SolveConfig(dt=0.05, substeps=4)
-        both = forcing_increment(ForcingSpec(period=1.0, F=constant_in_time(1.0, Ft),
-                                             f=constant_in_time(1.0, fv)), 0.2, cfg)
-        only_F = forcing_increment(ForcingSpec(period=1.0, F=constant_in_time(1.0, Ft)), 0.2, cfg)
-        only_f = forcing_increment(ForcingSpec(period=1.0, f=constant_in_time(1.0, fv)), 0.2, cfg)
+        F, f = constant_in_time(1.0, Ft), constant_in_time(1.0, fv)
+
+        def forcing_term(**parts):
+            return path_point(g, _forcing_path(ForcingSpec(period=1.0, **parts), [0.2], cfg))
+
+        both, only_F, only_f = forcing_term(F=F, f=f), forcing_term(F=F), forcing_term(f=f)
         scale = both.max_norm()
         assert np.max(np.abs(both.u.values - only_F.u.values - only_f.u.values)) <= 1e-12 * scale
         assert np.max(np.abs(both.theta.values - only_F.theta.values - only_f.theta.values)) <= 1e-12 * scale

@@ -1,6 +1,6 @@
 """The prefix Duhamel integral against the per-time loops it replaced.
 
-Every standalone increment and certificate reads one prefix path,
+Every Duhamel term and certificate reads one prefix path,
 I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j) + Wb G(t_{j+1}).  The references here
 are copies of the earlier code, which integrated from 0 again for every
 output time with each interval decayed straight to t.
@@ -19,12 +19,9 @@ from bqbox import (
     ScalarField,
     SolveConfig,
     State,
-    bilinear_increment,
     constant_in_time,
-    coupling_increment,
     duhamel_residual,
     evolve,
-    forcing_increment,
     morrey_lorentz_norm,
     verify_linear_operator,
     zeros_like_state,
@@ -133,7 +130,7 @@ def old_linear_operator_ratio(f1, f2, from_params, to_params, sampler, tail_tol=
                               num_intervals=400):
     """The 400 quadratic intervals up to the horizon where the spectral-gap tail is tail_tol."""
     grid = f1.grid
-    horizon = np.log(1.0 / tail_tol) / grid.spectral_gap
+    horizon = np.log(1.0 / tail_tol) / (2.0 * np.pi / grid.L) ** 2  # the spectral gap
     g_vel = tensor_div_coeffs(grid, forward_coeffs(grid, f1.values))
     g_th = div_coeffs(grid, forward_coeffs(grid, f2.values))
     nodes = horizon * (np.arange(num_intervals + 1) / num_intervals) ** 2
@@ -228,22 +225,21 @@ class TestPathMatchesPerTimeLoop:
         got = [coeffs(B) for B in bilinear_path(strided, uniform, times)]
         want = [old_bilinear(strided, uniform, t) for t in times]
         assert_matches(got, want)
-        single = coeffs(bilinear_increment(strided, uniform, 0.41))
+        single = next(duhamel._bilinear_path(strided, uniform, [0.41]))
         assert_matches([single], [want[3]])
 
     @pytest.mark.parametrize("t", [3 / 16, 0.55, 1.0])
     def test_coupling_increment(self, runs, t):
+        # T_g has a velocity row only
         _, forcing, _, strided = runs
-        got = coupling_increment(strided, forcing.g, forcing.kappa, t)
-        (want,) = old_coupling(strided.theta_series(), forcing.g, forcing.kappa, t)
-        assert_matches([coeffs(got)[:1]], [(want,)])
-        assert np.max(np.abs(got.theta.values)) == 0.0
+        (got,) = next(duhamel._coupling_path(strided, forcing.g, forcing.kappa, [t]))
+        assert_matches([(got,)], [old_coupling(strided.theta_series(), forcing.g, forcing.kappa, t)])
 
     @pytest.mark.parametrize("t", [1 / 16, 5 / 16, 1.0])
     def test_forcing_increment(self, runs, t):
         cfg, forcing, _, _ = runs
-        got = forcing_increment(forcing, t, cfg)
-        assert_matches([coeffs(got)], [old_forcing(forcing, t, cfg)])
+        got = next(duhamel._forcing_path(forcing, [t], cfg))
+        assert_matches([got], [old_forcing(forcing, t, cfg)])
 
     def test_forcing_path_reads_every_step_time(self, runs):
         cfg, forcing, _, _ = runs
@@ -294,11 +290,11 @@ class TestCouplingCoverage:
         cfg = SolveConfig(dt=T / 16)
         forcing = coupled_forcing(grid)
         traj = evolve(initial_state(grid, 50), forcing, 0.5, cfg, mode="full")
-        for increment in (lambda t: coupling_increment(traj, forcing.g, forcing.kappa, t),
-                          lambda t: bilinear_increment(traj, traj, t)):
+        for velocity in (lambda t: next(duhamel._coupling_path(traj, forcing.g, forcing.kappa, [t]))[0],
+                         lambda t: next(duhamel._bilinear_path(traj, traj, [t]))[0]):
             with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
-                increment(0.9)
-            assert np.max(np.abs(increment(0.5).u.values)) > 0.0
+                velocity(0.9)
+            assert np.max(np.abs(velocity(0.5))) > 0.0
         series = traj.theta_series()
         with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
             list(duhamel._coupling_path(series, forcing.g, forcing.kappa, [0.25, 0.9]))
@@ -307,8 +303,8 @@ class TestCouplingCoverage:
         # samples spanning one period T cover every later time: t = 1.25 reads
         # the period's samples again, from the period start
         _, forcing, uniform, _ = runs
-        late = coupling_increment(uniform, forcing.g, forcing.kappa, 1.25)
-        assert np.all(np.isfinite(late.u.values)) and np.max(np.abs(late.u.values)) > 0.0
+        (late,) = next(duhamel._coupling_path(uniform, forcing.g, forcing.kappa, [1.25]))
+        assert np.all(np.isfinite(late)) and np.max(np.abs(late)) > 0.0
 
 
 class TestStepFactorsBuiltOnce:

@@ -28,9 +28,10 @@ from bqbox import (
     weighted_time_sup,
 )
 from bqbox.duhamel import Trajectory
-from bqbox.norms import ball_indicator, gaussian_profile, unit_ball_volume
+from bqbox.norms import ball_indicator, gaussian_profile
 
 INF = float("inf")
+UNIT_BALL_VOLUME_3D = 4.0 * np.pi / 3.0
 
 
 def lorentz_star_oracle(values, w, p, q):
@@ -145,7 +146,7 @@ class TestMorreyLorentz:
         sampler = BallSampler(num_centers=8, num_radii=8)
         got = morrey_lorentz_norm(f, NormParams(p=p, lam=lam), sampler)
         rho = g.L / 2.0
-        want = c * (unit_ball_volume(3) ** (1.0 / p)) * rho ** ((3.0 - lam) / p)
+        want = c * (UNIT_BALL_VOLUME_3D ** (1.0 / p)) * rho ** ((3.0 - lam) / p)
         assert got == pytest.approx(want, rel=0.02)
 
     def test_constant_field_value_grows_linearly_in_radius(self):
@@ -338,7 +339,7 @@ class TestEmbeddings:
         # Morrey sup of an indicator ball radius R at ball radius rho = R:
         # omega^{1/p} R^{(n-lam)/p - lam/p}
         lam = 3.0 - p
-        want = unit_ball_volume(3) ** (1 / p) * 0.2 ** ((3 - lam) / p)
+        want = UNIT_BALL_VOLUME_3D ** (1 / p) * 0.2 ** ((3 - lam) / p)
         assert row.morrey_norm == pytest.approx(want, rel=0.05)
 
     def test_requires_three_dimensions(self, grid2d):

@@ -239,7 +239,9 @@ class TestPerturbAndCompare:
         traj2 = evolve(pert, base.problem.forcing, t_max, cfg, mode="full")
         want = []
         for t in table.meta["snapped_times"]:
-            wu, wth = _weighted_parts(state_difference(traj1.state_at(t), traj2.state_at(t)),
+            i = round(t / cfg.dt)
+            assert traj1.times[i] == pytest.approx(t) and traj2.times[i] == pytest.approx(t)
+            wu, wth = _weighted_parts(state_difference(traj1.states[i], traj2.states[i]),
                                       t, sp, sampler)
             want.append((t, wu, wth, wu + wth))
         assert len(want) == 7
