@@ -260,10 +260,7 @@ def load_config(path):
         except Exception as exc:
             raise ConfigError(f"solve: {exc}") from exc
 
-    try:
-        forcing = build_forcing(raw, grid, seed)
-    except ConfigError:
-        raise
+    forcing = build_forcing(raw, grid, seed)
 
     norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
 

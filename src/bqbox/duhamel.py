@@ -243,14 +243,16 @@ class _CompiledForcing:
 
     Analytic terms (finite Fourier series in t) are reduced once to constant
     coefficient arrays with scalar time factors, which :meth:`rows_at`
-    evaluates.  Sampled terms (the linearized coupling, frozen
-    nonlinearities) are kept as one row per step node of one period; they
-    are linear on each step, so step i reads only the samples at nodes
-    i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled rows are
-    nonlinear rows, so they are band-shaped (``grid.band_shape``); the
-    analytic rows are not dealiased and fill the half spectrum.  Sampled
-    velocity rows must already be Leray-projected, as every producer in
-    this package makes them.
+    evaluates.  Sampled terms are kept as one row per step node of one
+    period: the ``extra`` rows (a frozen G_state) and, in linearized mode
+    with a given temperature ``eta``, the coupling kappa P(eta g), built
+    here per node with the extra velocity rows added in.  They are linear
+    on each step, so step i reads only the samples at nodes i mod S and
+    i mod S + 1 (:meth:`step_samples`).  Sampled rows are nonlinear rows,
+    so they are band-shaped (``grid.band_shape``); the analytic rows are
+    not dealiased and fill the half spectrum.  Sampled velocity rows must
+    already be Leray-projected, as every producer in this package makes
+    them.
     """
 
     def __init__(self, grid, forcing, mode, eta, extra, node_times):
@@ -292,7 +294,14 @@ class _CompiledForcing:
             and forcing.g is not None
             and forcing.kappa > 0.0
         ):
-            self.node_vel = _coupling_rows(grid, forcing, eta, node_times, extra_vel)
+            self.node_vel = [
+                buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values,
+                                forcing.kappa)
+                for t in node_times
+            ]
+            if extra_vel is not None:
+                for row, extra_row in zip(self.node_vel, extra_vel):
+                    row += extra_row
         else:
             self.node_vel = None if extra_vel is None else list(extra_vel)
         self.node_th = list(extra.th) if extra is not None and extra.th is not None else None
@@ -322,21 +331,6 @@ class _CompiledForcing:
         vel = [None, None] if self.node_vel is None else self.node_vel[j:j + 2]
         th = [None, None] if self.node_th is None else self.node_th[j:j + 2]
         return vel, th
-
-
-def _coupling_rows(grid, forcing, eta, node_times, extra_vel=None):
-    """Band rows of the linearized coupling kappa P(eta g), one per node of ``node_times``.
-
-    ``extra_vel``, one velocity row per node, is added into the new rows.
-    """
-    rows = [
-        buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values, forcing.kappa)
-        for t in node_times
-    ]
-    if extra_vel is not None:
-        for row, extra_row in zip(rows, extra_vel):
-            row += extra_row
-    return rows
 
 
 def _substep_weights(grid, h, m):

@@ -112,6 +112,10 @@ class BallSampler:
     radii_list: tuple | None = None
     jitter_seed: int | None = None
 
+    def __post_init__(self):
+        if not self.num_centers >= 1:
+            raise DiagnosticsError(f"the sampler needs at least one center, got {self.num_centers}")
+
     def radii(self, grid):
         if self.radii_list is not None:
             radii = np.asarray(self.radii_list, dtype=float)
@@ -135,8 +139,8 @@ class BallSampler:
         return radii
 
     def centers(self, grid):
-        """Array of center grid indices, shape (C, n)."""
-        m = max(1, round(self.num_centers ** (1.0 / grid.n)))
+        """Array of center grid indices, shape (C, n), at most one per grid point."""
+        m = min(grid.N, round(self.num_centers ** (1.0 / grid.n)))
         base = (np.arange(m) * grid.N) // m
         axes = np.meshgrid(*([base] * grid.n), indexing="ij")
         centers = np.stack([a.ravel() for a in axes], axis=1)

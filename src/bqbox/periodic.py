@@ -20,20 +20,20 @@ datum is certified by a stepped one-period evolve from it, which reads
 neither c nor the affine orbit.
 
 The nonlinear periodic solution is a fixed point of the outer map that
-freezes the whole nonlinearity along the current periodic iterate, solves
-the resulting linear periodic problem, and repeats; its empirical
-contraction ratio is the numerical stand-in for the small-data condition
-that makes the iteration contract.  No iterate is held whole: the solve
-streams each stored state into a reader that builds its frozen band rows,
-keeps its temperature when a g-coupling reads it, and keeps the state only
-at the sup-in-time indices, where it forms its increment term against the
-previous iterate's matching state and releases that one.  Each linear
-solve steps P(0) = P_F(0) + P_rows(0): the image P_F(0) of the analytic
-forcing alone is the first solve's, which freezes nothing, and later solves
-step only their frozen rows and eta coupling from zero.  The rows of the
-converged iterate are G at its states, so they start the Picard iteration
-of each step of the certifying run, which is still a stepped full-mode
-period.
+freezes the whole state-dependent right-hand side G_state (advection and,
+with a g-coupling, buoyancy) along the current periodic iterate, solves the
+linear periodic problem it induces, and repeats; its empirical contraction
+ratio is the numerical stand-in for the small-data condition that makes the
+iteration contract.  No iterate is held whole: the solve streams each
+stored state into a reader that builds its frozen band rows, one
+:func:`~bqbox.operators.advection_coeffs` call per state as in the full-mode
+step, and keeps the state only at the sup-in-time indices, where it forms
+its increment term against the previous iterate's matching state and
+releases that one.  Every P(0) is P_F(0), the image of the analytic forcing
+alone, stepped once by the first solve, plus the image of the frozen rows
+stepped from zero.  The rows of the converged iterate are G_state at its
+states, so they start the Picard iteration of each step of the certifying
+run, which is still a stepped full-mode period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -45,9 +45,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duhamel import SolveConfig, Trajectory, _coupling_rows, _to_state, evolve, state_difference
+from .duhamel import SolveConfig, Trajectory, _to_state, evolve, state_difference
 from .errors import ConfigError, ConvergenceError, HypothesisError
-from .forcing import ForcingSpec, SampledScalarSeries, SampledSpectralForcing
+from .forcing import ForcingSpec, SampledSpectralForcing
 from .grid import (
     ScalarField,
     State,
@@ -285,72 +285,74 @@ def cesaro_periodic_datum(
 # ---------------------------------------------------------------------------
 
 
-def _frozen_extra(state: State):
-    """Band rows of -P div(v (x) v) and -div(eta v) frozen at one stored state, (vel, th)."""
-    u = state.u.values
-    return advection_coeffs(state.grid, u, u, state.theta.values)
+def _frozen_extra(state: State, g=None, kappa=0.0):
+    """Band rows (vel, th) of G_state frozen at one stored state.
 
-
-def _linear_periodic_solve(problem, eta_series, extra, on_state, forced=None):
-    """Periodic solution of the linear problem with ``eta`` and ``extra`` frozen; returns P(0).
-
-    Steps P(0), inverts the resolvent on it, and streams the stored states
-    of one period from that datum into ``on_state(t, state)``.
-
-    P(0) is affine in the forcing and the frozen data, P(0) = P_F(0) +
-    P_rows(0).  ``forced``, when given, is P_F(0), the image of the analytic
-    forcing alone (the P(0) of a solve that freezes nothing): only the
-    frozen rows and the eta coupling are then stepped from zero, under the
-    forcing without F and f (g and kappa kept), and added to it.  Without it
-    the whole P(0) is stepped.  Returns P(0), which is P_F(0) for a solve
-    that freezes nothing.
+    -P div(v (x) v) + kappa P(theta g) and -div(v theta), with ``g`` the
+    real values of the g field at the state's time (None without a
+    coupling): the one :func:`advection_coeffs` call of the full-mode step.
     """
-    grid, forcing = problem.grid, problem.forcing
+    u = state.u.values
+    return advection_coeffs(state.grid, u, u, state.theta.values, g, kappa)
 
-    def image(part):
+
+def _linear_periodic_solve(problem, extra, on_state, forced=None):
+    """Periodic solution of the linear problem with the rows ``extra`` frozen; returns P_F(0).
+
+    P(0) is affine in the forcing and the frozen rows, P(0) = P_F(0) +
+    P_rows(0).  P_F(0), the image of F and f alone, is ``forced`` or, when
+    that is None, stepped here; the image of ``extra``, when given, is
+    stepped from zero with no forcing and added to it.  The resolvent of
+    P(0) is the datum whose one period streams its stored states into
+    ``on_state(t, state)``.  g never enters: its coupling is in the rows.
+    """
+    grid, forcing = problem.grid, replace(problem.forcing, g=None, kappa=0.0)
+
+    def image(part, rows):
         return evolve(zeros_like_state(grid), part, problem.period, problem.cfg,
-                      mode="linearized", eta=eta_series, extra=extra,
+                      mode="linearized", extra=rows,
                       store_stride=problem.steps_per_period).states[-1]
 
     if forced is None:
-        c = image(forcing)
-    else:
-        c = image(replace(forcing, F=None, f=None))
-        # the frozen part's image is this solve's own: P_F(0) is added into it
+        forced = image(forcing, None)
+    c = forced
+    if extra is not None:
+        c = image(None, extra)
         for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
             np.add(part.values, whole.values, out=part.values)
     evolve(_invert_resolvent(problem, c), forcing, problem.period, problem.cfg,
-           mode="linearized", eta=eta_series, extra=extra, on_state=on_state)
-    return c
+           mode="linearized", extra=extra, on_state=on_state)
+    return forced
 
 
 class _Iterate:
     """What the outer loop keeps of one periodic iterate, read one stored state at a time.
 
     Called as ``on_state(t, state)`` for each state in order, it builds the
-    state's frozen band rows (:func:`_frozen_extra`), keeps its temperature
-    when a g-coupling reads eta (``coupled``), and keeps the state itself
-    only at the sup-in-time indices (``ctx.time_stride``, the last always;
-    state 0, the datum, among them).  Each kept state also forms its term of
-    the outer increment: its norm against ``previous``'s matching state,
-    which is then released, or its own norm without a previous iterate.
-    The rows freeze the nonlinearity of the next linear solve, or, for the
-    converged iterate, start the certifying run's Picard (:meth:`predictor`).
+    state's frozen band rows (:func:`_frozen_extra`, with ``forcing``'s
+    g-coupling when kappa > 0), and keeps the state itself only at the
+    sup-in-time indices (``ctx.time_stride``, the last always; state 0, the
+    datum, among them).  Each kept state also forms its term of the outer
+    increment: its norm against ``previous``'s matching state, which is then
+    released, or its own norm without a previous iterate.  The rows freeze
+    G_state in the next linear solve, or, for the converged iterate, start
+    the certifying run's Picard (:meth:`predictor`).
     """
 
-    def __init__(self, count, ctx, coupled, previous=None):
+    def __init__(self, count, ctx, forcing, previous=None):
         self.ctx = ctx
         self.keep = frozenset(sup_time_indices(count, ctx.time_stride))
+        self.g = forcing.g if forcing.kappa > 0 else None
+        self.kappa = forcing.kappa
         self.times, self.vel, self.th = [], [], []
-        self.thetas = [] if coupled else None
         self.sup = {}
         self.terms = []
         self._previous = None if previous is None else previous.sup
 
     @classmethod
-    def read(cls, traj: Trajectory, ctx, coupled):
+    def read(cls, traj: Trajectory, ctx, forcing):
         """The iterate of a stored trajectory (an initial guess); no increment is formed."""
-        it = cls(len(traj.times), ctx, coupled)
+        it = cls(len(traj.times), ctx, forcing)
         it.terms = None
         for t, state in zip(traj.times, traj.states):
             it(t, state)
@@ -359,11 +361,10 @@ class _Iterate:
     def __call__(self, t, state):
         i = len(self.times)
         self.times.append(t)
-        vel, th = _frozen_extra(state)
+        g = None if self.g is None else self.g.value(t).values
+        vel, th = _frozen_extra(state, g, self.kappa)
         self.vel.append(vel)
         self.th.append(th)
-        if self.thetas is not None:
-            self.thetas.append(state.theta)
         if i not in self.keep:
             return
         self.sup[i] = state
@@ -379,19 +380,9 @@ class _Iterate:
     def extra(self):
         return SampledSpectralForcing(times=self.times, vel=self.vel, th=self.th)
 
-    def eta(self):
-        return SampledScalarSeries(times=self.times, fields=self.thetas)
-
-    def predictor(self, problem):
-        """G_state along this iterate, one (vel, th) band-row pair per node.
-
-        The frozen rows, with the coupling rows of the iterate's own
-        temperatures summed in when a g-coupling reads them.
-        """
-        vel = self.vel
-        if self.thetas is not None:
-            vel = _coupling_rows(problem.grid, problem.forcing, self.eta(), self.times, vel)
-        return list(zip(vel, self.th))
+    def predictor(self):
+        """G_state along this iterate, one (vel, th) band-row pair per node."""
+        return list(zip(self.vel, self.th))
 
 
 def nonlinear_periodic(
@@ -403,21 +394,20 @@ def nonlinear_periodic(
 ) -> PeriodicSolution:
     """Periodic solution of the full (or zero-temperature) dynamics.
 
-    Outer loop: freeze the nonlinearity along the current periodic iterate,
-    solve the linear periodic problem it induces, repeat until successive
+    Outer loop: freeze G_state along the current periodic iterate, solve
+    the linear periodic problem it induces, repeat until successive
     iterates differ by less than ``outer_tol`` in the discrete sup-in-time
     product norm.  A non-contracting step raises ConvergenceError (the
     numerical smallness condition failed), and so does a non-finite increment,
     at the iteration that produced it.
 
-    The loop holds of the last iterate its frozen band rows, its temperatures
-    (only when a g-coupling reads eta) and its sup-in-time states; the next
-    iterate streams in state by state (:class:`_Iterate`) and never exists
-    whole.  It also holds P_F(0), the first solve's image, which freezes
-    nothing, so that each later solve steps only its frozen rows and eta
-    coupling (:func:`_linear_periodic_solve`).  ``initial_guess``, a stored
-    one-period trajectory, is read the same way; its run has no such image
-    and steps every P(0) whole.
+    The loop holds of the last iterate its frozen band rows and its
+    sup-in-time states; the next iterate streams in state by state
+    (:class:`_Iterate`) and never exists whole.  It also holds P_F(0),
+    which the first solve steps, so that each later solve steps only its
+    frozen rows (:func:`_linear_periodic_solve`).  ``initial_guess``, a
+    stored one-period trajectory, is read the same way and frozen by the
+    first solve.
 
     The certifying run is a stepped full-mode evolve from the datum that
     returns its whole trajectory.  The converged iterate's rows, G_state at
@@ -437,33 +427,18 @@ def nonlinear_periodic(
         raise HypothesisError(
             f'hypothesis "2 < p <= n" violated (p = {p}, n = {grid.n})'
         )
-    coupled = problem.forcing.g is not None and problem.forcing.kappa > 0
-    current = None if initial_guess is None else _Iterate.read(initial_guess, ctx, coupled)
+    forcing = problem.forcing
+    current = None if initial_guess is None else _Iterate.read(initial_guess, ctx, forcing)
     history = []
     ratios = []
     converged = False
-    forced = None  # P_F(0), once a solve that freezes nothing has stepped it
-    zero_eta = None
-    if coupled:
-        # the zero-th iterate freezes theta = 0 in the coupling
-        node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
-        zero_field = ScalarField(grid, np.zeros(grid.shape))
-        zero_eta = SampledScalarSeries(times=node_times,
-                                       fields=[zero_field] * len(node_times))
+    forced = None  # P_F(0), once the first solve has stepped it
     for m in range(1, outer_max + 1):
-        extra = None
-        eta_series = zero_eta
-        if current is not None:
-            extra = current.extra()
-            if coupled:  # only the g-coupling reads eta
-                eta_series = current.eta()
+        extra = None if current is None else current.extra()
         # the solve streams the next iterate into its reader; the reader holds
         # of ``current`` only the sup states it has not yet differenced
-        nxt = _Iterate(problem.steps_per_period + 1, ctx, coupled, current)
-        image = _linear_periodic_solve(problem, eta_series, extra, nxt, forced)
-        if current is None:  # this solve froze nothing: its image is P_F(0)
-            forced = image
-        del image  # no other image is held through the next solve
+        nxt = _Iterate(problem.steps_per_period + 1, ctx, forcing, current)
+        forced = _linear_periodic_solve(problem, extra, nxt, forced)
         delta = nxt.increment()
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
@@ -495,12 +470,11 @@ def nonlinear_periodic(
             history=history,
         )
     datum = current.sup[0]
-    predictor = current.predictor(problem)
+    predictor = current.predictor()
     # nothing else of the loop is read again
-    del current, nxt, eta_series, extra, zero_eta, forced
+    del current, nxt, extra, forced
     certify = evolve(
-        datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
-        _predictor=predictor,
+        datum, forcing, problem.period, problem.cfg, mode=problem.mode, _predictor=predictor,
     )
     res_max, res_norm = check_periodicity(certify, ctx)
     sol_norm = trajectory_sup_norm(certify, ctx)

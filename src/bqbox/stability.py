@@ -27,6 +27,7 @@ from .norms import (
     TimeWeightParams,
     morrey_lorentz_norm,
     state_norm,
+    sup_time_indices,
     trajectory_sup_norm,
     weighted_time_sup,
 )
@@ -269,10 +270,7 @@ def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler=
     ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=lam), sampler, time_stride=stride)
     base = trajectory_sup_norm(traj, ctx)
     weighted = 0.0
-    idx = list(range(0, len(traj.times), max(1, stride)))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
-    for i in idx:
+    for i in sup_time_indices(len(traj.times), stride):
         t = float(traj.times[i])
         if t <= 0:
             continue

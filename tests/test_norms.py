@@ -419,6 +419,21 @@ def any_grid(n, N, L):
 _SCAN_GRIDS = [(2, 16, 1.0), (2, 15, 1.0), (3, 8, 2 * np.pi), (3, 9, 2 * np.pi)]
 
 
+class TestBallSamplerCenters:
+    @pytest.mark.parametrize("num_centers", [0, -8])
+    def test_fewer_than_one_center_rejected(self, num_centers):
+        with pytest.raises(DiagnosticsError, match="at least one center"):
+            BallSampler(num_centers=num_centers)
+
+    @pytest.mark.parametrize("jitter_seed", [None, 5])
+    def test_at_most_one_center_per_grid_point(self, jitter_seed):
+        # 10^6 requested centers on 64 grid points: 8 per axis, none repeated
+        g = GridSpec(n=2, N=8, L=1.0)
+        centers = BallSampler(num_centers=10**6, jitter_seed=jitter_seed).centers(g)
+        assert centers.shape == (64, 2)
+        assert len({tuple(c) for c in centers}) == 64
+
+
 class TestPaddedBallScan:
     @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
     @pytest.mark.parametrize("params", [NormParams(p=3.0, lam=0.5),

@@ -41,7 +41,7 @@ from bqbox.forcing import (
 )
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
-from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, heat_semigroup
+from bqbox.operators import advection_coeffs, div_coeffs, heat_semigroup
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -554,25 +554,31 @@ class TestSplitImageAndWarmStart:
         # an iterate to freeze: one full-mode period from a nonzero state
         x0 = State(random_div_free(g, seed=11, amplitude=0.1),
                    random_smooth_scalar(g, seed=12, amplitude=0.1))
-        iterate = evolve(x0, forcing, T, cfg, mode="full")
-        eta = iterate.theta_series() if coupled else None
-        return prob, eta, frozen_extra(iterate)
+        return prob, evolve(x0, forcing, T, cfg, mode="full")
 
     @pytest.mark.parametrize("coupled", [False, True])
-    def test_superposed_image_matches_direct(self, coupled):
-        prob, eta, extra = self._frozen_problem(coupled)
+    def test_superposed_image_matches_direct(self, coupled, monkeypatch):
+        # P(0) = P_F(0) + P_rows(0) against one evolve that steps the forcing
+        # and the frozen rows together; with a coupling, that evolve is the
+        # linearized system with the iterate's temperature as eta, and its
+        # frozen rows hold only the advection
+        prob, iterate = self._frozen_problem(coupled)
+        images = []
+        invert = periodic_mod._invert_resolvent
+        monkeypatch.setattr(periodic_mod, "_invert_resolvent",
+                            lambda problem, c: images.append(c) or invert(problem, c))
 
         def ignore(t, state):
             pass
 
-        zero_eta = None
-        if coupled:  # the solve that freezes nothing freezes theta = 0 in the coupling
-            zero = ScalarField(prob.grid, np.zeros(prob.grid.shape))
-            zero_eta = SampledScalarSeries(times=eta.times, fields=[zero] * len(eta.times))
         solve = periodic_mod._linear_periodic_solve
-        forced = solve(prob, zero_eta, None, ignore)
-        direct = solve(prob, eta, extra, ignore)
-        split = solve(prob, eta, extra, ignore, forced)
+        forced = solve(prob, None, ignore)
+        assert solve(prob, frozen_extra(iterate, prob.forcing), ignore, forced) is forced
+        assert images[0] is forced  # the solve that freezes nothing inverts P_F(0)
+        direct = evolve(zeros_like_state(prob.grid), prob.forcing, T, prob.cfg,
+                        mode="linearized", eta=iterate.theta_series() if coupled else None,
+                        extra=frozen_extra(iterate), store_stride=prob.steps_per_period).states[-1]
+        split = images[1]
         scale = direct.max_norm()
         # the frozen part moves P(0) well above the tolerance
         assert state_difference(direct, forced).max_norm() > 1e-2 * scale
@@ -607,74 +613,66 @@ def trajectory_difference(a, b):
     return Trajectory(a.grid, a.times, [state_difference(x, y) for x, y in zip(a.states, b.states)])
 
 
-def frozen_extra(traj):
-    """Band rows of the nonlinearity frozen along a whole stored iterate."""
+def frozen_extra(traj, forcing=None):
+    """Band rows of G_state frozen along a whole stored iterate.
+
+    With ``forcing``'s g-coupling (kappa > 0) the buoyancy row is in the
+    velocity rows, as in the full-mode right-hand side.
+    """
     grid = traj.grid
-    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values)
-                    for s in traj.states))
+    g = forcing.g if forcing is not None and forcing.kappa > 0 else None
+    kappa = 0.0 if forcing is None else forcing.kappa
+    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values,
+                                     None if g is None else g.value(t).values, kappa)
+                    for t, s in zip(traj.times, traj.states)))
     return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
 
 
-def stored_linear_solve(problem, eta_series, extra, forced=None):
-    """The linear periodic solve returning its whole stored iterate and its P(0).
+def stored_linear_solve(problem, extra, forced=None):
+    """The linear periodic solve returning its whole stored iterate and P_F(0).
 
-    The coupling reads ``eta_series`` inside ``evolve``, with g kept in the
-    forcing.  With ``forced`` = P_F(0), P(0) is that image plus the image of
-    the frozen part alone: the forcing without F and f (g and kappa kept).
+    g is dropped from the forcing: its coupling is in the frozen rows.  P(0)
+    is P_F(0), stepped here when ``forced`` is None, plus the image of
+    ``extra`` stepped from zero without forcing.
     """
-    cfg, forcing, grid = problem.cfg, problem.forcing, problem.grid
+    cfg, grid = problem.cfg, problem.grid
+    forcing = dataclasses.replace(problem.forcing, g=None, kappa=0.0)
 
-    def image(part):
+    def image(part, rows):
         return evolve(zeros_like_state(grid), part, problem.period, cfg, mode="linearized",
-                      eta=eta_series, extra=extra, store_stride=problem.steps_per_period).states[-1]
+                      extra=rows, store_stride=problem.steps_per_period).states[-1]
 
     if forced is None:
-        c = image(forcing)
-    else:
-        rows = image(dataclasses.replace(forcing, F=None, f=None))
+        forced = image(forcing, None)
+    c = forced
+    if extra is not None:
+        rows = image(None, extra)
         c = State(VectorField(grid, forced.u.values + rows.u.values),
                   ScalarField(grid, forced.theta.values + rows.theta.values))
     traj = evolve(periodic_mod._invert_resolvent(problem, c), forcing, problem.period, cfg,
-                  mode="linearized", eta=eta_series, extra=extra)
-    return traj, c
+                  mode="linearized", extra=extra)
+    return traj, forced
 
 
 def predictor_rows(problem, traj):
-    """G_state along a stored iterate per node: frozen rows plus its own coupling rows."""
-    forcing = problem.forcing
-    extra = frozen_extra(traj)
-    if forcing.g is not None and forcing.kappa > 0:
-        for vel, t, state in zip(extra.vel, traj.times, traj.states):
-            vel += buoyancy_coeffs(traj.grid, state.theta.values, forcing.g.value(t).values,
-                                   forcing.kappa)
+    """G_state along a stored iterate, one (vel, th) pair per node."""
+    extra = frozen_extra(traj, problem.forcing)
     return list(zip(extra.vel, extra.th))
 
 
 def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_guess=None):
     """The outer loop with every iterate stored whole and its difference materialized.
 
-    Each iterate is kept until the next replaces it, and its rows and
-    temperatures are read from the stored trajectory.  The zero-th iterate
-    freezes theta = 0 through an all-zero eta; its P(0) is P_F(0), which
-    later solves add their frozen part to (without an initial guess), and
-    the converged iterate's rows start the certify run's Picard.  Returns
-    the history, datum, residuals and sup norm :func:`nonlinear_periodic`
-    reports.
+    Each iterate is kept until the next replaces it, and its rows are read
+    from the stored trajectory.  The first solve steps P_F(0), which every
+    later solve adds its frozen part to, and the converged iterate's rows
+    start the certify run's Picard.  Returns the history, datum, residuals
+    and sup norm :func:`nonlinear_periodic` reports.
     """
-    grid = problem.grid
-    coupled = problem.forcing.g is not None and problem.forcing.kappa > 0
     current, history, forced = initial_guess, [], None
-    node_times = np.arange(problem.steps_per_period + 1) * problem.cfg.dt
-    zero_eta = SampledScalarSeries(times=node_times,
-                                   fields=[ScalarField(grid, np.zeros(grid.shape))] * len(node_times))
     for m in range(1, outer_max + 1):
-        eta_series = None
-        if coupled:
-            eta_series = current.theta_series() if current is not None else zero_eta
-        extra = frozen_extra(current) if current is not None else None
-        nxt, image = stored_linear_solve(problem, eta_series, extra, forced)
-        if current is None:
-            forced = image
+        extra = frozen_extra(current, problem.forcing) if current is not None else None
+        nxt, forced = stored_linear_solve(problem, extra, forced)
         diff = nxt if current is None else trajectory_difference(nxt, current)
         delta = trajectory_sup_norm(diff, ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
@@ -694,13 +692,13 @@ def streamed_iterates(monkeypatch):
     iterates = []
     solve = periodic_mod._linear_periodic_solve
 
-    def spy(problem, eta_series, extra, on_state, forced=None):
+    def spy(problem, extra, on_state, forced=None):
         states = []
-        image = solve(problem, eta_series, extra,
-                      lambda t, state: states.append((t, state)) or on_state(t, state), forced)
+        forced = solve(problem, extra,
+                       lambda t, state: states.append((t, state)) or on_state(t, state), forced)
         times, kept = zip(*states)
         iterates.append(Trajectory(problem.grid, np.asarray(times), list(kept)))
-        return image
+        return forced
 
     monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
     return iterates
@@ -751,8 +749,8 @@ class TestNonlinearPeriodicMemory:
         # last state, which must still be read
         for stride in (3, 5):
             ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
-            previous = periodic_mod._Iterate.read(iterates[0], ctx_s, coupled=True)
-            reader = periodic_mod._Iterate(len(iterates[1].times), ctx_s, True, previous)
+            previous = periodic_mod._Iterate.read(iterates[0], ctx_s, prob.forcing)
+            reader = periodic_mod._Iterate(len(iterates[1].times), ctx_s, prob.forcing, previous)
             for t, state in zip(iterates[1].times, iterates[1].states):
                 reader(t, state)
             want = trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
@@ -768,8 +766,8 @@ class TestNonlinearPeriodicMemory:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_outputs_match_collected_loop_from_guess(self, coupled):
-        # the guess's rows, temperatures (with a coupling) and sup states are
-        # all read: the history differs from the run without a guess
+        # the guess's rows (with a coupling, its buoyancy too) and sup states
+        # are all read: the history differs from the run without a guess
         if coupled:
             prob, ctx = self._problem()
         else:
@@ -787,34 +785,26 @@ class TestNonlinearPeriodicMemory:
         assert collected[0][0][1] != unguessed[0][0][1]
         assert collected[0][1][1] != unguessed[0][1][1]
 
-    def test_theta_series_only_for_the_coupling(self, monkeypatch):
-        # eta is read only by a g-coupling with kappa > 0: without one the
-        # loop keeps no temperatures and its outputs do not move
+    def test_coupling_only_in_the_frozen_rows(self, monkeypatch):
+        # with a g-coupling the buoyancy rows are frozen with the advection:
+        # no linear solve reads a temperature series or g, and only the
+        # certify run steps the coupled forcing
         seen = []
-        solve = periodic_mod._linear_periodic_solve
+        evolve_ = periodic_mod.evolve
 
-        def spy(problem, eta_series, extra, on_state, forced=None):
-            seen.append((eta_series, on_state.thetas))
-            return solve(problem, eta_series, extra, on_state, forced)
+        def spy(initial, forcing, t_end, cfg, mode="full", **kwargs):
+            seen.append((mode, forcing, kwargs.get("eta")))
+            return evolve_(initial, forcing, t_end, cfg, mode=mode, **kwargs)
 
-        monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
-        prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
-        ctx = ctx_for(prob.grid)
-        sol = nonlinear_periodic(prob, outer_tol=1e-11, ctx=ctx)
-        assert len(seen) == len(sol.history) >= 3
-        assert all(eta is None and thetas is None for eta, thetas in seen)
-        self._assert_same(sol, collected_nonlinear_periodic(prob, 1e-11, 16, ctx))
-
-        seen.clear()
+        monkeypatch.setattr(periodic_mod, "evolve", spy)
         prob, ctx = self._problem()  # g set, kappa = 0.3
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        assert len(seen) == len(sol.history) >= 3
-        count = prob.steps_per_period + 1
-        assert all(len(thetas) == count for _, thetas in seen)
-        assert all(np.max(np.abs(f.values)) == 0.0 for f in seen[0][0].fields)
-        for (eta, _), (_, thetas) in zip(seen[1:], seen):
-            assert len(eta.fields) == count
-            assert all(a is b for a, b in zip(eta.fields, thetas))
+        linear = [(forcing, eta) for mode, forcing, eta in seen if mode == "linearized"]
+        assert len(linear) == 2 * len(sol.history) >= 6
+        assert all(eta is None and (forcing is None or forcing.g is None)
+                   for forcing, eta in linear)
+        assert seen[-1][:2] == ("full", prob.forcing)
+        self._assert_same(sol, collected_nonlinear_periodic(prob, 1e-10, 16, ctx))
 
     def test_off_sup_states_released_once_frozen(self, monkeypatch):
         # during a streamed solve no state outside the sup indices outlives
@@ -832,7 +822,7 @@ class TestNonlinearPeriodicMemory:
         def alive(refs, indices):
             return all(refs[i][0]() is not None and refs[i][1]() is not None for i in indices)
 
-        def spy(problem, eta_series, extra, on_state, forced=None):
+        def spy(problem, extra, on_state, forced=None):
             last = iterates[-1] if iterates else None
             if last is not None:
                 assert len(extra.vel) == len(extra.th) == len(last)
@@ -844,24 +834,25 @@ class TestNonlinearPeriodicMemory:
                 on_state(t, state)
                 refs.append((weakref.ref(state), weakref.ref(state.u.values)))
 
-            image = solve(problem, eta_series, extra, watch, forced)
+            forced = solve(problem, extra, watch, forced)
             assert dead(refs, set(range(len(refs))) - keep) and alive(refs, keep)
             if last is not None:
                 assert dead(last, range(len(last)))
             iterates.append(refs)
-            return image
+            return forced
 
         monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
         assert len(iterates) == len(sol.history) >= 3
 
     def test_peak_memory_in_stored_trajectories(self):
-        # the loop holds the band-sized frozen rows of two iterates, the
-        # temperatures the coupling reads and the sup states of two iterates,
-        # but never an iterate's states; the certify trajectory is the one
-        # whole trajectory of the run.  An iterate held whole, full-size frozen
-        # rows, or loop state kept through the certify run push the peak past
-        # the bound (2.24 trajectories measured)
+        # the loop holds the band-sized frozen rows of two iterates and the
+        # sup states of two iterates, but never an iterate's states; the
+        # certify trajectory is the one whole trajectory of the run.  An
+        # iterate held whole, full-size frozen rows, temperatures or coupling
+        # rows kept beside the frozen rows, or loop state kept through the
+        # certify run push the peak past the bound (1.60 trajectories
+        # measured; 2.30 with the temperatures and per-evolve coupling rows)
         prob, ctx = self._problem()
         nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)  # multiplier caches built outside
         tracemalloc.start()
@@ -872,4 +863,4 @@ class TestNonlinearPeriodicMemory:
             tracemalloc.stop()
         traj_bytes = sum(s.u.values.nbytes + s.theta.values.nbytes for s in sol.trajectory.states)
         assert len(sol.trajectory.states) == 17
-        assert peak < 2.45 * traj_bytes
+        assert peak < 1.8 * traj_bytes
