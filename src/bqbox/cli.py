@@ -104,7 +104,7 @@ def _cmd_norms(cfg, outdir):
 def _cmd_evolve(cfg, outdir):
     if cfg.solve is None or cfg.t_end is None:
         raise ConfigError("evolve needs solve{} and t_end")
-    stride = numeric_option(cfg.options, "snapshots", 0, integral=True)
+    stride = numeric_option(cfg.options, "snapshots", 0, integral=True, least=0)
     initial = build_initial(cfg.raw, cfg.grid, cfg.seed)
     norm_cols = _state_norm_columns(cfg)
     header = ["time", "energy", "divergence_residual"] + [c[0] for c in norm_cols]
@@ -139,11 +139,11 @@ def _cmd_periodic_linear(cfg, outdir):
     problem = _linear_problem(cfg)
     n_max = numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
     tol = numeric_option(cfg.options, "periodic.tol", 1e-9)
-    # c = P(0) (periodic.poincare_map), stepped once for both routes; through
-    # this module's evolve, because the benchmark clocks set-up time to the
-    # first solver call made through bqbox.cli's names
-    image = evolve(zeros_like_state(problem.grid), problem.forcing, problem.period, problem.cfg,
-                   mode=problem.mode, eta=problem.eta,
+    # c = P(0) (periodic.poincare_map, a g-coupling frozen as rows), stepped once
+    # for both routes; through this module's evolve, because the benchmark
+    # clocks set-up time to the first solver call made through bqbox.cli's names
+    image = evolve(zeros_like_state(problem.grid), problem.linear_forcing, problem.period,
+                   problem.cfg, mode=problem.mode, extra=problem.coupling,
                    store_stride=problem.steps_per_period).states[-1]
     reference = resolvent_periodic_datum(problem, image)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference, image=image)
@@ -299,7 +299,7 @@ def _smallness_inputs(cfg, params, base, K):
 
 
 def _cmd_verify_estimates(cfg, outdir):
-    ensemble = numeric_option(cfg.options, "estimates.ensemble", 4, integral=True)
+    ensemble = numeric_option(cfg.options, "estimates.ensemble", 4, integral=True, least=1)
     p = numeric_option(cfg.options, "estimates.p", 3.0)
     rows = refinement_comparison(cfg.grid, cfg.seed, ensemble=ensemble, p=p)
     outputs = [write_csv(outdir / "estimates.csv",

@@ -56,11 +56,12 @@ def _require(d, key, kind, where):
     return val
 
 
-def numeric_option(options, path, default, integral=False, prefix="", finite=True):
+def numeric_option(options, path, default, integral=False, prefix="", finite=True, least=None):
     """The number at ``path`` ("seed", "solve.picard_max", ...) in a config table.
 
-    Absent or null gives ``default``.  Anything but a finite number, or a
-    fractional one where ``integral`` is set, is a ConfigError naming the key.
+    Absent or null gives ``default``.  Anything but a finite number, a
+    fractional one where ``integral`` is set, or one below ``least`` is a
+    ConfigError naming the key.
     ``prefix`` names where ``options`` itself sits, for tables a dotted path
     cannot reach: ``numeric_option(term, "harmonic", 0, prefix="forcing.f[0]")``
     names ``forcing.f[0].harmonic``.  With ``finite`` unset a non-finite
@@ -82,9 +83,11 @@ def numeric_option(options, path, default, integral=False, prefix="", finite=Tru
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if finite and isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if least is not None and not value >= least:
+        raise ConfigError(f"{name} must be >= {least}, got {value!r}")
     if integral:
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     try:
         return float(value)
@@ -264,9 +267,7 @@ def load_config(path):
 
     norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
 
-    num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True)
-    if num_centers < 1:
-        raise ConfigError(f"sampler.num_centers must be at least 1, got {num_centers}")
+    num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True, least=1)
     num_radii = numeric_option(raw, "sampler.num_radii", 12, integral=True)
     sampler = BallSampler(
         num_centers=num_centers,
@@ -289,9 +290,11 @@ def load_config(path):
             raise ConfigError(f"config is missing stability.{missing[0]}")
         stability.update(
             initial_gap=numeric_option(raw, "stability.initial_gap", 1e-4),
-            num_times=numeric_option(raw, "stability.num_times", 20, integral=True),
+            num_times=numeric_option(raw, "stability.num_times", 20, integral=True, least=1),
             t_max_periods=numeric_option(raw, "stability.t_max_periods", 3.0),
         )
+        if not stability["t_max_periods"] > 0:
+            raise ConfigError(f"stability.t_max_periods must be > 0, got {stability['t_max_periods']}")
 
     t_end = numeric_option(raw, "t_end", None)
 

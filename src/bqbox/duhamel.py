@@ -30,12 +30,12 @@ harmonics (finite Fourier series in t) are sampled on a finer substep grid,
 so closed-form inhomogeneities are limited by the substep count, not by dt;
 the composite product trapezoid over the substeps is unrolled once per
 ``evolve`` into per-mode weights A_j, and a step adds sum_j A_j r_j.
-Sampled terms (the linearized coupling, frozen nonlinearities) are linear
-between step nodes, so the single-step weights are exact for them.
+Sampled terms (frozen nonlinearities and couplings) are linear between step
+nodes, so the single-step weights are exact for them.
 
 The state and the analytic forcing rows fill the half spectrum; every
-nonlinear row (the right-hand side, the sampled coupling, the frozen
-extras) is a band row of the 2/3 rule (``GridSpec.band_shape``).  A step
+nonlinear row (the right-hand side, the frozen extras) is a band row of the
+2/3 rule (``GridSpec.band_shape``).  A step
 forms the half-spectrum sum E x + sum_j A_j r_j and then adds each band row
 where it meets the state, ``acc[band] += W[band] * row``, in the order
 Wa then Wb; off the band those rows are 0, so this is the half-spectrum sum
@@ -215,7 +215,7 @@ class Trajectory:
         )
 
     def theta_series(self):
-        return SampledScalarSeries.from_trajectory(self)
+        return SampledScalarSeries(times=self.times, fields=[s.theta for s in self.states])
 
 
 def state_difference(a: State, b: State) -> State:
@@ -243,19 +243,17 @@ class _CompiledForcing:
 
     Analytic terms (finite Fourier series in t) are reduced once to constant
     coefficient arrays with scalar time factors, which :meth:`rows_at`
-    evaluates.  Sampled terms are kept as one row per step node of one
-    period: the ``extra`` rows (a frozen G_state) and, in linearized mode
-    with a given temperature ``eta``, the coupling kappa P(eta g), built
-    here per node with the extra velocity rows added in.  They are linear
-    on each step, so step i reads only the samples at nodes i mod S and
-    i mod S + 1 (:meth:`step_samples`).  Sampled rows are nonlinear rows,
-    so they are band-shaped (``grid.band_shape``); the analytic rows are
-    not dealiased and fill the half spectrum.  Sampled velocity rows must
-    already be Leray-projected, as every producer in this package makes
-    them.
+    evaluates.  Sampled terms, the ``extra`` rows (a frozen G_state or a
+    frozen coupling), are kept as one row per step node of one period.
+    They are linear on each step, so step i reads only the samples at
+    nodes i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled rows are
+    nonlinear rows, so they are band-shaped (``grid.band_shape``); the
+    analytic rows are not dealiased and fill the half spectrum.  Sampled
+    velocity rows must already be Leray-projected, as every producer in
+    this package makes them.  The g field of ``forcing`` is not read.
     """
 
-    def __init__(self, grid, forcing, mode, eta, extra, node_times):
+    def __init__(self, grid, forcing, extra, node_times):
         self.grid = grid
         self.period = forcing.period if forcing is not None else None
         self.analytic_vel = []  # (harmonic, phase, coeff_array)
@@ -286,25 +284,8 @@ class _CompiledForcing:
                 f_hat = forward_coeffs(grid, term.field.values)
                 self.analytic_th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
 
-        extra_vel = None if extra is None else extra.vel
-        if (
-            mode == "linearized"
-            and eta is not None
-            and forcing is not None
-            and forcing.g is not None
-            and forcing.kappa > 0.0
-        ):
-            self.node_vel = [
-                buoyancy_coeffs(grid, eta.value(t).values, forcing.g.value(t).values,
-                                forcing.kappa)
-                for t in node_times
-            ]
-            if extra_vel is not None:
-                for row, extra_row in zip(self.node_vel, extra_vel):
-                    row += extra_row
-        else:
-            self.node_vel = None if extra_vel is None else list(extra_vel)
-        self.node_th = list(extra.th) if extra is not None and extra.th is not None else None
+        self.node_vel = None if extra is None else extra.vel
+        self.node_th = None if extra is None else extra.th
 
     @property
     def analytic(self):
@@ -466,14 +447,15 @@ _MODES = ("full", "linearized", "navier-stokes")
 _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
-def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, store_stride=1,
+def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1,
            on_state=None, _predictor=None):
     """Integrate the mild formulation from ``initial`` up to ``t_end``.
 
     Modes: ``full`` (both nonlinearities), ``linearized`` (state-independent
-    right-hand side, frozen temperature ``eta`` in the coupling), and
-    ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0 and
-    no temperature forcing, and ignores kappa).  ``extra`` holds one
+    right-hand side; a g-coupling goes in as frozen rows in ``extra``, on a
+    forcing without g, see :attr:`bqbox.periodic.PeriodicProblem.coupling`),
+    and ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0
+    and no temperature forcing, and ignores kappa).  ``extra`` holds one
     band row (``grid.band_shape``) per step node of one forcing period (or of
     the whole run without a forcing); its velocity rows must be Leray-projected.
 
@@ -500,9 +482,11 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         raise ConfigError("forcing and initial data live on different grids")
     if not (np.all(np.isfinite(initial.u.values)) and np.all(np.isfinite(initial.theta.values))):
         raise ConfigError("initial state has non-finite values")
-    if mode == "linearized" and eta is None and forcing is not None and forcing.g is not None \
+    if mode == "linearized" and forcing is not None and forcing.g is not None \
             and forcing.kappa > 0:
-        raise ConfigError("linearized mode with a g-coupling needs the frozen temperature eta")
+        raise ConfigError("linearized evolve takes no g-coupling (g with kappa > 0): set mode to "
+                          "'full', remove forcing.g or set forcing.kappa to 0, or solve the "
+                          "periodic problem with the periodic-linear subcommand")
     if mode == "navier-stokes":
         if float(np.max(np.abs(initial.theta.values))) != 0.0:
             raise HypothesisError("navier-stokes mode requires theta0 = 0")
@@ -527,7 +511,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", eta=None, extra=None, stor
         node_times = np.arange(steps_per_period + 1) * dt
     else:
         node_times = np.arange(n_steps + 1) * dt
-    compiled = _CompiledForcing(grid, forcing, mode, eta, extra, node_times)
+    compiled = _CompiledForcing(grid, forcing, extra, node_times)
 
     state_rhs = None
     if mode in ("full", "navier-stokes"):
@@ -685,34 +669,20 @@ def bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times):
     return (_to_state(traj_a.grid, vel, th) for vel, th in _bilinear_path(traj_a, traj_b, times))
 
 
-def _coupling_path(theta_samples, g: TimeFourierField, kappa, times, factors=None):
+def _coupling_path(traj: Trajectory, g: TimeFourierField, kappa, times, factors=None):
     """Velocity coefficients (one-tuples) of T_g(t) for each of the ascending ``times``.
 
-    Samples spanning exactly one period T of g (the frozen eta of linearized
-    mode) are read periodically, as ``evolve`` reads step j at samples
-    j mod S and j mod S + 1: the nodes repeat every period, and a time in
-    (rT, (r+1)T] reads the samples at its offset from rT.  A period start
-    thus reads sample S, which equals sample 0 for a periodic eta.  Other
-    samples must cover every time: a later one is a DiagnosticsError.
+    The coupling reads the trajectory's own temperature, which must cover
+    every time: a later one is a DiagnosticsError.
     """
-    if isinstance(theta_samples, Trajectory):
-        theta_samples = theta_samples.theta_series()
-    grid = g.grid
-    nodes = theta_samples.times
-    period = g.period
-    periodic = abs(nodes[-1] - period) <= 1e-9 * period
-    if periodic:
-        reps = max(1, math.ceil(times[-1] / period - 1e-9))
-        nodes = np.concatenate([nodes] + [r * period + nodes[1:] for r in range(1, reps)])
-    elif times[-1] > nodes[-1] + 1e-9 * max(1.0, abs(times[-1])):
+    theta = traj.theta_series()
+    if times[-1] > theta.times[-1] + 1e-9 * max(1.0, abs(times[-1])):
         raise DiagnosticsError(f"trajectory does not cover t = {times[-1]}")
 
     def row_at(s):
-        if periodic:
-            s -= period * max(math.ceil(s / period - 1e-12) - 1, 0)
-        return (buoyancy_coeffs(grid, theta_samples.value(s).values, g.value(s).values, kappa),)
+        return (buoyancy_coeffs(g.grid, theta.value(s).values, g.value(s).values, kappa),)
 
-    return _duhamel_path(grid, nodes, row_at, times, factors, band=True)
+    return _duhamel_path(g.grid, theta.times, row_at, times, factors, band=True)
 
 
 def _step_count(t, cfg):
@@ -728,7 +698,7 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     if grid is None:
         raise ConfigError("the forcing term C needs a forcing with at least one component")
     n_steps = [_step_count(t, cfg) for t in times]
-    compiled = _CompiledForcing(grid, forcing, "linearized", None, None, np.array([0.0, times[-1]]))
+    compiled = _CompiledForcing(grid, forcing, None, np.array([0.0, times[-1]]))
     nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)
@@ -740,11 +710,12 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     return _duhamel_path(grid, nodes, row_at, times, factors)
 
 
-def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full", eta=None):
+def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
     """Max-norm defect of the stored trajectory against the integral identity.
 
     Each Duhamel term is one prefix path read at every stored time, and the
-    paths share their step factors.
+    paths share their step factors.  The g-coupling reads the trajectory's
+    own temperature, in linearized mode too.
     """
     grid = traj.grid
     times = [float(t) for t in traj.times[1:]]
@@ -758,8 +729,7 @@ def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full", eta=None):
     if mode in ("full", "navier-stokes"):
         paths.append(_bilinear_path(traj, traj, times, factors))
     if forcing is not None and forcing.g is not None and forcing.kappa > 0 and mode != "navier-stokes":
-        theta_src = eta if mode == "linearized" else traj
-        paths.append(_coupling_path(theta_src, forcing.g, forcing.kappa, times, factors))
+        paths.append(_coupling_path(traj, forcing.g, forcing.kappa, times, factors))
     if forcing is not None and (forcing.F is not None or forcing.f is not None):
         paths.append(_forcing_path(forcing, times, cfg, factors))
     worst = 0.0

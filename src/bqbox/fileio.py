@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import FieldIOError
+from .errors import DiagnosticsError, FieldIOError
 from .grid import GridSpec, ScalarField, State, TensorField, VectorField
 
 MAGIC = b"BQF1"
@@ -62,7 +62,7 @@ def read_field(path):
                 raise FieldIOError(f"{path}: payload has {size} bytes, expected {expected}")
             comps = np.empty((ncomp,) + grid.shape, dtype="<f8")
             got = fh.readinto(comps)
-    except OSError as exc:
+    except (OSError, DiagnosticsError) as exc:  # a header grid GridSpec refuses
         raise FieldIOError(f"cannot read field file {path}: {exc}") from exc
     if got != expected:
         raise FieldIOError(f"{path}: payload has {got} bytes, expected {expected}")

@@ -117,10 +117,6 @@ class SampledScalarSeries:
         if len(self.fields) != len(self.times):
             raise DiagnosticsError("sampled series needs one field per time")
 
-    @classmethod
-    def from_trajectory(cls, traj):
-        return cls(times=np.asarray(traj.times), fields=[s.theta for s in traj.states])
-
     def value(self, t):
         ts = self.times
         if t <= ts[0]:

@@ -19,6 +19,12 @@ agreement checks the averaging and the inversion, not c itself; the Cesaro
 datum is certified by a stepped one-period evolve from it, which reads
 neither c nor the affine orbit.
 
+A g-coupling kappa P(theta g) is solved in two triangular stages, since
+theta's equation does not see u: the periodic temperature of the forcing
+without g gives frozen coupling rows (:attr:`PeriodicProblem.coupling`), and
+every linear solve steps that forcing with the rows, as the nonlinear loop
+steps its frozen G_state, so P stays e^{-TL} x + c.
+
 The nonlinear periodic solution is a fixed point of the outer map that
 freezes the whole state-dependent right-hand side G_state (advection and,
 with a g-coupling, buoyancy) along the current periodic iterate, solves the
@@ -42,6 +48,7 @@ kept mean-free and the datum mean is fixed to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +71,7 @@ from .norms import (
     sup_time_indices,
     trajectory_sup_norm,
 )
-from .operators import advection_coeffs, leray_coeffs, semigroup_factor
+from .operators import advection_coeffs, buoyancy_coeffs, leray_coeffs, semigroup_factor
 
 _MEAN_TOL = 1e-12
 
@@ -82,7 +89,6 @@ class PeriodicProblem:
     forcing: ForcingSpec
     cfg: SolveConfig
     mode: str = "linearized"
-    eta: object = None  # frozen temperature series (linearized mode)
     grid: object = None
 
     def __post_init__(self):
@@ -91,14 +97,27 @@ class PeriodicProblem:
         if self.grid is None:
             raise ConfigError("PeriodicProblem needs a grid (empty forcing carries none)")
         self.steps_per_period = self.cfg.check_period(self.forcing.period)
-        if self.mode == "linearized" and self.eta is not None:
-            eta_times = np.asarray(self.eta.times)
-            if abs(eta_times[-1] - self.forcing.period) > 1e-9:
-                raise ConfigError("eta must be sampled over exactly one forcing period")
 
     @property
     def period(self):
         return self.forcing.period
+
+    @cached_property
+    def linear_forcing(self):
+        """The forcing without its g-coupling: what every linear solve steps."""
+        return replace(self.forcing, g=None, kappa=0.0)
+
+    @cached_property
+    def coupling(self):
+        """The linearized g-coupling as frozen band rows (None without one).
+
+        The rows follow the resolvent datum of P_F(0), the image of the
+        forcing without g, over one stepped period: its temperature is exact.
+        """
+        if self.mode != "linearized" or self.forcing.g is None or not self.forcing.kappa > 0:
+            return None
+        forced = _period_image(self, zeros_like_state(self.grid), self.linear_forcing)
+        return _buoyancy_rows(self, _invert_resolvent(self, forced))
 
 
 @dataclass
@@ -113,17 +132,34 @@ class PeriodicSolution:
 
 
 def poincare_map(x: State, problem: PeriodicProblem) -> State:
-    """State after one forcing period started from x."""
-    traj = evolve(
-        x,
-        problem.forcing,
-        problem.period,
-        problem.cfg,
-        mode=problem.mode,
-        eta=problem.eta,
-        store_stride=problem.steps_per_period,
-    )
-    return traj.states[-1]
+    """State after one forcing period started from x.
+
+    A linearized problem steps the frozen system (:attr:`PeriodicProblem.coupling`),
+    whose fixed point is the coupled periodic datum.
+    """
+    if problem.mode != "linearized":
+        return _period_image(problem, x, problem.forcing, mode=problem.mode)
+    return _period_image(problem, x, problem.linear_forcing, problem.coupling)
+
+
+def _period_image(problem, x, forcing, extra=None, mode="linearized"):
+    """State one period after x with ``forcing`` and the frozen rows ``extra``."""
+    return evolve(x, forcing, problem.period, problem.cfg, mode=mode, extra=extra,
+                  store_stride=problem.steps_per_period).states[-1]
+
+
+def _buoyancy_rows(problem, datum):
+    """kappa P(theta g) at each step node of the one period from ``datum``, as frozen rows."""
+    g, kappa = problem.forcing.g, problem.forcing.kappa
+    times, vel = [], []
+
+    def on_state(t, state):
+        times.append(t)
+        vel.append(buoyancy_coeffs(problem.grid, state.theta.values, g.value(t).values, kappa))
+
+    evolve(datum, problem.linear_forcing, problem.period, problem.cfg, mode="linearized",
+           on_state=on_state)
+    return SampledSpectralForcing(times=times, vel=vel)
 
 
 def check_periodicity(traj: Trajectory, ctx: NormContext | None = None):
@@ -212,7 +248,7 @@ def cesaro_periodic_datum(
     needs ``reference`` (e.g. the resolvent datum).  Raises ConvergenceError
     carrying the history when n_max is hit first, or at once when an
     increment is not finite.  The certifying run is a stepped evolve from
-    the datum.
+    the datum, with the coupling rows of its own temperature.
     """
     if problem.mode != "linearized":
         raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
@@ -265,9 +301,9 @@ def cesaro_periodic_datum(
     datum = State(VectorField(grid, mean_u), ScalarField(grid, mean_th))
     # the orbit is not read again
     del c, c_hat, z_hat, z_u, z_th, prev_u, prev_th
-    certify = evolve(
-        datum, problem.forcing, problem.period, problem.cfg, mode="linearized", eta=problem.eta
-    )
+    rows = None if problem.coupling is None else _buoyancy_rows(problem, datum)
+    certify = evolve(datum, problem.linear_forcing, problem.period, problem.cfg,
+                     mode="linearized", extra=rows)
     res_max, res_norm = check_periodicity(certify, ctx)
     return PeriodicSolution(
         problem=problem,
@@ -306,18 +342,12 @@ def _linear_periodic_solve(problem, extra, on_state, forced=None):
     P(0) is the datum whose one period streams its stored states into
     ``on_state(t, state)``.  g never enters: its coupling is in the rows.
     """
-    grid, forcing = problem.grid, replace(problem.forcing, g=None, kappa=0.0)
-
-    def image(part, rows):
-        return evolve(zeros_like_state(grid), part, problem.period, problem.cfg,
-                      mode="linearized", extra=rows,
-                      store_stride=problem.steps_per_period).states[-1]
-
+    zero, forcing = zeros_like_state(problem.grid), problem.linear_forcing
     if forced is None:
-        forced = image(forcing, None)
+        forced = _period_image(problem, zero, forcing)
     c = forced
     if extra is not None:
-        c = image(None, extra)
+        c = _period_image(problem, zero, None, extra)
         for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
             np.add(part.values, whole.values, out=part.values)
     evolve(_invert_resolvent(problem, c), forcing, problem.period, problem.cfg,

@@ -1,7 +1,11 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
+import importlib.util
 import json
+import struct
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +26,16 @@ from bqbox.presets import random_smooth_scalar, random_smooth_tensor
 from bqbox.report import write_csv
 
 BOX = 6.283185307179586
+
+
+def bench_workload_config(name, seed, indir):
+    """The config dict of a benchmark workload at ``seed`` (``bench/workloads.py``)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return json.loads(module.WORKLOADS[name].write_inputs(seed, indir).read_text())
 
 
 def write_config(path, payload):
@@ -131,6 +145,18 @@ def collected_evolve_outputs(config_path, outdir):
     stride = cfg.options["snapshots"]
     for i in range(0, len(traj.states), stride):
         write_field(outdir / f"state_{i:05d}.bqf", traj.states[i])
+
+
+class TestEvolveLinearized:
+    def test_g_coupling_exits_2_naming_what_to_do(self, tmp_path, capsys):
+        # a linearized run cannot know the temperature its coupling needs
+        cfg = write_config(tmp_path / "c.json", evolve_3d_config(mode="linearized"))
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: linearized evolve takes no g-coupling")
+        assert "periodic-linear" in err and "forcing.kappa" in err and "eta" not in err
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestEvolveStreaming:
@@ -256,6 +282,19 @@ class TestNormsCommand:
         assert not scans
         assert not (out / "norms.csv").exists()
 
+    def test_bad_grid_in_field_header_is_an_io_error(self, tmp_path, capsys):
+        # a header with n = 5: the file is bad, not a diagnostics failure
+        field_file = tmp_path / "five.bqf"
+        field_file.write_bytes(struct.pack("<4sIIdI", b"BQF1", 5, 8, BOX, 1) + b"\0" * 64)
+        cfg = write_config(tmp_path / "c.json", {
+            "grid": {"n": 3, "N": 8, "L": BOX},
+            "field_file": str(field_file),
+            "norms": [{"p": 3.0, "lam": 0.5}],
+        })
+        assert main(["norms", "--config", cfg, "--output", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and str(field_file) in err
+
     def test_missing_field_file(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -324,6 +363,31 @@ class TestPeriodicCommands:
         header, hist = read_csv_rows(out / "history.csv")
         assert header[0] == "iteration"
         assert len(hist) > 5
+
+    def test_linear_with_g_coupling_on_the_workload_inputs(self, tmp_path):
+        # the periodic-linear-n16 benchmark inputs at seed 3 with the gravity of
+        # evolve-full-n32 and kappa = 0.5: theta's stage is the uncoupled solve,
+        # and the coupling moves the velocity datum by about 9% of its size
+        linear = bench_workload_config("periodic-linear-n16", 3, tmp_path / "in")
+        coupled = json.loads(json.dumps(linear))
+        coupled["forcing"].update(
+            g=bench_workload_config("evolve-full-n32", 3, tmp_path / "in")["forcing"]["g"],
+            kappa=0.5)
+        data = {}
+        for name, config in (("free", linear), ("coupled", coupled)):
+            out = tmp_path / name
+            cfg = write_config(tmp_path / f"{name}.json", config)
+            assert main(["periodic-linear", "--config", cfg, "--output", str(out)]) == 0
+            assert (out / "manifest.json").exists()
+            data[name] = (read_field(out / "datum.bqf"), read_csv_rows(out / "residual.csv")[1][0])
+        (free, free_res), (datum, res) = data["free"], data["coupled"]
+        assert datum.theta.values.tobytes() == free.theta.values.tobytes()
+        moved = np.max(np.abs(datum.u.values - free.u.values)) / np.max(np.abs(datum.u.values))
+        assert 0.05 < moved < 0.15
+        # residual_max, residual_norm, cross_check_max_diff: the theta part sets the
+        # Cesaro error, so the coupled run reads the uncoupled levels
+        for got, want in zip(res[1:], free_res[1:]):
+            assert float(got) <= 1.05 * float(want)
 
     def test_linear_steps_the_zero_image_once(self, tmp_path, monkeypatch):
         # both routes start from c = P(0): one stepped period for it and one
@@ -618,7 +682,9 @@ class TestOptionParsing:
     @staticmethod
     def _patched(config, section, key, value, index=None):
         cfg = json.loads(json.dumps(config))
-        table = cfg[section] if index is None else cfg[section][index[0]]
+        table = cfg if section is None else cfg[section]
+        if index is not None:
+            table = table[index[0]]
         if index is not None and len(index) > 1:
             table = table[index[1]]
         table[key] = value
@@ -650,6 +716,21 @@ class TestOptionParsing:
         # -8 was a TypeError from round() of a complex cube root; 0 scanned one center
         ("evolve", evolve_config(), "sampler", None, "num_centers", -8, "sampler.num_centers"),
         ("evolve", evolve_config(), "sampler", None, "num_centers", 0, "sampler.num_centers"),
+        # out of range: a ValueError traceback, a diagnostics error (num_times 0),
+        # an empty max() (ensemble) or a silent 0 (snapshots)
+        ("stability", _stability_config(), "stability", None, "t_max_periods", -1,
+         "stability.t_max_periods"),
+        ("stability", _stability_config(), "stability", None, "t_max_periods", 0,
+         "stability.t_max_periods"),
+        ("stability", _stability_config(), "stability", None, "num_times", -3,
+         "stability.num_times"),
+        ("stability", _stability_config(), "stability", None, "num_times", 0,
+         "stability.num_times"),
+        ("verify-estimates", {"grid": {"n": 3, "N": 8, "L": BOX}, "estimates": {}}, "estimates",
+         None, "ensemble", 0, "estimates.ensemble"),
+        ("verify-estimates", {"grid": {"n": 3, "N": 8, "L": BOX}, "estimates": {}}, "estimates",
+         None, "ensemble", -2, "estimates.ensemble"),
+        ("evolve", evolve_config(), None, None, "snapshots", -1, "snapshots"),
     ])
     def test_bad_config_number_exits_2_naming_key(self, tmp_path, capsys, no_solver, command,
                                                   base, section, index, key, value, name):

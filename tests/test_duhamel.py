@@ -1,5 +1,6 @@
 """Duhamel increments, the exponential integrator, and the estimate checks."""
 
+import dataclasses
 import re
 import tracemalloc
 
@@ -51,7 +52,13 @@ from bqbox.forcing import (
 )
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile
-from bqbox.operators import dealias_coeffs, div_coeffs, leray_coeffs, tensor_div_coeffs
+from bqbox.operators import (
+    buoyancy_coeffs,
+    dealias_coeffs,
+    div_coeffs,
+    leray_coeffs,
+    tensor_div_coeffs,
+)
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -438,6 +445,22 @@ class TestEvolve:
         with pytest.raises(Exception, match="multiple of dt"):
             evolve(init, None, 0.13, SolveConfig(dt=0.05), mode="linearized")
 
+    def test_linearized_refuses_a_g_coupling(self, grid2d_box):
+        # the coupling of a linearized run goes in as frozen rows on a forcing
+        # without g; the message names what a config can do instead
+        g = grid2d_box
+        gv = single_mode_vector(g, k=(1, 0), component=1)
+        forcing = ForcingSpec(period=1.0, kappa=0.5, g=constant_in_time(1.0, gv))
+        with pytest.raises(ConfigError) as err:
+            evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.0625), mode="linearized")
+        message = str(err.value)
+        for name in ("'full'", "forcing.g", "forcing.kappa", "periodic-linear"):
+            assert name in message
+        assert "eta" not in message
+        # without kappa the g field is not a coupling
+        evolve(zeros_like_state(g), dataclasses.replace(forcing, kappa=0.0), 1.0,
+               SolveConfig(dt=0.0625), mode="linearized")
+
     def test_dt_period_bound(self, grid2d_box):
         g = grid2d_box
         fv = single_mode_vector(g, k=(1, 0), component=0)
@@ -456,7 +479,7 @@ def _two_value_loop(init, forcing, n_steps, cfg, mode):
     g = init.grid
     dt = cfg.dt
     rhs = _StateRHS(g, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
-    compiled = _CompiledForcing(g, forcing, mode, None, None, np.arange(n_steps + 1) * dt)
+    compiled = _CompiledForcing(g, forcing, None, np.arange(n_steps + 1) * dt)
     E = _step_factors(g, dt, {})[0]
     _, Wa, Wb = _step_factors(g, dt, {}, band=True)
     h_s = dt / (cfg.substeps - 1)
@@ -658,14 +681,18 @@ class TestStateConsumer:
                               g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
         init = State(random_div_free(g, seed=2, amplitude=0.1), gaussian_profile(g, 0.2, 0.1))
         cfg = SolveConfig(dt=T / 16, substeps=3)
-        eta = None
+        extra = None
         if mode == "linearized":
-            eta = SampledScalarSeries(np.arange(17) * cfg.dt,
-                                      [gaussian_profile(g, 0.2, 0.1)] * 17)
-        collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, eta=eta,
+            # the coupling of a frozen temperature: rows on the forcing without g
+            th = gaussian_profile(g, 0.2, 0.1).values
+            nodes = np.arange(17) * cfg.dt
+            extra = SampledSpectralForcing(times=nodes, vel=[
+                buoyancy_coeffs(g, th, forcing.g.value(t).values, forcing.kappa) for t in nodes])
+            forcing = dataclasses.replace(forcing, g=None, kappa=0.0)
+        collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, extra=extra,
                            store_stride=stride)
         seen = []
-        streamed = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, eta=eta,
+        streamed = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, extra=extra,
                           store_stride=stride, on_state=lambda t, s: seen.append((t, s)))
         assert [t for t, _ in seen] == list(collected.times)
         assert len(collected.times) == {1: 5, 3: 4}[stride]
@@ -916,7 +943,7 @@ def _at_node_samplers(grid, ts):
     # sampled spectral rows are band-shaped nonlinear rows
     vel_rows = [rng.standard_normal((grid.n,) + grid.band_shape) for _ in ts]
     extra = SampledSpectralForcing(times=ts, vel=vel_rows)
-    compiled = _CompiledForcing(grid, None, "linearized", None, extra, ts)
+    compiled = _CompiledForcing(grid, None, extra, ts)
     dt = ts[1] - ts[0]
     return {
         "trajectory": (lambda t: traj.sample(t).theta.values, ths),
@@ -947,7 +974,7 @@ def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
     ths = [rng.standard_normal(grid2d.band_shape) for _ in ts]
     extra = SampledSpectralForcing(times=ts, vel=vels if parts != "th" else None,
                                    th=ths if parts != "vel" else None)
-    compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), "linearized", None, extra, ts)
+    compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), extra, ts)
     for i in range(3 * S):
         vel, th = compiled.step_samples(i)
         j = i % S
@@ -962,7 +989,7 @@ def test_compiled_forcing_rejects_misaligned_samples(grid2d):
     ts = np.arange(5) * 0.1
     extra = SampledSpectralForcing(times=ts[:-1], th=[np.zeros(grid2d.shape)] * 4)
     with pytest.raises(ConfigError, match="4 rows for 5 step nodes"):
-        _CompiledForcing(grid2d, None, "linearized", None, extra, ts)
+        _CompiledForcing(grid2d, None, extra, ts)
 
 
 @pytest.mark.parametrize("part", ["vel", "th"])
@@ -975,4 +1002,4 @@ def test_compiled_forcing_rejects_rows_off_the_band_shape(grid2d, part):
     rows[3] = np.zeros(full, dtype=complex)
     extra = SampledSpectralForcing(times=ts, **{part: rows})
     with pytest.raises(ConfigError, match=re.escape(f"band shape {band}, got {full}")):
-        _CompiledForcing(grid2d, None, "linearized", None, extra, ts)
+        _CompiledForcing(grid2d, None, extra, ts)

@@ -6,6 +6,8 @@ are copies of the earlier code, which integrated from 0 again for every
 output time with each interval decayed straight to t.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from bqbox import (
     ForcingSpec,
     GridSpec,
     NormParams,
-    ScalarField,
     SolveConfig,
     State,
     constant_in_time,
@@ -24,14 +25,12 @@ from bqbox import (
     evolve,
     morrey_lorentz_norm,
     verify_linear_operator,
-    zeros_like_state,
 )
 from bqbox.duhamel import _CompiledForcing, _trap_weights, bilinear_path
-from bqbox.forcing import HarmonicTerm, SampledScalarSeries, TimeFourierField
+from bqbox.forcing import HarmonicTerm, SampledSpectralForcing, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values, scatter_band
 from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, semigroup_factor, tensor_div_coeffs
 from bqbox.presets import (
-    gaussian_bump,
     random_div_free,
     random_smooth_scalar,
     random_smooth_tensor,
@@ -87,7 +86,7 @@ def old_coupling(theta_samples, g, kappa, t):
 
 def old_forcing(forcing, t, cfg):
     grid = forcing.grid
-    compiled = _CompiledForcing(grid, forcing, "linearized", None, None, np.array([0.0, t]))
+    compiled = _CompiledForcing(grid, forcing, None, np.array([0.0, t]))
     nodes = np.linspace(0.0, t, (cfg.substeps - 1) * int(round(t / cfg.dt)) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)
@@ -98,7 +97,7 @@ def old_forcing(forcing, t, cfg):
     return old_accumulate(grid, nodes, rows, t)
 
 
-def old_residual(traj, forcing, cfg, mode, eta=None):
+def old_residual(traj, forcing, cfg, mode):
     grid = traj.grid
     x0 = traj.states[0]
     u0_hat = forward_coeffs(grid, x0.u.values)
@@ -113,9 +112,7 @@ def old_residual(traj, forcing, cfg, mode, eta=None):
         terms = []
         if mode == "full":
             terms.append(old_bilinear(traj, traj, t))
-            terms.append(old_coupling(traj.theta_series(), forcing.g, forcing.kappa, t))
-        else:
-            terms.append(old_coupling(eta, forcing.g, forcing.kappa, t))
+        terms.append(old_coupling(traj.theta_series(), forcing.g, forcing.kappa, t))
         terms.append(old_forcing(forcing, t, cfg))
         for term in terms:
             total_u = total_u + inverse_values(grid, term[0]).real
@@ -256,31 +253,25 @@ class TestPathMatchesPerTimeLoop:
         want = old_residual(traj, forcing, cfg, "full")
         assert abs(got - want) <= 1e-14
 
-    def test_linearized_residual_reads_eta_off_its_nodes(self, grid, runs):
-        # eta is sampled on the strided grid, so most stored times fall
-        # between its nodes and are read through the partial step
-        cfg, forcing, _, strided = runs
-        eta = strided.theta_series()
-        traj = evolve(initial_state(grid, 30), forcing, T, cfg, mode="linearized", eta=eta)
-        got = duhamel_residual(traj, forcing, cfg, mode="linearized", eta=eta)
-        want = old_residual(traj, forcing, cfg, "linearized", eta=eta)
+    def test_linearized_residual_reads_its_own_temperature(self, grid, runs):
+        # a linearized run reads the coupling off its own stored temperature,
+        # as a full-mode run does; stepped with rows built from that
+        # temperature, it is a solution of the coupled linear system
+        cfg, forcing, _, _ = runs
+        x0 = initial_state(grid, 30)
+        free = dataclasses.replace(forcing, g=None, kappa=0.0)
+        orbit = evolve(x0, free, T, cfg, mode="linearized")
+        rows = SampledSpectralForcing(times=orbit.times, vel=[
+            buoyancy_coeffs(grid, s.theta.values, forcing.g.value(t).values, forcing.kappa)
+            for t, s in zip(orbit.times, orbit.states)])
+        traj = evolve(x0, free, T, cfg, mode="linearized", extra=rows)
+        got = duhamel_residual(traj, forcing, cfg, mode="linearized")
+        want = old_residual(traj, forcing, cfg, "linearized")
         assert abs(got - want) <= 1e-14
-
-
-class TestPeriodicEta:
-    def test_linearized_residual_reads_one_period_eta_periodically(self, grid):
-        # eta spans one period; over two periods evolve reads its samples at
-        # nodes j mod S and j mod S + 1, and so must the coupling path
-        cfg = SolveConfig(dt=T / 16)
-        gv = random_smooth_vector(grid, seed=3)
-        forcing = ForcingSpec(period=T, kappa=1.0, g=TimeFourierField(
-            period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
-        bump = gaussian_bump(grid, 0.8).values
-        nodes = np.arange(17) * cfg.dt
-        eta = SampledScalarSeries(times=nodes, fields=[
-            ScalarField(grid, np.cos(2 * np.pi * t / T) * bump) for t in nodes])
-        traj = evolve(zeros_like_state(grid), forcing, 2 * T, cfg, mode="linearized", eta=eta)
-        assert duhamel_residual(traj, forcing, cfg, mode="linearized", eta=eta) <= 1e-13
+        assert got <= 1e-13
+        # without the rows the coupling is missing from the run, not from the check
+        uncoupled = evolve(x0, free, T, cfg, mode="linearized")
+        assert duhamel_residual(uncoupled, forcing, cfg, mode="linearized") > 1e-3
 
 
 class TestCouplingCoverage:
@@ -295,16 +286,14 @@ class TestCouplingCoverage:
             with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
                 velocity(0.9)
             assert np.max(np.abs(velocity(0.5))) > 0.0
-        series = traj.theta_series()
         with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
-            list(duhamel._coupling_path(series, forcing.g, forcing.kappa, [0.25, 0.9]))
+            list(duhamel._coupling_path(traj, forcing.g, forcing.kappa, [0.25, 0.9]))
 
-    def test_one_period_samples_are_read_periodically(self, runs):
-        # samples spanning one period T cover every later time: t = 1.25 reads
-        # the period's samples again, from the period start
+    def test_one_period_trajectory_is_not_read_periodically(self, runs):
+        # a trajectory over exactly one period of g covers no later time
         _, forcing, uniform, _ = runs
-        (late,) = next(duhamel._coupling_path(uniform, forcing.g, forcing.kappa, [1.25]))
-        assert np.all(np.isfinite(late)) and np.max(np.abs(late)) > 0.0
+        with pytest.raises(DiagnosticsError, match="does not cover t = 1.25"):
+            next(duhamel._coupling_path(uniform, forcing.g, forcing.kappa, [1.25]))
 
 
 class TestStepFactorsBuiltOnce:

@@ -1,5 +1,7 @@
 """Transforms, field containers, and the raw field file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,17 @@ class TestFieldFiles:
         p.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(FieldIOError, match="magic"):
             read_field(p)
+
+    @pytest.mark.parametrize("n, N, L, why", [
+        (5, 8, 1.0, "dimension"), (2, 12, 1.0, "power of two"), (3, 8, float("nan"), "box side"),
+    ])
+    def test_bad_grid_in_header(self, tmp_path, n, N, L, why):
+        # a header no GridSpec accepts is a bad file, named by its path
+        p = tmp_path / "grid.bqf"
+        p.write_bytes(struct.pack("<4sIIdI", b"BQF1", n, N, L, 1) + b"\0" * 64)
+        with pytest.raises(FieldIOError, match=why) as err:
+            read_field(p)
+        assert str(p) in str(err.value)
 
     def test_truncated(self, tmp_path, grid2d):
         p = tmp_path / "trunc.bqf"

@@ -32,10 +32,9 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
-from bqbox.duhamel import state_difference
+from bqbox.duhamel import duhamel_residual, state_difference
 from bqbox.forcing import (
     HarmonicTerm,
-    SampledScalarSeries,
     SampledSpectralForcing,
     TimeFourierField,
 )
@@ -224,14 +223,12 @@ class TestCesaroDatum:
         g = grid2d_box
         gv = single_mode_vector(g, k=(1, 0), component=1, amplitude=1.0)
         forcing = ForcingSpec(period=T, kappa=0.5, g=constant_in_time(T, gv))
-        eta_values = gaussian_profile(g, 0.5).values
-        bad = eta_values.copy()
-        bad[2, 3] = np.nan
-        fields = [ScalarField(g, eta_values)] * 17
-        fields[5] = ScalarField(g, bad)
-        eta = SampledScalarSeries(times=np.arange(17) * (T / 16), fields=fields)
         prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               eta=eta, grid=g)
+                               grid=g)
+        # coupling rows with one NaN mode at node 5, in place of the derived ones
+        rows = [np.zeros((g.n,) + g.band_shape, dtype=complex) for _ in range(17)]
+        rows[5][0, 2, 3] = np.nan
+        prob.coupling = SampledSpectralForcing(times=np.arange(17) * (T / 16), vel=rows)
         # the NaN row makes the end state of the first period non-finite, and
         # evolve stops at storing it (step 15 of 16), before an increment is formed
         with pytest.raises(ConvergenceError, match="stored state is not finite at step 15 ") as err:
@@ -282,20 +279,14 @@ def stepped_cesaro(prob, n_max, tol, reference=None):
     return history, None
 
 
-def coupled_linear_problem(grid):
-    """Linearized, with a g-coupling on a frozen, time-varying eta: the sampled-row path."""
+def coupled_linear_problem(grid, kappa=0.5):
+    """Linearized, with a g-coupling: the frozen rows of its own time-varying temperature."""
     fv = random_smooth_vector(grid, seed=3, amplitude=1e-4)
     gv = single_mode_vector(grid, k=(1,) + (0,) * (grid.n - 1), component=1, amplitude=1.0)
-    forcing = ForcingSpec(period=T, kappa=0.5, g=constant_in_time(T, gv),
+    forcing = ForcingSpec(period=T, kappa=kappa, g=constant_in_time(T, gv),
                           f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.4),)))
-    times = np.arange(17) * (T / 16)
-    # cos(x + y) against the cos(x) of g: mean-free buoyancy rows
-    fields = [single_mode_scalar(grid, (1, 1) + (0,) * (grid.n - 2),
-                                 1e-4 * (1.0 + 0.5 * np.sin(2 * np.pi * t / T)))
-              for t in times]
-    eta = SampledScalarSeries(times=times, fields=fields)
     return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                           mode="linearized", eta=eta, grid=grid)
+                           mode="linearized", grid=grid)
 
 
 class TestAffineOrbit:
@@ -340,10 +331,67 @@ class TestAffineOrbit:
         self._assert_histories_match(err.value.history, want)
 
 
+class TestCoupledLinear:
+    """A g-coupled linear problem, solved in two triangular stages."""
+
+    @staticmethod
+    def _uncoupled(prob):
+        return dataclasses.replace(prob, forcing=prob.linear_forcing)
+
+    @staticmethod
+    def _own_rows_run(prob, datum):
+        """One period of the coupled system from ``datum``: the rows of its own temperature."""
+        return evolve(datum, prob.linear_forcing, T, prob.cfg, mode="linearized",
+                      extra=periodic_mod._buoyancy_rows(prob, datum))
+
+    def test_theta_stage_is_the_uncoupled_solve(self, grid2d_box):
+        # theta does not see u: the coupling moves only the velocity datum
+        prob = coupled_linear_problem(grid2d_box)
+        assert prob.coupling is prob.coupling  # derived once
+        coupled = resolvent_periodic_datum(prob)
+        free = resolvent_periodic_datum(self._uncoupled(prob))
+        assert np.array_equal(coupled.theta.values, free.theta.values)
+        moved = np.max(np.abs(coupled.u.values - free.u.values))
+        assert moved > 0.5 * np.max(np.abs(coupled.u.values))
+
+    def test_velocity_response_linear_in_kappa(self, grid2d_box):
+        free = resolvent_periodic_datum(self._uncoupled(coupled_linear_problem(grid2d_box)))
+        half, one = (resolvent_periodic_datum(coupled_linear_problem(grid2d_box, kappa)).u.values
+                     - free.u.values for kappa in (0.5, 1.0))
+        assert np.max(np.abs(one - 2 * half)) <= 1e-12 * np.max(np.abs(one))
+
+    def test_resolvent_datum_is_a_coupled_periodic_orbit(self, grid2d_box):
+        # one period of the coupled system from the datum comes back to it,
+        # and solves the integral identity with the coupling of its own theta
+        prob = coupled_linear_problem(grid2d_box)
+        datum = resolvent_periodic_datum(prob)
+        run = self._own_rows_run(prob, datum)
+        res_max, _ = check_periodicity(run)
+        assert res_max <= 1e-12 * datum.max_norm()
+        assert duhamel_residual(run, prob.forcing, prob.cfg, mode="linearized") <= 1e-13
+
+    def test_cesaro_certify_run_is_coupled(self, grid2d_box):
+        # the certifying run steps the rows of the Cesaro datum's own
+        # temperature; the stage-one rows would miss it by the Cesaro error
+        prob = coupled_linear_problem(grid2d_box)
+        ref = resolvent_periodic_datum(prob)
+        sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
+        assert max(np.max(np.abs(sol.initial.u.values - ref.u.values)),
+                   np.max(np.abs(sol.initial.theta.values - ref.theta.values))) <= 1e-6
+        assert duhamel_residual(sol.trajectory, prob.forcing, prob.cfg,
+                                mode="linearized") <= 1e-13
+        frozen = evolve(sol.initial, prob.linear_forcing, T, prob.cfg, mode="linearized",
+                        extra=prob.coupling)
+        assert duhamel_residual(frozen, prob.forcing, prob.cfg, mode="linearized") > 1e-9
+        for a, b in zip(sol.trajectory.states, self._own_rows_run(prob, sol.initial).states):
+            assert np.array_equal(a.u.values, b.u.values)
+
+
 def full_orbit_history(prob, n_max, tol, reference):
     """Cesaro history read off one evolve over n_max periods, stopped as cesaro_periodic_datum is."""
-    orbit = evolve(zeros_like_state(prob.grid), prob.forcing, n_max * prob.period, prob.cfg,
-                   mode="linearized", eta=prob.eta, store_stride=prob.steps_per_period)
+    orbit = evolve(zeros_like_state(prob.grid), prob.linear_forcing, n_max * prob.period,
+                   prob.cfg, mode="linearized", extra=prob.coupling,
+                   store_stride=prob.steps_per_period)
     mean_u = np.zeros_like(reference.u.values)
     mean_th = np.zeros_like(reference.theta.values)
     history = []
@@ -559,9 +607,8 @@ class TestSplitImageAndWarmStart:
     @pytest.mark.parametrize("coupled", [False, True])
     def test_superposed_image_matches_direct(self, coupled, monkeypatch):
         # P(0) = P_F(0) + P_rows(0) against one evolve that steps the forcing
-        # and the frozen rows together; with a coupling, that evolve is the
-        # linearized system with the iterate's temperature as eta, and its
-        # frozen rows hold only the advection
+        # without g and the frozen rows together; with a coupling, the rows
+        # hold the buoyancy of the iterate's temperature beside the advection
         prob, iterate = self._frozen_problem(coupled)
         images = []
         invert = periodic_mod._invert_resolvent
@@ -575,9 +622,9 @@ class TestSplitImageAndWarmStart:
         forced = solve(prob, None, ignore)
         assert solve(prob, frozen_extra(iterate, prob.forcing), ignore, forced) is forced
         assert images[0] is forced  # the solve that freezes nothing inverts P_F(0)
-        direct = evolve(zeros_like_state(prob.grid), prob.forcing, T, prob.cfg,
-                        mode="linearized", eta=iterate.theta_series() if coupled else None,
-                        extra=frozen_extra(iterate), store_stride=prob.steps_per_period).states[-1]
+        direct = evolve(zeros_like_state(prob.grid), prob.linear_forcing, T, prob.cfg,
+                        mode="linearized", extra=frozen_extra(iterate, prob.forcing),
+                        store_stride=prob.steps_per_period).states[-1]
         split = images[1]
         scale = direct.max_norm()
         # the frozen part moves P(0) well above the tolerance
@@ -787,22 +834,21 @@ class TestNonlinearPeriodicMemory:
 
     def test_coupling_only_in_the_frozen_rows(self, monkeypatch):
         # with a g-coupling the buoyancy rows are frozen with the advection:
-        # no linear solve reads a temperature series or g, and only the
-        # certify run steps the coupled forcing
+        # no linear solve reads g, and only the certify run steps the
+        # coupled forcing
         seen = []
         evolve_ = periodic_mod.evolve
 
         def spy(initial, forcing, t_end, cfg, mode="full", **kwargs):
-            seen.append((mode, forcing, kwargs.get("eta")))
+            seen.append((mode, forcing))
             return evolve_(initial, forcing, t_end, cfg, mode=mode, **kwargs)
 
         monkeypatch.setattr(periodic_mod, "evolve", spy)
         prob, ctx = self._problem()  # g set, kappa = 0.3
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
-        linear = [(forcing, eta) for mode, forcing, eta in seen if mode == "linearized"]
+        linear = [forcing for mode, forcing in seen if mode == "linearized"]
         assert len(linear) == 2 * len(sol.history) >= 6
-        assert all(eta is None and (forcing is None or forcing.g is None)
-                   for forcing, eta in linear)
+        assert all(forcing is None or forcing.g is None for forcing in linear)
         assert seen[-1][:2] == ("full", prob.forcing)
         self._assert_same(sol, collected_nonlinear_periodic(prob, 1e-10, 16, ctx))
 
