@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_initial, load_config, numeric_option
-from .duhamel import evolve
+from .duhamel import evolve, state_difference
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
 from .fileio import read_field, write_field
 from .grid import spectral_divergence_residual, zeros_like_state
@@ -147,10 +147,7 @@ def _cmd_periodic_linear(cfg, outdir):
                    store_stride=problem.steps_per_period).states[-1]
     reference = resolvent_periodic_datum(problem, image)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference, image=image)
-    cross = max(
-        float(np.max(np.abs(sol.initial.u.values - reference.u.values))),
-        float(np.max(np.abs(sol.initial.theta.values - reference.theta.values))),
-    )
+    cross = float(state_difference(sol.initial, reference).max_norm())
     outputs = []
     write_field(outdir / "datum.bqf", sol.initial)
     outputs.append(outdir / "datum.bqf")

@@ -732,16 +732,17 @@ def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
         paths.append(_coupling_path(traj, forcing.g, forcing.kappa, times, factors))
     if forcing is not None and (forcing.F is not None or forcing.f is not None):
         paths.append(_forcing_path(forcing, times, cfg, factors))
-    worst = 0.0
-    scale = max(max(s.max_norm() for s in traj.states), 1e-30)
+    # np.max, unlike max(), lets a NaN in any state through
+    scale = np.max([s.max_norm() for s in traj.states] + [1e-30])
+    defects = []
     for t, s, *terms in zip(times, traj.states[1:], *paths):
         decay = semigroup_factor(grid, t)
         total_u = decay * u0_hat + sum(term[0] for term in terms)
         # T_g has no temperature part
         total_th = decay * th0_hat + sum(term[1] for term in terms if len(term) > 1)
         total = _to_state(grid, total_u, total_th)
-        worst = max(worst, float(state_difference(total, s).max_norm()) / scale)
-    return worst
+        defects.append(float(state_difference(total, s).max_norm()) / scale)
+    return float(np.max(defects))
 
 
 # ---------------------------------------------------------------------------

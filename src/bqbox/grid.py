@@ -291,7 +291,8 @@ class State:
         return self.u.grid
 
     def max_norm(self):
-        return max(np.max(np.abs(self.u.values)), np.max(np.abs(self.theta.values)))
+        """Largest |u_j| or |theta| at a grid point; NaN if any value is."""
+        return np.max([np.max(np.abs(self.u.values)), np.max(np.abs(self.theta.values))])
 
     def energy(self):
         """(1/2) int |u|^2 + theta^2 dx, summed over the grid points."""

@@ -23,19 +23,32 @@ included as a candidate region, where the sup is exact.
 
 The ball scan never reduces indices modulo N.  |f| is padded periodically
 once per table, by the largest integer reach of any ball on the radius
-ladder (at most N/2, since rho <= L/2); a ball is then a fixed set of flat
-offsets into the padded array, cached per radius, and a center is one flat
-index.  The offsets of every radius are read off one min-image distance
-table, built once per grid.  Each radius gathers ``padded[start + offset]``
-for a chunk of centers at a time, with at most ``_GATHER_CHUNK_VALUES``
-values per chunk, into one scan buffer that the table allocates once and
-reuses for every radius and chunk.  The gather fills the buffer a center at
-a time, so no index array of the chunk is built; the q = inf rows are then
-sorted in place and reduced by an in-place prefix sum.  The scan thus holds
-the padded field and one 8 MiB buffer, whatever the ball size; |f| itself
-is dropped once it is padded.  The sorted values of a ball do not depend on
-the gather order, so the table is the same, bit for bit, as that of a
-modulo gather.
+ladder (at most N/2, since rho <= L/2); a ball is then a fixed set of
+non-negative flat offsets into the padded array, cached per radius and
+taken from the corner of the padded cube around a center, and a center is
+the flat index of that corner.  The offsets of every radius are read off
+one min-image distance table, built once per grid.  Each (radius, chunk of
+centers) task gathers ``padded[start:][offset]`` for at most
+``_GATHER_CHUNK_VALUES`` values into a scan buffer reused for every task.
+The gather fills the buffer a center at a time, so neither an index array
+of the chunk nor a shifted copy of the offsets is built; the q = inf rows
+are then sorted in place, reduced by an in-place prefix sum and scaled by
+cached weights.  The sorted values of a ball do not depend on the gather
+order, so the table is the same, bit for bit, as that of a modulo gather.
+
+Tasks are independent, so the table hands them to workers, largest first:
+the calling thread and up to W - 1 threads, joined before the table
+returns or raises, with W the CPUs this process may run on, capped by the
+number of tasks and by the scan's shared 8 MiB budget (``_SCAN_VALUES``),
+which holds one buffer per worker.  numpy releases the interpreter lock in
+the gather, the sort and the products, so the workers overlap there; its
+prefix sum and row maxima hold the lock (numpy 2.4), so those take turns.
+Rows come back in task order and each is computed as on one
+thread, so the table is the same bit for bit for any number of workers.
+A table of no more values than the budget stays on the calling thread.
+The scan thus holds the padded field and at most 8 MiB of buffers,
+whatever the ball size or the CPU count; |f| itself is dropped once it is
+padded.
 
 Norm evaluations are pure functions of immutable fields; individual ball
 evaluations are independent and the final sup is an associative reduction,
@@ -44,6 +57,8 @@ so callers may parallelize freely.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -151,13 +166,15 @@ class BallSampler:
         return centers
 
 
-# Cap on the values one gather produces: centers are scanned in chunks of
-# at most this many ball values, and the table's one scan buffer (reused for
-# every radius and chunk, sorted and prefix-summed in place) holds that many,
-# 8 MiB of float64.  Each row is gathered, sorted and reduced on its own, so
-# the cap sets memory and cache use only, never a value.  On a 64^3 state no
-# other power of two from 2^18 to 2^22 scanned faster.
-_GATHER_CHUNK_VALUES = 1 << 20
+# The scan's value budget, 8 MiB of float64, shared by its workers: each
+# holds one buffer of at most ``_GATHER_CHUNK_VALUES`` values (4 MiB), reused
+# for every chunk it takes and sorted and prefix-summed in place, so at most
+# ``_SCAN_VALUES // _GATHER_CHUNK_VALUES`` workers scan one table, whatever
+# the CPU count.  Centers are scanned in chunks of at most that many ball
+# values.  Each row is gathered, sorted and reduced on its own, so neither
+# constant sets a value, only memory, cache use and the number of chunks.
+_SCAN_VALUES = 1 << 20
+_GATHER_CHUNK_VALUES = 1 << 19
 
 
 def _min_image_disp(N):
@@ -202,10 +219,19 @@ def _padded_strides(n, N, width):
 
 @lru_cache(maxsize=512)
 def _flat_ball_offsets(n, N, L, rho, width):
-    """:func:`_ball_offsets` as flat offsets into a field padded by ``width``."""
-    flat = _ball_offsets(n, N, L, rho) @ _padded_strides(n, N, width)
-    flat.flags.writeable = False
-    return flat
+    """:func:`_ball_offsets` as flat offsets into a field padded by ``width``.
+
+    They are taken from the corner of the padded cube around a center, the
+    cell ``width`` before it on every axis, so none is negative.  Returns a
+    read-only view; its writeable base is what the gather hands to
+    ``np.take``, which copies an index array it may not write.
+    """
+    strides = _padded_strides(n, N, width)
+    flat = _ball_offsets(n, N, L, rho) @ strides
+    flat += width * strides.sum()
+    view = flat.view()
+    view.flags.writeable = False
+    return view
 
 
 def _ball_reach(grid, rho):
@@ -217,29 +243,30 @@ def _ball_reach(grid, rho):
 def _pad_periodic(grid, values, width, centers):
     """Flat periodic padding of ``values`` by ``width`` cells on every side.
 
-    Returns the padded values and the flat indices of the grid-index
-    ``centers`` (shape (C, n)) in them.  Every ball of reach <= ``width``
-    around a center then lies inside the padded array, so no modulo is
-    needed.
+    Returns the padded values and, for each grid-index center (``centers``
+    has shape (C, n)), the flat index of the corner its ball offsets are
+    taken from.  Every ball of reach <= ``width`` around a center then lies
+    inside the padded array, so no modulo is needed.
     """
     padded = np.pad(values.reshape(grid.shape), width, mode="wrap").ravel()
-    starts = (centers + width) @ _padded_strides(grid.n, grid.N, width)
-    return padded, starts
+    return padded, centers @ _padded_strides(grid.n, grid.N, width)
 
 
 def _gather_ball_values(grid, padded, width, starts, rho, out=None):
     """Padded values on the ball of radius rho around each start, shape (C, m).
 
-    Fills ``out`` (a new array if None) one center row at a time, so no
-    (C, m) index array is built, and returns it.  Every index lies inside
-    ``padded`` by the choice of ``width``; ``mode="clip"`` only skips the
-    buffered bounds check of the default mode.
+    Fills ``out`` (a new array if None) one center row at a time, each taken
+    from the view of ``padded`` that begins at the row's corner, so neither
+    a (C, m) index array nor a shifted copy of the offsets is built, and
+    returns it.  Every index lies inside ``padded`` by the choice of
+    ``width``; ``mode="clip"`` only skips the buffered bounds check of the
+    default mode.
     """
-    offsets = _flat_ball_offsets(grid.n, grid.N, grid.L, float(rho), width)
+    offsets = _flat_ball_offsets(grid.n, grid.N, grid.L, float(rho), width).base
     if out is None:
         out = np.empty((len(starts), offsets.size), dtype=padded.dtype)
     for start, row in zip(starts, out):
-        np.take(padded, start + offsets, out=row, mode="clip")
+        np.take(padded[start:], offsets, out=row, mode="clip")
     return out
 
 
@@ -250,6 +277,14 @@ def _gather_ball_values(grid, padded, width, starts, rho, out=None):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+@lru_cache(maxsize=64)
+def _weak_weights(m, w, p):
+    """t^{1/p - 1} at the step endpoints t = w, 2w, ..., mw, read-only."""
+    weights = (np.arange(1, m + 1) * w) ** (1.0 / p - 1.0)
+    weights.flags.writeable = False
+    return weights
+
+
 def _weak_norm_rows(sorted_desc, w, p):
     """t^{1/p} f**(t) maximized over step endpoints, one value per row.
 
@@ -257,10 +292,9 @@ def _weak_norm_rows(sorted_desc, w, p):
     """
     if p == INF:
         return sorted_desc[:, 0]
-    m = sorted_desc.shape[1]
     S = np.cumsum(sorted_desc, axis=1, out=sorted_desc)
     S *= w
-    S *= (np.arange(1, m + 1) * w) ** (1.0 / p - 1.0)
+    S *= _weak_weights(sorted_desc.shape[1], w, p)
     return np.max(S, axis=1)
 
 
@@ -361,6 +395,61 @@ class BallNormRow:
     local_norm: float  # rho^{-lam/p} * local Lorentz norm
 
 
+def _scan_workers(chunks, values):
+    """How many workers scan a table of ``chunks`` tasks and ``values`` ball values.
+
+    A table whose values fit in one buffer of the whole budget stays on the
+    calling thread.  Otherwise one worker per CPU this process may run on,
+    but no more than there are chunks or buffers in the budget.
+    """
+    if values <= _SCAN_VALUES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chunks, _SCAN_VALUES // _GATHER_CHUNK_VALUES))
+
+
+def _run_scan(tasks, task_values, scan, buffers):
+    """``scan(task, buffer)`` for every task, one worker per buffer; results in task order.
+
+    Workers take the tasks largest first.  The calling thread is one
+    worker; the others are threads, joined before this returns or raises.
+    After a worker's error no task is started, and the first error is
+    raised once every thread has ended.
+    """
+    results = [None] * len(tasks)
+    pending = iter(sorted(range(len(tasks)), key=task_values.__getitem__, reverse=True))
+    lock = threading.Lock()
+    errors = []
+
+    def work(buffer):
+        try:
+            while not errors:
+                with lock:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                results[k] = scan(tasks[k], buffer)
+        except BaseException as exc:  # raised again below, after the join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for buffer in buffers[1:]:
+            thread = threading.Thread(target=work, args=(buffer,), name="bqbox-ball-scan")
+            thread.start()
+            threads.append(thread)
+        work(buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     """Per-(center, radius) localized norms; the sup is the Morrey estimate."""
     grid = f.grid
@@ -371,31 +460,43 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     w = grid.cell_volume
     centers = sampler.centers(grid)
     coords = [tuple(c * grid.cell_size) for c in centers]
-    radii = sampler.radii(grid)
+    radii = [float(rho) for rho in sampler.radii(grid)]
     width = max(_ball_reach(grid, rho) for rho in radii)
     padded, starts = _pad_periodic(grid, values, width, centers)
     # at lam = 0 the sup over arbitrarily large balls reduces to the whole box
     whole = _lorentz_from_values(values, w, params.p, params.q) if params.lam == 0.0 else None
     del values  # the scan reads only the padded copy
-    sizes = [_ball_offsets(grid.n, grid.N, grid.L, float(rho)).shape[0] for rho in radii]
-    chunks = [min(len(starts), max(1, _GATHER_CHUNK_VALUES // m)) for m in sizes]
-    scan = np.empty(max(c * m for c, m in zip(chunks, sizes)), dtype=padded.dtype)
+    sizes = [_ball_offsets(grid.n, grid.N, grid.L, rho).shape[0] for rho in radii]
+    C = len(starts)
+    tasks = []  # (radius index, first center, end center), radius by radius
+    for k, m in enumerate(sizes):
+        chunk = min(C, max(1, _GATHER_CHUNK_VALUES // m))
+        tasks += [(k, lo, min(lo + chunk, C)) for lo in range(0, C, chunk)]
+    task_values = [(hi - lo) * sizes[k] for k, lo, hi in tasks]
+    # the workers only read the caches, so fill them here
+    for rho, m in zip(radii, sizes):
+        _flat_ball_offsets(grid.n, grid.N, grid.L, rho, width)
+        if params.q == INF and params.p != INF:
+            _weak_weights(m, w, params.p)
+    workers = _scan_workers(len(tasks), C * sum(sizes))
+    buffers = [np.empty(max(task_values), dtype=padded.dtype) for _ in range(workers)]
+
+    def scan(task, buffer):
+        k, lo, hi = task
+        rho, m = radii[k], sizes[k]
+        weight = rho ** (-params.lam / params.p)
+        gathered = _gather_ball_values(grid, padded, width, starts[lo:hi], rho,
+                                       out=buffer[:(hi - lo) * m].reshape(hi - lo, m))
+        if params.q == INF:
+            # ascending in place, read reversed: NaN comes first, as in a descending copy
+            gathered.sort(axis=1)
+            return _weak_norm_rows(gathered[:, ::-1], w, params.p) * weight
+        return [_lorentz_from_values(g, w, params.p, params.q) * weight for g in gathered]
+
     rows = []
-    for rho, m, chunk in zip(radii, sizes, chunks):
-        weight = float(rho) ** (-params.lam / params.p)
-        for lo in range(0, len(starts), chunk):
-            part = starts[lo:lo + chunk]
-            gathered = _gather_ball_values(grid, padded, width, part, rho,
-                                           out=scan[:len(part) * m].reshape(len(part), m))
-            if params.q == INF:
-                # ascending in place, read reversed: NaN comes first, as in a descending copy
-                gathered.sort(axis=1)
-                local = _weak_norm_rows(gathered[:, ::-1], w, params.p) * weight
-            else:
-                local = [_lorentz_from_values(g, w, params.p, params.q) * weight
-                         for g in gathered]
-            rows.extend(BallNormRow(coords[lo + i], float(rho), float(val))
-                        for i, val in enumerate(local))
+    for (k, lo, _), local in zip(tasks, _run_scan(tasks, task_values, scan, buffers)):
+        rows.extend(BallNormRow(coords[lo + i], radii[k], float(val))
+                    for i, val in enumerate(local))
     if whole is not None:
         rows.append(BallNormRow((np.nan,) * grid.n, np.inf, float(whole)))
     return rows

@@ -288,9 +288,10 @@ def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler, bound=Non
                 raise HypothesisError("derivative order 1 is implemented for scalar inputs")
         lhs = morrey_lorentz_norm(evolved, to_params, sampler)
         weight = float(t) ** exponent if t > 0 else (1.0 if exponent == 0 else 0.0)
-        ratio = lhs * weight / denom if denom > 0 else 0.0
+        ratio = lhs * weight / denom if denom != 0 else 0.0  # a NaN denom gives NaN
         rows.append((float(t), lhs, weight, ratio))
-    max_ratio = max((r for (_, _, _, r) in rows), default=0.0)
+    # np.max, unlike max(), lets a NaN ratio at any time through
+    max_ratio = float(np.max([r for (_, _, _, r) in rows])) if rows else 0.0
     exceeded = bound is not None and max_ratio > bound
     note = "torus surrogate: ratios decay exponentially at large t (spectral gap)"
     if grid.n == 2:

@@ -243,7 +243,12 @@ def cesaro_periodic_datum(
     orbit P^n(0) = e^{-TL} P^{n-1}(0) + c is advanced in coefficient space,
     holding only c and the current term; each term is transformed back for
     the mean.  It stops at the first n > 1 whose mean increment is below
-    ``tol``; ``n_max`` only caps the number of periods.  The history records
+    ``tol``; ``n_max`` only caps the number of periods.  ``tol`` bounds that
+    last increment, not the datum's error: the increment of the mean at n
+    is (P^n(0) - mean_{n-1})/n, so the error runs about n times larger
+    (periodic-linear-n16 at seed 3 stops at n = 28 with an increment of
+    4.85e-9 and an error of 1.31e-7 against the resolvent datum).  The
+    history records
     (n, ||P_n - P_{n-1}||, ||P_n - reference||) per period; the error column
     needs ``reference`` (e.g. the resolvent datum).  Raises ConvergenceError
     carrying the history when n_max is hit first, or at once when an
@@ -277,10 +282,10 @@ def cesaro_periodic_datum(
         )
         err = np.nan
         if reference is not None:
-            err = max(
-                float(np.max(np.abs(mean_u - reference.u.values))),
-                float(np.max(np.abs(mean_th - reference.theta.values))),
-            )
+            err = float(np.max([
+                np.max(np.abs(mean_u - reference.u.values)),
+                np.max(np.abs(mean_th - reference.theta.values)),
+            ]))
         history.append((n, increment, err))
         if not np.isfinite(increment):
             raise ConvergenceError(

@@ -408,6 +408,27 @@ class TestPeriodicCommands:
         for name in ("datum.bqf", "residual.csv", "history.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_nan_in_the_reference_temperature_reaches_the_cross_check(self, tmp_path, monkeypatch):
+        # a max() over (u, theta) keeps the velocity difference over a NaN one
+        cfg = write_config(tmp_path / "c.json", periodic_config())
+        resolvent = cli.resolvent_periodic_datum
+
+        def nan_theta(problem, image):
+            ref = resolvent(problem, image)
+            theta = ref.theta.values.copy()
+            theta.flat[3] = np.nan
+            return State(ref.u, ScalarField(ref.grid, theta))
+
+        monkeypatch.setattr(cli, "resolvent_periodic_datum", nan_theta)
+        out = tmp_path / "out"
+        assert main(["periodic-linear", "--config", cfg, "--output", str(out)]) == 0
+        header, rows = read_csv_rows(out / "residual.csv")
+        assert header[3] == "cross_check_max_diff"
+        assert np.isnan(float(rows[0][3]))
+        assert np.isfinite(float(rows[0][1]))
+        _, hist = read_csv_rows(out / "history.csv")
+        assert all(np.isnan(float(r[2])) for r in hist)
+
     def test_nonlinear_pipeline(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

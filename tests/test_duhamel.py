@@ -333,6 +333,31 @@ class TestEvolve:
         res = duhamel_residual(traj, forcing, cfg, mode="full")
         assert res <= 10 * cfg.picard_tol
 
+    @pytest.mark.parametrize("where, part", [(3, "theta"), (-1, "u")])
+    def test_duhamel_residual_reads_a_nan_state(self, grid2d_box, where, part):
+        # a running max() from 0.0 keeps its value over a NaN defect, and a
+        # max() over the states keeps its value over a NaN scale, so a NaN in
+        # a later state read as small as the clean run
+        g = grid2d_box
+        T = 1.0
+        init = State(taylor_green(g, amplitude=1e-2), gaussian_profile(g, 0.5, amplitude=1e-2))
+        Ft = single_mode_tensor(g, k=(0, 1), row=0, col=1, amplitude=1e-2)
+        forcing = ForcingSpec(period=T, F=constant_in_time(T, Ft))
+        cfg = SolveConfig(dt=T / 16, substeps=2, picard_tol=1e-11)
+        traj = evolve(init, forcing, T / 2, cfg, mode="full")
+        assert len(traj.states) == 9
+        assert duhamel_residual(traj, forcing, cfg, mode="full") <= 10 * cfg.picard_tol
+        state = traj.states[where]
+        fields = {"u": state.u, "theta": state.theta}
+        values = fields[part].values.copy()
+        values.flat[7] = np.nan
+        fields[part] = type(fields[part])(g, values)
+        states = list(traj.states)
+        states[where] = State(fields["u"], fields["theta"])
+        bad = Trajectory(g, traj.times, states)
+        assert np.isnan(bad.states[where].max_norm())
+        assert np.isnan(duhamel_residual(bad, forcing, cfg, mode="full"))
+
     def test_divergence_free_along_trajectory(self, grid2d_box):
         g = grid2d_box
         init = State(taylor_green(g, amplitude=0.5), gaussian_profile(g, 0.5))

@@ -1,5 +1,7 @@
 """Lorentz / Morrey-Lorentz norms against closed forms and independent oracles."""
 
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -529,10 +531,11 @@ class TestPaddedBallScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the padded field (16 MiB), the one scan buffer (8 MiB), the distance
-        # table (2 MiB) and the offsets: no index array, no sorted or
-        # prefix-summed copy of a chunk, no |f| beside the padded copy.
-        # 31.8 MiB measured with cold offset caches, numpy 2.4
+        # the padded field (16 MiB), the scan buffers (8 MiB at most, one per
+        # worker), the distance table (2 MiB), the offsets and the weights: no
+        # index array, no shifted offsets, no sorted or prefix-summed copy of a
+        # chunk, no |f| beside the padded copy.  30.9 MiB measured on two CPUs
+        # (26.9 on one) with cold offset caches, numpy 2.4
         assert peak < 35 * 2**20
 
     @pytest.mark.parametrize("n, N, L", _SCAN_GRIDS)
@@ -616,3 +619,103 @@ class TestTrajectorySupNorm:
         traj = Trajectory(g, np.array([0.0, 0.5, 1.0]), [good, good, bad])
         ctx = NormContext(NormParams(p=2.5, q=INF, lam=0.0), BallSampler(num_centers=4, num_radii=4))
         assert np.isnan(trajectory_sup_norm(traj, ctx))
+
+
+# ---------------------------------------------------------------------------
+# the ball scan on several workers
+# ---------------------------------------------------------------------------
+
+
+def nan_cell_field(N):
+    g = GridSpec(n=3, N=N, L=2 * np.pi)
+    rng = np.random.Generator(np.random.Philox(N))
+    values = rng.standard_normal(g.shape)
+    values[3, 20, 7] = np.nan
+    return ScalarField(g, values)
+
+
+class TestParallelScan:
+    @pytest.mark.parametrize("params", [NormParams(p=3.0, lam=0.5),
+                                        NormParams(p=2.5, q=3.0, lam=1.0)])
+    def test_table_bit_identical_for_any_worker_count(self, params, monkeypatch):
+        f = nan_cell_field(32)
+        g = f.grid
+        sampler = BallSampler(num_centers=64, num_radii=6, jitter_seed=11)
+        radii = sampler.radii(g)
+        m_max = norms_mod._ball_offsets(3, 32, g.L, float(max(radii))).shape[0]
+        chunk = norms_mod._GATHER_CHUNK_VALUES // m_max
+        assert 1 < chunk < 64 and 64 % chunk  # the largest radius ends on a partial chunk
+        want = reference_table(f, params, sampler)
+        local = want[:, -1]
+        assert np.isnan(local).any() and not np.isnan(local).all()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: a lost or misplaced row shows
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(norms_mod, "_scan_workers", lambda chunks, values: workers)
+                got = table_array(morrey_lorentz_table(f, params, sampler))
+                assert np.array_equal(got, want, equal_nan=True), workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_is_raised_after_every_thread_ends(self, monkeypatch):
+        f = nan_cell_field(32)
+        weak = norms_mod._weak_norm_rows
+        calls = []
+
+        def fail_third(*args):
+            calls.append(threading.current_thread().name)
+            if len(calls) == 3:
+                raise FloatingPointError("third chunk")
+            return weak(*args)
+
+        started = []
+        thread_cls = threading.Thread
+
+        class CountedThread(thread_cls):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(norms_mod, "_weak_norm_rows", fail_third)
+        monkeypatch.setattr(norms_mod, "_scan_workers", lambda chunks, values: 3)
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third chunk"):
+            morrey_lorentz_table(f, NormParams(p=3.0, lam=0.5),
+                                 BallSampler(num_centers=64, num_radii=6))
+        assert len(started) == 2
+        assert threading.active_count() == before
+        # no chunk is started after the error: at most one more per other worker
+        assert 3 <= len(calls) <= 5
+
+    def test_one_buffer_table_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        g = GridSpec(n=3, N=16, L=2 * np.pi)
+        f = gaussian_profile(g, 0.5)
+        sampler = BallSampler(num_centers=64, num_radii=12)
+        sizes = [norms_mod._ball_offsets(3, 16, g.L, float(r)).shape[0] for r in sampler.radii(g)]
+        assert 64 * sum(sizes) <= norms_mod._SCAN_VALUES
+        assert 64 * max(sizes) > norms_mod._GATHER_CHUNK_VALUES // 8  # not a trivial table
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        rows = morrey_lorentz_table(f, NormParams(p=3.0, lam=0.5), sampler)
+        assert len(rows) == 64 * 12
+
+    def test_worker_count_bounded_by_chunks_and_budget(self, monkeypatch):
+        budget = norms_mod._SCAN_VALUES // norms_mod._GATHER_CHUNK_VALUES
+        big = 4 * norms_mod._SCAN_VALUES
+        monkeypatch.setattr(norms_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert norms_mod._scan_workers(1, big) == 1
+        assert norms_mod._scan_workers(100, big) == budget
+        assert norms_mod._scan_workers(100, norms_mod._SCAN_VALUES) == 1  # fits one buffer
+        monkeypatch.setattr(norms_mod.os, "sched_getaffinity", lambda pid: {0})
+        assert norms_mod._scan_workers(100, big) == 1
+        monkeypatch.delattr(norms_mod.os, "sched_getaffinity")
+        monkeypatch.setattr(norms_mod.os, "cpu_count", lambda: 64)
+        assert norms_mod._scan_workers(100, big) == budget
+        monkeypatch.setattr(norms_mod.os, "cpu_count", lambda: None)
+        assert norms_mod._scan_workers(100, big) == 1
+        for chunks in range(1, 9):
+            assert 1 <= norms_mod._scan_workers(chunks, big) <= min(chunks, budget)

@@ -17,6 +17,7 @@ from bqbox import (
     spectral_divergence_residual,
     verify_dispersive,
 )
+from bqbox import norms as norms_mod
 from bqbox.grid import band_coeffs, forward_coeffs, inverse_values
 from bqbox.norms import BallSampler, gaussian_profile
 from bqbox.operators import (
@@ -334,6 +335,36 @@ class TestVerifyDispersive:
             vals.append(rep.max_ratio)
         assert vals[0] > 0
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
+
+    def test_nan_ratio_at_a_later_time_reaches_max_ratio(self, grid2d, monkeypatch):
+        # a max() over the rows keeps its first value over a NaN ratio
+        f = gaussian_profile(grid2d, 0.08)
+        norm = norms_mod.morrey_lorentz_norm
+        calls = []
+
+        def nan_at_third_call(g, *args, **kwargs):
+            calls.append(1)
+            return np.nan if len(calls) == 3 else norm(g, *args, **kwargs)
+
+        monkeypatch.setattr(norms_mod, "morrey_lorentz_norm", nan_at_third_call)
+        rep = verify_dispersive(
+            f, NormParams(p=3.0), NormParams(p=3.0), m=0, t_grid=[0.01, 0.1, 1.0],
+            sampler=BallSampler(num_centers=4, num_radii=4),
+        )
+        ratios = [r for (_, _, _, r) in rep.rows]
+        assert not np.isnan(ratios[0]) and np.isnan(ratios[1])
+        assert np.isnan(rep.max_ratio)
+
+    def test_nan_field_reads_nan_not_zero(self, grid2d):
+        # a NaN ||phi|| failed "denom > 0" and set every ratio to 0.0
+        values = gaussian_profile(grid2d, 0.08).values.copy()
+        values[2, 3] = np.nan
+        rep = verify_dispersive(
+            ScalarField(grid2d, values), NormParams(p=3.0), NormParams(p=3.0), m=0,
+            t_grid=[0.01, 0.1], sampler=BallSampler(num_centers=4, num_radii=4),
+        )
+        assert all(np.isnan(r) for (_, _, _, r) in rep.rows)
+        assert np.isnan(rep.max_ratio)
 
     def test_bound_flag(self, grid2d):
         f = gaussian_profile(grid2d, 0.08)
