@@ -221,6 +221,15 @@ class GridSpec:
         return _read_only(np.sqrt(np.sum(self.deriv_k * self.deriv_k, axis=0)))
 
 
+def torus_displacement(grid, center=None):
+    """x - center wrapped into [-L/2, L/2) on each axis, shape (n,) + grid.shape.
+
+    ``center`` holds one coordinate per axis and defaults to the box center.
+    """
+    c = grid.L / 2.0 if center is None else np.reshape(center, (grid.n,) + (1,) * grid.n)
+    return np.mod(grid.coordinates - c + grid.L / 2.0, grid.L) - grid.L / 2.0
+
+
 def _read_only(array):
     array.flags.writeable = False
     return array

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DiagnosticsError, HypothesisError
-from .grid import ScalarField, State, TensorField, VectorField
+from .grid import ScalarField, State, TensorField, VectorField, torus_displacement
 
 INF = float("inf")
 
@@ -527,22 +527,12 @@ def morrey_lorentz_norm(f, params: NormParams, sampler: BallSampler | None = Non
 
 def gaussian_profile(grid, sigma, amplitude=1.0, center=None):
     """exp(-d^2 / 2 sigma^2) with d the torus distance to the center."""
-    if center is None:
-        center = (grid.L / 2.0,) * grid.n
-    d2 = np.zeros(grid.shape)
-    for j in range(grid.n):
-        dj = np.mod(grid.coordinates[j] - center[j] + grid.L / 2.0, grid.L) - grid.L / 2.0
-        d2 = d2 + dj * dj
+    d2 = np.sum(torus_displacement(grid, center) ** 2, axis=0)
     return ScalarField(grid, amplitude * np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
 def ball_indicator(grid, radius, amplitude=1.0, center=None):
-    if center is None:
-        center = (grid.L / 2.0,) * grid.n
-    d2 = np.zeros(grid.shape)
-    for j in range(grid.n):
-        dj = np.mod(grid.coordinates[j] - center[j] + grid.L / 2.0, grid.L) - grid.L / 2.0
-        d2 = d2 + dj * dj
+    d2 = np.sum(torus_displacement(grid, center) ** 2, axis=0)
     return ScalarField(grid, amplitude * (d2 <= radius * radius).astype(float))
 
 

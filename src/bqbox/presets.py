@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grid import ScalarField, TensorField, VectorField, forward_coeffs, inverse_values
+from .grid import (ScalarField, TensorField, VectorField, forward_coeffs, inverse_values,
+                   torus_displacement)
 from .norms import gaussian_profile
 from .operators import dealias_coeffs, leray_coeffs
 
@@ -107,11 +108,8 @@ def gravity_field(grid, G=1.0, soft_cells=2.0):
     the center and r_m = soft_cells * cell.  Finite everywhere and odd under
     central reflection away from the wrap plane.
     """
-    center = grid.L / 2.0
     rm = soft_cells * grid.cell_size
-    d = np.zeros((grid.n,) + grid.shape)
-    for j in range(grid.n):
-        d[j] = np.mod(grid.coordinates[j] - center + grid.L / 2.0, grid.L) - grid.L / 2.0
+    d = torus_displacement(grid)
     r2 = np.sum(d * d, axis=0)
     return VectorField(grid, G * d / (r2 + rm * rm) ** 1.5)
 

@@ -5,7 +5,9 @@ The separation between a periodic solution (u, theta) and a perturbed run
 
     D(t) = t^{alpha/2} ||u - v||_{q,inf,lam} + t^{gamma/2} ||theta - xi||_{r,inf,lam}
 
-with alpha = 1 - p/q and gamma = 1 - p/r.  On the torus the spectral gap
+with alpha = 1 - p/q and gamma = 1 - p/r.  (u, theta) is the certified
+periodic orbit, read at step k as its stored state k mod S (S steps per
+period), not a re-stepped copy of it.  On the torus the spectral gap
 makes the gap decay exponentially, so the polynomial weights are a certified
 upper-bound check, not a sharp rate; the decay-exponent fit reports that the
 late-time log-log slope falls below -alpha/2.
@@ -148,19 +150,26 @@ def perturb_and_compare(
     params: StabilityParams,
     t_grid,
     sampler=None,
-    cfg=None,
 ):
-    """Evolve the base and perturbed problems and tabulate the weighted gap D(t).
+    """Evolve the perturbed problem and tabulate its weighted gap D(t) to the certified orbit.
 
-    ``base`` is a PeriodicSolution; the perturbed run starts from
-    ``perturbed_initial`` under the same forcing with g replaced by
-    ``perturbed_g`` (None keeps g).  Both runs share the grid and solver
-    config.  The perturbation sizes are reported alongside |||g - g'|||.
+    ``base`` is a full or navier-stokes PeriodicSolution whose trajectory is
+    one certified period of S steps at the problem's dt; snapped step k is
+    compared with its state k mod S.  The perturbed run starts from
+    ``perturbed_initial`` with g replaced by ``perturbed_g`` (None keeps g).
+    The perturbation sizes are reported alongside |||g - g'|||.
     """
     problem = base.problem
+    if problem.mode not in ("full", "navier-stokes"):
+        raise ConfigError(f"stability needs a full or navier-stokes base, got mode {problem.mode!r}")
     grid = problem.grid
     lam = params.lam(grid.n)
-    cfg = cfg or problem.cfg
+    cfg = problem.cfg
+    S = problem.steps_per_period
+    orbit, T = base.trajectory, problem.period
+    if len(orbit.times) != S + 1 or abs(orbit.times[-1] - T) > 1e-9 * T:
+        raise DiagnosticsError(f"base trajectory must store {S + 1} states up to T = {T}, found "
+                               f"{len(orbit.times)} up to t = {orbit.times[-1]}")
     sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0:
@@ -171,27 +180,18 @@ def perturb_and_compare(
 
     forcing = problem.forcing
     forcing2 = replace(forcing, g=perturbed_g) if perturbed_g is not None else forcing
-    mode = problem.mode if problem.mode in ("full", "navier-stokes") else "full"
     # every step is stored, so the snapped time k dt is the state of step k
     wanted = {round(t / cfg.dt): t for t in snapped}
-    base_states = {}
-
-    def keep_base(t, state):
-        k = round(t / cfg.dt)
-        if k in wanted:
-            base_states[k] = state
-
     rows = []
 
     def add_row(t, state):
         k = round(t / cfg.dt)
         if k in wanted:
-            gap = state_difference(base_states.pop(k), state)
+            gap = state_difference(orbit.states[k % S], state)
             wu, wth = _weighted_parts(gap, wanted[k], params, sampler)
             rows.append((wanted[k], wu, wth, wu + wth))
 
-    evolve(base.initial, forcing, t_max, cfg, mode=mode, on_state=keep_base)
-    evolve(perturbed_initial, forcing2, t_max, cfg, mode=mode, on_state=add_row)
+    evolve(perturbed_initial, forcing2, t_max, cfg, mode=problem.mode, on_state=add_row)
 
     g_gap = 0.0
     if perturbed_g is not None and forcing.g is not None:

@@ -18,7 +18,7 @@ from bqbox import (
     write_field,
     zeros_like_state,
 )
-from bqbox.grid import band_coeffs, forward_coeffs, inverse_values, scatter_band
+from bqbox.grid import band_coeffs, forward_coeffs, inverse_values, scatter_band, torus_displacement
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -50,6 +50,17 @@ class TestGridSpec:
             for j in range(n - 1):
                 assert k[j].min() == -8 and k[j].max() == 7
             assert np.array_equal(k[-1][(0,) * (n - 1)], np.arange(9))
+
+    def test_torus_displacement(self):
+        # the displacement to the nearest periodic copy of the center
+        g = GridSpec(n=2, N=16, L=2.0)
+        center = (0.3, 1.95)
+        d = torus_displacement(g, center)
+        assert d.shape == (2, 16, 16)
+        assert d.min() >= -1.0 and d.max() < 1.0
+        shift = (g.coordinates - np.reshape(center, (2, 1, 1)) - d) / g.L
+        assert np.allclose(shift, np.round(shift), atol=1e-12)
+        assert np.array_equal(torus_displacement(g), torus_displacement(g, (1.0, 1.0)))
 
 
 def _direct_dft(values, grid):

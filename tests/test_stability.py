@@ -150,13 +150,18 @@ def base_solution(grid, amp=1e-3):
 
 
 class TestPerturbAndCompare:
-    def test_identical_runs_zero_gap(self, grid3d_small):
+    def test_run_from_orbit_datum_stays_on_orbit(self, grid3d_small):
+        # the perturbed run starts on the certified orbit, so over three
+        # periods it leaves the stored states (read at k mod S, wrapping at
+        # k = S, 2S, 3S) only by the certify residual and roundoff
         base = base_solution(grid3d_small)
         sp = StabilityParams(**SP)
-        table = perturb_and_compare(base, base.initial, None, sp,
-                                    np.geomspace(T / 16, 2 * T, 8))
-        assert all(row[3] == 0.0 for row in table.rows)
-        assert table.sup_d == 0.0
+        dt = base.problem.cfg.dt
+        t_grid = np.r_[np.geomspace(dt, 3 * T, 10), T - dt, T, T + dt, 2 * T]
+        table = perturb_and_compare(base, base.initial, None, sp, t_grid)
+        assert {T, 2 * T, 3 * T} <= set(table.meta["snapped_times"])
+        assert len(table.rows) == len(table.meta["snapped_times"])
+        assert all(row[3] <= 1e-13 for row in table.rows)
 
     def test_linearized_single_mode_closed_form(self, grid3d_small):
         # zero base; theta-only single-mode perturbation evolves by pure heat
@@ -184,23 +189,6 @@ class TestPerturbAndCompare:
             assert wu == 0.0
             assert D == pytest.approx(want, rel=1e-6)
 
-    def test_swap_symmetry(self, grid3d_small):
-        base = base_solution(grid3d_small)
-        g = grid3d_small
-        gap = random_div_free(g, seed=5, amplitude=1e-4)
-        pert = State(VectorField(g, base.initial.u.values + gap.values), base.initial.theta)
-        sp = StabilityParams(**SP)
-        t_grid = np.geomspace(T / 16, T, 5)
-        t1 = perturb_and_compare(base, pert, None, sp, t_grid)
-        from bqbox.periodic import PeriodicSolution
-
-        swapped_base = PeriodicSolution(problem=base.problem, initial=pert,
-                                        trajectory=base.trajectory, residual_max=0.0,
-                                        residual_norm=0.0)
-        t2 = perturb_and_compare(swapped_base, base.initial, None, sp, t_grid)
-        for r1, r2 in zip(t1.rows, t2.rows):
-            assert r1[3] == pytest.approx(r2[3], rel=1e-12)
-
     def test_nonlinear_perturbation_decays(self):
         from bqbox import GridSpec
 
@@ -227,31 +215,75 @@ class TestPerturbAndCompare:
 
     def test_rows_match_collected_trajectories(self, grid3d_small):
         # the gaps formed as the perturbed states arrive equal, bit for bit,
-        # those read from two whole collected trajectories
+        # those read from a whole collected perturbed trajectory and the
+        # certified orbit's states at step k mod S
         base = base_solution(grid3d_small)
         pert = self._perturbed(base)
         sp = StabilityParams(**SP)
         table = perturb_and_compare(base, pert, None, sp, np.geomspace(T / 16, 2 * T, 7))
         cfg = base.problem.cfg
+        S = base.problem.steps_per_period
         sampler = BallSampler(num_centers=8, num_radii=6)
-        t_max = table.meta["t_max"]
-        traj1 = evolve(base.initial, base.problem.forcing, t_max, cfg, mode="full")
-        traj2 = evolve(pert, base.problem.forcing, t_max, cfg, mode="full")
+        traj2 = evolve(pert, base.problem.forcing, table.meta["t_max"], cfg, mode="full")
         want = []
         for t in table.meta["snapped_times"]:
             i = round(t / cfg.dt)
-            assert traj1.times[i] == pytest.approx(t) and traj2.times[i] == pytest.approx(t)
-            wu, wth = _weighted_parts(state_difference(traj1.states[i], traj2.states[i]),
-                                      t, sp, sampler)
+            assert traj2.times[i] == pytest.approx(t)
+            wu, wth = _weighted_parts(
+                state_difference(base.trajectory.states[i % S], traj2.states[i]), t, sp, sampler)
             want.append((t, wu, wth, wu + wth))
         assert len(want) == 7
         assert table.rows == want
 
+    def test_one_evolve_per_experiment(self, grid3d_small, monkeypatch):
+        # the base is read from its certified period; only the perturbed run steps
+        base = base_solution(grid3d_small)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(stability_mod, "evolve", spy)
+        pert = self._perturbed(base)
+        perturb_and_compare(base, pert, None, StabilityParams(**SP), np.geomspace(T / 16, 3 * T, 5))
+        assert len(calls) == 1 and calls[0] is pert
+
+    @pytest.mark.parametrize("shape", ["two-period", "strided", "finer-dt"])
+    def test_base_must_be_one_stored_period(self, grid3d_small, shape):
+        from dataclasses import replace
+
+        base = base_solution(grid3d_small)
+        forcing, cfg = base.problem.forcing, base.problem.cfg
+        traj = {
+            "two-period": lambda: evolve(base.initial, forcing, 2 * T, cfg, mode="full"),
+            "strided": lambda: evolve(base.initial, forcing, T, cfg, mode="full", store_stride=2),
+            "finer-dt": lambda: evolve(base.initial, forcing, T, replace(cfg, dt=cfg.dt / 2),
+                                       mode="full"),
+        }[shape]()
+        with pytest.raises(DiagnosticsError, match="base trajectory must store 17 states"):
+            perturb_and_compare(replace(base, trajectory=traj), base.initial, None,
+                                StabilityParams(**SP), [T])
+
+    def test_linearized_base_refused(self, grid3d_small):
+        # a linear orbit is no base for a perturbation stepped with the full dynamics
+        g = grid3d_small
+        forcing = ForcingSpec(period=T)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
+                               grid=g)
+        zero_traj = evolve(zeros_like_state(g), forcing, T, prob.cfg, mode="linearized")
+        from bqbox.periodic import PeriodicSolution
+
+        base = PeriodicSolution(problem=prob, initial=zeros_like_state(g),
+                                trajectory=zero_traj, residual_max=0.0, residual_norm=0.0)
+        with pytest.raises(ConfigError, match="got mode 'linearized'"):
+            perturb_and_compare(base, base.initial, None, StabilityParams(**SP), [T])
+
     def test_peak_memory_keeps_only_snapped_states(self, grid3d_small):
         # a run over 64 steps against one over a single step: the single-step
-        # run already holds the evolve working arrays, the norm scans and one
-        # kept state, so the longer run may add only its other snapped states
-        # and a few more; two collected trajectories would add 2 * 64 states
+        # run already holds the evolve working arrays and the norm scans, so
+        # the longer run may add only as many states as it has snapped times
+        # and a few more; a collected perturbed trajectory would add 64 states
         base = base_solution(grid3d_small)
         pert = self._perturbed(base)
         sp = StabilityParams(**SP)
