@@ -25,7 +25,7 @@ from .config import build_initial, load_config, numeric_option
 from .duhamel import evolve, state_difference
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
 from .fileio import read_field, write_field
-from .grid import spectral_divergence_residual, zeros_like_state
+from .grid import spectral_divergence_residual
 from .norms import NormContext, NormParams, morrey_lorentz_table, state_norm
 from .periodic import (
     PeriodicProblem,
@@ -139,14 +139,8 @@ def _cmd_periodic_linear(cfg, outdir):
     problem = _linear_problem(cfg)
     n_max = numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
     tol = numeric_option(cfg.options, "periodic.tol", 1e-9)
-    # c = P(0) (periodic.poincare_map, a g-coupling frozen as rows), stepped once
-    # for both routes; through this module's evolve, because the benchmark
-    # clocks set-up time to the first solver call made through bqbox.cli's names
-    image = evolve(zeros_like_state(problem.grid), problem.linear_forcing, problem.period,
-                   problem.cfg, mode=problem.mode, extra=problem.coupling,
-                   store_stride=problem.steps_per_period).states[-1]
-    reference = resolvent_periodic_datum(problem, image)
-    sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference, image=image)
+    reference = resolvent_periodic_datum(problem)
+    sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference)
     cross = float(state_difference(sol.initial, reference).max_norm())
     outputs = []
     write_field(outdir / "datum.bqf", sol.initial)

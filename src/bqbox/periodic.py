@@ -13,11 +13,12 @@ routes to the fixed datum are implemented and cross-validated:
 * a direct per-mode resolvent inversion (I - e^{-TL})^{-1} c, exact up to
   solver tolerance, used as the independent oracle.
 
-Both routes rest on the same stepped image c = P(0), which a caller of both
-(the ``periodic-linear`` subcommand) steps once and hands to each, so their
-agreement checks the averaging and the inversion, not c itself; the Cesaro
-datum is certified by a stepped one-period evolve from it, which reads
-neither c nor the affine orbit.
+Both routes read the same image c = P(0), so their agreement checks the
+averaging and the inversion, not c itself; the Cesaro datum is certified by
+a stepped one-period evolve from it, which reads neither c nor the affine
+orbit.  Every P(0), in these routes and in the nonlinear loop, is P_F(0),
+the image of the forcing without g stepped once per problem, plus the image
+of the solve's frozen rows stepped from zero (:func:`_zero_image`).
 
 A g-coupling kappa P(theta g) is solved in two triangular stages, since
 theta's equation does not see u: the periodic temperature of the forcing
@@ -35,11 +36,10 @@ stored state into a reader that builds its frozen band rows, one
 :func:`~bqbox.operators.advection_coeffs` call per state as in the full-mode
 step, and keeps the state only at the sup-in-time indices, where it forms
 its increment term against the previous iterate's matching state and
-releases that one.  Every P(0) is P_F(0), the image of the analytic forcing
-alone, stepped once by the first solve, plus the image of the frozen rows
-stepped from zero.  The rows of the converged iterate are G_state at its
-states, so they start the Picard iteration of each step of the certifying
-run, which is still a stepped full-mode period.
+releases that one.  The first solve steps P_F(0), and each later one only
+the image of its frozen rows.  The rows of the converged iterate are G_state
+at its states, so they start the Picard iteration of each step of the
+certifying run, which is still a stepped full-mode period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -108,16 +108,25 @@ class PeriodicProblem:
         return replace(self.forcing, g=None, kappa=0.0)
 
     @cached_property
+    def forced_image(self):
+        """P_F(0): one period from zero of the forcing without g, stepped once."""
+        return _period_image(self, zeros_like_state(self.grid), self.linear_forcing)
+
+    @cached_property
+    def linear_image(self):
+        """P(0) of the linear problem, its g-coupling frozen as rows: what both routes read."""
+        return _zero_image(self, self.coupling)
+
+    @cached_property
     def coupling(self):
         """The linearized g-coupling as frozen band rows (None without one).
 
-        The rows follow the resolvent datum of P_F(0), the image of the
-        forcing without g, over one stepped period: its temperature is exact.
+        The rows follow the resolvent datum of P_F(0) over one stepped
+        period: its temperature is exact.
         """
         if self.mode != "linearized" or self.forcing.g is None or not self.forcing.kappa > 0:
             return None
-        forced = _period_image(self, zeros_like_state(self.grid), self.linear_forcing)
-        return _buoyancy_rows(self, _invert_resolvent(self, forced))
+        return _buoyancy_rows(self, _invert_resolvent(self, _zero_image(self, None)))
 
 
 @dataclass
@@ -146,6 +155,21 @@ def _period_image(problem, x, forcing, extra=None, mode="linearized"):
     """State one period after x with ``forcing`` and the frozen rows ``extra``."""
     return evolve(x, forcing, problem.period, problem.cfg, mode=mode, extra=extra,
                   store_stride=problem.steps_per_period).states[-1]
+
+
+def _zero_image(problem, extra):
+    """P(0) = P_F(0) + P_rows(0) of the linear problem with the rows ``extra`` frozen.
+
+    The image of ``extra`` is stepped from zero with no forcing and added to
+    :attr:`PeriodicProblem.forced_image`, which is returned as is without rows.
+    """
+    forced = problem.forced_image
+    if extra is None:
+        return forced
+    c = _period_image(problem, zeros_like_state(problem.grid), None, extra)
+    for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
+        np.add(part.values, whole.values, out=part.values)
+    return c
 
 
 def _buoyancy_rows(problem, datum):
@@ -198,14 +222,9 @@ def _invert_resolvent(problem: PeriodicProblem, c: State) -> State:
     return _to_state(grid, x_u, x_th)
 
 
-def resolvent_periodic_datum(problem: PeriodicProblem, image: State | None = None) -> State:
-    """Fixed datum via per-mode inversion of I - e^{-TL} on mean-free data.
-
-    ``image`` is c = P(0) when the caller has stepped it already.
-    """
-    if image is None:
-        image = poincare_map(zeros_like_state(problem.grid), problem)
-    return _invert_resolvent(problem, image)
+def resolvent_periodic_datum(problem: PeriodicProblem) -> State:
+    """Fixed datum of the linear problem via per-mode inversion of I - e^{-TL}."""
+    return _invert_resolvent(problem, problem.linear_image)
 
 
 def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
@@ -233,12 +252,11 @@ def cesaro_periodic_datum(
     tol=1e-9,
     reference: State | None = None,
     ctx: NormContext | None = None,
-    image: State | None = None,
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.
 
-    c = P(0) is the one stepped period (:func:`poincare_map`), or ``image``
-    when the caller has stepped it already; it is only read.  Linearized
+    c = P(0) is the problem's image of zero with its coupling rows frozen
+    (:attr:`PeriodicProblem.linear_image`); it is only read.  Linearized
     dynamics have no state-dependent right-hand side, so P is affine and the
     orbit P^n(0) = e^{-TL} P^{n-1}(0) + c is advanced in coefficient space,
     holding only c and the current term; each term is transformed back for
@@ -259,8 +277,7 @@ def cesaro_periodic_datum(
         raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
     _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
-    # P(0), the orbit's first term
-    c = image if image is not None else poincare_map(zeros_like_state(grid), problem)
+    c = problem.linear_image  # P(0), the orbit's first term
     z_u, z_th = c.u.values, c.theta.values
     c_hat = (forward_coeffs(grid, z_u), forward_coeffs(grid, z_th))
     z_hat = tuple(part.copy() for part in c_hat)
@@ -337,27 +354,15 @@ def _frozen_extra(state: State, g=None, kappa=0.0):
     return advection_coeffs(state.grid, u, u, state.theta.values, g, kappa)
 
 
-def _linear_periodic_solve(problem, extra, on_state, forced=None):
-    """Periodic solution of the linear problem with the rows ``extra`` frozen; returns P_F(0).
+def _linear_periodic_solve(problem, extra, on_state):
+    """Periodic solution of the linear problem with the rows ``extra`` frozen.
 
-    P(0) is affine in the forcing and the frozen rows, P(0) = P_F(0) +
-    P_rows(0).  P_F(0), the image of F and f alone, is ``forced`` or, when
-    that is None, stepped here; the image of ``extra``, when given, is
-    stepped from zero with no forcing and added to it.  The resolvent of
-    P(0) is the datum whose one period streams its stored states into
-    ``on_state(t, state)``.  g never enters: its coupling is in the rows.
+    The resolvent of its P(0) (:func:`_zero_image`) is the datum whose one
+    period streams its stored states into ``on_state(t, state)``.  g never
+    enters: its coupling is in the rows.
     """
-    zero, forcing = zeros_like_state(problem.grid), problem.linear_forcing
-    if forced is None:
-        forced = _period_image(problem, zero, forcing)
-    c = forced
-    if extra is not None:
-        c = _period_image(problem, zero, None, extra)
-        for part, whole in ((c.u, forced.u), (c.theta, forced.theta)):
-            np.add(part.values, whole.values, out=part.values)
-    evolve(_invert_resolvent(problem, c), forcing, problem.period, problem.cfg,
-           mode="linearized", extra=extra, on_state=on_state)
-    return forced
+    evolve(_invert_resolvent(problem, _zero_image(problem, extra)), problem.linear_forcing,
+           problem.period, problem.cfg, mode="linearized", extra=extra, on_state=on_state)
 
 
 class _Iterate:
@@ -438,11 +443,10 @@ def nonlinear_periodic(
 
     The loop holds of the last iterate its frozen band rows and its
     sup-in-time states; the next iterate streams in state by state
-    (:class:`_Iterate`) and never exists whole.  It also holds P_F(0),
-    which the first solve steps, so that each later solve steps only its
-    frozen rows (:func:`_linear_periodic_solve`).  ``initial_guess``, a
-    stored one-period trajectory, is read the same way and frozen by the
-    first solve.
+    (:class:`_Iterate`) and never exists whole.  Every solve's P(0) is the
+    problem's P_F(0), which the first solve steps, plus the image of its
+    frozen rows (:func:`_zero_image`).  ``initial_guess``, a stored
+    one-period trajectory, is read the same way and frozen by the first solve.
 
     The certifying run is a stepped full-mode evolve from the datum that
     returns its whole trajectory.  The converged iterate's rows, G_state at
@@ -467,13 +471,12 @@ def nonlinear_periodic(
     history = []
     ratios = []
     converged = False
-    forced = None  # P_F(0), once the first solve has stepped it
     for m in range(1, outer_max + 1):
         extra = None if current is None else current.extra()
         # the solve streams the next iterate into its reader; the reader holds
         # of ``current`` only the sup states it has not yet differenced
         nxt = _Iterate(problem.steps_per_period + 1, ctx, forcing, current)
-        forced = _linear_periodic_solve(problem, extra, nxt, forced)
+        _linear_periodic_solve(problem, extra, nxt)
         delta = nxt.increment()
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
         history.append((m, delta, ratio))
@@ -506,8 +509,9 @@ def nonlinear_periodic(
         )
     datum = current.sup[0]
     predictor = current.predictor()
-    # nothing else of the loop is read again
-    del current, nxt, extra, forced
+    # nothing else of the loop is read again, P_F(0) neither
+    del current, nxt, extra
+    vars(problem).pop("forced_image", None)
     certify = evolve(
         datum, forcing, problem.period, problem.cfg, mode=problem.mode, _predictor=predictor,
     )

@@ -78,3 +78,48 @@ def test_cli_evolve_goes_through_the_traced_name(tmp_path, monkeypatch):
     assert calls[0]["mode"] == "full"
     # the tracer reads the stored states and the meta of what the call returns
     assert isinstance(results[0].states, list) and results[0].meta["mode"] == "full"
+
+
+def _periodic_config(mode, **forcing):
+    """A small periodic run: 2-D N = 16 linearized, or 3-D N = 8 full mode."""
+    linear = mode == "linearized"
+    return {
+        "grid": {"n": 2 if linear else 3, "N": 16 if linear else 8, "L": 6.283185307179586},
+        "seed": 3,
+        "mode": mode,
+        "sampler": {"num_centers": 4, "num_radii": 4},
+        "forcing": {"period": 1.0, **forcing, "f": [{
+            "harmonic": 1, "phase": 0.1, "preset": "random-vector", "amplitude": 2e-5,
+            "params": {"seed": 5}}]},
+        "solve": {"dt": 0.0625, "substeps": 4},
+        "periodic": {"n_max": 400, "tol": 5e-9, "outer_tol": 1e-9},
+    }
+
+
+_GRAVITY = {"kappa": 0.5, "g": [{"harmonic": 0, "preset": "gravity", "params": {"G": 1.0}}]}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("periodic-linear", _periodic_config("linearized")),
+    ("periodic-linear", _periodic_config("linearized", **_GRAVITY)),
+    ("periodic-nonlinear", _periodic_config("full")),
+], ids=["linear", "linear-coupled", "nonlinear"])
+def test_no_periodic_evolve_before_the_set_up_clock_stops(tmp_path, monkeypatch, command, config):
+    # set-up time ends at the first call through a CLI_SOLVER_NAMES name of
+    # bqbox.cli; a period stepped before it (a g-coupling's rows, say) would
+    # count solver work as set-up
+    cli = importlib.import_module("bqbox.cli")
+    periodic = importlib.import_module("bqbox.periodic")
+    events = []
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: events.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "evolve", spy("periodic.evolve", periodic.evolve))
+    for name in tracer.CLI_SOLVER_NAMES:
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([command, "--config", str(path), "--output", str(tmp_path / "o")]) == 0
+    assert "periodic.evolve" in events
+    assert events[0] in tracer.CLI_SOLVER_NAMES, events[:3]

@@ -1,11 +1,9 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
-import importlib.util
+import dataclasses
 import json
 import struct
-import sys
 import tracemalloc
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,16 +24,6 @@ from bqbox.presets import random_smooth_scalar, random_smooth_tensor
 from bqbox.report import write_csv
 
 BOX = 6.283185307179586
-
-
-def bench_workload_config(name, seed, indir):
-    """The config dict of a benchmark workload at ``seed`` (``bench/workloads.py``)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return json.loads(module.WORKLOADS[name].write_inputs(seed, indir).read_text())
 
 
 def write_config(path, payload):
@@ -364,15 +352,11 @@ class TestPeriodicCommands:
         assert header[0] == "iteration"
         assert len(hist) > 5
 
-    def test_linear_with_g_coupling_on_the_workload_inputs(self, tmp_path):
+    def test_linear_with_g_coupling_on_the_workload_inputs(self, tmp_path, linear_workload_configs):
         # the periodic-linear-n16 benchmark inputs at seed 3 with the gravity of
         # evolve-full-n32 and kappa = 0.5: theta's stage is the uncoupled solve,
         # and the coupling moves the velocity datum by about 9% of its size
-        linear = bench_workload_config("periodic-linear-n16", 3, tmp_path / "in")
-        coupled = json.loads(json.dumps(linear))
-        coupled["forcing"].update(
-            g=bench_workload_config("evolve-full-n32", 3, tmp_path / "in")["forcing"]["g"],
-            kappa=0.5)
+        linear, coupled = linear_workload_configs
         data = {}
         for name, config in (("free", linear), ("coupled", coupled)):
             out = tmp_path / name
@@ -392,6 +376,7 @@ class TestPeriodicCommands:
     def test_linear_steps_the_zero_image_once(self, tmp_path, monkeypatch):
         # both routes start from c = P(0): one stepped period for it and one
         # certifying period, with the outputs of each route stepping its own c
+        # on a copy of the problem
         cfg = write_config(tmp_path / "c.json", periodic_config())
         evolves = []
         for module in (cli, periodic):
@@ -401,20 +386,38 @@ class TestPeriodicCommands:
         assert len(evolves) == 2
 
         resolvent, cesaro = cli.resolvent_periodic_datum, cli.cesaro_periodic_datum
-        monkeypatch.setattr(cli, "resolvent_periodic_datum", lambda problem, image: resolvent(problem))
+        monkeypatch.setattr(cli, "resolvent_periodic_datum",
+                            lambda problem: resolvent(dataclasses.replace(problem)))
         monkeypatch.setattr(cli, "cesaro_periodic_datum",
-                            lambda problem, image, **kw: cesaro(problem, **kw))
+                            lambda problem, **kw: cesaro(dataclasses.replace(problem), **kw))
         assert main(["periodic-linear", "--config", cfg, "--output", str(tmp_path / "two")]) == 0
+        assert len(evolves) == 2 + 3
         for name in ("datum.bqf", "residual.csv", "history.csv"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_coupled_linear_steps_the_forced_image_once(self, tmp_path, monkeypatch,
+                                                        linear_workload_configs):
+        # P_F(0), one period of the analytic forcing from zero, is stepped once
+        # for the coupling rows and both routes; the rows' own image is stepped
+        # from zero without the forcing
+        _, coupled = linear_workload_configs
+        cfg = write_config(tmp_path / "c.json", coupled)
+        evolves = []  # (starts from zero, steps the analytic forcing)
+        for module in (cli, periodic):
+            monkeypatch.setattr(module, "evolve", lambda initial, forcing, *a, _evolve=module.evolve,
+                                **kw: evolves.append((initial.max_norm() == 0.0, forcing is not None))
+                                or _evolve(initial, forcing, *a, **kw))
+        assert main(["periodic-linear", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        assert evolves.count((True, True)) == 1
+        assert len(evolves) <= 5
 
     def test_nan_in_the_reference_temperature_reaches_the_cross_check(self, tmp_path, monkeypatch):
         # a max() over (u, theta) keeps the velocity difference over a NaN one
         cfg = write_config(tmp_path / "c.json", periodic_config())
         resolvent = cli.resolvent_periodic_datum
 
-        def nan_theta(problem, image):
-            ref = resolvent(problem, image)
+        def nan_theta(problem):
+            ref = resolvent(problem)
             theta = ref.theta.values.copy()
             theta.flat[3] = np.nan
             return State(ref.u, ScalarField(ref.grid, theta))

@@ -1,6 +1,7 @@
 """Periodic-orbit construction: Poincare map, averaging, resolvent, fixed point."""
 
 import dataclasses
+import json
 import tracemalloc
 import weakref
 
@@ -32,7 +33,8 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
-from bqbox.duhamel import duhamel_residual, state_difference
+from bqbox.config import load_config
+from bqbox.duhamel import _CompiledForcing, _to_state, duhamel_residual, state_difference
 from bqbox.forcing import (
     HarmonicTerm,
     SampledSpectralForcing,
@@ -183,20 +185,21 @@ class TestCesaroDatum:
         assert len(err.value.history) == 4
 
     def test_stops_at_converged_period(self, grid2d_box, monkeypatch):
-        # c = P(0) is the one stepped period; every later term is one affine
-        # update, and the only other evolve is the certify run
+        # c = P(0) is one stepped period per problem, read by the resolvent and
+        # the Cesaro route alike; every later term is one affine update, and
+        # the only other evolve is the certify run
         prob = linear_problem(grid2d_box, amp=2e-5, seed=9)
-        ref = resolvent_periodic_datum(prob)
-        stepped, affine, evolves = [], [], []
-        affine_period = periodic_mod._affine_period
-        monkeypatch.setattr(periodic_mod, "poincare_map",
-                            lambda x, problem: stepped.append(1) or poincare_map(x, problem))
+        images, affine, evolves = [], [], []
+        zero_image, affine_period = periodic_mod._zero_image, periodic_mod._affine_period
+        monkeypatch.setattr(periodic_mod, "_zero_image",
+                            lambda *a: images.append(zero_image(*a)) or images[-1])
         monkeypatch.setattr(periodic_mod, "_affine_period",
                             lambda *a: affine.append(1) or affine_period(*a))
         monkeypatch.setattr(periodic_mod, "evolve",
                             lambda *a, **k: evolves.append(1) or evolve(*a, **k))
+        ref = resolvent_periodic_datum(prob)
         sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
-        assert len(stepped) == 1
+        assert len(images) == 1 and images[0] is prob.linear_image is prob.forced_image
         assert len(evolves) == 2
         assert len(affine) == sol.meta["iterations"] - 1
         assert sol.meta["iterations"] == len(sol.history) < 600
@@ -385,6 +388,70 @@ class TestCoupledLinear:
         assert duhamel_residual(frozen, prob.forcing, prob.cfg, mode="linearized") > 1e-9
         for a, b in zip(sol.trajectory.states, self._own_rows_run(prob, sol.initial).states):
             assert np.array_equal(a.u.values, b.u.values)
+
+
+def closed_form_datum(problem):
+    """The periodic datum of the linear system without g, mode by mode, with no stepping.
+
+    A source cos(w t + phi) S, with S the projected source that
+    ``_CompiledForcing`` builds, has the periodic response
+    Re(e^{i(w t + phi)} / (k^2 + i w)) S, so x(0) is the sum over harmonics m
+    of 1/2 [e^{i phi_m} / (k^2 + i w_m) + e^{-i phi_m} / (k^2 - i w_m)] S_m,
+    and 0 at k = 0.
+    """
+    grid = problem.grid
+    compiled = _CompiledForcing(grid, problem.linear_forcing, None, (0.0,))
+    zero = (0,) * grid.n
+    k2 = grid.k_squared.copy()
+    k2[zero] = 1.0  # a harmonic-0 source is singular there; the mode is zeroed below
+    parts = []
+    for terms in (compiled.analytic_vel, compiled.analytic_th):
+        x = 0.0
+        for m, phase, src in terms:
+            w = 2.0 * np.pi * m / problem.period
+            mult = 0.5 * (np.exp(1j * phase) / (k2 + 1j * w) + np.exp(-1j * phase) / (k2 - 1j * w))
+            mult[zero] = 0.0
+            x = x + mult * src
+        parts.append(x)
+    return _to_state(grid, *parts)
+
+
+class TestClosedFormDatum:
+    """The resolvent datum against :func:`closed_form_datum` on the periodic-linear-n16 inputs."""
+
+    # relative error per substeps at seed 3: the forcing quadrature's, second
+    # order in the substep h / (substeps - 1)
+    LEVELS = {4: 3.90e-4, 8: 7.17e-5, 16: 1.56e-5, 32: 3.66e-6}
+
+    @staticmethod
+    def _problem(config, path, substeps):
+        config = json.loads(json.dumps(config))
+        config["solve"]["substeps"] = substeps
+        path.write_text(json.dumps(config))
+        cfg = load_config(str(path))
+        return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized",
+                               grid=cfg.grid)
+
+    def test_second_order_in_the_substep(self, linear_workload_configs, tmp_path):
+        linear, _ = linear_workload_configs
+        scaled = []
+        for substeps, level in self.LEVELS.items():
+            prob = self._problem(linear, tmp_path / f"s{substeps}.json", substeps)
+            exact = closed_form_datum(prob)
+            err = state_difference(resolvent_periodic_datum(prob), exact).max_norm()
+            assert err / exact.max_norm() == pytest.approx(level, rel=0.01)
+            scaled.append(err / exact.max_norm() * (substeps - 1) ** 2)
+        assert max(scaled) <= 1.1 * min(scaled)
+        assert scaled[0] == pytest.approx(3.51e-3, rel=0.01)
+
+    def test_coupled_theta_stage(self, linear_workload_configs, tmp_path):
+        # the theta stage of a g-coupled problem is the uncoupled solve
+        _, coupled = linear_workload_configs
+        prob = self._problem(coupled, tmp_path / "c.json", 4)
+        assert prob.coupling is not None
+        want = closed_form_datum(prob).theta.values
+        got = resolvent_periodic_datum(prob).theta.values
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) == pytest.approx(3.90e-4, rel=0.01)
 
 
 def full_orbit_history(prob, n_max, tol, reference):
@@ -619,8 +686,9 @@ class TestSplitImageAndWarmStart:
             pass
 
         solve = periodic_mod._linear_periodic_solve
-        forced = solve(prob, None, ignore)
-        assert solve(prob, frozen_extra(iterate, prob.forcing), ignore, forced) is forced
+        solve(prob, None, ignore)
+        solve(prob, frozen_extra(iterate, prob.forcing), ignore)
+        forced = prob.forced_image
         assert images[0] is forced  # the solve that freezes nothing inverts P_F(0)
         direct = evolve(zeros_like_state(prob.grid), prob.linear_forcing, T, prob.cfg,
                         mode="linearized", extra=frozen_extra(iterate, prob.forcing),
@@ -675,30 +743,31 @@ def frozen_extra(traj, forcing=None):
     return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
 
 
-def stored_linear_solve(problem, extra, forced=None):
-    """The linear periodic solve returning its whole stored iterate and P_F(0).
+def zero_image(problem, forcing, extra):
+    """One period from zero of ``forcing`` (g dropped) and the frozen rows ``extra``."""
+    if forcing is not None:
+        forcing = dataclasses.replace(forcing, g=None, kappa=0.0)
+    return evolve(zeros_like_state(problem.grid), forcing, problem.period, problem.cfg,
+                  mode="linearized", extra=extra,
+                  store_stride=problem.steps_per_period).states[-1]
+
+
+def stored_linear_solve(problem, extra, forced):
+    """The linear periodic solve returning its whole stored iterate.
 
     g is dropped from the forcing: its coupling is in the frozen rows.  P(0)
-    is P_F(0), stepped here when ``forced`` is None, plus the image of
+    is ``forced``, the image of the forcing alone, plus the image of
     ``extra`` stepped from zero without forcing.
     """
-    cfg, grid = problem.cfg, problem.grid
-    forcing = dataclasses.replace(problem.forcing, g=None, kappa=0.0)
-
-    def image(part, rows):
-        return evolve(zeros_like_state(grid), part, problem.period, cfg, mode="linearized",
-                      extra=rows, store_stride=problem.steps_per_period).states[-1]
-
-    if forced is None:
-        forced = image(forcing, None)
+    grid = problem.grid
     c = forced
     if extra is not None:
-        rows = image(None, extra)
+        rows = zero_image(problem, None, extra)
         c = State(VectorField(grid, forced.u.values + rows.u.values),
                   ScalarField(grid, forced.theta.values + rows.theta.values))
-    traj = evolve(periodic_mod._invert_resolvent(problem, c), forcing, problem.period, cfg,
-                  mode="linearized", extra=extra)
-    return traj, forced
+    return evolve(periodic_mod._invert_resolvent(problem, c),
+                  dataclasses.replace(problem.forcing, g=None, kappa=0.0), problem.period,
+                  problem.cfg, mode="linearized", extra=extra)
 
 
 def predictor_rows(problem, traj):
@@ -711,15 +780,16 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
     """The outer loop with every iterate stored whole and its difference materialized.
 
     Each iterate is kept until the next replaces it, and its rows are read
-    from the stored trajectory.  The first solve steps P_F(0), which every
-    later solve adds its frozen part to, and the converged iterate's rows
-    start the certify run's Picard.  Returns the history, datum, residuals
-    and sup norm :func:`nonlinear_periodic` reports.
+    from the stored trajectory.  P_F(0) is stepped once, and every solve
+    adds its frozen part to it; the converged iterate's rows start the
+    certify run's Picard.  Returns the history, datum, residuals and sup
+    norm :func:`nonlinear_periodic` reports.
     """
-    current, history, forced = initial_guess, [], None
+    current, history = initial_guess, []
+    forced = zero_image(problem, problem.forcing, None)
     for m in range(1, outer_max + 1):
         extra = frozen_extra(current, problem.forcing) if current is not None else None
-        nxt, forced = stored_linear_solve(problem, extra, forced)
+        nxt = stored_linear_solve(problem, extra, forced)
         diff = nxt if current is None else trajectory_difference(nxt, current)
         delta = trajectory_sup_norm(diff, ctx)
         ratio = delta / history[-1][1] if history and history[-1][1] > 0 else np.nan
@@ -739,13 +809,11 @@ def streamed_iterates(monkeypatch):
     iterates = []
     solve = periodic_mod._linear_periodic_solve
 
-    def spy(problem, extra, on_state, forced=None):
+    def spy(problem, extra, on_state):
         states = []
-        forced = solve(problem, extra,
-                       lambda t, state: states.append((t, state)) or on_state(t, state), forced)
+        solve(problem, extra, lambda t, state: states.append((t, state)) or on_state(t, state))
         times, kept = zip(*states)
         iterates.append(Trajectory(problem.grid, np.asarray(times), list(kept)))
-        return forced
 
     monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
     return iterates
@@ -868,7 +936,7 @@ class TestNonlinearPeriodicMemory:
         def alive(refs, indices):
             return all(refs[i][0]() is not None and refs[i][1]() is not None for i in indices)
 
-        def spy(problem, extra, on_state, forced=None):
+        def spy(problem, extra, on_state):
             last = iterates[-1] if iterates else None
             if last is not None:
                 assert len(extra.vel) == len(extra.th) == len(last)
@@ -880,12 +948,11 @@ class TestNonlinearPeriodicMemory:
                 on_state(t, state)
                 refs.append((weakref.ref(state), weakref.ref(state.u.values)))
 
-            forced = solve(problem, extra, watch, forced)
+            solve(problem, extra, watch)
             assert dead(refs, set(range(len(refs))) - keep) and alive(refs, keep)
             if last is not None:
                 assert dead(last, range(len(last)))
             iterates.append(refs)
-            return forced
 
         monkeypatch.setattr(periodic_mod, "_linear_periodic_solve", spy)
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
@@ -897,10 +964,11 @@ class TestNonlinearPeriodicMemory:
         # certify trajectory is the one whole trajectory of the run.  An
         # iterate held whole, full-size frozen rows, temperatures or coupling
         # rows kept beside the frozen rows, or loop state kept through the
-        # certify run push the peak past the bound (1.60 trajectories
+        # certify run push the peak past the bound (1.59 trajectories
         # measured; 2.30 with the temperatures and per-evolve coupling rows)
         prob, ctx = self._problem()
         nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)  # multiplier caches built outside
+        prob = dataclasses.replace(prob)  # the same forcing, with P_F(0) not yet stepped
         tracemalloc.start()
         try:
             sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
