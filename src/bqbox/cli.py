@@ -73,9 +73,9 @@ def _state_norm_columns(cfg):
 
 
 def _cmd_norms(cfg, outdir):
-    if not cfg.options.get("field_file"):
+    if not cfg.raw.get("field_file"):
         raise ConfigError("norms subcommand needs config field_file")
-    loaded = read_field(cfg.options["field_file"])
+    loaded = read_field(cfg.raw["field_file"])
     if loaded.grid != cfg.grid:
         raise ConfigError(f"field file grid {loaded.grid} differs from config grid {cfg.grid}")
     if not cfg.norms:
@@ -104,7 +104,7 @@ def _cmd_norms(cfg, outdir):
 def _cmd_evolve(cfg, outdir):
     if cfg.solve is None or cfg.t_end is None:
         raise ConfigError("evolve needs solve{} and t_end")
-    stride = numeric_option(cfg.options, "snapshots", 0, integral=True, least=0)
+    stride = numeric_option(cfg.raw, "snapshots", 0, integral=True, least=0)
     initial = build_initial(cfg.raw, cfg.grid, cfg.seed)
     norm_cols = _state_norm_columns(cfg)
     header = ["time", "energy", "divergence_residual"] + [c[0] for c in norm_cols]
@@ -137,8 +137,8 @@ def _linear_problem(cfg):
 
 def _cmd_periodic_linear(cfg, outdir):
     problem = _linear_problem(cfg)
-    n_max = numeric_option(cfg.options, "periodic.n_max", 256, integral=True)
-    tol = numeric_option(cfg.options, "periodic.tol", 1e-9)
+    n_max = numeric_option(cfg.raw, "periodic.n_max", 256, integral=True)
+    tol = numeric_option(cfg.raw, "periodic.tol", 1e-9)
     reference = resolvent_periodic_datum(problem)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference)
     cross = float(state_difference(sol.initial, reference).max_norm())
@@ -162,26 +162,27 @@ def _cmd_periodic_linear(cfg, outdir):
     return outputs
 
 
-def _nonlinear_mode(cfg):
-    return cfg.mode if cfg.mode in ("full", "navier-stokes") else "full"
-
-
-def _cmd_periodic_nonlinear(cfg, outdir):
-    if cfg.solve is None or cfg.forcing is None:
-        raise ConfigError("periodic-nonlinear needs solve{} and forcing{}")
+def _nonlinear_orbit(cfg, p):
+    """The certified periodic orbit at norm exponent p, with ``periodic.{outer_tol,outer_max}``."""
     n = cfg.grid.n
-    p = numeric_option(cfg.options, "norm_p", cfg.norms[0].p if cfg.norms else 3.0)
-    outer_tol = numeric_option(cfg.options, "periodic.outer_tol", 1e-8)
-    outer_max = numeric_option(cfg.options, "periodic.outer_max", 16, integral=True)
+    outer_tol = numeric_option(cfg.raw, "periodic.outer_tol", 1e-8)
+    outer_max = numeric_option(cfg.raw, "periodic.outer_max", 16, integral=True)
     if not (2.0 < p <= n):
         raise HypothesisError(
             f'hypothesis "2 < p <= n" violated (p = {p:g}, n = {n}); '
             "the nonlinear periodic construction needs the critical pairing"
         )
-    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=_nonlinear_mode(cfg),
-                              grid=cfg.grid)
+    mode = cfg.mode if cfg.mode in ("full", "navier-stokes") else "full"
+    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=mode, grid=cfg.grid)
     ctx = NormContext(NormParams(p=p, q=math.inf, lam=n - p), cfg.sampler, time_stride=4)
-    sol = nonlinear_periodic(problem, outer_tol=outer_tol, outer_max=outer_max, ctx=ctx)
+    return nonlinear_periodic(problem, outer_tol=outer_tol, outer_max=outer_max, ctx=ctx)
+
+
+def _cmd_periodic_nonlinear(cfg, outdir):
+    if cfg.solve is None or cfg.forcing is None:
+        raise ConfigError("periodic-nonlinear needs solve{} and forcing{}")
+    sol = _nonlinear_orbit(
+        cfg, numeric_option(cfg.raw, "norm_p", cfg.norms[0].p if cfg.norms else 3.0))
     outputs = []
     write_field(outdir / "datum.bqf", sol.initial)
     outputs.append(outdir / "datum.bqf")
@@ -200,17 +201,10 @@ def _cmd_stability(cfg, outdir):
     if cfg.solve is None or cfg.forcing is None:
         raise ConfigError("stability subcommand needs solve{} and forcing{}")
     st = cfg.stability
-    K = numeric_option(cfg.options, "estimates.K_emp", 1.0)
+    K = numeric_option(cfg.raw, "estimates.K_emp", 1.0)
     params = StabilityParams(p=st["p"], q=st["q"], r=st["r"], b=st["b"])
-    n = cfg.grid.n
-    params.lam(n)  # p <= n hypothesis
-    if not (2.0 < params.p <= n):
-        raise HypothesisError(f'hypothesis "2 < p <= n" violated (p = {params.p:g}, n = {n})')
-    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=_nonlinear_mode(cfg),
-                              grid=cfg.grid)
-    ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=n - params.p), cfg.sampler,
-                      time_stride=4)
-    base = nonlinear_periodic(problem, ctx=ctx)
+    params.lam(cfg.grid.n)  # p <= n hypothesis
+    base = _nonlinear_orbit(cfg, params.p)
     gap = random_div_free(cfg.grid, seed=cfg.seed + 99, exponent=2.0,
                           amplitude=st["initial_gap"])
     perturbed = type(base.initial)(
@@ -290,8 +284,8 @@ def _smallness_inputs(cfg, params, base, K):
 
 
 def _cmd_verify_estimates(cfg, outdir):
-    ensemble = numeric_option(cfg.options, "estimates.ensemble", 4, integral=True, least=1)
-    p = numeric_option(cfg.options, "estimates.p", 3.0)
+    ensemble = numeric_option(cfg.raw, "estimates.ensemble", 4, integral=True, least=1)
+    p = numeric_option(cfg.raw, "estimates.p", 3.0)
     rows = refinement_comparison(cfg.grid, cfg.seed, ensemble=ensemble, p=p)
     outputs = [write_csv(outdir / "estimates.csv",
                          ["check", "value", "value_refined", "rel_change"], rows)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .duhamel import SolveConfig
@@ -39,7 +39,6 @@ class RunConfig:
     sampler: BallSampler
     stability: dict | None
     t_end: float | None
-    options: dict = field(default_factory=dict)
 
 
 def _require(d, key, kind, where):
@@ -298,14 +297,6 @@ def load_config(path):
 
     t_end = numeric_option(raw, "t_end", None)
 
-    options = {
-        "initial": raw.get("initial"),
-        "periodic": raw.get("periodic", {}),
-        "estimates": raw.get("estimates", {}),
-        "field_file": raw.get("field_file"),
-        "snapshots": raw.get("snapshots", 0),
-        "norm_p": raw.get("norm_p"),
-    }
     return RunConfig(
         raw=raw,
         text=text,
@@ -318,5 +309,4 @@ def load_config(path):
         sampler=sampler,
         stability=stability,
         t_end=t_end,
-        options=options,
     )

@@ -132,19 +132,15 @@ class SampledScalarSeries:
 
 @dataclass
 class SampledSpectralForcing:
-    """Extra inhomogeneity in coefficient space, sampled at node times.
+    """Extra inhomogeneity in coefficient space, one row per step node.
 
     Used by the periodic engine to freeze a nonlinearity along a stored
     trajectory, one 2/3-rule band row per step node; the time stepper takes the rows as
     linear between nodes, so each step reads the rows at its two nodes.
     """
 
-    times: np.ndarray
     vel: list | None = None  # list of (n,) + grid.band_shape complex arrays
     th: list | None = None  # list of grid.band_shape complex arrays
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
 
 
 def bracket(ts, t):

@@ -360,27 +360,11 @@ def _as_scalar_values(f):
     raise DiagnosticsError(f"cannot take a norm of {type(f).__name__}")
 
 
-def lorentz_norm(f, p, q=INF, region=None):
-    """Lorentz L^{p,q} norm of a field over the whole box or a torus ball.
-
-    ``region`` is either None (whole box) or a pair (center, radius) with
-    the center given in coordinates.
-    """
+def lorentz_norm(f, p, q=INF):
+    """Lorentz L^{p,q} norm of a field over the whole box (balls: :func:`morrey_lorentz_table`)."""
     if not p > 1:
         raise HypothesisError(f"Lorentz norm needs p > 1, got {p}")
-    grid = f.grid
-    values = _as_scalar_values(f)
-    if region is None:
-        sample = values.ravel()
-    else:
-        center, rho = region
-        cidx = np.array(
-            [[int(round(c / grid.cell_size)) % grid.N for c in center]], dtype=np.int64
-        )
-        width = _ball_reach(grid, rho)
-        padded, starts = _pad_periodic(grid, values, width, cidx)
-        sample = _gather_ball_values(grid, padded, width, starts, rho)[0]
-    return _lorentz_from_values(sample, grid.cell_volume, p, q)
+    return _lorentz_from_values(_as_scalar_values(f).ravel(), f.grid.cell_volume, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -618,19 +602,17 @@ def holder_check(f, g, split, target: NormParams, sampler=None):
     return HolderReport(ratio=ratio, product_norm=np_, left_norm=nf, right_norm=ng)
 
 
-def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler=None, t_grid=None):
-    """sup over the time grid of t^beta ||g(., t)||_{b, inf, lam}.
+def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler=None):
+    """sup over the sample times of t^beta ||g(., t)||_{b, inf, lam}.
 
-    ``samples`` is a sequence of (t, field) pairs; ``t_grid`` optionally
-    restricts which times enter the sup.  NaN if any sample's norm is.
+    ``samples`` is a non-empty sequence of (t, field) pairs, every one of
+    which enters the sup.  NaN if any sample's norm is.
     """
-    keep = None if t_grid is None else set(t_grid)
-    entries = [(t, f) for (t, f) in samples if keep is None or t in keep]
-    if not entries:
+    if not samples:
         raise DiagnosticsError("weighted time sup over an empty time grid")
     params = NormParams(p=weights.b, q=INF, lam=lam)
     values = []
-    for t, f in entries:
+    for t, f in samples:
         if t <= 0 or not np.isfinite(t):
             raise DiagnosticsError(f"time grid must be positive and finite, got {t}")
         values.append(t**weights.beta * morrey_lorentz_norm(f, params, sampler))

@@ -239,21 +239,20 @@ class DispersiveReport:
 
     rows: list  # (t, lhs_norm, weight, ratio)
     max_ratio: float
-    exceeded: bool
     note: str = ""
 
     def csv_rows(self):
         return [(t, lhs, w, r) for (t, lhs, w, r) in self.rows]
 
 
-def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler, bound=None):
+def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler):
     """Measure r(t) = ||grad^m e^{t Lap} phi||_to * t^w / ||phi||_from.
 
     The weight exponent is w = m/2 + (tau_from - tau_to)/2 with
     tau = (n - lambda)/p.  Parameter constraints checked up front:
     tau_to <= tau_from, and lambda_from == lambda_to whenever p_from <= p_to.
-    On the torus r(t) -> 0 for large t (spectral gap), so ``bound`` is a
-    ceiling check rather than an asserted constant.
+    On the torus r(t) -> 0 for large t (spectral gap), so ``max_ratio`` is
+    a measured size, not an asserted constant.
     """
     from .norms import morrey_lorentz_norm  # local import keeps layering acyclic
 
@@ -292,8 +291,7 @@ def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler, bound=Non
         rows.append((float(t), lhs, weight, ratio))
     # np.max, unlike max(), lets a NaN ratio at any time through
     max_ratio = float(np.max([r for (_, _, _, r) in rows])) if rows else 0.0
-    exceeded = bound is not None and max_ratio > bound
     note = "torus surrogate: ratios decay exponentially at large t (spectral gap)"
     if grid.n == 2:
         note += "; n=2 run is outside the n>=3 hypotheses"
-    return DispersiveReport(rows=rows, max_ratio=max_ratio, exceeded=exceeded, note=note)
+    return DispersiveReport(rows=rows, max_ratio=max_ratio, note=note)

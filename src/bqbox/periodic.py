@@ -76,10 +76,10 @@ from .operators import advection_coeffs, buoyancy_coeffs, leray_coeffs, semigrou
 _MEAN_TOL = 1e-12
 
 
-def default_norm_context(grid, p=None):
+def default_norm_context(grid):
+    """The product norm at p = min(3, n), q = inf, lam = n - p, on 2^n centers and 6 radii."""
     n = grid.n
-    if p is None:
-        p = float(min(3, n))
+    p = float(min(3, n))
     lam = max(0.0, n - p)
     return NormContext(NormParams(p=p, q=float("inf"), lam=lam), BallSampler(num_centers=2**n, num_radii=6))
 
@@ -114,7 +114,13 @@ class PeriodicProblem:
 
     @cached_property
     def linear_image(self):
-        """P(0) of the linear problem, its g-coupling frozen as rows: what both routes read."""
+        """P(0) of the linear problem, its g-coupling frozen as rows: what both routes read.
+
+        A full or navier-stokes problem has no affine P, so both routes refuse it here.
+        """
+        if self.mode != "linearized":
+            raise HypothesisError("the Cesaro and resolvent constructions apply to the "
+                                  f"linearized dynamics, not to mode {self.mode!r}")
         return _zero_image(self, self.coupling)
 
     @cached_property
@@ -175,15 +181,14 @@ def _zero_image(problem, extra):
 def _buoyancy_rows(problem, datum):
     """kappa P(theta g) at each step node of the one period from ``datum``, as frozen rows."""
     g, kappa = problem.forcing.g, problem.forcing.kappa
-    times, vel = [], []
+    vel = []
 
     def on_state(t, state):
-        times.append(t)
         vel.append(buoyancy_coeffs(problem.grid, state.theta.values, g.value(t).values, kappa))
 
     evolve(datum, problem.linear_forcing, problem.period, problem.cfg, mode="linearized",
            on_state=on_state)
-    return SampledSpectralForcing(times=times, vel=vel)
+    return SampledSpectralForcing(vel=vel)
 
 
 def check_periodicity(traj: Trajectory, ctx: NormContext | None = None):
@@ -251,7 +256,6 @@ def cesaro_periodic_datum(
     n_max=256,
     tol=1e-9,
     reference: State | None = None,
-    ctx: NormContext | None = None,
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.
 
@@ -271,10 +275,9 @@ def cesaro_periodic_datum(
     needs ``reference`` (e.g. the resolvent datum).  Raises ConvergenceError
     carrying the history when n_max is hit first, or at once when an
     increment is not finite.  The certifying run is a stepped evolve from
-    the datum, with the coupling rows of its own temperature.
+    the datum, with the coupling rows of its own temperature; its residual
+    norm is taken in :func:`default_norm_context`.
     """
-    if problem.mode != "linearized":
-        raise HypothesisError("the Cesaro construction applies to the linearized dynamics")
     _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
     c = problem.linear_image  # P(0), the orbit's first term
@@ -326,7 +329,7 @@ def cesaro_periodic_datum(
     rows = None if problem.coupling is None else _buoyancy_rows(problem, datum)
     certify = evolve(datum, problem.linear_forcing, problem.period, problem.cfg,
                      mode="linearized", extra=rows)
-    res_max, res_norm = check_periodicity(certify, ctx)
+    res_max, res_norm = check_periodicity(certify)
     return PeriodicSolution(
         problem=problem,
         initial=datum,
@@ -384,7 +387,7 @@ class _Iterate:
         self.keep = frozenset(sup_time_indices(count, ctx.time_stride))
         self.g = forcing.g if forcing.kappa > 0 else None
         self.kappa = forcing.kappa
-        self.times, self.vel, self.th = [], [], []
+        self.vel, self.th = [], []
         self.sup = {}
         self.terms = []
         self._previous = None if previous is None else previous.sup
@@ -399,8 +402,7 @@ class _Iterate:
         return it
 
     def __call__(self, t, state):
-        i = len(self.times)
-        self.times.append(t)
+        i = len(self.vel)
         g = None if self.g is None else self.g.value(t).values
         vel, th = _frozen_extra(state, g, self.kappa)
         self.vel.append(vel)
@@ -418,7 +420,7 @@ class _Iterate:
         return float(np.max(self.terms))
 
     def extra(self):
-        return SampledSpectralForcing(times=self.times, vel=self.vel, th=self.th)
+        return SampledSpectralForcing(vel=self.vel, th=self.th)
 
     def predictor(self):
         """G_state along this iterate, one (vel, th) band-row pair per node."""

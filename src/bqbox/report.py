@@ -32,12 +32,12 @@ def format_value(x):
     return str(x)
 
 
-def write_csv(path, header, rows, manifest_name=MANIFEST_NAME):
+def write_csv(path, header, rows):
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    lines.append(f"# manifest: {manifest_name}")
+    lines.append(f"# manifest: {MANIFEST_NAME}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 

@@ -346,9 +346,6 @@ def smallness_report(
     g_norm=None,
     eta_sup=None,
     Ff_norm=None,
-    C=1.0,
-    C2=1.0,
-    C1_lin=1.0,
     q=None,
     r=None,
     K_w=None,
@@ -358,18 +355,19 @@ def smallness_report(
     """Assemble the numeric analogues of the contraction conditions.
 
     Required: p, b, kappa, K (empirical bilinear constant), rho (ball
-    radius), g_norm = |||g|||, eta_sup, Ff_norm.  The weighted-stability
-    expression is added when q, r, K_w, sol_norm_w and g_minus_omega_norm
-    are all present.  Missing required inputs are listed by name.
+    radius), g_norm = |||g|||, eta_sup, Ff_norm; C, C2 and C1_lin are 1.  The
+    weighted-stability expression is added when q, r, K_w, sol_norm_w and
+    g_minus_omega_norm are all present.  Missing inputs are listed by name.
     """
     given = dict(p=p, b=b, kappa=kappa, K=K, rho=rho, g_norm=g_norm, eta_sup=eta_sup, Ff_norm=Ff_norm)
     missing = [name for name in _REQUIRED_INPUTS if given[name] is None]
     if missing:
         raise ConfigError(f"smallness report is missing inputs: {', '.join(missing)}")
     M = coupling_time_constant(p, b)
+    C = C2 = C1_lin = 1.0
     constants = {"M (Beta integral)": M, "C (semigroup)": C, "C2 (smoothing)": C2}
     expressions = {}
-    linear_bound = kappa * M * C2 * g_norm * eta_sup + (C1_lin or 0.0) * Ff_norm
+    linear_bound = kappa * M * C2 * g_norm * eta_sup + C1_lin * Ff_norm
     expressions["linear_response_bound"] = SmallnessEntry(
         value=linear_bound, satisfied=True, detail="size bound, no threshold"
     )

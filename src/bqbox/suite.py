@@ -62,11 +62,11 @@ def _heat_trajectory(state, t_end, steps):
     return evolve(state, None, t_end, cfg, mode="linearized")
 
 
-def _suite_sampler(grid_coarse, num_centers=27, num_radii=8):
+def _suite_sampler(grid_coarse):
     # fixed physical radii so coarse and fine runs sample identical balls
     return BallSampler(
-        num_centers=num_centers,
-        num_radii=num_radii,
+        num_centers=27,
+        num_radii=8,
         rho_min=2.0 * grid_coarse.L / grid_coarse.N,
         rho_max=grid_coarse.L / 2.0,
     )
@@ -153,9 +153,9 @@ def estimate_suite(grid, seed, ensemble=4, p=3.0, sampler=None, refine_to=None):
     return results
 
 
-def refinement_comparison(grid, seed, ensemble=4, p=3.0, sampler=None):
-    """Suite at N and 2N; returns rows (name, coarse, fine, rel_change)."""
-    sampler = sampler or _suite_sampler(grid)
+def refinement_comparison(grid, seed, ensemble=4, p=3.0):
+    """Suite at N and 2N on the same balls; returns rows (name, coarse, fine, rel_change)."""
+    sampler = _suite_sampler(grid)
     coarse = estimate_suite(grid, seed, ensemble=ensemble, p=p, sampler=sampler)
     fine = estimate_suite(grid, seed, ensemble=ensemble, p=p, sampler=sampler, refine_to=2 * grid.N)
     rows = []

@@ -19,7 +19,7 @@ from bqbox.duhamel import Trajectory
 from bqbox.forcing import ForcingSpec, SampledSpectralForcing, constant_in_time
 from bqbox.grid import spectral_divergence_residual
 from bqbox import norms as norms_mod
-from bqbox.norms import BallSampler, NormContext, gaussian_profile, state_norm
+from bqbox.norms import BallSampler, NormContext, NormParams, gaussian_profile, state_norm
 from bqbox.presets import random_smooth_scalar, random_smooth_tensor
 from bqbox.report import write_csv
 
@@ -130,7 +130,7 @@ def collected_evolve_outputs(config_path, outdir):
     outdir.mkdir()
     write_csv(outdir / "trajectory.csv",
               ["time", "energy", "divergence_residual"] + [c[0] for c in cols], rows)
-    stride = cfg.options["snapshots"]
+    stride = cfg.raw["snapshots"]
     for i in range(0, len(traj.states), stride):
         write_field(outdir / f"state_{i:05d}.bqf", traj.states[i])
 
@@ -195,7 +195,7 @@ class TestEvolveStreaming:
         g = GridSpec(n=3, N=8, L=BOX)
         rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
         rows[2][1, 2, 2] = np.nan
-        extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
+        extra = SampledSpectralForcing(th=rows)
         real = duhamel.evolve
         monkeypatch.setattr(cli, "evolve", lambda *a, **kw: real(*a, extra=extra, **kw))
         path = write_config(tmp_path / "c.json", evolve_config(
@@ -663,6 +663,38 @@ class TestConfigErrors:
 def _stability_config(**estimates):
     return {**nonlinear_3d_config(), "estimates": estimates,
             "stability": {"p": 3.0, "q": 3.0, "r": 6.0, "b": 0.5}}
+
+
+class TestStabilityLoopOptions:
+    """`stability` certifies its base orbit with the loop `periodic-nonlinear` runs."""
+
+    @staticmethod
+    def _config(**periodic):
+        return {**nonlinear_3d_config(**periodic),
+                "stability": {"p": 3.0, "q": 6.0, "r": 6.0, "b": 3.0}}
+
+    @pytest.mark.parametrize("bad", [{"outer_max": 0}, {"outer_tol": 0.0},
+                                     {"outer_tol": "small"}])
+    def test_bad_loop_option_exits_2_naming_key(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path / "c.json", self._config(**bad))
+        assert main(["stability", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and next(iter(bad)) in err
+
+    @pytest.mark.parametrize("command", ["periodic-nonlinear", "stability"])
+    def test_loop_options_reach_the_solver(self, tmp_path, monkeypatch, command):
+        seen = []
+
+        def spy(problem, outer_tol=None, outer_max=None, ctx=None):
+            seen.append((problem.mode, outer_tol, outer_max, ctx.params, ctx.time_stride))
+            raise bqbox.ConvergenceError("stopped by the spy")
+
+        monkeypatch.setattr(cli, "nonlinear_periodic", spy)
+        config = {**self._config(outer_tol=3e-9, outer_max=7), "norm_p": 2.5}
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 4
+        p = {"periodic-nonlinear": 2.5, "stability": 3.0}[command]
+        assert seen == [("full", 3e-9, 7, NormParams(p=p, q=np.inf, lam=3 - p), 4)]
 
 
 class TestOptionParsing:

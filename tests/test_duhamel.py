@@ -448,7 +448,7 @@ class TestEvolve:
         g = grid3d_small
         rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
         rows[node][1, 2, 2] = np.nan
-        extra = SampledSpectralForcing(times=np.arange(5) * 0.0625, th=rows)
+        extra = SampledSpectralForcing(th=rows)
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
         with pytest.raises(ConvergenceError, match=f"stored state is not finite at step {step} "):
             evolve(init, None, 0.25, SolveConfig(dt=0.0625), mode="linearized", extra=extra,
@@ -711,7 +711,7 @@ class TestStateConsumer:
             # the coupling of a frozen temperature: rows on the forcing without g
             th = gaussian_profile(g, 0.2, 0.1).values
             nodes = np.arange(17) * cfg.dt
-            extra = SampledSpectralForcing(times=nodes, vel=[
+            extra = SampledSpectralForcing(vel=[
                 buoyancy_coeffs(g, th, forcing.g.value(t).values, forcing.kappa) for t in nodes])
             forcing = dataclasses.replace(forcing, g=None, kappa=0.0)
         collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, extra=extra,
@@ -967,7 +967,7 @@ def _at_node_samplers(grid, ts):
     series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
     # sampled spectral rows are band-shaped nonlinear rows
     vel_rows = [rng.standard_normal((grid.n,) + grid.band_shape) for _ in ts]
-    extra = SampledSpectralForcing(times=ts, vel=vel_rows)
+    extra = SampledSpectralForcing(vel=vel_rows)
     compiled = _CompiledForcing(grid, None, extra, ts)
     dt = ts[1] - ts[0]
     return {
@@ -997,7 +997,7 @@ def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
     rng = np.random.default_rng(0)
     vels = [rng.standard_normal((grid2d.n,) + grid2d.band_shape) for _ in ts]
     ths = [rng.standard_normal(grid2d.band_shape) for _ in ts]
-    extra = SampledSpectralForcing(times=ts, vel=vels if parts != "th" else None,
+    extra = SampledSpectralForcing(vel=vels if parts != "th" else None,
                                    th=ths if parts != "vel" else None)
     compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), extra, ts)
     for i in range(3 * S):
@@ -1012,7 +1012,7 @@ def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
 
 def test_compiled_forcing_rejects_misaligned_samples(grid2d):
     ts = np.arange(5) * 0.1
-    extra = SampledSpectralForcing(times=ts[:-1], th=[np.zeros(grid2d.shape)] * 4)
+    extra = SampledSpectralForcing(th=[np.zeros(grid2d.shape)] * 4)
     with pytest.raises(ConfigError, match="4 rows for 5 step nodes"):
         _CompiledForcing(grid2d, None, extra, ts)
 
@@ -1025,6 +1025,6 @@ def test_compiled_forcing_rejects_rows_off_the_band_shape(grid2d, part):
     full = (grid2d.n,) + grid2d.spectral_shape if part == "vel" else grid2d.spectral_shape
     rows = [np.zeros(band, dtype=complex) for _ in ts]
     rows[3] = np.zeros(full, dtype=complex)
-    extra = SampledSpectralForcing(times=ts, **{part: rows})
+    extra = SampledSpectralForcing(**{part: rows})
     with pytest.raises(ConfigError, match=re.escape(f"band shape {band}, got {full}")):
         _CompiledForcing(grid2d, None, extra, ts)

@@ -261,7 +261,7 @@ class TestPathMatchesPerTimeLoop:
         x0 = initial_state(grid, 30)
         free = dataclasses.replace(forcing, g=None, kappa=0.0)
         orbit = evolve(x0, free, T, cfg, mode="linearized")
-        rows = SampledSpectralForcing(times=orbit.times, vel=[
+        rows = SampledSpectralForcing(vel=[
             buoyancy_coeffs(grid, s.theta.values, forcing.g.value(t).values, forcing.kappa)
             for t, s in zip(orbit.times, orbit.states)])
         traj = evolve(x0, free, T, cfg, mode="linearized", extra=rows)

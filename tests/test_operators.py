@@ -365,11 +365,3 @@ class TestVerifyDispersive:
         )
         assert all(np.isnan(r) for (_, _, _, r) in rep.rows)
         assert np.isnan(rep.max_ratio)
-
-    def test_bound_flag(self, grid2d):
-        f = gaussian_profile(grid2d, 0.08)
-        rep = verify_dispersive(
-            f, NormParams(p=3.0), NormParams(p=3.0), m=0, t_grid=[0.01],
-            sampler=BallSampler(num_centers=4, num_radii=4), bound=1e-9,
-        )
-        assert rep.exceeded

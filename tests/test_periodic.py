@@ -231,7 +231,7 @@ class TestCesaroDatum:
         # coupling rows with one NaN mode at node 5, in place of the derived ones
         rows = [np.zeros((g.n,) + g.band_shape, dtype=complex) for _ in range(17)]
         rows[5][0, 2, 3] = np.nan
-        prob.coupling = SampledSpectralForcing(times=np.arange(17) * (T / 16), vel=rows)
+        prob.coupling = SampledSpectralForcing(vel=rows)
         # the NaN row makes the end state of the first period non-finite, and
         # evolve stops at storing it (step 15 of 16), before an increment is formed
         with pytest.raises(ConvergenceError, match="stored state is not finite at step 15 ") as err:
@@ -251,6 +251,19 @@ class TestCesaroDatum:
                                grid=grid2d_box)
         with pytest.raises(HypothesisError):
             cesaro_periodic_datum(prob)
+
+    @pytest.mark.parametrize("mode", ["full", "navier-stokes"])
+    @pytest.mark.parametrize("route", [resolvent_periodic_datum, cesaro_periodic_datum],
+                             ids=["resolvent", "cesaro"])
+    def test_both_routes_refuse_a_nonlinear_problem(self, grid2d_box, monkeypatch, route, mode):
+        prob = dataclasses.replace(nonlinear_problem(grid2d_box, amp=1e-2), mode=mode)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a period was stepped before the mode was checked")
+
+        monkeypatch.setattr(periodic_mod, "evolve", refuse)
+        with pytest.raises(HypothesisError, match=f"linearized dynamics, not to mode '{mode}'"):
+            route(prob)
 
 
 def stepped_cesaro(prob, n_max, tol, reference=None):
@@ -474,6 +487,55 @@ def full_orbit_history(prob, n_max, tol, reference):
         if n > 1 and increment < tol:
             break
     return history
+
+
+def cesaro_history_closed_form(problem, n_max):
+    """Both Cesaro history columns for n = 1..n_max from c = P(0), mode by mode, with no stepping.
+
+    The n-th mean of the orbit P^n(0) = c (1 - a^n) / (1 - a), a = e^{-T k^2},
+    misses the fixed datum c / (1 - a) by e_n = -c a (1 - a^n) / (n (1 - a)^2)
+    in each mode, and by 0 at k = 0.  Returns (increment, error) per n: the
+    max of |e_n - e_{n-1}| (of |c| at n = 1) and of |e_n| over u and theta.
+    """
+    grid = problem.grid
+    c = problem.linear_image
+    c_hat = [forward_coeffs(grid, c.u.values), forward_coeffs(grid, c.theta.values)]
+    a = np.exp(-problem.period * grid.k_squared)
+    a[(0,) * grid.n] = 0.0  # e_n = 0 there
+
+    def peak(mult):
+        return max(float(np.max(np.abs(inverse_values(grid, mult * part)))) for part in c_hat)
+
+    columns = []
+    prev = np.zeros_like(a)
+    for n in range(1, n_max + 1):
+        e = -a * (1.0 - a**n) / (n * (1.0 - a) ** 2)
+        increment = peak(np.ones_like(a)) if n == 1 else peak(e - prev)
+        columns.append((increment, peak(e)))
+        prev = e
+    return columns
+
+
+class TestCesaroHistoryClosedForm:
+    """Every row of the Cesaro history against its closed form, on the periodic-linear-n16 inputs."""
+
+    @pytest.mark.parametrize("case", ["free", "coupled"])
+    def test_whole_history(self, linear_workload_configs, tmp_path, case):
+        config = dict(zip(("free", "coupled"), linear_workload_configs))[case]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        cfg = load_config(str(path))
+        prob = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized",
+                               grid=cfg.grid)
+        assert (prob.coupling is not None) == (case == "coupled")
+        periodic = cfg.raw["periodic"]
+        history = cesaro_periodic_datum(prob, n_max=periodic["n_max"], tol=periodic["tol"],
+                                        reference=resolvent_periodic_datum(prob)).history
+        assert len(history) > 2
+        want = cesaro_history_closed_form(prob, len(history))
+        for (n, increment, err), (want_increment, want_err) in zip(history, want):
+            assert err == pytest.approx(want_err, rel=1e-12, abs=0.0), n
+            assert increment == pytest.approx(want_increment, rel=1e-12, abs=0.0), n
 
 
 class TestCheckPeriodicity:
@@ -740,7 +802,7 @@ def frozen_extra(traj, forcing=None):
     vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values,
                                      None if g is None else g.value(t).values, kappa)
                     for t, s in zip(traj.times, traj.states)))
-    return SampledSpectralForcing(times=np.asarray(traj.times), vel=list(vel), th=list(th))
+    return SampledSpectralForcing(vel=list(vel), th=list(th))
 
 
 def zero_image(problem, forcing, extra):
