@@ -22,8 +22,10 @@ many evaluations as Picard iterations.  Picard starts from the quadratic
 extrapolation 3 (G_i - G_{i-1}) + G_{i-2} of the last three node values
 (linear from two, G_i from one), which needs no evaluation of its own,
 whether or not G depends on t.  A caller that already holds G at a nearby
-solution, one band row per node (the certifying run of the nonlinear
-periodic solve), hands those rows in instead, and Picard starts from them.
+solution (the certifying run of the nonlinear periodic solve) hands those
+node values in instead, and Picard starts from them.  A node value, like a
+frozen row of ``extra``, is a (velocity, temperature) pair of band rows, a
+per-node sequence a plain list of such pairs, one per step node.
 
 State-independent forcing enters each step as one weighted sum.  Analytic
 harmonics (finite Fourier series in t) are sampled on a finer substep grid,
@@ -35,12 +37,13 @@ nodes, so the single-step weights are exact for them.
 
 The state and the analytic forcing rows fill the half spectrum; every
 nonlinear row (the right-hand side, the frozen extras) is a band row of the
-2/3 rule (``GridSpec.band_shape``).  A step
-forms the half-spectrum sum E x + sum_j A_j r_j and then adds each band row
-where it meets the state, ``acc[band] += W[band] * row``, in the order
-Wa then Wb; off the band those rows are 0, so this is the half-spectrum sum
-value for value.  The bilinear and coupling prefix paths step on the band
-and scatter each integral they yield to the half spectrum once.
+2/3 rule (``GridSpec.band_shape``).  A step forms the half-spectrum sum
+E x + sum_j A_j r_j and then adds each band row where it meets the state,
+``acc[band] += W[band] * row``, in the order Wa then Wb, the velocity part
+then the temperature part of each; off the band those rows are 0, so this
+is the half-spectrum sum value for value.  The bilinear and coupling prefix
+paths step on the band and scatter each integral they yield to the half
+spectrum once.
 
 Every velocity increment is Leray-projected where it is made: the initial
 data, the forcing rows, the right-hand-side rows and the frozen extras.  The
@@ -63,7 +66,8 @@ stored state goes to it as soon as it is checked finite and is not kept, so
 the run holds one state instead of the trajectory.  A step, in turn, holds
 only what its next read needs: the analytic rows are added one substep at a
 time, the start state goes once its semigroup image is formed, the
-extrapolated rows are added into Picard's first iterate box by box, at most
+extrapolated rows are added into Picard's first iterate box by box, each
+part's weighted product released before the next part's is formed, at most
 three node values are held (two through the Picard loop), and the Picard
 iterates ping-pong between two buffers per field.
 
@@ -234,46 +238,23 @@ def _to_state(grid, vel_hat, th_hat):
 
 
 # ---------------------------------------------------------------------------
-# compiled forcing: analytic harmonics + node-sampled extras
+# compiled forcing (analytic harmonics) and node rows (frozen extras, predictors)
 # ---------------------------------------------------------------------------
 
 
 class _CompiledForcing:
-    """Spectral sources of the state-independent right-hand side.
+    """Analytic spectral sources of the state-independent right-hand side.
 
-    Analytic terms (finite Fourier series in t) are reduced once to constant
-    coefficient arrays with scalar time factors, which :meth:`rows_at`
-    evaluates.  Sampled terms, the ``extra`` rows (a frozen G_state or a
-    frozen coupling), are kept as one row per step node of one period.
-    They are linear on each step, so step i reads only the samples at
-    nodes i mod S and i mod S + 1 (:meth:`step_samples`).  Sampled rows are
-    nonlinear rows, so they are band-shaped (``grid.band_shape``); the
-    analytic rows are not dealiased and fill the half spectrum.  Sampled
-    velocity rows must already be Leray-projected, as every producer in
-    this package makes them.  The g field of ``forcing`` is not read.
+    Finite Fourier series in t are reduced once to constant coefficient
+    arrays with scalar time factors, which :meth:`rows_at` evaluates.  The
+    rows are not dealiased and fill the half spectrum.  The g field of
+    ``forcing`` is not read.
     """
 
-    def __init__(self, grid, forcing, extra, node_times):
-        self.grid = grid
+    def __init__(self, grid, forcing):
         self.period = forcing.period if forcing is not None else None
         self.analytic_vel = []  # (harmonic, phase, coeff_array)
         self.analytic_th = []
-        self.steps = len(node_times) - 1  # S, the steps the node samples span
-        if extra is not None:
-            for rows, shape in ((extra.vel, (grid.n,) + grid.band_shape),
-                                (extra.th, grid.band_shape)):
-                if rows is None:
-                    continue
-                if len(rows) != len(node_times):
-                    raise ConfigError(
-                        f"sampled forcing has {len(rows)} rows for {len(node_times)} step nodes"
-                    )
-                bad = next((np.shape(r) for r in rows if np.shape(r) != shape), None)
-                if bad is not None:
-                    raise ConfigError(
-                        f"sampled forcing rows must have the band shape {shape}, got {bad}"
-                    )
-
         if forcing is not None and forcing.F is not None:
             for term in forcing.F.terms:
                 F_hat = forward_coeffs(grid, term.field.values)
@@ -284,34 +265,35 @@ class _CompiledForcing:
                 f_hat = forward_coeffs(grid, term.field.values)
                 self.analytic_th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
 
-        self.node_vel = None if extra is None else extra.vel
-        self.node_th = None if extra is None else extra.th
-
     @property
     def analytic(self):
         return bool(self.analytic_vel) or bool(self.analytic_th)
 
     def rows_at(self, t):
         """Analytic rows (vel, th) at time t; None for an absent part."""
-        vel = None
-        th = None
-        for m, phase, src in self.analytic_vel:
-            c = np.cos(2.0 * np.pi * m * t / self.period + phase)
-            vel = c * src if vel is None else vel + c * src
-        for m, phase, src in self.analytic_th:
-            c = np.cos(2.0 * np.pi * m * t / self.period + phase)
-            th = c * src if th is None else th + c * src
-        return vel, th
+        rows = []
+        for terms in (self.analytic_vel, self.analytic_th):
+            row = None
+            for m, phase, src in terms:
+                c = np.cos(2.0 * np.pi * m * t / self.period + phase)
+                row = c * src if row is None else row + c * src
+            rows.append(row)
+        return tuple(rows)
 
-    def step_samples(self, i):
-        """Sampled rows at the two nodes of step i, [vel_a, vel_b] and [th_a, th_b].
 
-        An absent part reads [None, None].
-        """
-        j = i % self.steps
-        vel = [None, None] if self.node_vel is None else self.node_vel[j:j + 2]
-        th = [None, None] if self.node_th is None else self.node_th[j:j + 2]
-        return vel, th
+def _check_node_rows(rows, nodes, grid, what):
+    """ConfigError unless ``rows`` holds one (vel, th) pair of band rows per step node.
+
+    A part is None when absent; it must be present at every node or at none.
+    """
+    if len(rows) != nodes:
+        raise ConfigError(f"{what} has {len(rows)} rows for {nodes} step nodes")
+    for k, shape in enumerate(((grid.n,) + grid.band_shape, grid.band_shape)):
+        if all(row[k] is None for row in rows):
+            continue
+        bad = next((np.shape(row[k]) for row in rows if np.shape(row[k]) != shape), None)
+        if bad is not None:
+            raise ConfigError(f"{what} rows must have the band shape {shape}, got {bad}")
 
 
 def _substep_weights(grid, h, m):
@@ -334,18 +316,21 @@ def _substep_weights(grid, h, m):
 
 
 def _add_on_band(acc, grid, terms):
-    """acc[band] += w * row for each (w, row) of ``terms`` in order, skipping absent rows.
+    """acc[k][band] += w * rows[k] for each (w, rows) of ``terms`` in order, skipping absent rows.
 
-    ``w`` is a band-restricted weight and ``row`` a band-shaped nonlinear
-    row; off the band the rows are 0, so ``acc`` keeps its values there.
-    The add runs box by box (``grid.band_blocks``).  Returns ``acc``,
-    modified in place.
+    ``acc`` is a (vel, th) pair of half-spectrum arrays, ``rows`` a pair of
+    band-shaped nonlinear rows and ``w`` a band-restricted weight; off the
+    band the rows are 0, so ``acc`` keeps its values there.  Per weight the
+    velocity part goes in, then the temperature part, box by box
+    (``grid.band_blocks``).  Returns ``acc``, modified in place.
     """
-    for w, row in terms:
-        if row is not None:
-            term = w * row
-            for full_box, band_box in grid.band_blocks:
-                acc[full_box] += term[band_box]
+    for w, rows in terms:
+        for part, row in zip(acc, rows):
+            if row is not None:
+                term = w * row
+                for full_box, band_box in grid.band_blocks:
+                    part[full_box] += term[band_box]
+                term = None
     return acc
 
 
@@ -394,41 +379,38 @@ class _StateRHS:
         return advection_coeffs(grid, u, u, th)
 
 
-def _picard(state_rhs, fixed_u, fixed_th, new_u, new_th, Wb, t_b, cfg, i):
+def _picard(state_rhs, fixed, new, Wb, t_b, cfg, i):
     """Close the implicit endpoint x = fixed + Wb G_state(x, t_b) of step i by Picard iteration.
 
-    Starts from the predicted endpoint (``new_u``, ``new_th``), whose
-    buffers it reuses, and returns (u_hat, th_hat, rows, iterations): the
-    accepted iterate x^(K) = fixed + Wb G_state(x^(K-1), t_b) and that last
-    evaluation, ``rows``, which is the one nonlinearity value of node t_b.
-    Each iteration makes one evaluation, so ``iterations`` counts them.
-    The iterates ping-pong between two buffers per field: each is written
-    over the one before the last, whose buffer then holds the difference
-    that the residual reads.
+    ``fixed`` and the predicted endpoint ``new``, whose buffers it reuses,
+    are (velocity, temperature) coefficient pairs.  Returns (x, rows,
+    iterations): the accepted iterate x^(K) = fixed + Wb G_state(x^(K-1), t_b)
+    and that last evaluation, ``rows``, which is the one nonlinearity value
+    of node t_b.  Each iteration makes one evaluation, so ``iterations``
+    counts them.  The iterates ping-pong between two buffers per field: each
+    is written over the one before the last, whose buffer then holds the
+    difference that the residual reads.
     """
     grid = state_rhs.grid
-    next_u, next_th = np.empty_like(new_u), np.empty_like(new_th)
+    nxt = [np.empty_like(part) for part in new]
     for it in range(cfg.picard_max):
         rows = None  # the evaluation before goes before the next is made
-        rows = state_rhs(new_u, new_th, t_b)
-        np.copyto(next_u, fixed_u)
-        np.copyto(next_th, fixed_th)
-        _add_on_band(next_u, grid, [(Wb, rows[0])])
-        _add_on_band(next_th, grid, [(Wb, rows[1])])
-        diff_u = np.subtract(next_u, new_u, out=new_u)
-        diff_th = np.subtract(next_th, new_th, out=new_th)
+        rows = state_rhs(*new, t_b)
+        for part, start in zip(nxt, fixed):
+            np.copyto(part, start)
+        _add_on_band(nxt, grid, [(Wb, rows)])
+        diff = [np.subtract(a, b, out=b) for a, b in zip(nxt, new)]
         # np.max, unlike max(), lets a NaN in either row through
-        res = float(np.max([np.max(np.abs(diff_u)), np.max(np.abs(diff_th))]))
+        res = float(np.max([np.max(np.abs(part)) for part in diff]))
         if not np.isfinite(res):
             raise ConvergenceError(
                 f"Picard residual is not finite at step {i} (t = {t_b:.6g})",
                 residual=res,
             )
-        scale = max(float(np.max(np.abs(next_u))), float(np.max(np.abs(next_th))), 1e-30)
+        scale = max(*(float(np.max(np.abs(part))) for part in nxt), 1e-30)
         if res <= cfg.picard_tol * scale:
-            return next_u, next_th, rows, it + 1
-        new_u, next_u = next_u, diff_u
-        new_th, next_th = next_th, diff_th
+            return nxt, rows, it + 1
+        new, nxt = nxt, diff
     raise ConvergenceError(
         f"Picard iteration did not reach {cfg.picard_tol} "
         f"(last residual {res / scale:.3e}); the smallness hypotheses "
@@ -455,9 +437,12 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     right-hand side; a g-coupling goes in as frozen rows in ``extra``, on a
     forcing without g, see :attr:`bqbox.periodic.PeriodicProblem.coupling`),
     and ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0
-    and no temperature forcing, and ignores kappa).  ``extra`` holds one
-    band row (``grid.band_shape``) per step node of one forcing period (or of
-    the whole run without a forcing); its velocity rows must be Leray-projected.
+    and no temperature forcing, and ignores kappa).  ``extra`` is a list
+    with one (vel, th) pair of band rows (``grid.band_shape``) per step node
+    of one forcing period (or of the whole run without a forcing), None for
+    an absent part; its velocity rows must be Leray-projected.  The rows are
+    linear between nodes, so step i reads the pairs of nodes i mod S and
+    i mod S + 1.
 
     A state is stored at t = 0, every ``store_stride`` steps and at ``t_end``.
     Without ``on_state`` the stored states are returned as the Trajectory.
@@ -467,9 +452,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     (``rhs_evaluations``) and Picard iterations (``picard_iterations``); a
     full or navier-stokes run makes one evaluation more than iterations.
 
-    ``_predictor`` (private; full and navier-stokes modes) is a list of one
-    (vel, th) pair of band rows per step node, G_state at a nearby solution
-    (the converged iterate of :func:`bqbox.periodic.nonlinear_periodic`).
+    ``_predictor`` (private; full and navier-stokes modes) is a list of the
+    same form as ``extra``, over the run's step nodes: G_state at a nearby
+    solution (the converged iterate of :func:`bqbox.periodic.nonlinear_periodic`).
     Step i's Picard then starts from ``fixed + Wb row[i + 1]`` instead of the
     extrapolated node values, and the entry is set to None once read, so
     the rows go as the states come.  Only the start changes: every step
@@ -500,18 +485,17 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     n_steps = int(round(t_end / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"t_end = {t_end} must be a positive multiple of dt = {cfg.dt}")
-    if _predictor is not None and len(_predictor) != n_steps + 1:
-        raise ConfigError(f"predictor has {len(_predictor)} rows for {n_steps + 1} step nodes")
+    if _predictor is not None:
+        _check_node_rows(_predictor, n_steps + 1, grid, "predictor")
     if forcing is not None:
         cfg.check_period(forcing.period)
 
     dt = cfg.dt
-    if forcing is not None:
-        steps_per_period = int(round(forcing.period / dt))
-        node_times = np.arange(steps_per_period + 1) * dt
-    else:
-        node_times = np.arange(n_steps + 1) * dt
-    compiled = _CompiledForcing(grid, forcing, extra, node_times)
+    if extra is not None:
+        # S, the steps the rows span: one forcing period, or the whole run without a forcing
+        S = n_steps if forcing is None else int(round(forcing.period / dt))
+        _check_node_rows(extra, S + 1, grid, "sampled forcing")
+    compiled = _CompiledForcing(grid, forcing)
 
     state_rhs = None
     if mode in ("full", "navier-stokes"):
@@ -525,8 +509,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     # the weights A_j of the analytic rows at the m substep nodes
     substep_weights = _substep_weights(grid, dt, m) if compiled.analytic else []
 
-    u_hat = leray_coeffs(grid, forward_coeffs(grid, initial.u.values))
-    th_hat = forward_coeffs(grid, initial.theta.values)
+    x = (leray_coeffs(grid, forward_coeffs(grid, initial.u.values)),
+         forward_coeffs(grid, initial.theta.values))
 
     times = []
     states = []
@@ -541,10 +525,10 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     # G_state at the last (at most three) nodes, newest first, one value per
     # node: t = 0 has an evaluation of its own, every later node the Picard
     # evaluation that formed its state
-    nodes = [] if state_rhs is None else [state_rhs(u_hat, th_hat, 0.0)]
+    nodes = [] if state_rhs is None else [state_rhs(*x, 0.0)]
     if _predictor is not None:
         _predictor[0] = None  # node 0 has an evaluation of its own
-    store(0.0, _to_state(grid, u_hat, th_hat))
+    store(0.0, _to_state(grid, *x))
     picard_iters_max = picard_iterations = 0
 
     for i in range(n_steps):
@@ -552,24 +536,20 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         t_b = (i + 1) * dt
 
         # E x + sum_j A_j r_j, one pair of analytic rows at a time
-        fixed_u, fixed_th = E * u_hat, E * th_hat
+        fixed = [E * part for part in x]
         for j, A in enumerate(substep_weights):
-            vel, th = compiled.rows_at(t_a + j * h_s)
-            if vel is not None:
-                fixed_u += A * vel
-            if th is not None:
-                fixed_th += A * th
-        vel = th = None  # the last rows are not held through the step
-        node_vel, node_th = compiled.step_samples(i)
-        _add_on_band(fixed_u, grid, zip((Wa, Wb), node_vel))
-        _add_on_band(fixed_th, grid, zip((Wa, Wb), node_th))
+            for part, row in zip(fixed, compiled.rows_at(t_a + j * h_s)):
+                if row is not None:
+                    part += A * row
+        row = None  # the last row is not held through the step
+        if extra is not None:
+            _add_on_band(fixed, grid, [(Wa, extra[i % S]), (Wb, extra[i % S + 1])])
 
         if state_rhs is None:
-            u_hat, th_hat = fixed_u, fixed_th
+            x = fixed
         else:
-            u_hat = th_hat = None  # the start state is not read again
-            _add_on_band(fixed_u, grid, [(Wa, nodes[0][0])])
-            _add_on_band(fixed_th, grid, [(Wa, nodes[0][1])])
+            x = None  # the start state is not read again
+            _add_on_band(fixed, grid, [(Wa, nodes[0])])
             if _predictor is None:
                 # predictor: the node values extrapolated to t_b
                 guess = [(c * Wb, g) for c, g in zip(_EXTRAPOLATION[len(nodes) - 1], nodes)]
@@ -578,19 +558,17 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
                 guess = [(Wb, _predictor[i + 1])]
                 _predictor[i + 1] = None
                 del nodes[1:]  # only the Wa value is read again
-            first_u = _add_on_band(fixed_u.copy(), grid, ((w, g[0]) for w, g in guess))
-            first_th = _add_on_band(fixed_th.copy(), grid, ((w, g[1]) for w, g in guess))
+            first = _add_on_band([part.copy() for part in fixed], grid, guess)
             guess = None
-            u_hat, th_hat, rows, iters = _picard(state_rhs, fixed_u, fixed_th, first_u, first_th,
-                                                 Wb, t_b, cfg, i)
+            x, rows, iters = _picard(state_rhs, fixed, first, Wb, t_b, cfg, i)
             nodes.insert(0, rows)
             picard_iterations += iters
             picard_iters_max = max(picard_iters_max, iters)
         # only the state and the node values go into the next step
-        fixed_u = fixed_th = first_u = first_th = None
+        fixed = first = part = None
 
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:
-            state = _to_state(grid, u_hat, th_hat)
+            state = _to_state(grid, *x)
             if not (np.all(np.isfinite(state.u.values)) and np.all(np.isfinite(state.theta.values))):
                 raise ConvergenceError(f"stored state is not finite at step {i} (t = {t_b:.6g})")
             store(t_b, state)
@@ -698,7 +676,7 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     if grid is None:
         raise ConfigError("the forcing term C needs a forcing with at least one component")
     n_steps = [_step_count(t, cfg) for t in times]
-    compiled = _CompiledForcing(grid, forcing, None, np.array([0.0, times[-1]]))
+    compiled = _CompiledForcing(grid, forcing)
     nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)

@@ -130,19 +130,6 @@ class SampledScalarSeries:
         return ScalarField(f0.grid, (1.0 - x) * f0.values + x * f1.values)
 
 
-@dataclass
-class SampledSpectralForcing:
-    """Extra inhomogeneity in coefficient space, one row per step node.
-
-    Used by the periodic engine to freeze a nonlinearity along a stored
-    trajectory, one 2/3-rule band row per step node; the time stepper takes the rows as
-    linear between nodes, so each step reads the rows at its two nodes.
-    """
-
-    vel: list | None = None  # list of (n,) + grid.band_shape complex arrays
-    th: list | None = None  # list of grid.band_shape complex arrays
-
-
 def bracket(ts, t):
     """Linear-interpolation position of t among the sorted node times ts.
 

@@ -252,10 +252,10 @@ def _pad_periodic(grid, values, width, centers):
     return padded, centers @ _padded_strides(grid.n, grid.N, width)
 
 
-def _gather_ball_values(grid, padded, width, starts, rho, out=None):
+def _gather_ball_values(grid, padded, width, starts, rho, out):
     """Padded values on the ball of radius rho around each start, shape (C, m).
 
-    Fills ``out`` (a new array if None) one center row at a time, each taken
+    Fills ``out`` one center row at a time, each taken
     from the view of ``padded`` that begins at the row's corner, so neither
     a (C, m) index array nor a shifted copy of the offsets is built, and
     returns it.  Every index lies inside ``padded`` by the choice of
@@ -263,8 +263,6 @@ def _gather_ball_values(grid, padded, width, starts, rho, out=None):
     default mode.
     """
     offsets = _flat_ball_offsets(grid.n, grid.N, grid.L, float(rho), width).base
-    if out is None:
-        out = np.empty((len(starts), offsets.size), dtype=padded.dtype)
     for start, row in zip(starts, out):
         np.take(padded[start:], offsets, out=row, mode="clip")
     return out

@@ -18,7 +18,10 @@ averaging and the inversion, not c itself; the Cesaro datum is certified by
 a stepped one-period evolve from it, which reads neither c nor the affine
 orbit.  Every P(0), in these routes and in the nonlinear loop, is P_F(0),
 the image of the forcing without g stepped once per problem, plus the image
-of the solve's frozen rows stepped from zero (:func:`_zero_image`).
+of the solve's frozen rows stepped from zero (:func:`_zero_image`).  Frozen
+rows are what :func:`~bqbox.duhamel.evolve` takes as ``extra``: a list with
+one (velocity, temperature) pair of band rows per step node, None for an
+absent part (a coupling row has no temperature part).
 
 A g-coupling kappa P(theta g) is solved in two triangular stages, since
 theta's equation does not see u: the periodic temperature of the forcing
@@ -38,8 +41,8 @@ step, and keeps the state only at the sup-in-time indices, where it forms
 its increment term against the previous iterate's matching state and
 releases that one.  The first solve steps P_F(0), and each later one only
 the image of its frozen rows.  The rows of the converged iterate are G_state
-at its states, so they start the Picard iteration of each step of the
-certifying run, which is still a stepped full-mode period.
+at its states, so the same list starts the Picard iteration of each step
+of the certifying run, which is still a stepped full-mode period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -54,7 +57,7 @@ import numpy as np
 
 from .duhamel import SolveConfig, Trajectory, _to_state, evolve, state_difference
 from .errors import ConfigError, ConvergenceError, HypothesisError
-from .forcing import ForcingSpec, SampledSpectralForcing
+from .forcing import ForcingSpec
 from .grid import (
     ScalarField,
     State,
@@ -125,10 +128,10 @@ class PeriodicProblem:
 
     @cached_property
     def coupling(self):
-        """The linearized g-coupling as frozen band rows (None without one).
+        """The linearized g-coupling as frozen rows, a (vel, None) pair per step node.
 
-        The rows follow the resolvent datum of P_F(0) over one stepped
-        period: its temperature is exact.
+        None without a coupling.  The rows follow the resolvent datum of
+        P_F(0) over one stepped period: its temperature is exact.
         """
         if self.mode != "linearized" or self.forcing.g is None or not self.forcing.kappa > 0:
             return None
@@ -179,16 +182,17 @@ def _zero_image(problem, extra):
 
 
 def _buoyancy_rows(problem, datum):
-    """kappa P(theta g) at each step node of the one period from ``datum``, as frozen rows."""
+    """kappa P(theta g) at each step node of the one period from ``datum``, as (vel, None) pairs."""
     g, kappa = problem.forcing.g, problem.forcing.kappa
-    vel = []
+    rows = []
 
     def on_state(t, state):
-        vel.append(buoyancy_coeffs(problem.grid, state.theta.values, g.value(t).values, kappa))
+        rows.append((buoyancy_coeffs(problem.grid, state.theta.values, g.value(t).values, kappa),
+                     None))
 
     evolve(datum, problem.linear_forcing, problem.period, problem.cfg, mode="linearized",
            on_state=on_state)
-    return SampledSpectralForcing(vel=vel)
+    return rows
 
 
 def check_periodicity(traj: Trajectory, ctx: NormContext | None = None):
@@ -281,31 +285,25 @@ def cesaro_periodic_datum(
     _check_loop_bounds("n_max", n_max, 2, "tol", tol)
     grid = problem.grid
     c = problem.linear_image  # P(0), the orbit's first term
-    z_u, z_th = c.u.values, c.theta.values
-    c_hat = (forward_coeffs(grid, z_u), forward_coeffs(grid, z_th))
-    z_hat = tuple(part.copy() for part in c_hat)
+    z = (c.u.values, c.theta.values)
+    c_hat = [forward_coeffs(grid, part) for part in z]
+    z_hat = [part.copy() for part in c_hat]
     decay = semigroup_factor(grid, problem.period)
-    mean_u = np.zeros_like(z_u)
-    mean_th = np.zeros_like(z_th)
+    mean = [np.zeros_like(part) for part in z]
+    ref = None if reference is None else (reference.u.values, reference.theta.values)
     history = []
     converged_at = None
     for n in range(1, n_max + 1):
         if n > 1:
             _affine_period(decay, z_hat, c_hat)
-            z_u, z_th = (inverse_values(grid, part) for part in z_hat)
-        prev_u, prev_th = mean_u, mean_th
-        mean_u = prev_u + (z_u - prev_u) / n
-        mean_th = prev_th + (z_th - prev_th) / n
+            z = [inverse_values(grid, part) for part in z_hat]
+        prev = mean
+        mean = [m + (part - m) / n for m, part in zip(prev, z)]
         # np.max, unlike max(), lets a NaN in either part through
-        increment = float(
-            np.max([np.max(np.abs(mean_u - prev_u)), np.max(np.abs(mean_th - prev_th))])
-        )
+        increment = float(np.max([np.max(np.abs(a - b)) for a, b in zip(mean, prev)]))
         err = np.nan
-        if reference is not None:
-            err = float(np.max([
-                np.max(np.abs(mean_u - reference.u.values)),
-                np.max(np.abs(mean_th - reference.theta.values)),
-            ]))
+        if ref is not None:
+            err = float(np.max([np.max(np.abs(a - b)) for a, b in zip(mean, ref)]))
         history.append((n, increment, err))
         if not np.isfinite(increment):
             raise ConvergenceError(
@@ -323,9 +321,9 @@ def cesaro_periodic_datum(
             residual=history[-1][1],
             history=history,
         )
-    datum = State(VectorField(grid, mean_u), ScalarField(grid, mean_th))
+    datum = State(VectorField(grid, mean[0]), ScalarField(grid, mean[1]))
     # the orbit is not read again
-    del c, c_hat, z_hat, z_u, z_th, prev_u, prev_th
+    del c, c_hat, z_hat, z, prev
     rows = None if problem.coupling is None else _buoyancy_rows(problem, datum)
     certify = evolve(datum, problem.linear_forcing, problem.period, problem.cfg,
                      mode="linearized", extra=rows)
@@ -379,7 +377,8 @@ class _Iterate:
     increment: its norm against ``previous``'s matching state, which is then
     released, or its own norm without a previous iterate.  The rows freeze
     G_state in the next linear solve, or, for the converged iterate, start
-    the certifying run's Picard (:meth:`predictor`).
+    the certifying run's Picard: :attr:`rows` is one (vel, th) pair per
+    stored state, the list form ``evolve`` takes for both.
     """
 
     def __init__(self, count, ctx, forcing, previous=None):
@@ -387,7 +386,7 @@ class _Iterate:
         self.keep = frozenset(sup_time_indices(count, ctx.time_stride))
         self.g = forcing.g if forcing.kappa > 0 else None
         self.kappa = forcing.kappa
-        self.vel, self.th = [], []
+        self.rows = []
         self.sup = {}
         self.terms = []
         self._previous = None if previous is None else previous.sup
@@ -402,11 +401,9 @@ class _Iterate:
         return it
 
     def __call__(self, t, state):
-        i = len(self.vel)
+        i = len(self.rows)
         g = None if self.g is None else self.g.value(t).values
-        vel, th = _frozen_extra(state, g, self.kappa)
-        self.vel.append(vel)
-        self.th.append(th)
+        self.rows.append(_frozen_extra(state, g, self.kappa))
         if i not in self.keep:
             return
         self.sup[i] = state
@@ -418,13 +415,6 @@ class _Iterate:
     def increment(self):
         """Sup over the kept states of the increment terms (NaN if any term is)."""
         return float(np.max(self.terms))
-
-    def extra(self):
-        return SampledSpectralForcing(vel=self.vel, th=self.th)
-
-    def predictor(self):
-        """G_state along this iterate, one (vel, th) band-row pair per node."""
-        return list(zip(self.vel, self.th))
 
 
 def nonlinear_periodic(
@@ -474,7 +464,7 @@ def nonlinear_periodic(
     ratios = []
     converged = False
     for m in range(1, outer_max + 1):
-        extra = None if current is None else current.extra()
+        extra = None if current is None else current.rows
         # the solve streams the next iterate into its reader; the reader holds
         # of ``current`` only the sup states it has not yet differenced
         nxt = _Iterate(problem.steps_per_period + 1, ctx, forcing, current)
@@ -510,7 +500,7 @@ def nonlinear_periodic(
             history=history,
         )
     datum = current.sup[0]
-    predictor = current.predictor()
+    predictor = current.rows
     # nothing else of the loop is read again, P_F(0) neither
     del current, nxt, extra
     vars(problem).pop("forced_image", None)

@@ -72,14 +72,13 @@ def _suite_sampler(grid_coarse):
     )
 
 
-def estimate_suite(grid, seed, ensemble=4, p=3.0, sampler=None, refine_to=None):
+def estimate_suite(grid, seed, ensemble=4, p=3.0, *, sampler, refine_to=None):
     """Run the six estimate checks; returns {name: empirical constant}.
 
     ``refine_to`` re-renders the same ensemble on a finer grid (the caller
     compares the two dictionaries).
     """
     n = grid.n
-    sampler = sampler or _suite_sampler(grid)
     N_run = refine_to or grid.N
 
     def rs(i):

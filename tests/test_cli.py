@@ -16,7 +16,7 @@ from bqbox import duhamel, periodic
 from bqbox.cli import main
 from bqbox.config import build_initial, load_config
 from bqbox.duhamel import Trajectory
-from bqbox.forcing import ForcingSpec, SampledSpectralForcing, constant_in_time
+from bqbox.forcing import ForcingSpec, constant_in_time
 from bqbox.grid import spectral_divergence_residual
 from bqbox import norms as norms_mod
 from bqbox.norms import BallSampler, NormContext, NormParams, gaussian_profile, state_norm
@@ -195,7 +195,7 @@ class TestEvolveStreaming:
         g = GridSpec(n=3, N=8, L=BOX)
         rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
         rows[2][1, 2, 2] = np.nan
-        extra = SampledSpectralForcing(th=rows)
+        extra = [(None, row) for row in rows]
         real = duhamel.evolve
         monkeypatch.setattr(cli, "evolve", lambda *a, **kw: real(*a, extra=extra, **kw))
         path = write_config(tmp_path / "c.json", evolve_config(

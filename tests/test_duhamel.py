@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -47,7 +48,6 @@ from bqbox.duhamel import (
 from bqbox.forcing import (
     HarmonicTerm,
     SampledScalarSeries,
-    SampledSpectralForcing,
     TimeFourierField,
 )
 from bqbox.grid import forward_coeffs, inverse_values
@@ -448,7 +448,7 @@ class TestEvolve:
         g = grid3d_small
         rows = [np.zeros(g.band_shape, dtype=complex) for _ in range(5)]
         rows[node][1, 2, 2] = np.nan
-        extra = SampledSpectralForcing(th=rows)
+        extra = [(None, row) for row in rows]
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
         with pytest.raises(ConvergenceError, match=f"stored state is not finite at step {step} "):
             evolve(init, None, 0.25, SolveConfig(dt=0.0625), mode="linearized", extra=extra,
@@ -504,7 +504,7 @@ def _two_value_loop(init, forcing, n_steps, cfg, mode):
     g = init.grid
     dt = cfg.dt
     rhs = _StateRHS(g, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
-    compiled = _CompiledForcing(g, forcing, None, np.arange(n_steps + 1) * dt)
+    compiled = _CompiledForcing(g, forcing)
     E = _step_factors(g, dt, {})[0]
     _, Wa, Wb = _step_factors(g, dt, {}, band=True)
     h_s = dt / (cfg.substeps - 1)
@@ -519,11 +519,11 @@ def _two_value_loop(init, forcing, n_steps, cfg, mode):
                 if row is not None:
                     fixed[k] = fixed[k] + A * row
         g_a = rhs(u, th, t_a)
-        fixed = [_add_on_band(f, g, [(Wa, r)]) for f, r in zip(fixed, g_a)]
+        _add_on_band(fixed, g, [(Wa, g_a)])
         g_b = rhs(u, th, t_b) if rhs.time_dependent else g_a
-        x = [_add_on_band(f.copy(), g, [(Wb, r)]) for f, r in zip(fixed, g_b)]
+        x = _add_on_band([f.copy() for f in fixed], g, [(Wb, g_b)])
         for _ in range(cfg.picard_max):
-            nxt = [_add_on_band(f.copy(), g, [(Wb, r)]) for f, r in zip(fixed, rhs(*x, t_b))]
+            nxt = _add_on_band([f.copy() for f in fixed], g, [(Wb, rhs(*x, t_b))])
             res = max(np.max(np.abs(a - b)) for a, b in zip(nxt, x))
             x = nxt
             if res <= cfg.picard_tol * max(np.max(np.abs(a)) for a in nxt):
@@ -560,7 +560,7 @@ class TestOneValuePerNode:
         monkeypatch.setattr(_StateRHS, "__call__", lambda self, *a: calls.append(1) or call(self, *a))
         picard = duhamel._picard
         monkeypatch.setattr(duhamel, "_picard",
-                            lambda *a: (lambda out: iterations.append(out[3]) or out)(picard(*a)))
+                            lambda *a: (lambda out: iterations.append(out[2]) or out)(picard(*a)))
         n_steps = 6
         evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
         assert len(iterations) == n_steps
@@ -578,6 +578,47 @@ class TestOneValuePerNode:
         scale = max(s.max_norm() for s in ref)
         for a, b in zip(got, ref):
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
+
+
+class TestNodeValuesReleased:
+    """A step holds at most three node values, and only two through its Picard loop."""
+
+    def test_oldest_value_gone_before_picard(self, grid3d_small, monkeypatch):
+        # step i extrapolates from the values of nodes i, i - 1 and i - 2 and
+        # then reads only nodes i and i - 1: node i - 2's value must be freed
+        # by the time step i's Picard starts (no loop variable may keep it)
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0)
+        evaluations = []  # weak references to each evaluation's rows
+        nodes = []  # per node, the weak references to its value
+        call = _StateRHS.__call__
+
+        def rhs(self, *args):
+            rows = call(self, *args)
+            evaluations.append([weakref.ref(row) for row in rows])
+            return rows
+
+        picard = duhamel._picard
+        entered = []
+
+        def spy(*args):
+            i = args[-1]
+            if not nodes:
+                nodes.append(evaluations[0])  # node 0 has an evaluation of its own
+            assert len(nodes) == i + 1
+            alive = [all(ref() is not None for ref in refs) for refs in nodes]
+            assert alive[-2:] == [True] * min(i + 1, 2)
+            if i >= 2:
+                assert not any(ref() is not None for ref in nodes[i - 2])
+            entered.append(i)
+            out = picard(*args)
+            nodes.append([weakref.ref(row) for row in out[1]])
+            return out
+
+        monkeypatch.setattr(_StateRHS, "__call__", rhs)
+        monkeypatch.setattr(duhamel, "_picard", spy)
+        n_steps = 6
+        evolve(init, forcing, n_steps * cfg.dt, cfg)
+        assert entered == list(range(n_steps))
 
 
 class TestPredictorReuse:
@@ -711,8 +752,8 @@ class TestStateConsumer:
             # the coupling of a frozen temperature: rows on the forcing without g
             th = gaussian_profile(g, 0.2, 0.1).values
             nodes = np.arange(17) * cfg.dt
-            extra = SampledSpectralForcing(vel=[
-                buoyancy_coeffs(g, th, forcing.g.value(t).values, forcing.kappa) for t in nodes])
+            extra = [(buoyancy_coeffs(g, th, forcing.g.value(t).values, forcing.kappa), None)
+                     for t in nodes]
             forcing = dataclasses.replace(forcing, g=None, kappa=0.0)
         collected = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, extra=extra,
                            store_stride=stride)
@@ -965,21 +1006,13 @@ def _at_node_samplers(grid, ts):
     traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
                                  for v, th in zip(vels, ths)])
     series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
-    # sampled spectral rows are band-shaped nonlinear rows
-    vel_rows = [rng.standard_normal((grid.n,) + grid.band_shape) for _ in ts]
-    extra = SampledSpectralForcing(vel=vel_rows)
-    compiled = _CompiledForcing(grid, None, extra, ts)
-    dt = ts[1] - ts[0]
     return {
         "trajectory": (lambda t: traj.sample(t).theta.values, ths),
         "scalar_series": (lambda t: series.value(t).values, ths),
-        # the step that ends at the node reads it as its second sample
-        "compiled_forcing": (lambda t: compiled.step_samples(int(round(t / dt)) - 1)[0][1],
-                             vel_rows),
     }
 
 
-@pytest.mark.parametrize("source", ["trajectory", "scalar_series", "compiled_forcing"])
+@pytest.mark.parametrize("source", ["trajectory", "scalar_series"])
 @pytest.mark.parametrize("node", [2, 4])
 @pytest.mark.parametrize("offset", [0.0, -1e-13])
 def test_interpolation_snaps_to_node(grid2d, source, node, offset):
@@ -989,42 +1022,60 @@ def test_interpolation_snaps_to_node(grid2d, source, node, offset):
     assert np.array_equal(sample(ts[node] + offset), samples[node])
 
 
+def _band_rows(grid, count, parts, seed=0):
+    """``count`` random (vel, th) pairs of band rows; a part not in ``parts`` is None."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((grid.n,) + grid.band_shape) if parts != "th" else None,
+             rng.standard_normal(grid.band_shape) if parts != "vel" else None)
+            for _ in range(count)]
+
+
 @pytest.mark.parametrize("parts", ["vel", "th", "both"])
-def test_compiled_forcing_step_reads_its_nodes(grid2d, parts):
-    """Step i reads the node samples s[i mod S] and s[i mod S + 1] themselves, period after period."""
-    S = 4
-    ts = np.arange(S + 1) * 0.1
-    rng = np.random.default_rng(0)
-    vels = [rng.standard_normal((grid2d.n,) + grid2d.band_shape) for _ in ts]
-    ths = [rng.standard_normal(grid2d.band_shape) for _ in ts]
-    extra = SampledSpectralForcing(vel=vels if parts != "th" else None,
-                                   th=ths if parts != "vel" else None)
-    compiled = _CompiledForcing(grid2d, ForcingSpec(period=S * 0.1), extra, ts)
-    for i in range(3 * S):
-        vel, th = compiled.step_samples(i)
+def test_compiled_forcing_step_reads_its_nodes(grid2d, monkeypatch, parts):
+    """evolve's step i adds the frozen pairs of nodes i mod S and i mod S + 1 themselves,
+    period after period."""
+    S = 16
+    cfg = SolveConfig(dt=1.0 / S)
+    extra = _band_rows(grid2d, S + 1, parts)
+    read = []
+    add = duhamel._add_on_band
+    monkeypatch.setattr(duhamel, "_add_on_band",
+                        lambda acc, grid, terms: read.append(list(terms)) or add(acc, grid, terms))
+    evolve(zeros_like_state(grid2d), ForcingSpec(period=1.0), 3.0, cfg, mode="linearized",
+           extra=extra)
+    assert len(read) == 3 * S
+    for i, terms in enumerate(read):
         j = i % S
-        for got, samples, present in ((vel, vels, parts != "th"), (th, ths, parts != "vel")):
-            if present:
-                assert got[0] is samples[j] and got[1] is samples[j + 1]
-            else:
-                assert got == [None, None]
+        assert len(terms) == 2
+        assert all(got is want for (_, got), want in zip(terms, extra[j:j + 2]))
 
 
 def test_compiled_forcing_rejects_misaligned_samples(grid2d):
-    ts = np.arange(5) * 0.1
-    extra = SampledSpectralForcing(th=[np.zeros(grid2d.shape)] * 4)
-    with pytest.raises(ConfigError, match="4 rows for 5 step nodes"):
-        _CompiledForcing(grid2d, None, extra, ts)
+    extra = [(None, np.zeros(grid2d.shape))] * 4
+    with pytest.raises(ConfigError, match="sampled forcing has 4 rows for 5 step nodes"):
+        evolve(zeros_like_state(grid2d), None, 0.25, SolveConfig(dt=0.0625), mode="linearized",
+               extra=extra)
 
 
 @pytest.mark.parametrize("part", ["vel", "th"])
 def test_compiled_forcing_rejects_rows_off_the_band_shape(grid2d, part):
     # a half-spectrum row is not a nonlinear row: it must be cut to the band first
-    ts = np.arange(5) * 0.1
     band = (grid2d.n,) + grid2d.band_shape if part == "vel" else grid2d.band_shape
     full = (grid2d.n,) + grid2d.spectral_shape if part == "vel" else grid2d.spectral_shape
-    rows = [np.zeros(band, dtype=complex) for _ in ts]
-    rows[3] = np.zeros(full, dtype=complex)
-    extra = SampledSpectralForcing(**{part: rows})
+    extra = _band_rows(grid2d, 5, part)
+    k = 0 if part == "vel" else 1
+    extra[3] = tuple(np.zeros(full, dtype=complex) if i == k else r for i, r in enumerate(extra[3]))
     with pytest.raises(ConfigError, match=re.escape(f"band shape {band}, got {full}")):
-        _CompiledForcing(grid2d, None, extra, ts)
+        evolve(zeros_like_state(grid2d), None, 0.25, SolveConfig(dt=0.0625), mode="linearized",
+               extra=extra)
+
+
+@pytest.mark.parametrize("arg", ["extra", "_predictor"])
+@pytest.mark.parametrize("node", [0, 3])
+def test_node_rows_reject_a_part_absent_at_some_nodes(grid2d, arg, node):
+    # a part is present at every node or at none
+    rows = _band_rows(grid2d, 5, "both")
+    rows[node] = (rows[node][0], None)
+    with pytest.raises(ConfigError, match=re.escape(f"band shape {grid2d.band_shape}, got ()")):
+        evolve(zeros_like_state(grid2d), None, 0.25, SolveConfig(dt=0.0625), mode="full",
+               **{arg: rows})

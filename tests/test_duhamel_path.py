@@ -27,7 +27,7 @@ from bqbox import (
     verify_linear_operator,
 )
 from bqbox.duhamel import _CompiledForcing, _trap_weights, bilinear_path
-from bqbox.forcing import HarmonicTerm, SampledSpectralForcing, TimeFourierField
+from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values, scatter_band
 from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, semigroup_factor, tensor_div_coeffs
 from bqbox.presets import (
@@ -86,7 +86,7 @@ def old_coupling(theta_samples, g, kappa, t):
 
 def old_forcing(forcing, t, cfg):
     grid = forcing.grid
-    compiled = _CompiledForcing(grid, forcing, None, np.array([0.0, t]))
+    compiled = _CompiledForcing(grid, forcing)
     nodes = np.linspace(0.0, t, (cfg.substeps - 1) * int(round(t / cfg.dt)) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)
@@ -261,9 +261,8 @@ class TestPathMatchesPerTimeLoop:
         x0 = initial_state(grid, 30)
         free = dataclasses.replace(forcing, g=None, kappa=0.0)
         orbit = evolve(x0, free, T, cfg, mode="linearized")
-        rows = SampledSpectralForcing(vel=[
-            buoyancy_coeffs(grid, s.theta.values, forcing.g.value(t).values, forcing.kappa)
-            for t, s in zip(orbit.times, orbit.states)])
+        rows = [(buoyancy_coeffs(grid, s.theta.values, forcing.g.value(t).values, forcing.kappa),
+                 None) for t, s in zip(orbit.times, orbit.states)]
         traj = evolve(x0, free, T, cfg, mode="linearized", extra=rows)
         got = duhamel_residual(traj, forcing, cfg, mode="linearized")
         want = old_residual(traj, forcing, cfg, "linearized")

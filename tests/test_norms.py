@@ -442,7 +442,7 @@ class TestPaddedBallScan:
         calls = []
         gather = norms_mod._gather_ball_values
 
-        def spy(grid, padded, width, starts, rho, out=None):
+        def spy(grid, padded, width, starts, rho, out):
             calls.append((float(rho), len(starts)))
             return gather(grid, padded, width, starts, rho, out=out)
 
@@ -534,7 +534,12 @@ class TestPaddedBallScan:
             assert got is buf
             assert np.array_equal(got, want)
             assert np.array_equal(got, modulo_gather(g, values, centers, rho))
-            assert np.array_equal(norms_mod._gather_ball_values(g, padded, width, starts, rho), want)
+            # a view into a larger buffer, as the table scan passes: only the view is written
+            pool = np.full(want.size + 3, np.nan)
+            view = pool[:want.size].reshape(want.shape)
+            assert norms_mod._gather_ball_values(g, padded, width, starts, rho, out=view) is view
+            assert np.array_equal(view, want)
+            assert np.isnan(pool[want.size:]).all()
 
     @pytest.mark.parametrize("p", [INF, 3.0])
     def test_nan_cell_gives_nan_rows(self, p):

@@ -35,11 +35,7 @@ from bqbox import (
 from bqbox import periodic as periodic_mod
 from bqbox.config import load_config
 from bqbox.duhamel import _CompiledForcing, _to_state, duhamel_residual, state_difference
-from bqbox.forcing import (
-    HarmonicTerm,
-    SampledSpectralForcing,
-    TimeFourierField,
-)
+from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
 from bqbox.operators import advection_coeffs, div_coeffs, heat_semigroup
@@ -231,7 +227,7 @@ class TestCesaroDatum:
         # coupling rows with one NaN mode at node 5, in place of the derived ones
         rows = [np.zeros((g.n,) + g.band_shape, dtype=complex) for _ in range(17)]
         rows[5][0, 2, 3] = np.nan
-        prob.coupling = SampledSpectralForcing(vel=rows)
+        prob.coupling = [(row, None) for row in rows]
         # the NaN row makes the end state of the first period non-finite, and
         # evolve stops at storing it (step 15 of 16), before an increment is formed
         with pytest.raises(ConvergenceError, match="stored state is not finite at step 15 ") as err:
@@ -413,7 +409,7 @@ def closed_form_datum(problem):
     and 0 at k = 0.
     """
     grid = problem.grid
-    compiled = _CompiledForcing(grid, problem.linear_forcing, None, (0.0,))
+    compiled = _CompiledForcing(grid, problem.linear_forcing)
     zero = (0,) * grid.n
     k2 = grid.k_squared.copy()
     k2[zero] = 1.0  # a harmonic-0 source is singular there; the mode is zeroed below
@@ -516,26 +512,63 @@ def cesaro_history_closed_form(problem, n_max):
     return columns
 
 
-class TestCesaroHistoryClosedForm:
-    """Every row of the Cesaro history against its closed form, on the periodic-linear-n16 inputs."""
+def cesaro_error_closed_form(problem, n):
+    """The n-th Cesaro mean minus the fixed datum, per part, from c = P(0) with no stepping.
 
-    @pytest.mark.parametrize("case", ["free", "coupled"])
-    def test_whole_history(self, linear_workload_configs, tmp_path, case):
-        config = dict(zip(("free", "coupled"), linear_workload_configs))[case]
-        path = tmp_path / "c.json"
+    Mode by mode it is e_n = -c a (1 - a^n) / (n (1 - a)^2), a = e^{-T k^2},
+    and 0 at k = 0 (see :func:`cesaro_history_closed_form`).
+    """
+    grid = problem.grid
+    c = problem.linear_image
+    a = np.exp(-problem.period * grid.k_squared)
+    a[(0,) * grid.n] = 0.0
+    e = -a * (1.0 - a**n) / (n * (1.0 - a) ** 2)
+    return [inverse_values(grid, e * forward_coeffs(grid, part))
+            for part in (c.u.values, c.theta.values)]
+
+
+class TestCesaroHistoryClosedForm:
+    """Every row of the Cesaro history, and the datum's error per part, against their closed
+    forms on the periodic-linear-n16 inputs."""
+
+    @staticmethod
+    def _solve(config, path, case):
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
         prob = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized",
                                grid=cfg.grid)
         assert (prob.coupling is not None) == (case == "coupled")
         periodic = cfg.raw["periodic"]
-        history = cesaro_periodic_datum(prob, n_max=periodic["n_max"], tol=periodic["tol"],
-                                        reference=resolvent_periodic_datum(prob)).history
+        ref = resolvent_periodic_datum(prob)
+        sol = cesaro_periodic_datum(prob, n_max=periodic["n_max"], tol=periodic["tol"],
+                                    reference=ref)
+        return prob, sol, ref
+
+    @pytest.mark.parametrize("case", ["free", "coupled"])
+    def test_whole_history(self, linear_workload_configs, tmp_path, case):
+        config = dict(zip(("free", "coupled"), linear_workload_configs))[case]
+        prob, sol, _ = self._solve(config, tmp_path / "c.json", case)
+        history = sol.history
         assert len(history) > 2
         want = cesaro_history_closed_form(prob, len(history))
         for (n, increment, err), (want_increment, want_err) in zip(history, want):
             assert err == pytest.approx(want_err, rel=1e-12, abs=0.0), n
             assert increment == pytest.approx(want_increment, rel=1e-12, abs=0.0), n
+
+    def test_datum_error_per_part(self, linear_workload_configs, tmp_path):
+        # the history takes one max over u and theta, and theta's part is the
+        # larger at every n: the datum shows each part, so the coupled
+        # velocity is seen to converge as its closed form says
+        velocity_errors = {}
+        for case, config in zip(("free", "coupled"), linear_workload_configs):
+            prob, sol, ref = self._solve(config, tmp_path / f"{case}.json", case)
+            want = cesaro_error_closed_form(prob, sol.meta["iterations"])
+            got = [sol.initial.u.values - ref.u.values, sol.initial.theta.values - ref.theta.values]
+            for part, (g, w) in zip(("u", "theta"), zip(got, want)):
+                assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (case, part)
+            velocity_errors[case] = float(np.max(np.abs(got[0])))
+        free, coupled = velocity_errors["free"], velocity_errors["coupled"]
+        assert abs(coupled - free) > 0.01 * free
 
 
 class TestCheckPeriodicity:
@@ -791,7 +824,7 @@ def trajectory_difference(a, b):
 
 
 def frozen_extra(traj, forcing=None):
-    """Band rows of G_state frozen along a whole stored iterate.
+    """Band rows of G_state frozen along a whole stored iterate, one (vel, th) pair per state.
 
     With ``forcing``'s g-coupling (kappa > 0) the buoyancy row is in the
     velocity rows, as in the full-mode right-hand side.
@@ -799,10 +832,9 @@ def frozen_extra(traj, forcing=None):
     grid = traj.grid
     g = forcing.g if forcing is not None and forcing.kappa > 0 else None
     kappa = 0.0 if forcing is None else forcing.kappa
-    vel, th = zip(*(advection_coeffs(grid, s.u.values, s.u.values, s.theta.values,
-                                     None if g is None else g.value(t).values, kappa)
-                    for t, s in zip(traj.times, traj.states)))
-    return SampledSpectralForcing(vel=list(vel), th=list(th))
+    return [advection_coeffs(grid, s.u.values, s.u.values, s.theta.values,
+                             None if g is None else g.value(t).values, kappa)
+            for t, s in zip(traj.times, traj.states)]
 
 
 def zero_image(problem, forcing, extra):
@@ -832,12 +864,6 @@ def stored_linear_solve(problem, extra, forced):
                   problem.cfg, mode="linearized", extra=extra)
 
 
-def predictor_rows(problem, traj):
-    """G_state along a stored iterate, one (vel, th) pair per node."""
-    extra = frozen_extra(traj, problem.forcing)
-    return list(zip(extra.vel, extra.th))
-
-
 def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_guess=None):
     """The outer loop with every iterate stored whole and its difference materialized.
 
@@ -861,7 +887,7 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
             break
     datum = current.states[0]
     certify = evolve(datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
-                     _predictor=predictor_rows(problem, current))
+                     _predictor=frozen_extra(current, problem.forcing))
     res_max, res_norm = check_periodicity(certify, ctx)
     return history, datum, res_max, res_norm, trajectory_sup_norm(certify, ctx)
 
@@ -1001,7 +1027,7 @@ class TestNonlinearPeriodicMemory:
         def spy(problem, extra, on_state):
             last = iterates[-1] if iterates else None
             if last is not None:
-                assert len(extra.vel) == len(extra.th) == len(last)
+                assert len(extra) == len(last)
                 assert alive(last, keep) and dead(last, set(range(len(last))) - keep)
             refs = []
 
