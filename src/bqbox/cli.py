@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import build_initial, load_config, numeric_option
-from .duhamel import evolve, state_difference
+from .duhamel import evolve
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
 from .fileio import read_field, write_field
 from .grid import spectral_divergence_residual
@@ -141,7 +141,7 @@ def _cmd_periodic_linear(cfg, outdir):
     tol = numeric_option(cfg.raw, "periodic.tol", 1e-9)
     reference = resolvent_periodic_datum(problem)
     sol = cesaro_periodic_datum(problem, n_max=n_max, tol=tol, reference=reference)
-    cross = float(state_difference(sol.initial, reference).max_norm())
+    cross = sol.history[-1][2]  # the datum's max difference to the resolvent datum
     outputs = []
     write_field(outdir / "datum.bqf", sol.initial)
     outputs.append(outdir / "datum.bqf")
@@ -164,17 +164,11 @@ def _cmd_periodic_linear(cfg, outdir):
 
 def _nonlinear_orbit(cfg, p):
     """The certified periodic orbit at norm exponent p, with ``periodic.{outer_tol,outer_max}``."""
-    n = cfg.grid.n
     outer_tol = numeric_option(cfg.raw, "periodic.outer_tol", 1e-8)
     outer_max = numeric_option(cfg.raw, "periodic.outer_max", 16, integral=True)
-    if not (2.0 < p <= n):
-        raise HypothesisError(
-            f'hypothesis "2 < p <= n" violated (p = {p:g}, n = {n}); '
-            "the nonlinear periodic construction needs the critical pairing"
-        )
+    ctx = NormContext(NormParams.critical(p, cfg.grid.n), cfg.sampler, time_stride=4)
     mode = cfg.mode if cfg.mode in ("full", "navier-stokes") else "full"
     problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=mode, grid=cfg.grid)
-    ctx = NormContext(NormParams(p=p, q=math.inf, lam=n - p), cfg.sampler, time_stride=4)
     return nonlinear_periodic(problem, outer_tol=outer_tol, outer_max=outer_max, ctx=ctx)
 
 
@@ -216,15 +210,12 @@ def _cmd_stability(cfg, outdir):
     t_grid = np.geomspace(cfg.solve.dt, t_max, st["num_times"])
     table = perturb_and_compare(base, perturbed, None, params, t_grid, sampler=cfg.sampler)
     rows = table.rows
-    csv_rows = [
-        (t, wu, wth, t ** (params.alpha / 2.0), t ** (params.gamma / 2.0), d)
-        for (t, wu, wth, d) in rows
-    ]
     outputs = [write_csv(
         outdir / "stability.csv",
         ["t", "weighted_velocity_gap", "weighted_temperature_gap",
          "velocity_weight", "temperature_weight", "D"],
-        csv_rows,
+        [(t, wu, wth, t ** (params.alpha / 2.0), t ** (params.gamma / 2.0), d)
+         for (t, wu, wth, d) in rows],
     )]
     gaps = [(t, d) for (t, _, _, d) in rows]
     fit_row = (math.nan, math.nan, 0)
@@ -265,18 +256,16 @@ def _smallness_inputs(cfg, params, base, K):
         morrey_lorentz_norm(s.theta, NormParams(p=params.p, q=math.inf, lam=lam), cfg.sampler)
         for s in base.trajectory.states[:: max(1, len(base.trajectory.states) // 4)]
     ]))
-    half = NormParams(p=params.p / 2.0, q=math.inf, lam=lam) if params.p > 2 else None
-    ff_norm = 0.0
-    if half is not None:
-        totals = []
-        for t in ts:
-            total = 0.0
-            if forcing.F is not None:
-                total += morrey_lorentz_norm(forcing.F.value(t), half, cfg.sampler)
-            if forcing.f is not None:
-                total += morrey_lorentz_norm(forcing.f.value(t), half, cfg.sampler)
-            totals.append(total)
-        ff_norm = float(np.max(totals))
+    half = NormParams(p=params.p / 2.0, q=math.inf, lam=lam)
+    totals = []
+    for t in ts:
+        total = 0.0
+        if forcing.F is not None:
+            total += morrey_lorentz_norm(forcing.F.value(t), half, cfg.sampler)
+        if forcing.f is not None:
+            total += morrey_lorentz_norm(forcing.f.value(t), half, cfg.sampler)
+        totals.append(total)
+    ff_norm = float(np.max(totals))
     return dict(
         p=params.p, b=params.b, kappa=forcing.kappa, K=K,
         rho=base.meta["solution_h_norm"], g_norm=g_norm, eta_sup=eta_sup, Ff_norm=ff_norm,
@@ -299,7 +288,7 @@ def _cmd_verify_estimates(cfg, outdir):
         m=1, t_grid=np.geomspace(1e-3, 1.0, 12), sampler=cfg.sampler,
     )
     outputs.append(write_csv(outdir / "dispersive.csv",
-                             ["t", "lhs_norm", "weight", "ratio"], rep.csv_rows()))
+                             ["t", "lhs_norm", "weight", "ratio"], rep.rows))
     return outputs
 
 

@@ -17,13 +17,9 @@ from pathlib import Path
 from .duhamel import SolveConfig
 from .errors import ConfigError, DiagnosticsError
 from .forcing import ForcingSpec, HarmonicTerm, TimeFourierField
-from .grid import GridSpec, State, zeros_like_state
+from .grid import GridSpec, ScalarField, State, TensorField, VectorField, zeros_like_state
 from .norms import BallSampler, NormParams
 from .presets import make_preset
-
-_VECTOR_PRESETS = {"random-vector", "random-div-free", "gravity", "single-mode-vector", "taylor-green"}
-_TENSOR_PRESETS = {"random-tensor", "single-mode-tensor"}
-_SCALAR_PRESETS = {"gaussian-bump", "random-scalar", "single-mode"}
 
 
 @dataclass
@@ -144,11 +140,10 @@ def _preset_field(grid, preset, spec, seed, where):
 def _term_field(grid, term, target, seed, where):
     preset = _require(term, "preset", str, where)
     fld = _preset_field(grid, preset, term, seed, where)
-    allowed = {"F": _TENSOR_PRESETS, "f": _VECTOR_PRESETS, "g": _VECTOR_PRESETS}[target]
-    if preset not in allowed:
-        raise ConfigError(
-            f"{where}: preset {preset!r} cannot target {target!r} (allowed: {sorted(allowed)})"
-        )
+    kind = {"F": TensorField, "f": VectorField, "g": VectorField}[target]
+    if not isinstance(fld, kind):
+        raise ConfigError(f"{where}: preset {preset!r} builds a {type(fld).__name__}, "
+                          f"but {target!r} needs a {kind.__name__}")
     # a non-finite amplitude is left to the forcing's pattern check, which names the harmonic
     amp = numeric_option(term, "amplitude", 1.0, prefix=where, finite=False)
     return type(fld)(grid, amp * fld.values)
@@ -205,14 +200,14 @@ def build_initial(cfg_dict, grid, seed):
     theta = None
     if u_spec:
         preset = _require(u_spec, "preset", str, "initial.u")
-        if preset not in _VECTOR_PRESETS:
-            raise ConfigError(f"initial.u preset must be a vector preset, got {preset!r}")
         u = _preset_field(grid, preset, u_spec, seed, "initial.u")
+        if not isinstance(u, VectorField):
+            raise ConfigError(f"initial.u preset must be a vector preset, got {preset!r}")
     if th_spec:
         preset = _require(th_spec, "preset", str, "initial.theta")
-        if preset not in _SCALAR_PRESETS:
-            raise ConfigError(f"initial.theta preset must be a scalar preset, got {preset!r}")
         theta = _preset_field(grid, preset, th_spec, seed + 17, "initial.theta")
+        if not isinstance(theta, ScalarField):
+            raise ConfigError(f"initial.theta preset must be a scalar preset, got {preset!r}")
     zero = zeros_like_state(grid)
     return State(u if u is not None else zero.u, theta if theta is not None else zero.theta)
 
@@ -253,9 +248,10 @@ def load_config(path):
         try:
             solve = SolveConfig(
                 dt=float(_require(sd, "dt", (int, float), "solve")),
-                substeps=numeric_option(raw, "solve.substeps", 4, integral=True),
-                picard_tol=numeric_option(raw, "solve.picard_tol", 1e-10),
-                picard_max=numeric_option(raw, "solve.picard_max", 40, integral=True),
+                substeps=numeric_option(raw, "solve.substeps", SolveConfig.substeps, integral=True),
+                picard_tol=numeric_option(raw, "solve.picard_tol", SolveConfig.picard_tol),
+                picard_max=numeric_option(raw, "solve.picard_max", SolveConfig.picard_max,
+                                          integral=True),
             )
         except ConfigError:
             raise
@@ -266,8 +262,9 @@ def load_config(path):
 
     norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
 
-    num_centers = numeric_option(raw, "sampler.num_centers", 64, integral=True, least=1)
-    num_radii = numeric_option(raw, "sampler.num_radii", 12, integral=True)
+    num_centers = numeric_option(raw, "sampler.num_centers", BallSampler.num_centers,
+                                 integral=True, least=1)
+    num_radii = numeric_option(raw, "sampler.num_radii", BallSampler.num_radii, integral=True)
     sampler = BallSampler(
         num_centers=num_centers,
         num_radii=num_radii,

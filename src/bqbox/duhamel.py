@@ -343,15 +343,15 @@ class _StateRHS:
     """G_state(x, t): advective terms and (in full mode) buoyancy coupling.
 
     One call is :func:`advection_coeffs` on the physical values
-    inverse-transformed from the coefficients, with the coupling added
-    before its single Leray projection.  ``evaluations`` counts the calls.
+    inverse-transformed from the coefficients, with the coupling of ``forcing``
+    (:attr:`ForcingSpec.coupled`, with its kappa) added before its single
+    Leray projection.  ``evaluations`` counts the calls.
     """
 
-    def __init__(self, grid, forcing, kappa):
+    def __init__(self, grid, forcing):
         self.grid = grid
         self.forcing = forcing
-        self.kappa = kappa
-        self.coupled = kappa > 0.0 and forcing is not None and forcing.g is not None
+        self.coupled = forcing is not None and forcing.coupled
         self._g = {}  # g at the times of the current step only
         self.evaluations = 0
 
@@ -375,7 +375,7 @@ class _StateRHS:
         grid = self.grid
         u, th = inverse_values(grid, u_hat), inverse_values(grid, th_hat)
         if self.coupled:
-            return advection_coeffs(grid, u, u, th, self._g_real(t), self.kappa)
+            return advection_coeffs(grid, u, u, th, self._g_real(t), self.forcing.kappa)
         return advection_coeffs(grid, u, u, th)
 
 
@@ -467,8 +467,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         raise ConfigError("forcing and initial data live on different grids")
     if not (np.all(np.isfinite(initial.u.values)) and np.all(np.isfinite(initial.theta.values))):
         raise ConfigError("initial state has non-finite values")
-    if mode == "linearized" and forcing is not None and forcing.g is not None \
-            and forcing.kappa > 0:
+    if mode == "linearized" and forcing is not None and forcing.coupled:
         raise ConfigError("linearized evolve takes no g-coupling (g with kappa > 0): set mode to "
                           "'full', remove forcing.g or set forcing.kappa to 0, or solve the "
                           "periodic problem with the periodic-linear subcommand")
@@ -477,10 +476,6 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
             raise HypothesisError("navier-stokes mode requires theta0 = 0")
         if forcing is not None and (forcing.f is not None or forcing.g is not None):
             raise HypothesisError("navier-stokes mode takes no temperature forcing f or field g")
-
-    kappa = 0.0
-    if mode != "navier-stokes" and forcing is not None:
-        kappa = forcing.kappa
 
     n_steps = int(round(t_end / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
@@ -499,7 +494,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
 
     state_rhs = None
     if mode in ("full", "navier-stokes"):
-        state_rhs = _StateRHS(grid, forcing, kappa)
+        state_rhs = _StateRHS(grid, forcing)
 
     factors = {}
     E = _step_factors(grid, dt, factors)[0]
@@ -706,7 +701,7 @@ def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
     paths = []
     if mode in ("full", "navier-stokes"):
         paths.append(_bilinear_path(traj, traj, times, factors))
-    if forcing is not None and forcing.g is not None and forcing.kappa > 0 and mode != "navier-stokes":
+    if forcing is not None and forcing.coupled and mode != "navier-stokes":
         paths.append(_coupling_path(traj, forcing.g, forcing.kappa, times, factors))
     if forcing is not None and (forcing.F is not None or forcing.f is not None):
         paths.append(_forcing_path(forcing, times, cfg, factors))
@@ -780,19 +775,15 @@ class BilinearReport:
     ratios: list
 
 
-def verify_bilinear_estimate(pairs, p, sampler=None, eval_stride=1):
+def verify_bilinear_estimate(pairs, p, sampler, eval_stride=1):
     """Empirical K with ||B(a,b)||_H <= K ||a||_H ||b||_H over an ensemble.
 
-    Requires 2 < p <= n and uses lam = n - p (the critical pairing).  The
-    sup-in-time norms run over the stored grids only.
+    H is the sup-in-time norm in the critical pairing at p (:meth:`NormParams.critical`,
+    2 < p <= n) on the balls of ``sampler``, over the stored grids only.
     """
     if not pairs:
         raise ConfigError("verify_bilinear_estimate needs a nonempty ensemble")
-    grid = pairs[0][0].grid
-    n = grid.n
-    if not (2.0 < p <= n):
-        raise HypothesisError(f'hypothesis "2 < p <= n" violated (p = {p}, n = {n})')
-    ctx = NormContext(NormParams(p=p, q=float("inf"), lam=n - p), sampler or _default_sampler())
+    ctx = NormContext(NormParams.critical(p, pairs[0][0].grid.n), sampler)
     ratios = []
     for a, b in pairs:
         na = trajectory_sup_norm(a, ctx)
@@ -808,9 +799,3 @@ def verify_bilinear_estimate(pairs, p, sampler=None, eval_stride=1):
     if not ratios:
         return BilinearReport(empirical_constant=0.0, ratios=[])
     return BilinearReport(empirical_constant=float(np.max(ratios)), ratios=ratios)
-
-
-def _default_sampler():
-    from .norms import BallSampler
-
-    return BallSampler(num_centers=8, num_radii=6)

@@ -98,6 +98,11 @@ class ForcingSpec:
                     raise ConfigError(f"forcing component {name} needs {kind.__name__} patterns")
 
     @property
+    def coupled(self):
+        """Whether the buoyancy kappa theta g couples theta into u: a g field with kappa > 0."""
+        return self.g is not None and self.kappa > 0
+
+    @property
     def grid(self):
         for tf in (self.F, self.f, self.g):
             if tf is not None:

@@ -88,6 +88,13 @@ class NormParams:
         if self.lam < 0:
             raise HypothesisError(f"Morrey exponent lam must be >= 0, got {self.lam}")
 
+    @classmethod
+    def critical(cls, p, n):
+        """The critical pairing (p, inf, n - p) in dimension n; requires 2 < p <= n."""
+        if not 2.0 < p <= n:
+            raise HypothesisError(f'hypothesis "2 < p <= n" violated (p = {p}, n = {n})')
+        return cls(p=p, q=INF, lam=n - p)
+
     def tau(self, n):
         """Scaling exponent tau = (n - lam)/p."""
         if self.lam >= n:

@@ -219,20 +219,6 @@ def pointwise_product(a, b):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SemigroupQuery:
-    """A heat-semigroup evaluation point: time t >= 0 and derivative order m."""
-
-    t: float
-    m: int = 0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.t) and self.t >= 0):
-            raise DiagnosticsError(f"semigroup time must be finite and >= 0, got {self.t}")
-        if self.m not in (0, 1):
-            raise HypothesisError(f"derivative order must be 0 or 1, got {self.m}")
-
-
 @dataclass
 class DispersiveReport:
     """Weighted decay ratios of the heat semigroup between two norm settings."""
@@ -240,9 +226,6 @@ class DispersiveReport:
     rows: list  # (t, lhs_norm, weight, ratio)
     max_ratio: float
     note: str = ""
-
-    def csv_rows(self):
-        return [(t, lhs, w, r) for (t, lhs, w, r) in self.rows]
 
 
 def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler):
@@ -256,7 +239,8 @@ def verify_dispersive(phi, from_params, to_params, m, t_grid, sampler):
     """
     from .norms import morrey_lorentz_norm  # local import keeps layering acyclic
 
-    SemigroupQuery(t=0.0, m=m)  # validates the derivative order
+    if m not in (0, 1):
+        raise HypothesisError(f"derivative order must be 0 or 1, got {m}")
     grid = phi.grid
     n = grid.n
     tau_from = (n - from_params.lam) / from_params.p

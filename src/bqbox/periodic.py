@@ -80,7 +80,10 @@ _MEAN_TOL = 1e-12
 
 
 def default_norm_context(grid):
-    """The product norm at p = min(3, n), q = inf, lam = n - p, on 2^n centers and 6 radii."""
+    """The product norm at p = min(3, n), q = inf, lam = n - p, on 2^n centers and 6 radii.
+
+    The one default sampler: the checks that take a ``sampler`` require it.
+    """
     n = grid.n
     p = float(min(3, n))
     lam = max(0.0, n - p)
@@ -133,7 +136,7 @@ class PeriodicProblem:
         None without a coupling.  The rows follow the resolvent datum of
         P_F(0) over one stepped period: its temperature is exact.
         """
-        if self.mode != "linearized" or self.forcing.g is None or not self.forcing.kappa > 0:
+        if self.mode != "linearized" or not self.forcing.coupled:
             return None
         return _buoyancy_rows(self, _invert_resolvent(self, _zero_image(self, None)))
 
@@ -384,7 +387,7 @@ class _Iterate:
     def __init__(self, count, ctx, forcing, previous=None):
         self.ctx = ctx
         self.keep = frozenset(sup_time_indices(count, ctx.time_stride))
-        self.g = forcing.g if forcing.kappa > 0 else None
+        self.g = forcing.g if forcing.coupled else None
         self.kappa = forcing.kappa
         self.rows = []
         self.sup = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .errors import ConfigError
@@ -115,41 +117,36 @@ def gravity_field(grid, G=1.0, soft_cells=2.0):
 
 
 _PRESETS = {
-    "taylor-green": (taylor_green, ("amplitude",)),
-    "gaussian-bump": (gaussian_bump, ("sigma", "amplitude", "center")),
-    "random-div-free": (random_div_free, ("seed", "exponent", "amplitude")),
-    "gravity": (gravity_field, ("G", "soft_cells")),
-    "random-scalar": (random_smooth_scalar, ("seed", "exponent", "amplitude")),
-    "random-vector": (random_smooth_vector, ("seed", "exponent", "amplitude")),
-    "random-tensor": (random_smooth_tensor, ("seed", "exponent", "amplitude")),
-    "single-mode": (single_mode_scalar, ("k", "amplitude")),
-    "single-mode-vector": (single_mode_vector, ("k", "component", "amplitude")),
-    "single-mode-tensor": (single_mode_tensor, ("k", "row", "col", "amplitude")),
-}
-
-_REQUIRED = {
-    "gaussian-bump": ("sigma",),
-    "random-div-free": ("seed",),
-    "random-scalar": ("seed",),
-    "random-vector": ("seed",),
-    "random-tensor": ("seed",),
-    "single-mode": ("k",),
-    "single-mode-vector": ("k",),
-    "single-mode-tensor": ("k",),
+    "taylor-green": taylor_green,
+    "gaussian-bump": gaussian_bump,
+    "random-div-free": random_div_free,
+    "gravity": gravity_field,
+    "random-scalar": random_smooth_scalar,
+    "random-vector": random_smooth_vector,
+    "random-tensor": random_smooth_tensor,
+    "single-mode": single_mode_scalar,
+    "single-mode-vector": single_mode_vector,
+    "single-mode-tensor": single_mode_tensor,
 }
 
 
 def make_preset(name, grid, params=None):
-    """Build a named preset field; unknown names, missing params and non-finite values fail."""
+    """Build a named preset field; unknown names, missing params and non-finite values fail.
+
+    A preset takes the parameters of its builder after ``grid``, and requires
+    those without a default.
+    """
     params = dict(params or {})
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; known: {sorted(_PRESETS)}")
-    fn, allowed = _PRESETS[name]
-    for key in _REQUIRED.get(name, ()):
-        if key not in params:
-            raise ConfigError(f"preset {name!r} is missing required parameter {key!r}")
+    fn = _PRESETS[name]
+    accepted = list(inspect.signature(fn).parameters.values())[1:]
+    for par in accepted:
+        if par.default is par.empty and par.name not in params:
+            raise ConfigError(f"preset {name!r} is missing required parameter {par.name!r}")
+    names = {par.name for par in accepted}
     for key in params:
-        if key not in allowed:
+        if key not in names:
             raise ConfigError(f"preset {name!r} does not take parameter {key!r}")
     # a degenerate parameter (sigma = 0, soft_cells = 0) divides by zero: refused below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

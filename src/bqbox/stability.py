@@ -23,7 +23,6 @@ import numpy as np
 from .duhamel import Trajectory, bilinear_path, evolve, state_difference
 from .errors import ConfigError, DiagnosticsError, HypothesisError
 from .norms import (
-    BallSampler,
     NormContext,
     NormParams,
     TimeWeightParams,
@@ -149,7 +148,7 @@ def perturb_and_compare(
     perturbed_g,
     params: StabilityParams,
     t_grid,
-    sampler=None,
+    sampler,
 ):
     """Evolve the perturbed problem and tabulate its weighted gap D(t) to the certified orbit.
 
@@ -157,7 +156,7 @@ def perturb_and_compare(
     one certified period of S steps at the problem's dt; snapped step k is
     compared with its state k mod S.  The perturbed run starts from
     ``perturbed_initial`` with g replaced by ``perturbed_g`` (None keeps g).
-    The perturbation sizes are reported alongside |||g - g'|||.
+    The perturbation sizes are reported alongside |||g - g'|||, all on ``sampler``'s balls.
     """
     problem = base.problem
     if problem.mode not in ("full", "navier-stokes"):
@@ -170,7 +169,6 @@ def perturb_and_compare(
     if len(orbit.times) != S + 1 or abs(orbit.times[-1] - T) > 1e-9 * T:
         raise DiagnosticsError(f"base trajectory must store {S + 1} states up to T = {T}, found "
                                f"{len(orbit.times)} up to t = {orbit.times[-1]}")
-    sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
     t_grid = sorted(float(t) for t in t_grid)
     if not t_grid or t_grid[0] <= 0:
         raise DiagnosticsError("t_grid must contain positive times")
@@ -262,11 +260,9 @@ def _weighted_parts(state, t, params: StabilityParams, sampler):
     )
 
 
-def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler=None, stride=1):
-    """H_{q,r} norm: sup-in-time product norm plus the weighted sup."""
-    grid = traj.grid
-    lam = params.lam(grid.n)
-    sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
+def weighted_trajectory_norm(traj: Trajectory, params: StabilityParams, sampler, stride=1):
+    """H_{q,r} norm: sup-in-time product norm plus the weighted sup, on the balls of ``sampler``."""
+    lam = params.lam(traj.grid.n)
     ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=lam), sampler, time_stride=stride)
     base = trajectory_sup_norm(traj, ctx)
     weighted = 0.0
@@ -285,14 +281,12 @@ class WeightedBilinearReport:
     printed_constants: tuple  # (C1, C2) context values, not asserted
 
 
-def verify_weighted_bilinear(pairs, params: StabilityParams, sampler=None, stride=1):
-    """Empirical constant of ||B(a,b)||_{H_{q,r}} <= K ||a|| ||b|| over an ensemble."""
+def verify_weighted_bilinear(pairs, params: StabilityParams, sampler, stride=1):
+    """Empirical K of ||B(a,b)||_{H_{q,r}} <= K ||a|| ||b|| over an ensemble, on ``sampler``."""
     if not pairs:
         raise ConfigError("verify_weighted_bilinear needs a nonempty ensemble")
     c1, c2 = weighted_bilinear_constants(params.p, params.q, params.r)
-    grid = pairs[0][0].grid
-    lam = params.lam(grid.n)
-    sampler = sampler or BallSampler(num_centers=2**grid.n, num_radii=6)
+    lam = params.lam(pairs[0][0].grid.n)
     ctx = NormContext(NormParams(p=params.p, q=math.inf, lam=lam), sampler, time_stride=stride)
     ratios = []
     for a, b in pairs:

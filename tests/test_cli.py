@@ -351,6 +351,8 @@ class TestPeriodicCommands:
         header, hist = read_csv_rows(out / "history.csv")
         assert header[0] == "iteration"
         assert len(hist) > 5
+        # the cross-check is the last mean's error against the resolvent datum
+        assert header[2] == "error_vs_resolvent" and rows[0][3] == hist[-1][2]
 
     def test_linear_with_g_coupling_on_the_workload_inputs(self, tmp_path, linear_workload_configs):
         # the periodic-linear-n16 benchmark inputs at seed 3 with the gravity of
@@ -572,6 +574,12 @@ class TestVerifyEstimates:
         for r in rows:
             assert np.isfinite(float(r[1]))
 
+    def test_p_outside_the_critical_range_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"grid": {"n": 3, "N": 8, "L": BOX}, "seed": 11,
+                                                 "estimates": {"ensemble": 2, "p": 2.0}})
+        assert main(["verify-estimates", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
+        assert 'hypothesis "2 < p <= n" violated' in capsys.readouterr().err
+
 
 class TestConfigErrors:
     def test_invalid_json(self, tmp_path):
@@ -658,6 +666,25 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"preset '{preset}' with parameters" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("patch, key, kind", [
+        ({"initial": {"u": {"preset": "gaussian-bump", "params": {"sigma": 0.5}}}},
+         "initial.u", "must be a vector preset"),
+        ({"initial": {"theta": {"preset": "taylor-green"}}},
+         "initial.theta", "must be a scalar preset"),
+        ({"forcing": {"period": 1.0, "F": [{"preset": "random-vector"}]}},
+         "forcing.F[0]", "needs a TensorField"),
+        ({"forcing": {"period": 1.0, "f": [{"preset": "random-tensor"}]}},
+         "forcing.f[0]", "needs a VectorField"),
+        ({"forcing": {"period": 1.0, "kappa": 0.5,
+                      "g": [{"preset": "single-mode", "params": {"k": [1, 0]}}]}},
+         "forcing.g[0]", "needs a VectorField"),
+    ])
+    def test_wrong_kind_preset_exits_2_naming_key(self, tmp_path, capsys, patch, key, kind):
+        cfg = write_config(tmp_path / "c.json", {**evolve_config(), **patch})
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and kind in err
 
 
 def _stability_config(**estimates):

@@ -494,7 +494,7 @@ class TestEvolve:
             evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.25), mode="linearized")
 
 
-def _two_value_loop(init, forcing, n_steps, cfg, mode):
+def _two_value_loop(init, forcing, n_steps, cfg):
     """Stored states of the step with two nonlinearity values per node.
 
     Each step evaluates G_state afresh at its start and starts Picard from
@@ -503,7 +503,7 @@ def _two_value_loop(init, forcing, n_steps, cfg, mode):
     """
     g = init.grid
     dt = cfg.dt
-    rhs = _StateRHS(g, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
+    rhs = _StateRHS(g, forcing)
     compiled = _CompiledForcing(g, forcing)
     E = _step_factors(g, dt, {})[0]
     _, Wa, Wb = _step_factors(g, dt, {}, band=True)
@@ -574,7 +574,7 @@ class TestOneValuePerNode:
         n_steps = 8
         init, forcing, cfg = self._problem(grid3d_small, g_harmonic, picard_tol=1e-12)
         got = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states
-        ref = _two_value_loop(init, forcing, n_steps, cfg, mode)
+        ref = _two_value_loop(init, forcing, n_steps, cfg)
         scale = max(s.max_norm() for s in ref)
         for a, b in zip(got, ref):
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
@@ -640,7 +640,7 @@ class TestPredictorReuse:
             return loop(), len(calls)
 
         got, got_calls = run(lambda: evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states)
-        ref, ref_calls = run(lambda: _two_value_loop(init, forcing, n_steps, cfg, mode))
+        ref, ref_calls = run(lambda: _two_value_loop(init, forcing, n_steps, cfg))
         scale = max(s.max_norm() for s in ref)
         for a, b in zip(got, ref):
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
@@ -655,9 +655,9 @@ class TestNodeRowPredictor:
     """Picard started from one row of G_state per node along a nearby solution."""
 
     @staticmethod
-    def _rows(traj, forcing, mode):
+    def _rows(traj, forcing):
         grid = traj.grid
-        rhs = _StateRHS(grid, forcing, 0.0 if mode == "navier-stokes" else forcing.kappa)
+        rhs = _StateRHS(grid, forcing)
         return [rhs(forward_coeffs(grid, s.u.values), forward_coeffs(grid, s.theta.values), t)
                 for t, s in zip(traj.times, traj.states)]
 
@@ -669,7 +669,7 @@ class TestNodeRowPredictor:
         n_steps = 8
         init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, g_harmonic)
         cold = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode)
-        rows = self._rows(cold, forcing, mode)
+        rows = self._rows(cold, forcing)
         warm = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode, _predictor=rows)
         assert warm.meta["rhs_evaluations"] == n_steps + 1
         assert warm.meta["picard_iterations"] == n_steps
@@ -685,7 +685,7 @@ class TestNodeRowPredictor:
         n_steps = 8
         init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0, picard_tol=1e-12)
         other = State(random_div_free(grid3d_small, seed=5, amplitude=0.1), init.theta)
-        rows = self._rows(evolve(other, forcing, n_steps * cfg.dt, cfg), forcing, "full")
+        rows = self._rows(evolve(other, forcing, n_steps * cfg.dt, cfg), forcing)
         warm = evolve(init, forcing, n_steps * cfg.dt, cfg, _predictor=rows)
         cold = evolve(init, forcing, n_steps * cfg.dt, cfg)
         assert warm.meta["picard_iterations"] > n_steps
@@ -695,7 +695,7 @@ class TestNodeRowPredictor:
 
     def test_one_row_per_step_node(self, grid3d_small):
         init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0)
-        rows = self._rows(evolve(init, forcing, 4 * cfg.dt, cfg), forcing, "full")
+        rows = self._rows(evolve(init, forcing, 4 * cfg.dt, cfg), forcing)
         with pytest.raises(ConfigError, match="predictor has 5 rows for 4 step nodes"):
             evolve(init, forcing, 3 * cfg.dt, cfg, _predictor=rows)
 
@@ -803,6 +803,18 @@ class TestStepWorkingSet:
         state_bytes = 4 * 16**3 * 8
         peak(1)  # multiplier caches outside the measured runs
         assert peak(4) < 12 * state_bytes
+
+
+class TestForcingCoupled:
+    """A forcing couples theta into u only through a g field with kappa > 0."""
+
+    @pytest.mark.parametrize("g_given, kappa, coupled", [
+        (False, 0.0, False), (False, 0.5, False), (True, 0.0, False), (True, 0.5, True),
+    ])
+    def test_coupled(self, grid3d_small, g_given, kappa, coupled):
+        gv = single_mode_vector(grid3d_small, k=(1, 0, 0), component=2, amplitude=1.0)
+        g = constant_in_time(1.0, gv) if g_given else None
+        assert ForcingSpec(period=1.0, kappa=kappa, g=g).coupled is coupled
 
 
 class TestGCache:
@@ -992,10 +1004,11 @@ class TestVerifyBilinear:
 
     def test_hypothesis_gate(self, grid3d_small):
         ta, tb = self._pair(grid3d_small, 30)
+        sampler = BallSampler(num_centers=8, num_radii=6)
         with pytest.raises(HypothesisError, match="2 < p <= n"):
-            verify_bilinear_estimate([(ta, tb)], p=2.0)
+            verify_bilinear_estimate([(ta, tb)], p=2.0, sampler=sampler)
         with pytest.raises(HypothesisError, match="2 < p <= n"):
-            verify_bilinear_estimate([(ta, tb)], p=4.0)
+            verify_bilinear_estimate([(ta, tb)], p=4.0, sampler=sampler)
 
 
 def _at_node_samplers(grid, ts):

@@ -1,5 +1,6 @@
 """Lorentz / Morrey-Lorentz norms against closed forms and independent oracles."""
 
+import re
 import sys
 import threading
 import tracemalloc
@@ -56,6 +57,18 @@ def indicator_weak_closed_form(m, p):
 
 def indicator_strong_closed_form(m, p, q):
     return m ** (1.0 / p) * (p / q) ** (1.0 / q) * (p / (p - 1.0)) ** (1.0 / q)
+
+
+class TestCriticalPairing:
+    @pytest.mark.parametrize("p, n", [(2.5, 3), (3.0, 3), (2.0 + 1e-9, 3), (4.0, 4)])
+    def test_pairing_for_p_in_range(self, p, n):
+        assert NormParams.critical(p, n) == NormParams(p=p, q=INF, lam=n - p)
+
+    @pytest.mark.parametrize("p, n", [(2.0, 3), (3.5, 3), (2.5, 2)])
+    def test_outside_the_range_names_the_hypothesis(self, p, n):
+        message = f'hypothesis "2 < p <= n" violated (p = {p}, n = {n})'
+        with pytest.raises(HypothesisError, match=re.escape(message)):
+            NormParams.critical(p, n)
 
 
 class TestLorentzNorm:

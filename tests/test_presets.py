@@ -1,10 +1,30 @@
 """Initial-data presets: divergence cleanliness, determinism, symmetry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from bqbox import ConfigError, make_preset, spectral_divergence_residual
-from bqbox.presets import gravity_field, single_mode_scalar
+from bqbox.presets import _PRESETS, gravity_field, single_mode_scalar
+
+# name: (accepted parameters, required ones), the contract of each preset
+PRESET_CONTRACT = {
+    "taylor-green": (("amplitude",), ()),
+    "gaussian-bump": (("sigma", "amplitude", "center"), ("sigma",)),
+    "random-div-free": (("seed", "exponent", "amplitude"), ("seed",)),
+    "gravity": (("G", "soft_cells"), ()),
+    "random-scalar": (("seed", "exponent", "amplitude"), ("seed",)),
+    "random-vector": (("seed", "exponent", "amplitude"), ("seed",)),
+    "random-tensor": (("seed", "exponent", "amplitude"), ("seed",)),
+    "single-mode": (("k", "amplitude"), ("k",)),
+    "single-mode-vector": (("k", "component", "amplitude"), ("k",)),
+    "single-mode-tensor": (("k", "row", "col", "amplitude"), ("k",)),
+}
+# a valid value of every preset parameter on a 2-D grid
+PARAM_VALUES = {"amplitude": 0.5, "sigma": 0.2, "center": [0.25, 0.5], "seed": 3,
+                "exponent": 1.5, "G": 2.0, "soft_cells": 3.0, "k": [1, 2], "component": 1,
+                "row": 1, "col": 0}
 
 
 class TestTaylorGreen:
@@ -77,6 +97,24 @@ class TestGravity:
 
 
 class TestMakePreset:
+    def test_contract_names_every_preset(self):
+        assert set(_PRESETS) == set(PRESET_CONTRACT)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_CONTRACT))
+    def test_contract(self, grid2d, name):
+        accepted, required = PRESET_CONTRACT[name]
+        # the builder's signature after grid states the contract; a drift fails here
+        assert tuple(inspect.signature(_PRESETS[name]).parameters)[1:] == accepted
+        full = {key: PARAM_VALUES[key] for key in accepted}
+        assert np.any(make_preset(name, grid2d, full).values != 0)
+        make_preset(name, grid2d, {key: full[key] for key in required})
+        for key in required:
+            with pytest.raises(ConfigError, match=f"missing required parameter '{key}'"):
+                make_preset(name, grid2d, {k: v for k, v in full.items() if k != key})
+        for key in PARAM_VALUES.keys() - set(accepted):
+            with pytest.raises(ConfigError, match=f"does not take parameter '{key}'"):
+                make_preset(name, grid2d, {**full, key: PARAM_VALUES[key]})
+
     def test_unknown_name(self, grid2d):
         with pytest.raises(ConfigError, match="unknown preset"):
             make_preset("vortex-sheet", grid2d, {})

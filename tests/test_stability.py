@@ -46,6 +46,8 @@ from bqbox.stability import _weighted_parts, coupling_time_constant
 
 T = 0.5
 SP = dict(p=3.0, q=6.0, r=6.0, b=3.0)
+# 2**n centers and 6 radii on the 3-D grids below: default_norm_context's sampler
+SAMPLER = BallSampler(num_centers=8, num_radii=6)
 
 
 class TestStabilityParams:
@@ -158,7 +160,7 @@ class TestPerturbAndCompare:
         sp = StabilityParams(**SP)
         dt = base.problem.cfg.dt
         t_grid = np.r_[np.geomspace(dt, 3 * T, 10), T - dt, T, T + dt, 2 * T]
-        table = perturb_and_compare(base, base.initial, None, sp, t_grid)
+        table = perturb_and_compare(base, base.initial, None, sp, t_grid, SAMPLER)
         assert {T, 2 * T, 3 * T} <= set(table.meta["snapped_times"])
         assert len(table.rows) == len(table.meta["snapped_times"])
         assert all(row[3] <= 1e-13 for row in table.rows)
@@ -180,7 +182,7 @@ class TestPerturbAndCompare:
         pert = State(zeros_like_state(g).u, pert_theta)
         sp = StabilityParams(**SP)
         t_grid = np.geomspace(T / 16, 2 * T, 6)
-        table = perturb_and_compare(base, pert, None, sp, t_grid)
+        table = perturb_and_compare(base, pert, None, sp, t_grid, SAMPLER)
         sig = (2 * np.pi / g.L) ** 2
         lam = sp.lam(3)
         base_norm = morrey_lorentz_norm(pert_theta, NormParams(p=sp.r, q=np.inf, lam=lam))
@@ -198,7 +200,7 @@ class TestPerturbAndCompare:
         pert = State(VectorField(g, base.initial.u.values + gap.values), base.initial.theta)
         sp = StabilityParams(**SP)
         t_grid = np.geomspace(T / 16, 6 * T, 28)
-        table = perturb_and_compare(base, pert, None, sp, t_grid)
+        table = perturb_and_compare(base, pert, None, sp, t_grid, SAMPLER)
         assert np.isfinite(table.sup_d) and table.sup_d > 0
         ds = [row[3] for row in table.rows]
         peak = int(np.argmax(ds))
@@ -220,17 +222,16 @@ class TestPerturbAndCompare:
         base = base_solution(grid3d_small)
         pert = self._perturbed(base)
         sp = StabilityParams(**SP)
-        table = perturb_and_compare(base, pert, None, sp, np.geomspace(T / 16, 2 * T, 7))
+        table = perturb_and_compare(base, pert, None, sp, np.geomspace(T / 16, 2 * T, 7), SAMPLER)
         cfg = base.problem.cfg
         S = base.problem.steps_per_period
-        sampler = BallSampler(num_centers=8, num_radii=6)
         traj2 = evolve(pert, base.problem.forcing, table.meta["t_max"], cfg, mode="full")
         want = []
         for t in table.meta["snapped_times"]:
             i = round(t / cfg.dt)
             assert traj2.times[i] == pytest.approx(t)
             wu, wth = _weighted_parts(
-                state_difference(base.trajectory.states[i % S], traj2.states[i]), t, sp, sampler)
+                state_difference(base.trajectory.states[i % S], traj2.states[i]), t, sp, SAMPLER)
             want.append((t, wu, wth, wu + wth))
         assert len(want) == 7
         assert table.rows == want
@@ -246,7 +247,8 @@ class TestPerturbAndCompare:
 
         monkeypatch.setattr(stability_mod, "evolve", spy)
         pert = self._perturbed(base)
-        perturb_and_compare(base, pert, None, StabilityParams(**SP), np.geomspace(T / 16, 3 * T, 5))
+        perturb_and_compare(base, pert, None, StabilityParams(**SP), np.geomspace(T / 16, 3 * T, 5),
+                            SAMPLER)
         assert len(calls) == 1 and calls[0] is pert
 
     @pytest.mark.parametrize("shape", ["two-period", "strided", "finer-dt"])
@@ -263,7 +265,7 @@ class TestPerturbAndCompare:
         }[shape]()
         with pytest.raises(DiagnosticsError, match="base trajectory must store 17 states"):
             perturb_and_compare(replace(base, trajectory=traj), base.initial, None,
-                                StabilityParams(**SP), [T])
+                                StabilityParams(**SP), [T], SAMPLER)
 
     def test_linearized_base_refused(self, grid3d_small):
         # a linear orbit is no base for a perturbation stepped with the full dynamics
@@ -277,7 +279,7 @@ class TestPerturbAndCompare:
         base = PeriodicSolution(problem=prob, initial=zeros_like_state(g),
                                 trajectory=zero_traj, residual_max=0.0, residual_norm=0.0)
         with pytest.raises(ConfigError, match="got mode 'linearized'"):
-            perturb_and_compare(base, base.initial, None, StabilityParams(**SP), [T])
+            perturb_and_compare(base, base.initial, None, StabilityParams(**SP), [T], SAMPLER)
 
     def test_peak_memory_keeps_only_snapped_states(self, grid3d_small):
         # a run over 64 steps against one over a single step: the single-step
@@ -292,7 +294,7 @@ class TestPerturbAndCompare:
         def peak(t_grid):
             tracemalloc.start()
             try:
-                table = perturb_and_compare(base, pert, None, sp, t_grid)
+                table = perturb_and_compare(base, pert, None, sp, t_grid, SAMPLER)
                 return tracemalloc.get_traced_memory()[1], table
             finally:
                 tracemalloc.stop()
@@ -318,7 +320,7 @@ class TestPerturbAndCompare:
                                        g=constant_in_time(T, single_mode_vector(
                                            g, k=(0, 0, 1), component=2, amplitude=2e-3)))
         table = perturb_and_compare(base, base.initial, g_pert, sp,
-                                    np.geomspace(T / 16, T, 6))
+                                    np.geomspace(T / 16, T, 6), SAMPLER)
         assert table.g_gap_norm > 0.0
 
 
@@ -428,7 +430,7 @@ class TestWeightedTrajectoryNorm:
     def test_zero(self, grid3d_small):
         g = grid3d_small
         traj = evolve(zeros_like_state(g), None, 0.2, SolveConfig(dt=0.05), mode="linearized")
-        assert weighted_trajectory_norm(traj, StabilityParams(**SP)) == 0.0
+        assert weighted_trajectory_norm(traj, StabilityParams(**SP), SAMPLER) == 0.0
 
     def test_dominates_plain_sup(self, grid3d_small):
         g = grid3d_small
@@ -438,4 +440,4 @@ class TestWeightedTrajectoryNorm:
         ctx = NormContext(NormParams(p=sp.p, q=np.inf, lam=sp.lam(3)), BallSampler(4, 4))
         from bqbox import trajectory_sup_norm
 
-        assert weighted_trajectory_norm(traj, sp) >= trajectory_sup_norm(traj, ctx)
+        assert weighted_trajectory_norm(traj, sp, SAMPLER) >= trajectory_sup_norm(traj, ctx)
