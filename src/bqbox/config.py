@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .duhamel import SolveConfig
 from .errors import ConfigError, DiagnosticsError
-from .forcing import ForcingSpec, HarmonicTerm, TimeFourierField
-from .grid import GridSpec, ScalarField, State, TensorField, VectorField, zeros_like_state
+from .forcing import FIELD_KINDS, ForcingSpec, HarmonicTerm, TimeFourierField
+from .grid import GridSpec, ScalarField, State, VectorField, zeros_like_state
 from .norms import BallSampler, NormParams
 from .presets import make_preset
 
@@ -140,7 +140,7 @@ def _preset_field(grid, preset, spec, seed, where):
 def _term_field(grid, term, target, seed, where):
     preset = _require(term, "preset", str, where)
     fld = _preset_field(grid, preset, term, seed, where)
-    kind = {"F": TensorField, "f": VectorField, "g": VectorField}[target]
+    kind = FIELD_KINDS[target]
     if not isinstance(fld, kind):
         raise ConfigError(f"{where}: preset {preset!r} builds a {type(fld).__name__}, "
                           f"but {target!r} needs a {kind.__name__}")

@@ -35,15 +35,18 @@ the composite product trapezoid over the substeps is unrolled once per
 Sampled terms (frozen nonlinearities and couplings) are linear between step
 nodes, so the single-step weights are exact for them.
 
-The state and the analytic forcing rows fill the half spectrum; every
-nonlinear row (the right-hand side, the frozen extras) is a band row of the
-2/3 rule (``GridSpec.band_shape``).  A step forms the half-spectrum sum
-E x + sum_j A_j r_j and then adds each band row where it meets the state,
-``acc[band] += W[band] * row``, in the order Wa then Wb, the velocity part
-then the temperature part of each; off the band those rows are 0, so this
-is the half-spectrum sum value for value.  The bilinear and coupling prefix
-paths step on the band and scatter each integral they yield to the half
-spectrum once.
+The state fills the half spectrum.  The analytic forcing rows hold only
+their support, the modes where a source of F or f is nonzero, found once
+per run (the whole half spectrum when the support is more than a tenth of
+it); every nonlinear row (the right-hand side, the frozen extras) is a band
+row of the 2/3 rule (``GridSpec.band_shape``).  A step forms E x, adds
+``A_j[support] * r_j`` on the support, and then adds each band row where it
+meets the state, ``acc[band] += W[band] * row``, in the order Wa then Wb,
+the velocity part then the temperature part of each; off the support and
+the band those rows are 0, so this is the half-spectrum sum value for
+value.  The bilinear and coupling prefix paths step on the band,
+the forcing path on the support, and each scatters the integrals it yields
+to the half spectrum once.
 
 Every velocity increment is Leray-projected where it is made: the initial
 data, the forcing rows, the right-hand-side rows and the frozen extras.  The
@@ -149,20 +152,23 @@ def _trap_weights(h, k2):
     return h * (p1 - p2), h * p2
 
 
-def _step_factors(grid, h, factors, band=False):
+def _step_factors(grid, h, factors, on=None):
     """(e^{-hL}, Wa, Wb) for a step of size h, built once per size in ``factors``.
 
     Sizes within 1e-12 relative are one: stored times i * dt carry roundoff.
-    With ``band`` the factors are those restricted to the 2/3-rule band,
-    cut once from the half-spectrum ones.
+    With ``on``, an index into the half spectrum (``grid.band``, a forcing's
+    support), the factors are those at the modes it selects, cut once per
+    index object from the half-spectrum ones.
     """
     key = next((h0 for h0 in factors if abs(h - h0) <= 1e-12 * h0), h)
     if key not in factors:
-        factors[key] = {False: (semigroup_factor(grid, h),) + _trap_weights(h, grid.k_squared)}
-    built = factors[key]
-    if band not in built:
-        built[band] = tuple(f[grid.band] for f in built[False])
-    return built[band]
+        factors[key] = [(None, (semigroup_factor(grid, h),) + _trap_weights(h, grid.k_squared))]
+    built = factors[key]  # (index, factors) pairs; the list keeps each index alive
+    cut = next((f for index, f in built if index is on), None)
+    if cut is None:
+        cut = tuple(f[on] for f in built[0][1])
+        built.append((on, cut))
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -242,35 +248,53 @@ def _to_state(grid, vel_hat, th_hat):
 # ---------------------------------------------------------------------------
 
 
+# a support over this share of the half spectrum is stepped whole: the indexed
+# update ``part[support] += A * row`` costs as much as the dense one at about a
+# tenth of the modes (16^3 and 32^3), and 7 to 9 times as much at all of them
+_DENSE_SUPPORT = 0.1
+
+
 class _CompiledForcing:
     """Analytic spectral sources of the state-independent right-hand side.
 
     Finite Fourier series in t are reduced once to constant coefficient
     arrays with scalar time factors, which :meth:`rows_at` evaluates.  The
-    rows are not dealiased and fill the half spectrum.  The g field of
-    ``forcing`` is not read.
+    arrays are kept on the ``support``, the modes where any F or f source is
+    nonzero: an index into the half spectrum (the Ellipsis lets it select
+    from arrays with a leading component axis), or ``slice(None)`` when the
+    support holds more than a tenth of the modes.  Off the support every row
+    is exactly 0.  The rows are not dealiased.  The g field of ``forcing``
+    is not read.
     """
 
-    def __init__(self, grid, forcing):
-        self.period = forcing.period if forcing is not None else None
-        self.analytic_vel = []  # (harmonic, phase, coeff_array)
-        self.analytic_th = []
-        if forcing is not None and forcing.F is not None:
+    def __init__(self, forcing):
+        grid = forcing.grid
+        self.period = forcing.period
+        vel, th = [], []  # (harmonic, phase, coeff_array) on the half spectrum
+        if forcing.F is not None:
             for term in forcing.F.terms:
                 F_hat = forward_coeffs(grid, term.field.values)
-                src = leray_coeffs(grid, tensor_div_coeffs(grid, F_hat))
-                self.analytic_vel.append((term.harmonic, term.phase, src))
-        if forcing is not None and forcing.f is not None:
+                vel.append((term.harmonic, term.phase,
+                            leray_coeffs(grid, tensor_div_coeffs(grid, F_hat))))
+        if forcing.f is not None:
             for term in forcing.f.terms:
                 f_hat = forward_coeffs(grid, term.field.values)
-                self.analytic_th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
-
-    @property
-    def analytic(self):
-        return bool(self.analytic_vel) or bool(self.analytic_th)
+                th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
+        occupied = np.zeros(grid.spectral_shape, dtype=bool)
+        for _, _, src in vel:
+            occupied |= np.any(src != 0, axis=0)
+        for _, _, src in th:
+            occupied |= src != 0
+        if np.count_nonzero(occupied) > _DENSE_SUPPORT * occupied.size:
+            self.support = slice(None)
+        else:
+            self.support = (Ellipsis,) + np.nonzero(occupied)
+        self.shape = occupied[self.support].shape  # of a temperature row
+        self.analytic_vel = [(m, phase, src[self.support]) for m, phase, src in vel]
+        self.analytic_th = [(m, phase, src[self.support]) for m, phase, src in th]
 
     def rows_at(self, t):
-        """Analytic rows (vel, th) at time t; None for an absent part."""
+        """Analytic rows (vel, th) at time t on the support; None for an absent part."""
         rows = []
         for terms in (self.analytic_vel, self.analytic_th):
             row = None
@@ -490,19 +514,21 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         # S, the steps the rows span: one forcing period, or the whole run without a forcing
         S = n_steps if forcing is None else int(round(forcing.period / dt))
         _check_node_rows(extra, S + 1, grid, "sampled forcing")
-    compiled = _CompiledForcing(grid, forcing)
-
     state_rhs = None
     if mode in ("full", "navier-stokes"):
         state_rhs = _StateRHS(grid, forcing)
 
     factors = {}
     E = _step_factors(grid, dt, factors)[0]
-    _, Wa, Wb = _step_factors(grid, dt, factors, band=True)
+    _, Wa, Wb = _step_factors(grid, dt, factors, on=grid.band)
     m = cfg.substeps
     h_s = dt / (m - 1)
-    # the weights A_j of the analytic rows at the m substep nodes
-    substep_weights = _substep_weights(grid, dt, m) if compiled.analytic else []
+    # the weights A_j of the analytic rows at the m substep nodes, on their support
+    substep_weights = []
+    if forcing is not None and (forcing.F is not None or forcing.f is not None):
+        compiled = _CompiledForcing(forcing)
+        support = compiled.support
+        substep_weights = [A[support] for A in _substep_weights(grid, dt, m)]
 
     x = (leray_coeffs(grid, forward_coeffs(grid, initial.u.values)),
          forward_coeffs(grid, initial.theta.values))
@@ -530,12 +556,12 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         t_a = i * dt
         t_b = (i + 1) * dt
 
-        # E x + sum_j A_j r_j, one pair of analytic rows at a time
+        # E x + sum_j A_j r_j, one pair of analytic rows at a time, on their support
         fixed = [E * part for part in x]
         for j, A in enumerate(substep_weights):
             for part, row in zip(fixed, compiled.rows_at(t_a + j * h_s)):
                 if row is not None:
-                    part += A * row
+                    part[support] += A * row
         row = None  # the last row is not held through the step
         if extra is not None:
             _add_on_band(fixed, grid, [(Wa, extra[i % S]), (Wb, extra[i % S + 1])])
@@ -590,7 +616,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_path(grid, nodes, row_at, times, factors=None, band=False):
+def _duhamel_path(grid, nodes, row_at, times, factors=None, on=None):
     """Yield int_0^t e^{-(t-s)L} G(s) ds for each t of the ascending ``times``.
 
     ``row_at(s)`` is G(s), a tuple of coefficient arrays, sampled at the
@@ -598,19 +624,29 @@ def _duhamel_path(grid, nodes, row_at, times, factors=None, band=False):
     I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j) + Wb G(t_{j+1}) exactly per mode, one
     step per node.  A t more than 1e-12 past its last node is read by a partial
     step from that node, not kept.  Paths may share ``factors`` (:func:`_step_factors`).
-    With ``band`` the rows are band-shaped nonlinear rows: the path steps on
-    the band and scatters each yielded integral to the half spectrum once.
+    With ``on``, an index into the half spectrum, the rows hold only the modes
+    it selects (``grid.band`` for nonlinear rows, a forcing's support) and
+    are 0 elsewhere: the path steps there and scatters each yielded integral
+    to the half spectrum once.
     """
     if nodes[0] > 1e-12:
         raise DiagnosticsError("trajectory must cover [0, t] starting at 0")
     factors = {} if factors is None else factors
 
     def step(h, acc, g_a, g_b):
-        E, Wa, Wb = _step_factors(grid, h, factors, band)
+        E, Wa, Wb = _step_factors(grid, h, factors, on)
         return tuple(E * i + Wa * a + Wb * b for i, a, b in zip(acc, g_a, g_b))
 
     def full(acc):
-        return tuple(scatter_band(grid, a) for a in acc) if band else acc
+        if on is None:
+            return acc
+        if on is grid.band:
+            return tuple(scatter_band(grid, a) for a in acc)  # box by box, no fancy index
+        # a forcing's support: its rows end in one axis of the modes it selects
+        scattered = tuple(np.zeros(a.shape[:-1] + grid.spectral_shape, dtype=complex) for a in acc)
+        for whole, a in zip(scattered, acc):
+            whole[on] = a
+        return scattered
 
     j = 0
     g_j = row_at(float(nodes[0]))
@@ -634,7 +670,7 @@ def _bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times, factors=None):
         sa, sb = traj_a.sample(s), traj_b.sample(s)
         return advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values)
 
-    return _duhamel_path(grid, traj_a.times, row_at, times, factors, band=True)
+    return _duhamel_path(grid, traj_a.times, row_at, times, factors, on=grid.band)
 
 
 def bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times):
@@ -655,7 +691,7 @@ def _coupling_path(traj: Trajectory, g: TimeFourierField, kappa, times, factors=
     def row_at(s):
         return (buoyancy_coeffs(g.grid, theta.value(s).values, g.value(s).values, kappa),)
 
-    return _duhamel_path(g.grid, theta.times, row_at, times, factors, band=True)
+    return _duhamel_path(g.grid, theta.times, row_at, times, factors, on=g.grid.band)
 
 
 def _step_count(t, cfg):
@@ -671,16 +707,18 @@ def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
     if grid is None:
         raise ConfigError("the forcing term C needs a forcing with at least one component")
     n_steps = [_step_count(t, cfg) for t in times]
-    compiled = _CompiledForcing(grid, forcing)
+    compiled = _CompiledForcing(forcing)
     nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
-    zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
-    zero_t = np.zeros(grid.spectral_shape, dtype=complex)
+    zero_v = np.zeros((grid.n,) + compiled.shape, dtype=complex)
+    zero_t = np.zeros(compiled.shape, dtype=complex)
 
     def row_at(s):
         vel, th = compiled.rows_at(s)
         return (zero_v if vel is None else vel, zero_t if th is None else th)
 
-    return _duhamel_path(grid, nodes, row_at, times, factors)
+    # the rows are 0 off the support, so C(t) is too: a dense support steps the half spectrum
+    on = None if isinstance(compiled.support, slice) else compiled.support
+    return _duhamel_path(grid, nodes, row_at, times, factors, on)
 
 
 def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
@@ -730,7 +768,7 @@ class LinearOperatorReport:
     input_sup: float
 
 
-def verify_linear_operator(f1, f2, from_params: NormParams, to_params: NormParams, sampler=None):
+def verify_linear_operator(f1, f2, from_params: NormParams, to_params: NormParams, sampler):
     """Empirical constant of the time-integrated gradient-semigroup map.
 
     Computes int_0^inf grad . e^{-sL} [f1; f2] ds by its exact kernel

@@ -64,6 +64,10 @@ def constant_in_time(period, field):
     return TimeFourierField(period=period, terms=(HarmonicTerm(harmonic=0, field=field),))
 
 
+# the field kind of each forcing component's patterns
+FIELD_KINDS = {"F": TensorField, "f": VectorField, "g": VectorField}
+
+
 @dataclass(frozen=True)
 class ForcingSpec:
     """Time-periodic data driving the system: tensor F, vector f, field g, kappa.
@@ -84,11 +88,8 @@ class ForcingSpec:
             raise ConfigError(f"period must be positive and finite, got {self.period}")
         if self.kappa < 0 or not np.isfinite(self.kappa):
             raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
-        for name, tf, kind in (
-            ("F", self.F, TensorField),
-            ("f", self.f, VectorField),
-            ("g", self.g, VectorField),
-        ):
+        for name, kind in FIELD_KINDS.items():
+            tf = getattr(self, name)
             if tf is None:
                 continue
             if abs(tf.period - self.period) > 1e-12 * self.period:

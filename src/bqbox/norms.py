@@ -491,7 +491,7 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
     return rows
 
 
-def morrey_lorentz_norm(f, params: NormParams, sampler: BallSampler | None = None):
+def morrey_lorentz_norm(f, params: NormParams, sampler: BallSampler):
     """Sampled lower bound of the Morrey-Lorentz sup ||f||_{p,q,lam}.
 
     At lam = 0 the sup is attained by the whole box (a subset's Lorentz
@@ -503,8 +503,6 @@ def morrey_lorentz_norm(f, params: NormParams, sampler: BallSampler | None = Non
         return _lorentz_from_values(
             _as_scalar_values(f).ravel(), f.grid.cell_volume, params.p, params.q
         )
-    if sampler is None:
-        sampler = BallSampler()
     rows = morrey_lorentz_table(f, params, sampler)
     return float(np.max([r.local_norm for r in rows]))  # NaN if any ball is
 
@@ -536,7 +534,7 @@ class ScalingReport:
     tau: float
 
 
-def scaling_check(preset, c, params: NormParams, grid, sampler=None, **preset_params):
+def scaling_check(preset, c, params: NormParams, grid, sampler, **preset_params):
     """Report ||f(c .)|| * c^tau / ||f||; exact dilation invariance gives 1.
 
     The preset must rescale analytically inside the box: 'gaussian' (param
@@ -573,7 +571,7 @@ class HolderReport:
     right_norm: float
 
 
-def holder_check(f, g, split, target: NormParams, sampler=None):
+def holder_check(f, g, split, target: NormParams, sampler):
     """Ratio ||f g||_target / (||f||_split0 ||g||_split1).
 
     Validates the exponent arithmetic 1/r = 1/p0 + 1/p1,
@@ -607,7 +605,7 @@ def holder_check(f, g, split, target: NormParams, sampler=None):
     return HolderReport(ratio=ratio, product_norm=np_, left_norm=nf, right_norm=ng)
 
 
-def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler=None):
+def weighted_time_sup(samples, weights: TimeWeightParams, lam, sampler):
     """sup over the sample times of t^beta ||g(., t)||_{b, inf, lam}.
 
     ``samples`` is a non-empty sequence of (t, field) pairs, every one of
@@ -640,7 +638,7 @@ class EmbeddingRow:
         return 0.0 if self.lorentz_nn_norm == 0 else self.weak_lebesgue_norm / self.lorentz_nn_norm
 
 
-def verify_embeddings(fields, p, sampler=None):
+def verify_embeddings(fields, p, sampler):
     """Empirical ratios along M_{p,inf,n-p} <- L^{n,inf} <- L^{n,n}."""
     rows = []
     for f in fields:

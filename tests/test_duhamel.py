@@ -494,6 +494,21 @@ class TestEvolve:
             evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.25), mode="linearized")
 
 
+def _value_rows(forcing, t):
+    """The analytic rows (vel, th) at t on the half spectrum, from the forcing's values at t.
+
+    P div F(t) and div f(t) of the patterns summed in physical space; None for
+    an absent part.
+    """
+    g = forcing.grid
+    vel = th = None
+    if forcing.F is not None:
+        vel = leray_coeffs(g, tensor_div_coeffs(g, forward_coeffs(g, forcing.F.value(t).values)))
+    if forcing.f is not None:
+        th = div_coeffs(g, forward_coeffs(g, forcing.f.value(t).values))
+    return vel, th
+
+
 def _two_value_loop(init, forcing, n_steps, cfg):
     """Stored states of the step with two nonlinearity values per node.
 
@@ -504,9 +519,8 @@ def _two_value_loop(init, forcing, n_steps, cfg):
     g = init.grid
     dt = cfg.dt
     rhs = _StateRHS(g, forcing)
-    compiled = _CompiledForcing(g, forcing)
     E = _step_factors(g, dt, {})[0]
-    _, Wa, Wb = _step_factors(g, dt, {}, band=True)
+    _, Wa, Wb = _step_factors(g, dt, {}, on=g.band)
     h_s = dt / (cfg.substeps - 1)
     u = leray_coeffs(g, forward_coeffs(g, init.u.values))
     th = forward_coeffs(g, init.theta.values)
@@ -515,7 +529,7 @@ def _two_value_loop(init, forcing, n_steps, cfg):
         t_a, t_b = i * dt, (i + 1) * dt
         fixed = [E * u, E * th]
         for j, A in enumerate(_substep_weights(g, dt, cfg.substeps)):
-            for k, row in enumerate(compiled.rows_at(t_a + j * h_s)):
+            for k, row in enumerate(_value_rows(forcing, t_a + j * h_s)):
                 if row is not None:
                     fixed[k] = fixed[k] + A * row
         g_a = rhs(u, th, t_a)
@@ -898,6 +912,126 @@ class TestStepQuadrature:
         assert max(spectral_divergence_residual(s.u) for s in traj.states) <= 1e-12
 
 
+class TestForcingSupport:
+    """The analytic forcing is stepped only on the modes its sources occupy, with
+    the values of the half-spectrum update."""
+
+    @staticmethod
+    def _forcing(g, sources):
+        T = 1.0
+        if sources == "single-mode":
+            Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-3)
+            fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
+        else:
+            Ft = random_smooth_tensor(g, seed=6, amplitude=1e-3)
+            fv = random_smooth_vector(g, seed=7, amplitude=1e-3)
+        return ForcingSpec(period=T, F=TimeFourierField(period=T, terms=(
+                               HarmonicTerm(0, Ft), HarmonicTerm(1, Ft, 0.3))),
+                           f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)))
+
+    @staticmethod
+    def _dense_sources(forcing):
+        """Each term's (harmonic, phase, source) on the half spectrum, per part."""
+        g = forcing.grid
+        return [[(term.harmonic, term.phase, source(forward_coeffs(g, term.field.values)))
+                 for term in tf.terms]
+                for tf, source in ((forcing.F, lambda h: leray_coeffs(g, tensor_div_coeffs(g, h))),
+                                   (forcing.f, lambda h: div_coeffs(g, h)))]
+
+    @staticmethod
+    def _dense_rows(sources, period, t):
+        rows = []
+        for terms in sources:
+            row = None
+            for m, phase, src in terms:
+                c = np.cos(2.0 * np.pi * m * t / period + phase)
+                row = c * src if row is None else row + c * src
+            rows.append(row)
+        return rows
+
+    def _dense_loop(self, init, forcing, n_steps, cfg, mode):
+        """Stored states of evolve's step with ``part += A * row`` on the whole half spectrum.
+
+        The rest of the step is evolve's: Picard from the extrapolated node values.
+        """
+        g = init.grid
+        dt = cfg.dt
+        E = _step_factors(g, dt, {})[0]
+        _, Wa, Wb = _step_factors(g, dt, {}, on=g.band)
+        h_s = dt / (cfg.substeps - 1)
+        weights = _substep_weights(g, dt, cfg.substeps)
+        sources = self._dense_sources(forcing)
+        rhs = None if mode == "linearized" else _StateRHS(g, forcing)
+        x = (leray_coeffs(g, forward_coeffs(g, init.u.values)),
+             forward_coeffs(g, init.theta.values))
+        nodes = [] if rhs is None else [rhs(*x, 0.0)]
+        states = [_to_state(g, *x)]
+        for i in range(n_steps):
+            fixed = [E * part for part in x]
+            for j, A in enumerate(weights):
+                for part, row in zip(fixed, self._dense_rows(sources, forcing.period,
+                                                             i * dt + j * h_s)):
+                    part += A * row
+            if rhs is not None:
+                _add_on_band(fixed, g, [(Wa, nodes[0])])
+                guess = [(c * Wb, r) for c, r in zip(duhamel._EXTRAPOLATION[len(nodes) - 1], nodes)]
+                first = _add_on_band([part.copy() for part in fixed], g, guess)
+                fixed, rows, _ = duhamel._picard(rhs, fixed, first, Wb, (i + 1) * dt, cfg, i)
+                nodes = [rows] + nodes[:2]
+            x = fixed
+            states.append(_to_state(g, *x))
+        return states
+
+    @pytest.mark.parametrize("mode", ["linearized", "full"])
+    @pytest.mark.parametrize("sources, dense", [("single-mode", False), ("random", True)])
+    def test_evolve_matches_the_dense_update(self, grid3d_small, sources, dense, mode):
+        g = grid3d_small
+        forcing = self._forcing(g, sources)
+        assert isinstance(_CompiledForcing(forcing).support, slice) is dense
+        init = State(random_div_free(g, seed=2, amplitude=1e-2), gaussian_profile(g, 0.2, 1e-2))
+        cfg = SolveConfig(dt=1.0 / 16, substeps=4)
+        got = evolve(init, forcing, 6 * cfg.dt, cfg, mode=mode).states
+        want = self._dense_loop(init, forcing, 6, cfg, mode)
+        assert len(got) == len(want) == 7
+        for a, b in zip(got, want):
+            assert np.array_equal(a.u.values, b.u.values)
+            assert np.array_equal(a.theta.values, b.theta.values)
+
+    @pytest.mark.parametrize("sources", ["single-mode", "random"])
+    def test_forcing_path_matches_the_dense_path(self, grid3d_small, sources):
+        # C(t) stepped on the support and scattered, against the half-spectrum prefix path
+        g = grid3d_small
+        forcing = self._forcing(g, sources)
+        cfg = SolveConfig(dt=1.0 / 16, substeps=4)
+        times = [k * cfg.dt for k in range(1, 5)]
+        got = list(_forcing_path(forcing, times, cfg))
+        nodes = np.linspace(0.0, times[-1], 3 * len(times) + 1)
+        E, Wa, Wb = _step_factors(g, nodes[1] - nodes[0], {})
+        sources = self._dense_sources(forcing)
+        rows = [self._dense_rows(sources, forcing.period, s) for s in nodes]
+        acc = [np.zeros_like(r) for r in rows[0]]
+        want = []
+        for j in range(len(nodes) - 1):
+            acc = [E * i + Wa * a + Wb * b for i, a, b in zip(acc, rows[j], rows[j + 1])]
+            if (j + 1) % 3 == 0:
+                want.append(acc)
+        assert len(got) == len(want) == 4
+        for got_parts, want_parts in zip(got, want):
+            for a, b in zip(got_parts, want_parts):
+                assert np.array_equal(a, b)
+
+    def test_single_mode_support_holds_its_nonzero_modes(self, grid3d):
+        g = grid3d
+        forcing = self._forcing(g, "single-mode")
+        vel, th = (terms[0][2] for terms in self._dense_sources(forcing))
+        occupied = np.any(vel != 0, axis=0) | (th != 0)
+        compiled = _CompiledForcing(forcing)
+        assert compiled.support[0] is Ellipsis
+        # the transforms leave roundoff-sized values beside the mode: they are sources too
+        assert set(zip(*compiled.support[1:])) == set(zip(*np.nonzero(occupied)))
+        assert compiled.shape == (np.count_nonzero(occupied),)
+
+
 class TestVerifyLinearOperator:
     def _fields(self, g, amp=1.0):
         F = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=amp)
@@ -934,9 +1068,10 @@ class TestVerifyLinearOperator:
     def test_exponent_relation_enforced(self, grid3d_small):
         F, f = self._fields(grid3d_small)
         with pytest.raises(HypothesisError, match="tau_r - tau_l"):
-            verify_linear_operator(F, f, NormParams(p=2.0), NormParams(p=4.0))
+            verify_linear_operator(F, f, NormParams(p=2.0), NormParams(p=4.0), BallSampler())
         with pytest.raises(HypothesisError, match="chi"):
-            verify_linear_operator(F, f, NormParams(p=2.0, lam=0.5), NormParams(p=6.0, lam=0.0))
+            verify_linear_operator(F, f, NormParams(p=2.0, lam=0.5), NormParams(p=6.0, lam=0.0),
+                                   BallSampler())
 
 
 class TestVerifyBilinear:

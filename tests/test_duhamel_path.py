@@ -26,10 +26,17 @@ from bqbox import (
     morrey_lorentz_norm,
     verify_linear_operator,
 )
-from bqbox.duhamel import _CompiledForcing, _trap_weights, bilinear_path
+from bqbox.duhamel import _trap_weights, bilinear_path
 from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values, scatter_band
-from bqbox.operators import advection_coeffs, buoyancy_coeffs, div_coeffs, semigroup_factor, tensor_div_coeffs
+from bqbox.operators import (
+    advection_coeffs,
+    buoyancy_coeffs,
+    div_coeffs,
+    leray_coeffs,
+    semigroup_factor,
+    tensor_div_coeffs,
+)
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -85,15 +92,20 @@ def old_coupling(theta_samples, g, kappa, t):
 
 
 def old_forcing(forcing, t, cfg):
+    """The rows P div F(s) and div f(s) on the half spectrum, from the forcing's values at s."""
     grid = forcing.grid
-    compiled = _CompiledForcing(grid, forcing)
     nodes = np.linspace(0.0, t, (cfg.substeps - 1) * int(round(t / cfg.dt)) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)
     rows = []
     for s in nodes:
-        vel, th = compiled.rows_at(s)
-        rows.append((zero_v if vel is None else vel, zero_t if th is None else th))
+        vel, th = zero_v, zero_t
+        if forcing.F is not None:
+            F_hat = forward_coeffs(grid, forcing.F.value(s).values)
+            vel = leray_coeffs(grid, tensor_div_coeffs(grid, F_hat))
+        if forcing.f is not None:
+            th = div_coeffs(grid, forward_coeffs(grid, forcing.f.value(s).values))
+        rows.append((vel, th))
     return old_accumulate(grid, nodes, rows, t)
 
 

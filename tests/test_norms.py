@@ -177,7 +177,7 @@ class TestMorreyLorentz:
         d2 = sum((g.coordinates[j] - center[j]) ** 2 for j in range(3))
         f = ScalarField(g, 1.0 / np.sqrt(d2 + (2 * g.cell_size) ** 2))
         # p = n, lam = 0: the sup is the whole box (exact, sampler-free)
-        v = morrey_lorentz_norm(f, NormParams(p=3.0, lam=0.0))
+        v = morrey_lorentz_norm(f, NormParams(p=3.0, lam=0.0), BallSampler())
         assert np.isfinite(v) and v > 0
         # lam > 0: sampled sup stable within 10% under sampler refinement
         coarse = morrey_lorentz_norm(f, NormParams(p=2.0, lam=1.0), BallSampler(8, 6))
@@ -200,9 +200,9 @@ class TestMorreyLorentz:
         vals[0] = 3.0
         vals[1] = 4.0
         v = VectorField(grid2d, vals)
-        got = morrey_lorentz_norm(v, NormParams(p=2.0, lam=0.0))
+        got = morrey_lorentz_norm(v, NormParams(p=2.0, lam=0.0), BallSampler())
         want = morrey_lorentz_norm(ScalarField(grid2d, np.full(grid2d.shape, 5.0)),
-                                   NormParams(p=2.0, lam=0.0))
+                                   NormParams(p=2.0, lam=0.0), BallSampler())
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_radius_ladder_validation(self, grid2d):
@@ -258,10 +258,11 @@ class TestHolderCheck:
     def test_exponent_arithmetic_enforced(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         with pytest.raises(HypothesisError, match="1/r = 1/p0"):
-            holder_check(f, f, (NormParams(p=4.0), NormParams(p=4.0)), NormParams(p=3.0))
+            holder_check(f, f, (NormParams(p=4.0), NormParams(p=4.0)), NormParams(p=3.0),
+                         BallSampler())
         with pytest.raises(HypothesisError, match="lam0/p0"):
             holder_check(f, f, (NormParams(p=4.0, lam=1.0), NormParams(p=4.0)),
-                         NormParams(p=2.0, lam=0.0))
+                         NormParams(p=2.0, lam=0.0), BallSampler())
 
     def test_ensemble_stable_under_refinement(self):
         from bqbox.presets import random_smooth_scalar
@@ -276,7 +277,7 @@ class TestHolderCheck:
                 g0 = GridSpec(n=3, N=16, L=2 * np.pi)
                 f = refine_field(random_smooth_scalar(g0, seed=seed), N)
                 h = refine_field(random_smooth_scalar(g0, seed=seed + 50), N)
-                worst = max(worst, holder_check(f, h, split, target).ratio)
+                worst = max(worst, holder_check(f, h, split, target, BallSampler()).ratio)
             vals.append(worst)
         assert abs(vals[1] - vals[0]) / vals[0] < 0.2
 
@@ -284,27 +285,27 @@ class TestHolderCheck:
 class TestWeightedTimeSup:
     def test_empty_samples_rejected(self):
         with pytest.raises(DiagnosticsError, match="empty"):
-            weighted_time_sup([], TimeWeightParams(p=3.0, b=2.0), lam=0.0)
+            weighted_time_sup([], TimeWeightParams(p=3.0, b=2.0), lam=0.0, sampler=BallSampler())
 
     def test_zero(self, grid2d):
         z = ScalarField(grid2d, np.zeros(grid2d.shape))
         w = TimeWeightParams(p=3.0, b=2.0)
-        assert weighted_time_sup([(0.5, z), (1.0, z)], w, lam=0.0) == 0.0
+        assert weighted_time_sup([(0.5, z), (1.0, z)], w, lam=0.0, sampler=BallSampler()) == 0.0
 
     def test_time_constant_field(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         w = TimeWeightParams(p=3.0, b=2.0)
         samples = [(t, f) for t in (0.25, 0.5, 1.0, 2.0)]
-        got = weighted_time_sup(samples, w, lam=0.0)
-        base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0))
+        got = weighted_time_sup(samples, w, lam=0.0, sampler=BallSampler())
+        base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0), BallSampler())
         assert got == pytest.approx(2.0**w.beta * base, rel=1e-12)
 
     def test_exact_weight_cancellation(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         w = TimeWeightParams(p=3.0, b=2.0)
         samples = [(t, ScalarField(grid2d, t ** (-w.beta) * f.values)) for t in (0.25, 0.5, 1.0, 3.0)]
-        got = weighted_time_sup(samples, w, lam=0.0)
-        base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0))
+        got = weighted_time_sup(samples, w, lam=0.0, sampler=BallSampler())
+        base = morrey_lorentz_norm(f, NormParams(p=2.0, lam=0.0), BallSampler())
         assert got == pytest.approx(base, rel=1e-12)
 
     @pytest.mark.parametrize("order", [1, -1], ids=["nan-first", "nan-last"])
@@ -314,14 +315,15 @@ class TestWeightedTimeSup:
         bad = f.values.copy()
         bad[3, 5] = np.nan
         w = TimeWeightParams(p=3.0, b=2.0)
-        assert np.isfinite(weighted_time_sup([(1.0, f)], w, lam=0.0))
+        assert np.isfinite(weighted_time_sup([(1.0, f)], w, lam=0.0, sampler=BallSampler()))
         samples = [(0.5, ScalarField(grid2d_box, bad)), (1.0, f)][::order]
-        assert np.isnan(weighted_time_sup(samples, w, lam=0.0))
+        assert np.isnan(weighted_time_sup(samples, w, lam=0.0, sampler=BallSampler()))
 
     def test_requires_positive_times(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         with pytest.raises(DiagnosticsError):
-            weighted_time_sup([(0.0, f)], TimeWeightParams(p=3.0, b=2.0), lam=0.0)
+            weighted_time_sup([(0.0, f)], TimeWeightParams(p=3.0, b=2.0), lam=0.0,
+                              sampler=BallSampler())
 
     def test_beta_range(self):
         with pytest.raises(HypothesisError):
@@ -331,7 +333,7 @@ class TestWeightedTimeSup:
 class TestEmbeddings:
     def test_zero_field_ratios(self, grid3d_small):
         z = ScalarField(grid3d_small, np.zeros(grid3d_small.shape))
-        rows = verify_embeddings([z], p=2.5)
+        rows = verify_embeddings([z], p=2.5, sampler=BallSampler())
         assert rows[0].morrey_over_weak == 0.0
         assert rows[0].weak_over_strong == 0.0
 
@@ -355,7 +357,7 @@ class TestEmbeddings:
     def test_requires_three_dimensions(self, grid2d):
         f = gaussian_profile(grid2d, 0.1)
         with pytest.raises(HypothesisError):
-            verify_embeddings([f], p=2.0)
+            verify_embeddings([f], p=2.0, sampler=BallSampler())
 
     def test_ensemble_ratios_stable(self):
         from bqbox.presets import random_smooth_scalar

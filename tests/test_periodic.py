@@ -34,11 +34,17 @@ from bqbox import (
 )
 from bqbox import periodic as periodic_mod
 from bqbox.config import load_config
-from bqbox.duhamel import _CompiledForcing, _to_state, duhamel_residual, state_difference
+from bqbox.duhamel import _to_state, duhamel_residual, state_difference
 from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
 from bqbox.norms import gaussian_profile, state_norm, sup_time_indices, trajectory_sup_norm
-from bqbox.operators import advection_coeffs, div_coeffs, heat_semigroup
+from bqbox.operators import (
+    advection_coeffs,
+    div_coeffs,
+    heat_semigroup,
+    leray_coeffs,
+    tensor_div_coeffs,
+)
 from bqbox.presets import (
     random_div_free,
     random_smooth_scalar,
@@ -402,21 +408,24 @@ class TestCoupledLinear:
 def closed_form_datum(problem):
     """The periodic datum of the linear system without g, mode by mode, with no stepping.
 
-    A source cos(w t + phi) S, with S the projected source that
-    ``_CompiledForcing`` builds, has the periodic response
-    Re(e^{i(w t + phi)} / (k^2 + i w)) S, so x(0) is the sum over harmonics m
-    of 1/2 [e^{i phi_m} / (k^2 + i w_m) + e^{-i phi_m} / (k^2 - i w_m)] S_m,
-    and 0 at k = 0.
+    A source cos(w t + phi) S, with S the projected source of its pattern
+    (P div F for a velocity term, div f for a temperature term), has the
+    periodic response Re(e^{i(w t + phi)} / (k^2 + i w)) S, so x(0) is the sum
+    over harmonics m of 1/2 [e^{i phi_m} / (k^2 + i w_m) + e^{-i phi_m} /
+    (k^2 - i w_m)] S_m, and 0 at k = 0.
     """
     grid = problem.grid
-    compiled = _CompiledForcing(grid, problem.linear_forcing)
+    forcing = problem.linear_forcing
     zero = (0,) * grid.n
     k2 = grid.k_squared.copy()
     k2[zero] = 1.0  # a harmonic-0 source is singular there; the mode is zeroed below
     parts = []
-    for terms in (compiled.analytic_vel, compiled.analytic_th):
+    for tf, source in ((forcing.F, lambda hat: leray_coeffs(grid, tensor_div_coeffs(grid, hat))),
+                       (forcing.f, lambda hat: div_coeffs(grid, hat))):
         x = 0.0
-        for m, phase, src in terms:
+        for term in () if tf is None else tf.terms:
+            m, phase = term.harmonic, term.phase
+            src = source(forward_coeffs(grid, term.field.values))
             w = 2.0 * np.pi * m / problem.period
             mult = 0.5 * (np.exp(1j * phase) / (k2 + 1j * w) + np.exp(-1j * phase) / (k2 - 1j * w))
             mult[zero] = 0.0

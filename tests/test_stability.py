@@ -185,7 +185,8 @@ class TestPerturbAndCompare:
         table = perturb_and_compare(base, pert, None, sp, t_grid, SAMPLER)
         sig = (2 * np.pi / g.L) ** 2
         lam = sp.lam(3)
-        base_norm = morrey_lorentz_norm(pert_theta, NormParams(p=sp.r, q=np.inf, lam=lam))
+        base_norm = morrey_lorentz_norm(pert_theta, NormParams(p=sp.r, q=np.inf, lam=lam),
+                                        BallSampler())
         for (t, wu, wth, D) in table.rows:
             want = t ** (sp.gamma / 2.0) * math.exp(-t * sig) * base_norm
             assert wu == 0.0
