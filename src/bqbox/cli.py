@@ -129,14 +129,10 @@ def _cmd_evolve(cfg, outdir):
     return outputs
 
 
-def _linear_problem(cfg):
-    if cfg.solve is None or cfg.forcing is None:
-        raise ConfigError("periodic subcommands need solve{} and forcing{}")
-    return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized", grid=cfg.grid)
-
-
 def _cmd_periodic_linear(cfg, outdir):
-    problem = _linear_problem(cfg)
+    if cfg.solve is None or cfg.forcing is None:
+        raise ConfigError("periodic-linear needs solve{} and forcing{}")
+    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid)
     n_max = numeric_option(cfg.raw, "periodic.n_max", 256, integral=True)
     tol = numeric_option(cfg.raw, "periodic.tol", 1e-9)
     reference = resolvent_periodic_datum(problem)
@@ -167,8 +163,7 @@ def _nonlinear_orbit(cfg, p):
     outer_tol = numeric_option(cfg.raw, "periodic.outer_tol", 1e-8)
     outer_max = numeric_option(cfg.raw, "periodic.outer_max", 16, integral=True)
     ctx = NormContext(NormParams.critical(p, cfg.grid.n), cfg.sampler, time_stride=4)
-    mode = cfg.mode if cfg.mode in ("full", "navier-stokes") else "full"
-    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode=mode, grid=cfg.grid)
+    problem = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid)
     return nonlinear_periodic(problem, outer_tol=outer_tol, outer_max=outer_max, ctx=ctx)
 
 

@@ -2,9 +2,10 @@
 
 A config names the grid, the initial data, a forcing (finite Fourier series
 in time, so exactly T-periodic), the solver settings, the norm triples and
-sampler, and per-subcommand options.  All randomness flows from the single
-``seed`` through counter-based generators, so identical configs produce
-bit-identical outputs.
+sampler, and per-subcommand options.  Mode ``navier-stokes`` is ``full``
+once the config has checked theta0 = 0 and no f or g.  All randomness flows
+from the single ``seed`` through counter-based generators, so identical
+configs produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .duhamel import SolveConfig
-from .errors import ConfigError, DiagnosticsError
+from .errors import ConfigError, DiagnosticsError, HypothesisError
 from .forcing import FIELD_KINDS, ForcingSpec, HarmonicTerm, TimeFourierField
 from .grid import GridSpec, ScalarField, State, VectorField, zeros_like_state
 from .norms import BallSampler, NormParams
@@ -182,6 +183,13 @@ def build_forcing(cfg_dict, grid, seed):
 
 
 def build_initial(cfg_dict, grid, seed):
+    initial = _initial_state(cfg_dict, grid, seed)
+    if cfg_dict.get("mode") == "navier-stokes" and initial.theta.values.any():
+        raise HypothesisError("navier-stokes mode requires theta0 = 0")
+    return initial
+
+
+def _initial_state(cfg_dict, grid, seed):
     init = cfg_dict.get("initial")
     if init is None or init.get("zero"):
         return zeros_like_state(grid)
@@ -294,12 +302,16 @@ def load_config(path):
 
     t_end = numeric_option(raw, "t_end", None)
 
+    if mode == "navier-stokes" and forcing is not None and (
+            forcing.f is not None or forcing.g is not None):
+        raise HypothesisError("navier-stokes mode takes no temperature forcing f or field g")
+
     return RunConfig(
         raw=raw,
         text=text,
         grid=grid,
         seed=seed,
-        mode=mode,
+        mode="full" if mode == "navier-stokes" else mode,
         solve=solve,
         forcing=forcing,
         norms=norms,

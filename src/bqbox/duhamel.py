@@ -57,6 +57,9 @@ The buoyancy coupling is projected to mean zero: on the torus the k = 0 mode
 of I - e^{-TL} is singular, so all periodic machinery lives on the mean-free
 subspace and the mean of the coupling is removed uniformly.
 
+Navier-Stokes is the theta = 0 case of the full dynamics, not a mode: with
+theta0 = 0 and no f or g every stored temperature is exactly 0.
+
 The Duhamel terms over a stored trajectory (B, T_g, C) are prefix paths
 with the same product trapezoid, I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j)
 + Wb G(t_{j+1}) with the factors built once per step size, each read at
@@ -447,7 +450,7 @@ def _picard(state_rhs, fixed, new, Wb, t_b, cfg, i):
 # evolve
 # ---------------------------------------------------------------------------
 
-_MODES = ("full", "linearized", "navier-stokes")
+_MODES = ("full", "linearized")
 # weights of the last 1, 2 or 3 equally spaced node values, newest first, that
 # extrapolate them to the next node: constant, linear, quadratic
 _EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
@@ -457,14 +460,14 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
            on_state=None, _predictor=None):
     """Integrate the mild formulation from ``initial`` up to ``t_end``.
 
-    Modes: ``full`` (both nonlinearities), ``linearized`` (state-independent
-    right-hand side; a g-coupling goes in as frozen rows in ``extra``, on a
-    forcing without g, see :attr:`bqbox.periodic.PeriodicProblem.coupling`),
-    and ``navier-stokes`` (zero-temperature reduction; requires theta0 = 0
-    and no temperature forcing, and ignores kappa).  ``extra`` is a list
-    with one (vel, th) pair of band rows (``grid.band_shape``) per step node
-    of one forcing period (or of the whole run without a forcing), None for
-    an absent part; its velocity rows must be Leray-projected.  The rows are
+    Modes: ``full`` (both nonlinearities; Navier-Stokes is its theta0 = 0
+    case without f or g) and ``linearized`` (state-independent right-hand
+    side; a g-coupling goes in as frozen rows in ``extra``, on a forcing
+    without g, see :attr:`bqbox.periodic.PeriodicProblem.coupling`).
+    ``extra`` is a list with one (vel, th) pair of band rows
+    (``grid.band_shape``) per step node of one forcing period (or of the
+    whole run without a forcing), None for an absent part; its velocity rows
+    must be Leray-projected.  The rows are
     linear between nodes, so step i reads the pairs of nodes i mod S and
     i mod S + 1.
 
@@ -474,9 +477,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     checked finite, nothing is kept, and the Trajectory returned has no
     times or states, only ``meta``.  ``meta`` totals the run's right-hand-side evaluations
     (``rhs_evaluations``) and Picard iterations (``picard_iterations``); a
-    full or navier-stokes run makes one evaluation more than iterations.
+    full run makes one evaluation more than iterations.
 
-    ``_predictor`` (private; full and navier-stokes modes) is a list of the
+    ``_predictor`` (private; full mode) is a list of the
     same form as ``extra``, over the run's step nodes: G_state at a nearby
     solution (the converged iterate of :func:`bqbox.periodic.nonlinear_periodic`).
     Step i's Picard then starts from ``fixed + Wb row[i + 1]`` instead of the
@@ -495,11 +498,6 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         raise ConfigError("linearized evolve takes no g-coupling (g with kappa > 0): set mode to "
                           "'full', remove forcing.g or set forcing.kappa to 0, or solve the "
                           "periodic problem with the periodic-linear subcommand")
-    if mode == "navier-stokes":
-        if float(np.max(np.abs(initial.theta.values))) != 0.0:
-            raise HypothesisError("navier-stokes mode requires theta0 = 0")
-        if forcing is not None and (forcing.f is not None or forcing.g is not None):
-            raise HypothesisError("navier-stokes mode takes no temperature forcing f or field g")
 
     n_steps = int(round(t_end / cfg.dt))
     if n_steps < 1 or abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
@@ -514,9 +512,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         # S, the steps the rows span: one forcing period, or the whole run without a forcing
         S = n_steps if forcing is None else int(round(forcing.period / dt))
         _check_node_rows(extra, S + 1, grid, "sampled forcing")
-    state_rhs = None
-    if mode in ("full", "navier-stokes"):
-        state_rhs = _StateRHS(grid, forcing)
+    state_rhs = _StateRHS(grid, forcing) if mode == "full" else None
 
     factors = {}
     E = _step_factors(grid, dt, factors)[0]
@@ -737,9 +733,11 @@ def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
     th0_hat = forward_coeffs(grid, x0.theta.values)
     factors = {}
     paths = []
-    if mode in ("full", "navier-stokes"):
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
+    if mode == "full":
         paths.append(_bilinear_path(traj, traj, times, factors))
-    if forcing is not None and forcing.coupled and mode != "navier-stokes":
+    if forcing is not None and forcing.coupled:
         paths.append(_coupling_path(traj, forcing.g, forcing.kappa, times, factors))
     if forcing is not None and (forcing.F is not None or forcing.f is not None):
         paths.append(_forcing_path(forcing, times, cfg, factors))

@@ -40,6 +40,9 @@ class TimeFourierField:
                 raise ConfigError(
                     f"forcing harmonic {term.harmonic} has a non-finite pattern or phase"
                 )
+            if term.field.grid != self.grid:
+                raise ConfigError(f"forcing harmonic {term.harmonic} lives on {term.field.grid}, "
+                                  f"the first term on {self.grid}")
 
     @property
     def grid(self):
@@ -74,7 +77,7 @@ class ForcingSpec:
 
     ``kappa`` is the volume-expansion coefficient scaling the buoyancy
     coupling theta * g; it is allowed to be 0 so the coupling can be switched
-    off exactly (the zero-temperature reduction needs that).
+    off exactly.
     """
 
     period: float
@@ -92,6 +95,9 @@ class ForcingSpec:
             tf = getattr(self, name)
             if tf is None:
                 continue
+            if tf.grid != self.grid:
+                raise ConfigError(f"forcing component {name} lives on {tf.grid}, "
+                                  f"the first component on {self.grid}")
             if abs(tf.period - self.period) > 1e-12 * self.period:
                 raise ConfigError(f"forcing component {name} has period {tf.period} != {self.period}")
             for term in tf.terms:

@@ -1,5 +1,8 @@
 """Construction of time-periodic solutions.
 
+A problem has no mode: :func:`nonlinear_periodic` solves the full dynamics
+(Navier-Stokes without f and g), every other route the linearized ones.
+
 For the linearized dynamics the time-T solution map is affine,
 P(x) = e^{-TL} x + c, and a periodic orbit is a fixed point of P.  Two
 routes to the fixed datum are implemented and cross-validated:
@@ -94,7 +97,6 @@ def default_norm_context(grid):
 class PeriodicProblem:
     forcing: ForcingSpec
     cfg: SolveConfig
-    mode: str = "linearized"
     grid: object = None
 
     def __post_init__(self):
@@ -120,13 +122,7 @@ class PeriodicProblem:
 
     @cached_property
     def linear_image(self):
-        """P(0) of the linear problem, its g-coupling frozen as rows: what both routes read.
-
-        A full or navier-stokes problem has no affine P, so both routes refuse it here.
-        """
-        if self.mode != "linearized":
-            raise HypothesisError("the Cesaro and resolvent constructions apply to the "
-                                  f"linearized dynamics, not to mode {self.mode!r}")
+        """P(0) of the linear problem, its g-coupling frozen as rows: what both routes read."""
         return _zero_image(self, self.coupling)
 
     @cached_property
@@ -136,7 +132,7 @@ class PeriodicProblem:
         None without a coupling.  The rows follow the resolvent datum of
         P_F(0) over one stepped period: its temperature is exact.
         """
-        if self.mode != "linearized" or not self.forcing.coupled:
+        if not self.forcing.coupled:
             return None
         return _buoyancy_rows(self, _invert_resolvent(self, _zero_image(self, None)))
 
@@ -153,19 +149,13 @@ class PeriodicSolution:
 
 
 def poincare_map(x: State, problem: PeriodicProblem) -> State:
-    """State after one forcing period started from x.
-
-    A linearized problem steps the frozen system (:attr:`PeriodicProblem.coupling`),
-    whose fixed point is the coupled periodic datum.
-    """
-    if problem.mode != "linearized":
-        return _period_image(problem, x, problem.forcing, mode=problem.mode)
+    """P(x): one period of the linearized dynamics from x, its coupling rows frozen."""
     return _period_image(problem, x, problem.linear_forcing, problem.coupling)
 
 
-def _period_image(problem, x, forcing, extra=None, mode="linearized"):
-    """State one period after x with ``forcing`` and the frozen rows ``extra``."""
-    return evolve(x, forcing, problem.period, problem.cfg, mode=mode, extra=extra,
+def _period_image(problem, x, forcing, extra=None):
+    """State one linearized period after x with ``forcing`` and the frozen rows ``extra``."""
+    return evolve(x, forcing, problem.period, problem.cfg, mode="linearized", extra=extra,
                   store_stride=problem.steps_per_period).states[-1]
 
 
@@ -427,7 +417,7 @@ def nonlinear_periodic(
     ctx: NormContext | None = None,
     initial_guess: Trajectory | None = None,
 ) -> PeriodicSolution:
-    """Periodic solution of the full (or zero-temperature) dynamics.
+    """Periodic solution of the full dynamics (Navier-Stokes without f and g).
 
     Outer loop: freeze G_state along the current periodic iterate, solve
     the linear periodic problem it induces, repeat until successive
@@ -449,8 +439,6 @@ def nonlinear_periodic(
     dropped as the run reads them; every step still passes Picard's
     residual test with the full right-hand side.
     """
-    if problem.mode not in ("full", "navier-stokes"):
-        raise ConfigError("nonlinear_periodic needs mode 'full' or 'navier-stokes'")
     _check_loop_bounds("outer_max", outer_max, 1, "outer_tol", outer_tol)
     grid = problem.grid
     if ctx is None:
@@ -507,9 +495,7 @@ def nonlinear_periodic(
     # nothing else of the loop is read again, P_F(0) neither
     del current, nxt, extra
     vars(problem).pop("forced_image", None)
-    certify = evolve(
-        datum, forcing, problem.period, problem.cfg, mode=problem.mode, _predictor=predictor,
-    )
+    certify = evolve(datum, forcing, problem.period, problem.cfg, _predictor=predictor)
     res_max, res_norm = check_periodicity(certify, ctx)
     sol_norm = trajectory_sup_norm(certify, ctx)
     return PeriodicSolution(

@@ -7,10 +7,11 @@ The separation between a periodic solution (u, theta) and a perturbed run
 
 with alpha = 1 - p/q and gamma = 1 - p/r.  (u, theta) is the certified
 periodic orbit, read at step k as its stored state k mod S (S steps per
-period), not a re-stepped copy of it.  On the torus the spectral gap
-makes the gap decay exponentially, so the polynomial weights are a certified
-upper-bound check, not a sharp rate; the decay-exponent fit reports that the
-late-time log-log slope falls below -alpha/2.
+period), not a re-stepped copy of it; both follow the full dynamics.  On
+the torus the spectral gap makes the gap decay exponentially, so the
+polynomial weights are a certified upper-bound check, not a sharp rate; the
+decay-exponent fit reports that the late-time log-log slope falls below
+-alpha/2.
 """
 
 from __future__ import annotations
@@ -152,15 +153,14 @@ def perturb_and_compare(
 ):
     """Evolve the perturbed problem and tabulate its weighted gap D(t) to the certified orbit.
 
-    ``base`` is a full or navier-stokes PeriodicSolution whose trajectory is
-    one certified period of S steps at the problem's dt; snapped step k is
-    compared with its state k mod S.  The perturbed run starts from
-    ``perturbed_initial`` with g replaced by ``perturbed_g`` (None keeps g).
+    ``base`` is a :func:`~bqbox.periodic.nonlinear_periodic` solution whose
+    trajectory is one certified period of S steps at the problem's dt; snapped
+    step k is compared with its state k mod S.  The perturbed run, of the full
+    dynamics, starts from ``perturbed_initial`` with g replaced by
+    ``perturbed_g`` (None keeps g).
     The perturbation sizes are reported alongside |||g - g'|||, all on ``sampler``'s balls.
     """
     problem = base.problem
-    if problem.mode not in ("full", "navier-stokes"):
-        raise ConfigError(f"stability needs a full or navier-stokes base, got mode {problem.mode!r}")
     grid = problem.grid
     lam = params.lam(grid.n)
     cfg = problem.cfg
@@ -189,7 +189,7 @@ def perturb_and_compare(
             wu, wth = _weighted_parts(gap, wanted[k], params, sampler)
             rows.append((wanted[k], wu, wth, wu + wth))
 
-    evolve(perturbed_initial, forcing2, t_max, cfg, mode=problem.mode, on_state=add_row)
+    evolve(perturbed_initial, forcing2, t_max, cfg, on_state=add_row)
 
     g_gap = 0.0
     if perturbed_g is not None and forcing.g is not None:

@@ -5,6 +5,7 @@ criterion fails its test.  Runtime ceilings are asserted alongside the
 numerical tolerances.
 """
 
+import json
 import time
 
 import numpy as np
@@ -34,6 +35,8 @@ from bqbox import (
     weighted_bilinear_constants,
     zeros_like_state,
 )
+from bqbox.cli import main
+from bqbox.fileio import read_field
 from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs
 from bqbox.norms import ball_indicator
@@ -134,8 +137,7 @@ class TestAcceptance:
                 F=TimeFourierField(period=T, terms=(HarmonicTerm(1, Ft, 0.3),)),
                 f=TimeFourierField(period=T, terms=(HarmonicTerm(0, fv), HarmonicTerm(1, fv, 1.1))),
             )
-            prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                                   mode="linearized", grid=g)
+            prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=g)
             ref = resolvent_periodic_datum(prob)
             sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
             agrees.append(max(
@@ -161,8 +163,7 @@ class TestAcceptance:
             F=constant_in_time(T, Ft),
             f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
         )
-        return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 32, substeps=4),
-                               mode="full", grid=g)
+        return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 32, substeps=4), grid=g)
 
     @staticmethod
     def _ctx(g, stride=8):
@@ -185,27 +186,32 @@ class TestAcceptance:
         assert elapsed < 120.0
         report(5, f"residual {sol.residual_max:.2e}, response ratio {ratio:.4f}, {elapsed:.1f}s")
 
-    def test_criterion_6_navier_stokes_corollary(self):
-        """Zero-temperature run equals navier-stokes mode bit-for-bit."""
+    def test_criterion_6_navier_stokes_corollary(self, tmp_path):
+        """A navier-stokes config runs full mode bit for bit, with theta = 0 exactly."""
         started = time.monotonic()
-        g = GridSpec(n=3, N=16, L=BOX)
-        T = 1.0
-        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-3)
-        forcing = ForcingSpec(period=T, kappa=0.0, F=constant_in_time(T, Ft))
-        cfg = SolveConfig(dt=T / 32, substeps=4)
-        ctx = self._ctx(g, stride=8)
-        full = nonlinear_periodic(PeriodicProblem(forcing=forcing, cfg=cfg, mode="full", grid=g),
-                                  ctx=ctx)
-        ns = nonlinear_periodic(PeriodicProblem(forcing=forcing, cfg=cfg, mode="navier-stokes",
-                                                grid=g), ctx=ctx)
-        assert np.array_equal(full.initial.u.values, ns.initial.u.values)
-        assert np.array_equal(full.initial.theta.values, ns.initial.theta.values)
-        for a, b in zip(full.trajectory.states, ns.trajectory.states):
-            assert np.array_equal(a.u.values, b.u.values)
-            assert np.array_equal(a.theta.values, b.theta.values)
-        assert ns.residual_max < 1e-6
+        config = {
+            "grid": {"n": 3, "N": 16, "L": BOX}, "norm_p": 3.0,
+            "sampler": {"num_centers": 8, "num_radii": 4},
+            "forcing": {"period": 1.0, "F": [
+                {"harmonic": 0, "preset": "single-mode-tensor", "amplitude": 1e-3,
+                 "params": {"k": [0, 1, 0], "row": 0, "col": 1}}]},
+            "solve": {"dt": 1 / 32, "substeps": 4},
+        }
+        outputs = ("datum.bqf", "residual.csv", "contraction_history.csv")
+        runs = {}
+        for mode in ("full", "navier-stokes"):
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps({**config, "mode": mode}), encoding="utf-8")
+            out = tmp_path / mode
+            assert main(["periodic-nonlinear", "--config", str(path), "--output", str(out)]) == 0
+            runs[mode] = [(out / name).read_bytes() for name in outputs]
+        assert runs["navier-stokes"] == runs["full"]
+        datum = read_field(tmp_path / "navier-stokes" / "datum.bqf")
+        assert np.all(datum.theta.values == 0.0) and np.max(np.abs(datum.u.values)) > 0.0
+        residual_max = float(runs["navier-stokes"][1].decode().splitlines()[1].split(",")[0])
+        assert residual_max < 1e-6
         elapsed = time.monotonic() - started
-        report(6, f"bit-identical, residual {ns.residual_max:.2e}, {elapsed:.1f}s")
+        report(6, f"bit-identical, residual {residual_max:.2e}, {elapsed:.1f}s")
 
     def test_criterion_7_estimate_suite_refinement(self):
         """All six empirical constants finite and stable under N -> 2N."""

@@ -713,7 +713,7 @@ class TestStabilityLoopOptions:
         seen = []
 
         def spy(problem, outer_tol=None, outer_max=None, ctx=None):
-            seen.append((problem.mode, outer_tol, outer_max, ctx.params, ctx.time_stride))
+            seen.append((outer_tol, outer_max, ctx.params, ctx.time_stride))
             raise bqbox.ConvergenceError("stopped by the spy")
 
         monkeypatch.setattr(cli, "nonlinear_periodic", spy)
@@ -721,7 +721,68 @@ class TestStabilityLoopOptions:
         cfg = write_config(tmp_path / "c.json", config)
         assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 4
         p = {"periodic-nonlinear": 2.5, "stability": 3.0}[command]
-        assert seen == [("full", 3e-9, 7, NormParams(p=p, q=np.inf, lam=3 - p), 4)]
+        assert seen == [(3e-9, 7, NormParams(p=p, q=np.inf, lam=3 - p), 4)]
+
+
+class TestNavierStokesConfig:
+    """`"mode": "navier-stokes"` is full mode with theta = 0: the config checks
+    that hypothesis before any solve, and the run is a full-mode run."""
+
+    @staticmethod
+    def _config(command, mode="navier-stokes", term=None):
+        """A theta-free config of ``command`` (F only, theta0 = 0), with the
+        ``f`` or ``g`` term of :func:`evolve_3d_config` added if ``term`` names it."""
+        config = {"evolve": evolve_3d_config, "periodic-nonlinear": nonlinear_3d_config,
+                  "stability": TestStabilityLoopOptions._config}[command]()
+        coupled = evolve_3d_config()["forcing"]
+        config["forcing"] = {"period": 1.0, "kappa": coupled["kappa"], "F": coupled["F"]}
+        if term is not None:
+            config["forcing"][term] = coupled[term]
+        config["initial"] = {"u": {"preset": "taylor-green", "params": {"amplitude": 1e-3}}}
+        config["mode"] = mode
+        return config
+
+    @staticmethod
+    def _no_solver(monkeypatch):
+        """The solver calls the CLI makes, recorded in place of running them."""
+        calls = []
+        for name in ("evolve", "nonlinear_periodic"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        return calls
+
+    @pytest.mark.parametrize("term", ["f", "g"])
+    @pytest.mark.parametrize("command", ["evolve", "periodic-nonlinear", "stability"])
+    def test_temperature_forcing_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                          command, term):
+        calls = self._no_solver(monkeypatch)
+        cfg = write_config(tmp_path / "c.json", self._config(command, term=term))
+        assert main([command, "--config", cfg, "--output", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("hypothesis violated: navier-stokes mode takes no temperature "
+                       "forcing f or field g\n")
+        assert calls == []
+
+    def test_nonzero_theta0_exits_3_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        calls = self._no_solver(monkeypatch)
+        config = self._config("evolve")
+        config["initial"] = evolve_3d_config()["initial"]  # a gaussian-bump theta
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == "hypothesis violated: navier-stokes mode requires theta0 = 0\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("command, outputs", [
+        ("evolve", ["trajectory.csv"]),
+        ("periodic-nonlinear", ["datum.bqf", "residual.csv", "contraction_history.csv"]),
+    ], ids=["evolve", "periodic-nonlinear"])
+    def test_outputs_match_full_mode(self, tmp_path, command, outputs):
+        for mode in ("full", "navier-stokes"):
+            cfg = write_config(tmp_path / f"{mode}.json", self._config(command, mode))
+            assert main([command, "--config", cfg, "--output", str(tmp_path / mode)]) == 0
+        for name in outputs:
+            assert (tmp_path / "full" / name).read_bytes() == (
+                tmp_path / "navier-stokes" / name).read_bytes()
 
 
 class TestOptionParsing:

@@ -366,30 +366,15 @@ class TestEvolve:
         for s in traj.states:
             assert spectral_divergence_residual(s.u) <= 1e-10
 
-    def test_mode_consistency_bitwise(self, grid3d_small):
-        g = grid3d_small
-        T = 1.0
-        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-3)
-        forcing = ForcingSpec(period=T, kappa=0.0, F=constant_in_time(T, Ft))
-        cfg = SolveConfig(dt=T / 16, substeps=2)
-        init = zeros_like_state(g)
-        full = evolve(init, forcing, T, cfg, mode="full")
-        ns = evolve(init, forcing, T, cfg, mode="navier-stokes")
-        for a, b in zip(full.states, ns.states):
-            assert np.array_equal(a.u.values, b.u.values)
-            assert np.array_equal(a.theta.values, b.theta.values)
-
-    def test_navier_stokes_validation(self, grid3d_small):
-        g = grid3d_small
-        T = 1.0
-        bad_init = State(zeros_like_state(g).u, gaussian_profile(g, 0.2))
-        cfg = SolveConfig(dt=T / 16)
-        with pytest.raises(HypothesisError, match="theta0"):
-            evolve(bad_init, None, T, cfg, mode="navier-stokes")
-        fv = single_mode_vector(g, k=(1, 0, 0), component=0)
-        forcing = ForcingSpec(period=T, f=constant_in_time(T, fv))
-        with pytest.raises(HypothesisError, match="temperature forcing"):
-            evolve(zeros_like_state(g), forcing, T, cfg, mode="navier-stokes")
+    def test_navier_stokes_is_not_a_solver_mode(self, grid2d_box):
+        # the theta = 0 case of full mode: only the run config names it
+        init = zeros_like_state(grid2d_box)
+        cfg = SolveConfig(dt=0.05)
+        with pytest.raises(ConfigError, match="unknown mode 'navier-stokes'"):
+            evolve(init, None, 0.1, cfg, mode="navier-stokes")
+        traj = evolve(init, None, 0.1, cfg)
+        with pytest.raises(ConfigError, match="unknown mode 'navier-stokes'"):
+            duhamel_residual(traj, None, cfg, mode="navier-stokes")
 
     def test_linearity_in_data_and_forcing(self, grid2d_box):
         g = grid2d_box
@@ -547,6 +532,10 @@ def _two_value_loop(init, forcing, n_steps, cfg):
     return states
 
 
+# the Navier-Stokes case of full mode: theta0 = 0 and no g
+NAVIER_STOKES = pytest.param("full", None, id="navier-stokes-None")
+
+
 class TestOneValuePerNode:
     """Each node gets one nonlinearity value: t = 0 its own, every later node
     Picard's last evaluation; the predictor extrapolates the last three."""
@@ -565,7 +554,7 @@ class TestOneValuePerNode:
         init = State(random_div_free(g, seed=2, amplitude=0.1), theta0)
         return init, forcing, SolveConfig(dt=T / 16, substeps=2, picard_tol=picard_tol)
 
-    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), NAVIER_STOKES, ("full", 1)])
     def test_one_call_per_picard_iteration_after_the_first_node(
             self, grid3d_small, monkeypatch, mode, g_harmonic):
         init, forcing, cfg = self._problem(grid3d_small, g_harmonic)
@@ -580,7 +569,7 @@ class TestOneValuePerNode:
         assert len(iterations) == n_steps
         assert len(calls) == 1 + sum(iterations)
 
-    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), NAVIER_STOKES, ("full", 1)])
     def test_close_to_two_values_per_node(self, grid3d_small, mode, g_harmonic):
         # both close the same implicit steps to picard_tol; they differ only in
         # which Picard iterate gives a node its nonlinearity, so the states
@@ -640,7 +629,7 @@ class TestPredictorReuse:
     predictor, keeps the trajectory of the two-value loop with fewer calls;
     a time-dependent g saves at least the predictor's call of every step."""
 
-    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), NAVIER_STOKES, ("full", 1)])
     def test_same_trajectory_one_call_fewer(self, grid3d_small, monkeypatch, mode, g_harmonic):
         n_steps = 8
         init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, g_harmonic,
@@ -675,7 +664,7 @@ class TestNodeRowPredictor:
         return [rhs(forward_coeffs(grid, s.u.values), forward_coeffs(grid, s.theta.values), t)
                 for t, s in zip(traj.times, traj.states)]
 
-    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), ("navier-stokes", None), ("full", 1)])
+    @pytest.mark.parametrize("mode, g_harmonic", [("full", 0), NAVIER_STOKES, ("full", 1)])
     def test_rows_of_the_solution_close_each_step_at_once(self, grid3d_small, mode, g_harmonic):
         # rows of the run's own states: each step's first Picard iterate is
         # accepted, so the run makes the t = 0 evaluation plus one per step,
@@ -717,7 +706,7 @@ class TestNodeRowPredictor:
 class TestStepCounters:
     """``meta`` totals the right-hand-side evaluations and Picard iterations of a run."""
 
-    @pytest.mark.parametrize("mode", ["full", "navier-stokes", "linearized"])
+    @pytest.mark.parametrize("mode", ["full", "linearized"])
     def test_meta_counts_match_calls(self, grid3d_small, monkeypatch, mode):
         g = grid3d_small
         T, n_steps = 1.0, 5
@@ -829,6 +818,26 @@ class TestForcingCoupled:
         gv = single_mode_vector(grid3d_small, k=(1, 0, 0), component=2, amplitude=1.0)
         g = constant_in_time(1.0, gv) if g_given else None
         assert ForcingSpec(period=1.0, kappa=kappa, g=g).coupled is coupled
+
+
+class TestForcingGrids:
+    """The terms of one forcing, and its components, live on one grid."""
+
+    def test_components_on_two_grids_refused(self):
+        a, b = GridSpec(2, 16, L=1.0), GridSpec(2, 16, L=2.0)
+        F = constant_in_time(1.0, single_mode_tensor(a, k=(1, 0), row=0, col=1))
+        f = constant_in_time(1.0, single_mode_vector(b, k=(1, 0), component=0))
+        message = f"forcing component f lives on {b}, the first component on {a}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ForcingSpec(period=1.0, F=F, f=f)
+
+    def test_terms_on_two_grids_refused(self):
+        a, b = GridSpec(2, 16, L=1.0), GridSpec(2, 16, L=2.0)
+        terms = (HarmonicTerm(0, single_mode_vector(a, k=(1, 0), component=0)),
+                 HarmonicTerm(1, single_mode_vector(b, k=(1, 0), component=0)))
+        message = f"forcing harmonic 1 lives on {b}, the first term on {a}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TimeFourierField(period=1.0, terms=terms)
 
 
 class TestGCache:

@@ -14,7 +14,6 @@ from bqbox import (
     ConvergenceError,
     ForcingSpec,
     GridSpec,
-    HypothesisError,
     NormContext,
     NormParams,
     PeriodicProblem,
@@ -72,15 +71,14 @@ def linear_problem(grid, amp=1e-4, seed=None, dt=T / 16, substeps=4):
         F = TimeFourierField(period=T, terms=(HarmonicTerm(1, Ft, 0.3),))
     forcing = ForcingSpec(period=T, f=TimeFourierField(period=T, terms=terms_f), F=F)
     cfg = SolveConfig(dt=dt, substeps=substeps)
-    return PeriodicProblem(forcing=forcing, cfg=cfg, mode="linearized", grid=grid)
+    return PeriodicProblem(forcing=forcing, cfg=cfg, grid=grid)
 
 
 class TestPoincareMap:
     def test_zero_forcing_is_heat_flow(self, grid2d_box):
         g = grid2d_box
         forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=g)
         x = State(taylor_green(g, 0.4), gaussian_profile(g, 0.5, 0.3))
         got = poincare_map(x, prob)
         want_u = heat_semigroup(x.u, T)
@@ -108,8 +106,7 @@ class TestPoincareMap:
         g = grid2d_box
         fv = single_mode_vector(g, k=(2, 0), component=0, amplitude=1.0)
         forcing = ForcingSpec(period=T, f=constant_in_time(T, fv))
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                               mode="linearized", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=g)
         got = poincare_map(zeros_like_state(g), prob)
         src = div_coeffs(g, forward_coeffs(g, fv.values))
         sig = g.k_squared
@@ -121,8 +118,7 @@ class TestPoincareMap:
 class TestResolventDatum:
     def test_zero_forcing(self, grid2d_box):
         forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               grid=grid2d_box)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=grid2d_box)
         datum = resolvent_periodic_datum(prob)
         assert datum.max_norm() == 0.0
 
@@ -130,8 +126,7 @@ class TestResolventDatum:
         g = grid2d_box
         fv = single_mode_vector(g, k=(2, 0), component=0, amplitude=1.0)
         forcing = ForcingSpec(period=T, f=constant_in_time(T, fv))
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                               mode="linearized", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=g)
         datum = resolvent_periodic_datum(prob)
         src = div_coeffs(g, forward_coeffs(g, fv.values))
         sig = g.k_squared
@@ -153,8 +148,7 @@ class TestResolventDatum:
 class TestCesaroDatum:
     def test_zero_forcing(self, grid2d_box):
         forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               grid=grid2d_box)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=grid2d_box)
         sol = cesaro_periodic_datum(prob, n_max=16, tol=1e-12)
         assert sol.initial.max_norm() == 0.0
         assert sol.residual_max == 0.0
@@ -228,8 +222,7 @@ class TestCesaroDatum:
         g = grid2d_box
         gv = single_mode_vector(g, k=(1, 0), component=1, amplitude=1.0)
         forcing = ForcingSpec(period=T, kappa=0.5, g=constant_in_time(T, gv))
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=g)
         # coupling rows with one NaN mode at node 5, in place of the derived ones
         rows = [np.zeros((g.n,) + g.band_shape, dtype=complex) for _ in range(17)]
         rows[5][0, 2, 3] = np.nan
@@ -247,25 +240,6 @@ class TestCesaroDatum:
         with pytest.raises(ConfigError):
             cesaro_periodic_datum(prob, n_max=n_max, tol=tol)
 
-    def test_requires_linearized_mode(self, grid2d_box):
-        forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="full",
-                               grid=grid2d_box)
-        with pytest.raises(HypothesisError):
-            cesaro_periodic_datum(prob)
-
-    @pytest.mark.parametrize("mode", ["full", "navier-stokes"])
-    @pytest.mark.parametrize("route", [resolvent_periodic_datum, cesaro_periodic_datum],
-                             ids=["resolvent", "cesaro"])
-    def test_both_routes_refuse_a_nonlinear_problem(self, grid2d_box, monkeypatch, route, mode):
-        prob = dataclasses.replace(nonlinear_problem(grid2d_box, amp=1e-2), mode=mode)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a period was stepped before the mode was checked")
-
-        monkeypatch.setattr(periodic_mod, "evolve", refuse)
-        with pytest.raises(HypothesisError, match=f"linearized dynamics, not to mode '{mode}'"):
-            route(prob)
 
 
 def stepped_cesaro(prob, n_max, tol, reference=None):
@@ -303,8 +277,7 @@ def coupled_linear_problem(grid, kappa=0.5):
     gv = single_mode_vector(grid, k=(1,) + (0,) * (grid.n - 1), component=1, amplitude=1.0)
     forcing = ForcingSpec(period=T, kappa=kappa, g=constant_in_time(T, gv),
                           f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.4),)))
-    return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                           mode="linearized", grid=grid)
+    return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=grid)
 
 
 class TestAffineOrbit:
@@ -447,8 +420,7 @@ class TestClosedFormDatum:
         config["solve"]["substeps"] = substeps
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
-        return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized",
-                               grid=cfg.grid)
+        return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid)
 
     def test_second_order_in_the_substep(self, linear_workload_configs, tmp_path):
         linear, _ = linear_workload_configs
@@ -544,8 +516,7 @@ class TestCesaroHistoryClosedForm:
     def _solve(config, path, case):
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
-        prob = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, mode="linearized",
-                               grid=cfg.grid)
+        prob = PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid)
         assert (prob.coupling is not None) == (case == "coupled")
         periodic = cfg.raw["periodic"]
         ref = resolvent_periodic_datum(prob)
@@ -609,8 +580,7 @@ def nonlinear_problem(grid, amp, dt=T / 16):
         F=constant_in_time(T, Ft),
         f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
     )
-    return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=dt, substeps=4), mode="full",
-                           grid=grid)
+    return PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=dt, substeps=4), grid=grid)
 
 
 def ctx_for(grid, stride=8):
@@ -622,8 +592,7 @@ def ctx_for(grid, stride=8):
 class TestNonlinearPeriodic:
     def test_zero_forcing_one_step(self, grid2d_box):
         forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="full",
-                               grid=grid2d_box)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=grid2d_box)
         sol = nonlinear_periodic(prob, ctx=ctx_for(grid2d_box))
         assert sol.meta["outer_iterations"] == 1
         assert sol.initial.max_norm() == 0.0
@@ -717,8 +686,7 @@ class TestNonlinearPeriodic:
             f=constant_in_time(T, fv),
             g=constant_in_time(T, gravity_field(g, G=1.0, soft_cells=2.0)),
         )
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                               mode="full", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=g)
         ctx = NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), BallSampler(4, 4), time_stride=4)
         sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx)
         assert sol.residual_max < 1e-8
@@ -726,29 +694,26 @@ class TestNonlinearPeriodic:
         # the buoyancy term must actually move the velocity: compare kappa=0
         forcing0 = ForcingSpec(period=T, kappa=0.0, F=forcing.F, f=forcing.f)
         sol0 = nonlinear_periodic(
-            PeriodicProblem(forcing=forcing0, cfg=prob.cfg, mode="full", grid=g),
+            PeriodicProblem(forcing=forcing0, cfg=prob.cfg, grid=g),
             outer_tol=1e-10, ctx=ctx,
         )
         assert not np.allclose(sol.initial.u.values, sol0.initial.u.values)
 
-    def test_navier_stokes_bitwise_match(self, grid3d_small):
+    def test_navier_stokes_case_keeps_theta_exactly_zero(self, grid3d_small):
+        # no f and no g: the full dynamics are Navier-Stokes, and the datum
+        # and every stored temperature of the certifying run are exactly 0
         g = grid3d_small
         Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-3)
-        forcing = ForcingSpec(period=T, kappa=0.0, F=constant_in_time(T, Ft))
+        forcing = ForcingSpec(period=T, F=constant_in_time(T, Ft))
         cfg = SolveConfig(dt=T / 16, substeps=4)
         ctx = NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), BallSampler(4, 4), time_stride=4)
-        full = nonlinear_periodic(
-            PeriodicProblem(forcing=forcing, cfg=cfg, mode="full", grid=g), ctx=ctx
-        )
-        ns = nonlinear_periodic(
-            PeriodicProblem(forcing=forcing, cfg=cfg, mode="navier-stokes", grid=g), ctx=ctx
-        )
-        assert np.array_equal(full.initial.u.values, ns.initial.u.values)
-        assert np.array_equal(full.initial.theta.values, ns.initial.theta.values)
-        for a, b in zip(full.trajectory.states, ns.trajectory.states):
-            assert np.array_equal(a.u.values, b.u.values)
-        assert ns.residual_max < 1e-9
-        assert np.max(np.abs(ns.trajectory.states[-1].theta.values)) == 0.0
+        sol = nonlinear_periodic(PeriodicProblem(forcing=forcing, cfg=cfg, grid=g), ctx=ctx)
+        assert sol.residual_max < 1e-9
+        assert np.max(np.abs(sol.initial.u.values)) > 0.0
+        assert np.all(sol.initial.theta.values == 0.0)
+        assert len(sol.trajectory.states) == 17
+        for state in sol.trajectory.states:
+            assert np.all(state.theta.values == 0.0)
 
 
 class TestSplitImageAndWarmStart:
@@ -769,7 +734,7 @@ class TestSplitImageAndWarmStart:
             F=constant_in_time(T, random_smooth_tensor(g, seed=4, amplitude=1e-2)),
             f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
         )
-        prob = PeriodicProblem(forcing=forcing, cfg=cfg, mode="full", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=cfg, grid=g)
         # an iterate to freeze: one full-mode period from a nonzero state
         x0 = State(random_div_free(g, seed=11, amplitude=0.1),
                    random_smooth_scalar(g, seed=12, amplitude=0.1))
@@ -819,7 +784,7 @@ class TestSplitImageAndWarmStart:
         sol = nonlinear_periodic(prob, ctx=ctx, **tol)
         steps = prob.steps_per_period
         assert sol.trajectory.meta["rhs_evaluations"] == steps + 1
-        cold = evolve(sol.initial, prob.forcing, T, prob.cfg, mode=prob.mode)
+        cold = evolve(sol.initial, prob.forcing, T, prob.cfg)
         assert cold.meta["rhs_evaluations"] > steps + 1
         scale = max(s.max_norm() for s in cold.states)
         for a, b in zip(sol.trajectory.states, cold.states):
@@ -895,7 +860,7 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
         if delta < outer_tol:
             break
     datum = current.states[0]
-    certify = evolve(datum, problem.forcing, problem.period, problem.cfg, mode=problem.mode,
+    certify = evolve(datum, problem.forcing, problem.period, problem.cfg,
                      _predictor=frozen_extra(current, problem.forcing))
     res_max, res_norm = check_periodicity(certify, ctx)
     return history, datum, res_max, res_norm, trajectory_sup_norm(certify, ctx)
@@ -932,8 +897,7 @@ class TestNonlinearPeriodicMemory:
             f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
             g=constant_in_time(T, gravity_field(g, G=1.0, soft_cells=2.0)),
         )
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4),
-                               mode="full", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=g)
         ctx = NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), BallSampler(4, 4), time_stride=4)
         return prob, ctx
 

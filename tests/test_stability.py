@@ -143,8 +143,7 @@ def base_solution(grid, amp=1e-3):
             HarmonicTerm(1, single_mode_vector(grid, k=kvec2, component=0, amplitude=amp), 0.1),
         )),
     )
-    prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), mode="full",
-                           grid=grid)
+    prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16, substeps=4), grid=grid)
     p = 3.0 if grid.n == 3 else 2.0
     ctx = NormContext(NormParams(p=p, q=np.inf, lam=max(0.0, grid.n - p)),
                       BallSampler(4, 4), time_stride=8)
@@ -170,7 +169,7 @@ class TestPerturbAndCompare:
         # flow, so the gap is delta e^{-t sig} exactly
         g = grid3d_small
         forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="full", grid=g)
+        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), grid=g)
         zero_traj = evolve(zeros_like_state(g), forcing, T, prob.cfg, mode="full")
         from bqbox.periodic import PeriodicSolution
 
@@ -267,20 +266,6 @@ class TestPerturbAndCompare:
         with pytest.raises(DiagnosticsError, match="base trajectory must store 17 states"):
             perturb_and_compare(replace(base, trajectory=traj), base.initial, None,
                                 StabilityParams(**SP), [T], SAMPLER)
-
-    def test_linearized_base_refused(self, grid3d_small):
-        # a linear orbit is no base for a perturbation stepped with the full dynamics
-        g = grid3d_small
-        forcing = ForcingSpec(period=T)
-        prob = PeriodicProblem(forcing=forcing, cfg=SolveConfig(dt=T / 16), mode="linearized",
-                               grid=g)
-        zero_traj = evolve(zeros_like_state(g), forcing, T, prob.cfg, mode="linearized")
-        from bqbox.periodic import PeriodicSolution
-
-        base = PeriodicSolution(problem=prob, initial=zeros_like_state(g),
-                                trajectory=zero_traj, residual_max=0.0, residual_norm=0.0)
-        with pytest.raises(ConfigError, match="got mode 'linearized'"):
-            perturb_and_compare(base, base.initial, None, StabilityParams(**SP), [T], SAMPLER)
 
     def test_peak_memory_keeps_only_snapped_states(self, grid3d_small):
         # a run over 64 steps against one over a single step: the single-step
