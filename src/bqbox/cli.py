@@ -26,14 +26,16 @@ from .duhamel import evolve
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
 from .fileio import read_field, write_field
 from .grid import spectral_divergence_residual
-from .norms import NormContext, NormParams, morrey_lorentz_table, state_norm
+from .norms import (NormContext, NormParams, TimeWeightParams, morrey_lorentz_norm,
+                    morrey_lorentz_table, state_norm, weighted_time_sup)
+from .operators import verify_dispersive
 from .periodic import (
     PeriodicProblem,
     cesaro_periodic_datum,
     nonlinear_periodic,
     resolvent_periodic_datum,
 )
-from .presets import random_div_free
+from .presets import random_div_free, random_smooth_scalar
 from .report import write_csv, write_manifest
 from .stability import (
     StabilityParams,
@@ -232,9 +234,6 @@ def _cmd_stability(cfg, outdir):
 
 def _smallness_inputs(cfg, params, base, K):
     """Empirical inputs for the assembled contraction expressions."""
-    from .norms import morrey_lorentz_norm, weighted_time_sup
-    from .norms import TimeWeightParams
-
     forcing = cfg.forcing
     grid = cfg.grid
     lam = grid.n - params.p
@@ -274,9 +273,6 @@ def _cmd_verify_estimates(cfg, outdir):
     outputs = [write_csv(outdir / "estimates.csv",
                          ["check", "value", "value_refined", "rel_change"], rows)]
     # per-time decay ratio table for one representative field
-    from .operators import verify_dispersive
-    from .presets import random_smooth_scalar
-
     phi = random_smooth_scalar(cfg.grid, seed=cfg.seed, exponent=2.0)
     rep = verify_dispersive(
         phi, NormParams(p=p, q=math.inf, lam=0.0), NormParams(p=2 * p, q=math.inf, lam=0.0),
@@ -303,12 +299,7 @@ def main(argv=None):
     try:
         if not args.config:
             raise ConfigError("--config (or BQBOX_CONFIG) is required")
-        cfg = load_config(args.config)
-        if args.seed is not None and args.seed != cfg.seed:
-            cfg.seed = args.seed
-            from .config import build_forcing
-
-            cfg.forcing = build_forcing(cfg.raw, cfg.grid, cfg.seed)
+        cfg = load_config(args.config, seed=args.seed)
         outdir = Path(args.output)
         try:
             outdir.mkdir(parents=True, exist_ok=True)

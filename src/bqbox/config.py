@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .duhamel import SolveConfig
 from .errors import ConfigError, DiagnosticsError, HypothesisError
+from .fileio import read_field
 from .forcing import FIELD_KINDS, ForcingSpec, HarmonicTerm, TimeFourierField
 from .grid import GridSpec, ScalarField, State, VectorField, zeros_like_state
 from .norms import BallSampler, NormParams
@@ -194,8 +195,6 @@ def _initial_state(cfg_dict, grid, seed):
     if init is None or init.get("zero"):
         return zeros_like_state(grid)
     if "file" in init:
-        from .fileio import read_field
-
         obj = read_field(init["file"])
         if not isinstance(obj, State):
             raise ConfigError(f"initial.file must contain a state, got {type(obj).__name__}")
@@ -220,7 +219,8 @@ def _initial_state(cfg_dict, grid, seed):
     return State(u if u is not None else zero.u, theta if theta is not None else zero.theta)
 
 
-def load_config(path):
+def load_config(path, seed=None):
+    """The checked config at ``path``; ``seed`` overrides the file's, which is still checked."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -245,7 +245,8 @@ def load_config(path):
     except Exception as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    seed = numeric_option(raw, "seed", 0, integral=True)
+    file_seed = numeric_option(raw, "seed", 0, integral=True)
+    seed = file_seed if seed is None else seed
     mode = raw.get("mode", "full")
     if mode not in ("full", "linearized", "navier-stokes"):
         raise ConfigError(f"unknown mode {mode!r}")

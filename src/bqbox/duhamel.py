@@ -465,11 +465,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     side; a g-coupling goes in as frozen rows in ``extra``, on a forcing
     without g, see :attr:`bqbox.periodic.PeriodicProblem.coupling`).
     ``extra`` is a list with one (vel, th) pair of band rows
-    (``grid.band_shape``) per step node of one forcing period (or of the
-    whole run without a forcing), None for an absent part; its velocity rows
-    must be Leray-projected.  The rows are
-    linear between nodes, so step i reads the pairs of nodes i mod S and
-    i mod S + 1.
+    (``grid.band_shape``) per step node of the run, None for an absent part;
+    its velocity rows must be Leray-projected.  The rows are linear between
+    nodes, so step i reads the pairs of nodes i and i + 1.
 
     A state is stored at t = 0, every ``store_stride`` steps and at ``t_end``.
     Without ``on_state`` the stored states are returned as the Trajectory.
@@ -479,9 +477,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     (``rhs_evaluations``) and Picard iterations (``picard_iterations``); a
     full run makes one evaluation more than iterations.
 
-    ``_predictor`` (private; full mode) is a list of the
-    same form as ``extra``, over the run's step nodes: G_state at a nearby
-    solution (the converged iterate of :func:`bqbox.periodic.nonlinear_periodic`).
+    ``_predictor`` (private; full mode only) is a list of the same form as
+    ``extra``: G_state at a nearby solution (the converged iterate of
+    :func:`bqbox.periodic.nonlinear_periodic`).
     Step i's Picard then starts from ``fixed + Wb row[i + 1]`` instead of the
     extrapolated node values, and the entry is set to None once read, so
     the rows go as the states come.  Only the start changes: every step
@@ -503,15 +501,15 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     if n_steps < 1 or abs(n_steps * cfg.dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"t_end = {t_end} must be a positive multiple of dt = {cfg.dt}")
     if _predictor is not None:
+        if mode != "full":
+            raise ConfigError("a Picard predictor needs mode 'full'; a linearized run has no Picard")
         _check_node_rows(_predictor, n_steps + 1, grid, "predictor")
     if forcing is not None:
         cfg.check_period(forcing.period)
+    if extra is not None:
+        _check_node_rows(extra, n_steps + 1, grid, "sampled forcing")
 
     dt = cfg.dt
-    if extra is not None:
-        # S, the steps the rows span: one forcing period, or the whole run without a forcing
-        S = n_steps if forcing is None else int(round(forcing.period / dt))
-        _check_node_rows(extra, S + 1, grid, "sampled forcing")
     state_rhs = _StateRHS(grid, forcing) if mode == "full" else None
 
     factors = {}
@@ -560,7 +558,7 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
                     part[support] += A * row
         row = None  # the last row is not held through the step
         if extra is not None:
-            _add_on_band(fixed, grid, [(Wa, extra[i % S]), (Wb, extra[i % S + 1])])
+            _add_on_band(fixed, grid, [(Wa, extra[i]), (Wb, extra[i + 1])])
 
         if state_rhs is None:
             x = fixed

@@ -32,6 +32,8 @@ class TimeFourierField:
     def __post_init__(self):
         if not self.period > 0:
             raise ConfigError(f"forcing period must be positive, got {self.period}")
+        if not self.terms:
+            raise ConfigError("a time-Fourier forcing needs at least one harmonic term")
         kinds = {type(t.field) for t in self.terms}
         if len(kinds) > 1:
             raise ConfigError("all terms of one forcing must share a field kind")

@@ -42,10 +42,11 @@ stored state into a reader that builds its frozen band rows, one
 :func:`~bqbox.operators.advection_coeffs` call per state as in the full-mode
 step, and keeps the state only at the sup-in-time indices, where it forms
 its increment term against the previous iterate's matching state and
-releases that one.  The first solve steps P_F(0), and each later one only
-the image of its frozen rows.  The rows of the converged iterate are G_state
-at its states, so the same list starts the Picard iteration of each step
-of the certifying run, which is still a stepped full-mode period.
+releases that one.  The loop has one start: the first solve freezes
+nothing and steps P_F(0), and each later one only the image of its frozen
+rows.  The rows of the converged iterate are G_state at its states, so the
+same list starts the Picard iteration of each step of the certifying run,
+which is still a stepped full-mode period.
 
 Mean (k = 0) modes: I - e^{-TL} is singular on constants, so forcings are
 kept mean-free and the datum mean is fixed to zero.
@@ -237,17 +238,6 @@ def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
         raise ConfigError(f"{tol_name} must be finite and > 0, got {tol}")
 
 
-def _affine_period(decay, z_hat, c_hat):
-    """One period of the affine map, P^n(0) = e^{-TL} P^{n-1}(0) + c, in place.
-
-    ``z_hat`` and ``c_hat`` are (velocity, temperature) coefficient pairs;
-    ``decay`` is e^{-TL} per mode.
-    """
-    for z, c in zip(z_hat, c_hat):
-        z *= decay
-        z += c
-
-
 def cesaro_periodic_datum(
     problem: PeriodicProblem,
     n_max=256,
@@ -288,7 +278,9 @@ def cesaro_periodic_datum(
     converged_at = None
     for n in range(1, n_max + 1):
         if n > 1:
-            _affine_period(decay, z_hat, c_hat)
+            for part, c_part in zip(z_hat, c_hat):
+                part *= decay
+                part += c_part
             z = [inverse_values(grid, part) for part in z_hat]
         prev = mean
         mean = [m + (part - m) / n for m, part in zip(prev, z)]
@@ -384,15 +376,6 @@ class _Iterate:
         self.terms = []
         self._previous = None if previous is None else previous.sup
 
-    @classmethod
-    def read(cls, traj: Trajectory, ctx, forcing):
-        """The iterate of a stored trajectory (an initial guess); no increment is formed."""
-        it = cls(len(traj.times), ctx, forcing)
-        it.terms = None
-        for t, state in zip(traj.times, traj.states):
-            it(t, state)
-        return it
-
     def __call__(self, t, state):
         i = len(self.rows)
         g = None if self.g is None else self.g.value(t).values
@@ -400,10 +383,8 @@ class _Iterate:
         if i not in self.keep:
             return
         self.sup[i] = state
-        if self.terms is not None:
-            diff = state if self._previous is None else state_difference(
-                state, self._previous.pop(i))
-            self.terms.append(state_norm(diff, self.ctx))
+        diff = state if self._previous is None else state_difference(state, self._previous.pop(i))
+        self.terms.append(state_norm(diff, self.ctx))
 
     def increment(self):
         """Sup over the kept states of the increment terms (NaN if any term is)."""
@@ -415,7 +396,6 @@ def nonlinear_periodic(
     outer_tol=1e-8,
     outer_max=16,
     ctx: NormContext | None = None,
-    initial_guess: Trajectory | None = None,
 ) -> PeriodicSolution:
     """Periodic solution of the full dynamics (Navier-Stokes without f and g).
 
@@ -430,8 +410,8 @@ def nonlinear_periodic(
     sup-in-time states; the next iterate streams in state by state
     (:class:`_Iterate`) and never exists whole.  Every solve's P(0) is the
     problem's P_F(0), which the first solve steps, plus the image of its
-    frozen rows (:func:`_zero_image`).  ``initial_guess``, a stored
-    one-period trajectory, is read the same way and frozen by the first solve.
+    frozen rows (:func:`_zero_image`).  The first solve freezes nothing: the
+    loop always starts from the resolvent datum of P_F(0).
 
     The certifying run is a stepped full-mode evolve from the datum that
     returns its whole trajectory.  The converged iterate's rows, G_state at
@@ -450,7 +430,7 @@ def nonlinear_periodic(
             f'hypothesis "2 < p <= n" violated (p = {p}, n = {grid.n})'
         )
     forcing = problem.forcing
-    current = None if initial_guess is None else _Iterate.read(initial_guess, ctx, forcing)
+    current = None
     history = []
     ratios = []
     converged = False
@@ -473,7 +453,7 @@ def nonlinear_periodic(
             current = nxt
             converged = True
             break
-        if history and len(history) >= 2 and np.isfinite(ratio):
+        if np.isfinite(ratio):
             ratios.append(ratio)
             if ratio >= 1.0:
                 raise ConvergenceError(

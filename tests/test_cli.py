@@ -12,13 +12,13 @@ import pytest
 import bqbox
 from bqbox import (DiagnosticsError, GridSpec, ScalarField, State, VectorField, cli, read_field,
                    write_field)
+from bqbox import config as config_mod
 from bqbox import duhamel, periodic
 from bqbox.cli import main
 from bqbox.config import build_initial, load_config
 from bqbox.duhamel import Trajectory
 from bqbox.forcing import ForcingSpec, constant_in_time
 from bqbox.grid import spectral_divergence_residual
-from bqbox import norms as norms_mod
 from bqbox.norms import BallSampler, NormContext, NormParams, gaussian_profile, state_norm
 from bqbox.presets import random_smooth_scalar, random_smooth_tensor
 from bqbox.report import write_csv
@@ -91,6 +91,35 @@ class TestEvolveCommand:
         assert snaps
         state = read_field(snaps[0])
         assert isinstance(state, State)
+
+
+class TestSeedOption:
+    """``--seed`` replaces the config's seed before the config builds anything random."""
+
+    @staticmethod
+    def _config(seed):
+        return evolve_config(
+            seed=seed,
+            initial={"u": {"preset": "random-div-free", "params": {"amplitude": 1e-3}}},
+            forcing={"period": 1.0, "f": [{"harmonic": 1, "preset": "random-vector",
+                                           "amplitude": 1e-3}]},
+        )
+
+    def test_option_matches_the_seed_in_the_file(self, tmp_path, monkeypatch):
+        built = []
+        real = config_mod.build_forcing
+        monkeypatch.setattr(config_mod, "build_forcing",
+                            lambda raw, grid, seed: built.append(seed) or real(raw, grid, seed))
+        outputs = {}
+        for name, seed, option in (("file", 5, []), ("option", 1, ["--seed", "5"]),
+                                   ("other", 1, [])):
+            path = write_config(tmp_path / f"{name}.json", self._config(seed))
+            out = tmp_path / name
+            assert main(["evolve", "--config", path, "--output", str(out), *option]) == 0
+            outputs[name] = (out / "trajectory.csv").read_bytes()
+        # the forcing is built once per run, with the seed the run uses
+        assert built == [5, 5, 1]
+        assert outputs["option"] == outputs["file"] != outputs["other"]
 
 
 def evolve_3d_config(**overrides):
@@ -537,7 +566,7 @@ class TestSmallnessInputs:
     @pytest.mark.parametrize("at", [0, 4])
     def test_nan_forcing_norm_reaches_ff_norm(self, monkeypatch, at):
         # the F norm at the at-th of the five sampled times is NaN
-        real, calls = norms_mod.morrey_lorentz_norm, []
+        real, calls = cli.morrey_lorentz_norm, []
 
         def norm(f, params, sampler=None):
             if params.p == 1.5:
@@ -547,7 +576,7 @@ class TestSmallnessInputs:
             return real(f, params, sampler)
 
         assert np.isfinite(self._inputs()["Ff_norm"])
-        monkeypatch.setattr(norms_mod, "morrey_lorentz_norm", norm)
+        monkeypatch.setattr(cli, "morrey_lorentz_norm", norm)
         got = self._inputs()
         assert len(calls) == 5 and np.isnan(got["Ff_norm"]) and np.isfinite(got["eta_sup"])
 

@@ -702,6 +702,15 @@ class TestNodeRowPredictor:
         with pytest.raises(ConfigError, match="predictor has 5 rows for 4 step nodes"):
             evolve(init, forcing, 3 * cfg.dt, cfg, _predictor=rows)
 
+    def test_linearized_run_refuses_rows(self, grid3d_small):
+        # a linearized step has no Picard iteration to start, so the rows
+        # would go unread: refused before the run touches them
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, None)
+        rows = self._rows(evolve(init, forcing, 4 * cfg.dt, cfg), forcing)
+        with pytest.raises(ConfigError, match="predictor needs mode 'full'"):
+            evolve(init, forcing, 4 * cfg.dt, cfg, mode="linearized", _predictor=rows)
+        assert all(row is not None for row in rows)
+
 
 class TestStepCounters:
     """``meta`` totals the right-hand-side evaluations and Picard iterations of a run."""
@@ -754,7 +763,7 @@ class TestStateConsumer:
         if mode == "linearized":
             # the coupling of a frozen temperature: rows on the forcing without g
             th = gaussian_profile(g, 0.2, 0.1).values
-            nodes = np.arange(17) * cfg.dt
+            nodes = np.arange(n_steps + 1) * cfg.dt
             extra = [(buoyancy_coeffs(g, th, forcing.g.value(t).values, forcing.kappa), None)
                      for t in nodes]
             forcing = dataclasses.replace(forcing, g=None, kappa=0.0)
@@ -838,6 +847,11 @@ class TestForcingGrids:
         message = f"forcing harmonic 1 lives on {b}, the first term on {a}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             TimeFourierField(period=1.0, terms=terms)
+
+    def test_empty_term_list_refused(self):
+        # with no term there is no grid to read, and no forcing to build
+        with pytest.raises(ConfigError, match="needs at least one harmonic term"):
+            TimeFourierField(period=1.0, terms=())
 
 
 class TestGCache:
@@ -1189,8 +1203,7 @@ def _band_rows(grid, count, parts, seed=0):
 
 @pytest.mark.parametrize("parts", ["vel", "th", "both"])
 def test_compiled_forcing_step_reads_its_nodes(grid2d, monkeypatch, parts):
-    """evolve's step i adds the frozen pairs of nodes i mod S and i mod S + 1 themselves,
-    period after period."""
+    """evolve's step i adds the frozen pairs of nodes i and i + 1 themselves."""
     S = 16
     cfg = SolveConfig(dt=1.0 / S)
     extra = _band_rows(grid2d, S + 1, parts)
@@ -1198,13 +1211,20 @@ def test_compiled_forcing_step_reads_its_nodes(grid2d, monkeypatch, parts):
     add = duhamel._add_on_band
     monkeypatch.setattr(duhamel, "_add_on_band",
                         lambda acc, grid, terms: read.append(list(terms)) or add(acc, grid, terms))
-    evolve(zeros_like_state(grid2d), ForcingSpec(period=1.0), 3.0, cfg, mode="linearized",
+    evolve(zeros_like_state(grid2d), ForcingSpec(period=1.0), 1.0, cfg, mode="linearized",
            extra=extra)
-    assert len(read) == 3 * S
+    assert len(read) == S
     for i, terms in enumerate(read):
-        j = i % S
         assert len(terms) == 2
-        assert all(got is want for (_, got), want in zip(terms, extra[j:j + 2]))
+        assert all(got is want for (_, got), want in zip(terms, extra[i:i + 2]))
+
+
+def test_compiled_forcing_rows_span_the_run(grid2d):
+    # one forcing period of rows is not repeated over a three-period run
+    extra = _band_rows(grid2d, 17, "both")
+    with pytest.raises(ConfigError, match="sampled forcing has 17 rows for 49 step nodes"):
+        evolve(zeros_like_state(grid2d), ForcingSpec(period=1.0), 3.0, SolveConfig(dt=1.0 / 16),
+               mode="linearized", extra=extra)
 
 
 def test_compiled_forcing_rejects_misaligned_samples(grid2d):

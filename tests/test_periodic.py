@@ -182,22 +182,19 @@ class TestCesaroDatum:
 
     def test_stops_at_converged_period(self, grid2d_box, monkeypatch):
         # c = P(0) is one stepped period per problem, read by the resolvent and
-        # the Cesaro route alike; every later term is one affine update, and
-        # the only other evolve is the certify run
+        # the Cesaro route alike; every later term is an affine update, not a
+        # stepped period: the only other evolve is the certify run
         prob = linear_problem(grid2d_box, amp=2e-5, seed=9)
-        images, affine, evolves = [], [], []
-        zero_image, affine_period = periodic_mod._zero_image, periodic_mod._affine_period
+        images, evolves = [], []
+        zero_image = periodic_mod._zero_image
         monkeypatch.setattr(periodic_mod, "_zero_image",
                             lambda *a: images.append(zero_image(*a)) or images[-1])
-        monkeypatch.setattr(periodic_mod, "_affine_period",
-                            lambda *a: affine.append(1) or affine_period(*a))
         monkeypatch.setattr(periodic_mod, "evolve",
                             lambda *a, **k: evolves.append(1) or evolve(*a, **k))
         ref = resolvent_periodic_datum(prob)
         sol = cesaro_periodic_datum(prob, n_max=600, tol=5e-9, reference=ref)
         assert len(images) == 1 and images[0] is prob.linear_image is prob.forced_image
         assert len(evolves) == 2
-        assert len(affine) == sol.meta["iterations"] - 1
         assert sol.meta["iterations"] == len(sol.history) < 600
 
     @pytest.mark.parametrize("n_max, tol", [(600, 5e-9), (6, 1e-16)])
@@ -589,6 +586,41 @@ def ctx_for(grid, stride=8):
                        BallSampler(num_centers=4, num_radii=4), time_stride=stride)
 
 
+def chord_periodic_datum(problem, start, tol=1e-13, max_iter=40):
+    """Periodic datum of the full dynamics by the chord iteration on the Poincare map.
+
+    x_{k+1} = (I - e^{-TL})^{-1} (P(x_k) - e^{-TL} x_k), with P(x) one stepped
+    full-mode period from x: the Jacobian of P is replaced by its linear part
+    e^{-TL}, inverted mode by mode with the mean set to 0 (Kelley, Iterative
+    Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 5).  A fixed
+    point is x = P(x), whatever the linear part, so this route shares no
+    frozen rows, resolvent solve or increment norm with the outer loop.  It
+    stops once the max-norm increment is below ``tol`` of the state's.
+    """
+    grid = problem.grid
+    zero = (0,) * grid.n
+    decay = np.exp(-problem.period * grid.k_squared)
+    denom = 1.0 - decay
+    denom[zero] = 1.0  # the mean is set to 0 below
+    x = start
+    for _ in range(max_iter):
+        image = evolve(x, problem.forcing, problem.period, problem.cfg,
+                       store_stride=problem.steps_per_period).states[-1]
+        u_hat, th_hat = ((forward_coeffs(grid, new) - decay * forward_coeffs(grid, old)) / denom
+                         for new, old in ((image.u.values, x.u.values),
+                                          (image.theta.values, x.theta.values)))
+        u_hat = leray_coeffs(grid, u_hat)
+        u_hat[(slice(None),) + zero] = 0.0
+        th_hat[zero] = 0.0
+        nxt = State(VectorField(grid, inverse_values(grid, u_hat)),
+                    ScalarField(grid, inverse_values(grid, th_hat)))
+        step = state_difference(nxt, x).max_norm()
+        x = nxt
+        if step <= tol * x.max_norm():
+            return x
+    raise AssertionError(f"chord iteration did not converge in {max_iter} steps (last {step:.3e})")
+
+
 class TestNonlinearPeriodic:
     def test_zero_forcing_one_step(self, grid2d_box):
         forcing = ForcingSpec(period=T)
@@ -615,20 +647,25 @@ class TestNonlinearPeriodic:
         ratio = sols[1].meta["solution_h_norm"] / sols[0].meta["solution_h_norm"]
         assert ratio == pytest.approx(0.5, abs=0.05)
 
+    @staticmethod
+    def _assert_chord_agrees(prob, ctx, outer_tol):
+        # the chord route, started from a random datum, reaches the outer
+        # loop's datum: the fixed point in the small ball is unique
+        sol = nonlinear_periodic(prob, outer_tol=outer_tol, ctx=ctx)
+        g = prob.grid
+        start = State(random_div_free(g, seed=77, amplitude=1e-2),
+                      random_smooth_scalar(g, seed=78, amplitude=1e-2))
+        datum = chord_periodic_datum(prob, start)
+        assert state_difference(datum, sol.initial).max_norm() <= 1e-10 * sol.initial.max_norm()
+
     def test_uniqueness_probe(self, grid2d_box):
-        g = grid2d_box
-        prob = nonlinear_problem(g, amp=1e-2)
-        tol = 1e-11
-        sol1 = nonlinear_periodic(prob, outer_tol=tol, ctx=ctx_for(g))
-        guess_state = State(random_div_free(g, seed=77, amplitude=1e-2),
-                            random_smooth_scalar(g, seed=78, amplitude=1e-2))
-        guess = evolve(guess_state, prob.forcing, T, prob.cfg, mode="full")
-        sol2 = nonlinear_periodic(prob, outer_tol=tol, ctx=ctx_for(g), initial_guess=guess)
-        gap = max(
-            np.max(np.abs(sol1.initial.u.values - sol2.initial.u.values)),
-            np.max(np.abs(sol1.initial.theta.values - sol2.initial.theta.values)),
-        )
-        assert gap < 10 * tol
+        prob = nonlinear_problem(grid2d_box, amp=1e-2)
+        self._assert_chord_agrees(prob, ctx_for(grid2d_box), 1e-11)
+
+    def test_uniqueness_probe_coupled(self):
+        # 3-D, g-coupled, at an amplitude where the outer loop takes 10 iterations
+        prob, ctx = TestNonlinearPeriodicMemory._problem(amp=0.3, kappa=0.5)
+        self._assert_chord_agrees(prob, ctx, 1e-12)
 
     def test_periodic_shift_consistency(self, grid2d_box):
         g = grid2d_box
@@ -838,7 +875,7 @@ def stored_linear_solve(problem, extra, forced):
                   problem.cfg, mode="linearized", extra=extra)
 
 
-def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_guess=None):
+def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx):
     """The outer loop with every iterate stored whole and its difference materialized.
 
     Each iterate is kept until the next replaces it, and its rows are read
@@ -847,7 +884,7 @@ def collected_nonlinear_periodic(problem, outer_tol, outer_max, ctx, initial_gue
     certify run's Picard.  Returns the history, datum, residuals and sup
     norm :func:`nonlinear_periodic` reports.
     """
-    current, history = initial_guess, []
+    current, history = None, []
     forced = zero_image(problem, problem.forcing, None)
     for m in range(1, outer_max + 1):
         extra = frozen_extra(current, problem.forcing) if current is not None else None
@@ -885,15 +922,15 @@ class TestNonlinearPeriodicMemory:
     """The outer loop holds no iterate whole, and the certify run holds no loop state."""
 
     @staticmethod
-    def _problem():
+    def _problem(amp=1e-3, kappa=0.3):
         from bqbox.presets import gravity_field
 
         g = GridSpec(n=3, N=16, L=2.0 * np.pi)
-        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
+        fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=amp)
         forcing = ForcingSpec(
             period=T,
-            kappa=0.3,
-            F=constant_in_time(T, random_smooth_tensor(g, seed=4, amplitude=1e-3)),
+            kappa=kappa,
+            F=constant_in_time(T, random_smooth_tensor(g, seed=4, amplitude=amp)),
             f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
             g=constant_in_time(T, gravity_field(g, G=1.0, soft_cells=2.0)),
         )
@@ -925,10 +962,11 @@ class TestNonlinearPeriodicMemory:
         # last state, which must still be read
         for stride in (3, 5):
             ctx_s = NormContext(ctx.params, ctx.sampler, time_stride=stride)
-            previous = periodic_mod._Iterate.read(iterates[0], ctx_s, prob.forcing)
+            previous = periodic_mod._Iterate(len(iterates[0].times), ctx_s, prob.forcing)
             reader = periodic_mod._Iterate(len(iterates[1].times), ctx_s, prob.forcing, previous)
-            for t, state in zip(iterates[1].times, iterates[1].states):
-                reader(t, state)
+            for it, iterate in ((previous, iterates[0]), (reader, iterates[1])):
+                for t, state in zip(iterate.times, iterate.states):
+                    it(t, state)
             want = trajectory_sup_norm(trajectory_difference(iterates[1], iterates[0]), ctx_s)
             assert reader.increment() == want
             assert previous.sup == {}  # each previous sup state released once differenced
@@ -939,27 +977,6 @@ class TestNonlinearPeriodicMemory:
         collected = collected_nonlinear_periodic(prob, 1e-10, 16, ctx)
         assert len(collected[0]) >= 3
         self._assert_same(sol, collected)
-
-    @pytest.mark.parametrize("coupled", [False, True])
-    def test_outputs_match_collected_loop_from_guess(self, coupled):
-        # the guess's rows (with a coupling, its buoyancy too) and sup states
-        # are all read: the history differs from the run without a guess
-        if coupled:
-            prob, ctx = self._problem()
-        else:
-            prob = nonlinear_problem(GridSpec(n=2, N=16, L=2.0 * np.pi), amp=1e-2)
-            ctx = ctx_for(prob.grid, stride=4)
-        g = prob.grid
-        guess_state = State(random_div_free(g, seed=77, amplitude=1e-3),
-                            random_smooth_scalar(g, seed=78, amplitude=1e-3))
-        guess = evolve(guess_state, prob.forcing, T, prob.cfg, mode="full")
-        sol = nonlinear_periodic(prob, outer_tol=1e-10, ctx=ctx, initial_guess=guess)
-        collected = collected_nonlinear_periodic(prob, 1e-10, 16, ctx, initial_guess=guess)
-        assert len(collected[0]) >= 3
-        self._assert_same(sol, collected)
-        unguessed = collected_nonlinear_periodic(prob, 1e-10, 16, ctx)
-        assert collected[0][0][1] != unguessed[0][0][1]
-        assert collected[0][1][1] != unguessed[0][1][1]
 
     def test_coupling_only_in_the_frozen_rows(self, monkeypatch):
         # with a g-coupling the buoyancy rows are frozen with the advection:
