@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from .config import build_initial, load_config, numeric_option
 from .duhamel import evolve
-from .errors import ConfigError, ConvergenceError, DiagnosticsError, FieldIOError, HypothesisError
+from .errors import BqboxError, ConfigError, DiagnosticsError, FieldIOError
 from .fileio import read_field, write_field
 from .grid import spectral_divergence_residual
 from .norms import (NormContext, NormParams, TimeWeightParams, morrey_lorentz_norm,
@@ -46,23 +45,15 @@ from .stability import (
 )
 from .suite import refinement_comparison
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_HYPOTHESIS = 3
-EXIT_CONVERGENCE = 4
-EXIT_IO = 5
-EXIT_DIAGNOSTICS = 6
-
 
 def _parser():
     ap = argparse.ArgumentParser(prog="bqbox", description=__doc__)
     ap.add_argument("subcommand", choices=[
         "norms", "evolve", "periodic-linear", "periodic-nonlinear", "stability", "verify-estimates",
     ])
-    env_seed = os.environ.get("BQBOX_SEED")
-    ap.add_argument("--config", default=os.environ.get("BQBOX_CONFIG"))
-    ap.add_argument("--output", default=os.environ.get("BQBOX_OUTPUT", "."))
-    ap.add_argument("--seed", type=int, default=int(env_seed) if env_seed else None)
+    ap.add_argument("--config")
+    ap.add_argument("--output", default=".")
+    ap.add_argument("--seed", type=int)
     return ap
 
 
@@ -298,7 +289,7 @@ def main(argv=None):
     started = time.monotonic()
     try:
         if not args.config:
-            raise ConfigError("--config (or BQBOX_CONFIG) is required")
+            raise ConfigError("--config is required")
         cfg = load_config(args.config, seed=args.seed)
         outdir = Path(args.output)
         try:
@@ -308,22 +299,12 @@ def main(argv=None):
         outputs = _COMMANDS[args.subcommand](cfg, outdir)
         write_manifest(outdir, args.subcommand, cfg.text, cfg.seed,
                        [Path(o).name for o in outputs], time.monotonic() - started)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except HypothesisError as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (FieldIOError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except DiagnosticsError as exc:
-        print(f"diagnostics error: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
+    except (BqboxError, OSError) as exc:
+        # each error class owns its exit code and label; any other OSError is an I/O error
+        kind = type(exc) if isinstance(exc, BqboxError) else FieldIOError
+        print(f"{kind.label}: {exc}", file=sys.stderr)
+        return kind.exit_code
+    return 0
 
 
 if __name__ == "__main__":

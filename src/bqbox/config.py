@@ -39,11 +39,23 @@ class RunConfig:
     t_end: float | None
 
 
+def _table(value, where, kind=dict):
+    """``value``, the JSON object (``kind=list``: array) at ``where``; null reads as empty."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ConfigError(f"{where} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _require(d, key, kind, where):
     """d[key], which must be present and of ``kind`` (a type or a tuple of types).
 
-    A JSON boolean is never taken for a number, though ``bool`` is an ``int``.
+    ``d`` is the table at ``where``.  A JSON boolean is never taken for a
+    number, though ``bool`` is an ``int``.
     """
+    d = _table(d, where)
     if key not in d:
         raise ConfigError(f"config is missing {where}.{key}")
     val = d[key]
@@ -68,11 +80,7 @@ def numeric_option(options, path, default, integral=False, prefix="", finite=Tru
     """
     name = f"{prefix}.{path}" if prefix else path
     section, _, key = path.rpartition(".")
-    table = options.get(section, {}) if section else options
-    if table is None:
-        table = {}
-    if not isinstance(table, dict):
-        raise ConfigError(f"{name.rpartition('.')[0]} must be a JSON object, got {table!r}")
+    table = _table(options.get(section), name.rpartition(".")[0]) if section else options
     value = table.get(key)
     if value is None:
         return default
@@ -93,15 +101,14 @@ def numeric_option(options, path, default, integral=False, prefix="", finite=Tru
 
 
 def _norm_params(entry, where):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be an object with p/q/lam")
+    entry = _table(entry, where)
     p = numeric_option(entry, "p", 0.0, prefix=where)
     q = math.inf if entry.get("q") in (None, "inf", math.inf) else numeric_option(
         entry, "q", None, prefix=where)
     lam = numeric_option(entry, "lam", 0.0, prefix=where)
     try:
         return NormParams(p=p, q=q, lam=lam)
-    except Exception as exc:
+    except HypothesisError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -115,13 +122,11 @@ def _preset_field(grid, preset, spec, seed, where):
 
     Every scalar parameter must be a number (an integer for the counts and
     indices), and ``k`` and ``center`` lists of ``grid.n`` numbers; a bad
-    value is a ConfigError naming ``{where}.params.{key}``.  A random preset
-    without a ``seed`` parameter takes ``seed``.
+    value is a ConfigError naming ``{where}.params.{key}``; a ``seed`` must
+    be >= 0.  A random preset without a ``seed`` parameter takes ``seed``.
     """
-    raw = spec.get("params", {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}.params must be a JSON object, got {raw!r}")
     prefix = f"{where}.params"
+    raw = _table(spec.get("params"), prefix)
     params = {}
     for key, value in raw.items():
         if key in _POINT_PARAMS:
@@ -133,7 +138,7 @@ def _preset_field(grid, preset, spec, seed, where):
             params[key] = value
         elif value is not None:
             params[key] = numeric_option(raw, key, None, integral=key in _INTEGRAL_PARAMS,
-                                         prefix=prefix)
+                                         prefix=prefix, least=0 if key == "seed" else None)
     if preset.startswith("random") and "seed" not in params:
         params["seed"] = seed
     return make_preset(preset, grid, params)
@@ -161,15 +166,13 @@ def build_forcing(cfg_dict, grid, seed):
     kappa = numeric_option(cfg_dict, "forcing.kappa", 0.0)
     parts = {}
     for target in ("F", "f", "g"):
-        terms = fc.get(target)
+        terms = _table(fc.get(target), f"forcing.{target}", list)
         if not terms:
             parts[target] = None
             continue
         built = []
         for i, term in enumerate(terms):
             where = f"forcing.{target}[{i}]"
-            if not isinstance(term, dict):
-                raise ConfigError(f"{where} must be a JSON object, got {term!r}")
             fld = _term_field(grid, term, target, seed + 1000 * (i + 1), where)
             built.append(
                 HarmonicTerm(
@@ -191,8 +194,8 @@ def build_initial(cfg_dict, grid, seed):
 
 
 def _initial_state(cfg_dict, grid, seed):
-    init = cfg_dict.get("initial")
-    if init is None or init.get("zero"):
+    init = _table(cfg_dict.get("initial"), "initial")
+    if init.get("zero"):
         return zeros_like_state(grid)
     if "file" in init:
         obj = read_field(init["file"])
@@ -230,8 +233,7 @@ def load_config(path, seed=None):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    raw = _table(raw, "config root")
 
     gd = _require(raw, "grid", dict, "config")
     try:
@@ -240,36 +242,35 @@ def load_config(path, seed=None):
             N=int(_require(gd, "N", int, "grid")),
             L=float(_require(gd, "L", (int, float), "grid")),
         )
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except (DiagnosticsError, OverflowError) as exc:  # OverflowError: float() of a huge L
         raise ConfigError(f"grid: {exc}") from exc
 
-    file_seed = numeric_option(raw, "seed", 0, integral=True)
-    seed = file_seed if seed is None else seed
+    file_seed = numeric_option(raw, "seed", 0, integral=True, least=0)
+    if seed is None:
+        seed = file_seed
+    elif seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     mode = raw.get("mode", "full")
     if mode not in ("full", "linearized", "navier-stokes"):
         raise ConfigError(f"unknown mode {mode!r}")
 
     solve = None
     if "solve" in raw:
-        sd = raw["solve"]
-        try:
-            solve = SolveConfig(
-                dt=float(_require(sd, "dt", (int, float), "solve")),
-                substeps=numeric_option(raw, "solve.substeps", SolveConfig.substeps, integral=True),
-                picard_tol=numeric_option(raw, "solve.picard_tol", SolveConfig.picard_tol),
-                picard_max=numeric_option(raw, "solve.picard_max", SolveConfig.picard_max,
-                                          integral=True),
-            )
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"solve: {exc}") from exc
+        dt = numeric_option(raw, "solve.dt", None)
+        if dt is None:
+            raise ConfigError("config is missing solve.dt")
+        solve = SolveConfig(
+            dt=dt,
+            substeps=numeric_option(raw, "solve.substeps", SolveConfig.substeps, integral=True),
+            picard_tol=numeric_option(raw, "solve.picard_tol", SolveConfig.picard_tol),
+            picard_max=numeric_option(raw, "solve.picard_max", SolveConfig.picard_max,
+                                      integral=True),
+        )
 
     forcing = build_forcing(raw, grid, seed)
 
-    norms = [_norm_params(e, f"norms[{i}]") for i, e in enumerate(raw.get("norms", []))]
+    norms = [_norm_params(e, f"norms[{i}]")
+             for i, e in enumerate(_table(raw.get("norms"), "norms", list))]
 
     num_centers = numeric_option(raw, "sampler.num_centers", BallSampler.num_centers,
                                  integral=True, least=1)
@@ -279,7 +280,7 @@ def load_config(path, seed=None):
         num_radii=num_radii,
         rho_min=numeric_option(raw, "sampler.rho_min", None),
         rho_max=numeric_option(raw, "sampler.rho_max", None),
-        jitter_seed=numeric_option(raw, "sampler.jitter_seed", None, integral=True),
+        jitter_seed=numeric_option(raw, "sampler.jitter_seed", None, integral=True, least=0),
     )
     try:
         sampler.radii(grid)

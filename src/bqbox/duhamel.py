@@ -595,12 +595,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
         states,
         meta={
             "mode": mode,
-            "dt": dt,
-            "substeps": m,
             "picard_iters_max": picard_iters_max,
             "picard_iterations": picard_iterations,
             "rhs_evaluations": 0 if state_rhs is None else state_rhs.evaluations,
-            "n2_flag": grid.n == 2,
         },
     )
 

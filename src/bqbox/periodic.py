@@ -240,8 +240,8 @@ def _check_loop_bounds(cap_name, cap, least, tol_name, tol):
 
 def cesaro_periodic_datum(
     problem: PeriodicProblem,
-    n_max=256,
-    tol=1e-9,
+    n_max,
+    tol,
     reference: State | None = None,
 ) -> PeriodicSolution:
     """Fixed datum via Cesaro means (1/n) sum_k P^k(0), then a certifying run.

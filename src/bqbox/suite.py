@@ -12,15 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .duhamel import evolve, verify_bilinear_estimate, verify_linear_operator, SolveConfig
-from .grid import (
-    GridSpec,
-    ScalarField,
-    State,
-    TensorField,
-    VectorField,
-    forward_coeffs,
-    inverse_values,
-)
+from .grid import GridSpec, State, forward_coeffs, inverse_values
 from .norms import BallSampler, NormParams, holder_check, verify_embeddings
 from .operators import verify_dispersive
 from .presets import (
@@ -49,17 +41,11 @@ def refine_field(fld, N_fine):
     idx = np.arange(grid.N)
     dest = np.where(idx < grid.N // 2, idx, idx + N_fine - grid.N)
     out[(Ellipsis,) + np.ix_(*[dest] * (grid.n - 1), np.arange(grid.N // 2 + 1))] = coeffs
-    values = inverse_values(fine, out)
-    if isinstance(fld, ScalarField):
-        return ScalarField(fine, values)
-    if isinstance(fld, VectorField):
-        return VectorField(fine, values)
-    return TensorField(fine, values)
+    return type(fld)(fine, inverse_values(fine, out))
 
 
 def _heat_trajectory(state, t_end, steps):
-    cfg = SolveConfig(dt=t_end / steps, substeps=2, picard_tol=1e-10, picard_max=10)
-    return evolve(state, None, t_end, cfg, mode="linearized")
+    return evolve(state, None, t_end, SolveConfig(dt=t_end / steps), mode="linearized")
 
 
 def _suite_sampler(grid_coarse):
@@ -72,7 +58,7 @@ def _suite_sampler(grid_coarse):
     )
 
 
-def estimate_suite(grid, seed, ensemble=4, p=3.0, *, sampler, refine_to=None):
+def estimate_suite(grid, seed, ensemble, p, *, sampler, refine_to=None):
     """Run the six estimate checks; returns {name: empirical constant}.
 
     ``refine_to`` re-renders the same ensemble on a finer grid (the caller
@@ -152,7 +138,7 @@ def estimate_suite(grid, seed, ensemble=4, p=3.0, *, sampler, refine_to=None):
     return results
 
 
-def refinement_comparison(grid, seed, ensemble=4, p=3.0):
+def refinement_comparison(grid, seed, ensemble, p):
     """Suite at N and 2N on the same balls; returns rows (name, coarse, fine, rel_change)."""
     sampler = _suite_sampler(grid)
     coarse = estimate_suite(grid, seed, ensemble=ensemble, p=p, sampler=sampler)

@@ -121,6 +121,28 @@ class TestSeedOption:
         assert built == [5, 5, 1]
         assert outputs["option"] == outputs["file"] != outputs["other"]
 
+    def test_negative_option_exits_2_before_anything_is_built(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # a negative seed was numpy's "expected non-negative integer" traceback (exit 1)
+        built = []
+        monkeypatch.setattr(config_mod, "build_forcing", lambda *args: built.append(args))
+        path = write_config(tmp_path / "c.json", self._config(1))
+        assert main(["evolve", "--config", path, "--output", str(tmp_path / "o"),
+                     "--seed", "-5"]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, got -5\n"
+        assert built == []
+
+    def test_environment_sets_no_flag(self, tmp_path, monkeypatch):
+        # flags come only from argv: BQBOX_SEED=abc was a ValueError traceback
+        path = write_config(tmp_path / "c.json", self._config(5))
+        outputs = []
+        for name in ("plain", "env"):
+            if name == "env":
+                monkeypatch.setenv("BQBOX_SEED", "abc")
+            assert main(["evolve", "--config", path, "--output", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "trajectory.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 def evolve_3d_config(**overrides):
     """A forced, coupled 3-D full-mode run; N = 8 and 8 steps unless overridden."""
@@ -682,6 +704,19 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key} must be" in err
 
+    @pytest.mark.parametrize("patch, table", [
+        ({"initial": 5}, "initial"),
+        ({"initial": {"u": 5}}, "initial.u"),
+        ({"initial": {"theta": 7}}, "initial.theta"),
+        ({"norms": 5}, "norms"),
+        ({"forcing": {"period": 1.0, "F": 5}}, "forcing.F"),
+        ({"solve": 5}, "solve"),
+    ])
+    def test_table_of_the_wrong_json_type_exits_2_naming_it(self, tmp_path, capsys, patch, table):
+        # all but solve were an AttributeError or TypeError traceback (exit 1)
+        cfg = write_config(tmp_path / "c.json", {**evolve_config(), **patch})
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {table} must be a JSON ")
 
     @pytest.mark.parametrize("command, patch, preset", [
         ("evolve", {"initial": {"theta": {"preset": "gaussian-bump", "params": {"sigma": 0}}}},
@@ -904,6 +939,11 @@ class TestOptionParsing:
         ("verify-estimates", {"grid": {"n": 3, "N": 8, "L": BOX}, "estimates": {}}, "estimates",
          None, "ensemble", -2, "estimates.ensemble"),
         ("evolve", evolve_config(), None, None, "snapshots", -1, "snapshots"),
+        # a negative seed was numpy's "expected non-negative integer" traceback (exit 1)
+        ("evolve", evolve_config(), None, None, "seed", -1, "seed"),
+        ("evolve", evolve_config(), "sampler", None, "jitter_seed", -1, "sampler.jitter_seed"),
+        ("evolve", TestSeedOption._config(1), "forcing", ("f", 0), "params", {"seed": -1},
+         "forcing.f[0].params.seed"),
     ])
     def test_bad_config_number_exits_2_naming_key(self, tmp_path, capsys, no_solver, command,
                                                   base, section, index, key, value, name):
