@@ -66,9 +66,12 @@ def _state_norm_columns(cfg):
 
 
 def _cmd_norms(cfg, outdir):
-    if not cfg.raw.get("field_file"):
+    path = cfg.raw.get("field_file")
+    if not path:
         raise ConfigError("norms subcommand needs config field_file")
-    loaded = read_field(cfg.raw["field_file"])
+    if not isinstance(path, str):
+        raise ConfigError(f"field_file must be a str path, got {type(path).__name__}")
+    loaded = read_field(path)
     if loaded.grid != cfg.grid:
         raise ConfigError(f"field file grid {loaded.grid} differs from config grid {cfg.grid}")
     if not cfg.norms:

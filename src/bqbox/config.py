@@ -198,7 +198,7 @@ def _initial_state(cfg_dict, grid, seed):
     if init.get("zero"):
         return zeros_like_state(grid)
     if "file" in init:
-        obj = read_field(init["file"])
+        obj = read_field(_require(init, "file", str, "initial"))
         if not isinstance(obj, State):
             raise ConfigError(f"initial.file must contain a state, got {type(obj).__name__}")
         if obj.grid != grid:

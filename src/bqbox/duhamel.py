@@ -71,11 +71,13 @@ rows, the stability gaps) passes ``on_state(t, state)`` to ``evolve``: every
 stored state goes to it as soon as it is checked finite and is not kept, so
 the run holds one state instead of the trajectory.  A step, in turn, holds
 only what its next read needs: the analytic rows are added one substep at a
-time, the start state goes once its semigroup image is formed, the
-extrapolated rows are added into Picard's first iterate box by box, each
-part's weighted product released before the next part's is formed, at most
-three node values are held (two through the Picard loop), and the Picard
-iterates ping-pong between two buffers per field.
+time, the start state goes once its semigroup image is formed, at most
+three node values are held (two through the Picard loop), and one full
+pair, the step's fixed part, is held.  The Picard iterates differ from
+the fixed part only on the band: the first is built there from the
+extrapolated rows before Picard starts, and each iterate is formed there
+and written into the band of the fixed part for the right-hand side to
+read.
 
 Stepping is sequential in time; within a step the multiplier arithmetic is
 data-parallel per mode.  Trajectories are immutable once produced and safe
@@ -99,6 +101,7 @@ from .grid import (
     VectorField,
     forward_coeffs,
     inverse_values,
+    put_band,
     scatter_band,
 )
 from .norms import NormContext, NormParams, morrey_lorentz_norm, state_norm, trajectory_sup_norm
@@ -406,38 +409,48 @@ class _StateRHS:
         return advection_coeffs(grid, u, u, th)
 
 
-def _picard(state_rhs, fixed, new, Wb, t_b, cfg, i):
+def _picard(state_rhs, fixed, fixed_band, first, Wb, t_b, cfg, i):
     """Close the implicit endpoint x = fixed + Wb G_state(x, t_b) of step i by Picard iteration.
 
-    ``fixed`` and the predicted endpoint ``new``, whose buffers it reuses,
-    are (velocity, temperature) coefficient pairs.  Returns (x, rows,
-    iterations): the accepted iterate x^(K) = fixed + Wb G_state(x^(K-1), t_b)
-    and that last evaluation, ``rows``, which is the one nonlinearity value
-    of node t_b.  Each iteration makes one evaluation, so ``iterations``
-    counts them.  The iterates ping-pong between two buffers per field: each
-    is written over the one before the last, whose buffer then holds the
-    difference that the residual reads.
+    ``fixed`` is a (velocity, temperature) pair of half-spectrum
+    coefficients, ``fixed_band`` its band and ``first`` the band of the
+    predicted endpoint.  Returns (x, rows, iterations): the accepted iterate
+    x^(K) = fixed + Wb G_state(x^(K-1), t_b) and that last evaluation,
+    ``rows``, which is the one nonlinearity value of node t_b.  Each
+    iteration makes one evaluation, so ``iterations`` counts them.
+
+    The rows are 0 off the band, so every iterate is ``fixed`` there: each
+    iterate, its difference from the one before and its peak are formed on
+    the band, and the iterate is written into the band of ``fixed``, the one
+    full pair, which the right-hand side reads and x is.  Off the band the
+    difference is fixed - fixed, 0 or NaN where ``fixed`` is not finite, so
+    the residual and the peak read the off-band ``max |fixed|`` taken once.
     """
     grid = state_rhs.grid
-    nxt = [np.empty_like(part) for part in new]
+    # np.max, unlike max(), lets a NaN anywhere off the band through
+    off = [float(np.max([np.max(np.abs(part[box])) for box in grid.off_band_blocks]))
+           for part in fixed]
+    off_res = 0.0 if np.all(np.isfinite(off)) else np.nan
+    for part, band in zip(fixed, first):
+        put_band(grid, part, band)
+    new = first
     for it in range(cfg.picard_max):
         rows = None  # the evaluation before goes before the next is made
-        rows = state_rhs(*new, t_b)
-        for part, start in zip(nxt, fixed):
-            np.copyto(part, start)
-        _add_on_band(nxt, grid, [(Wb, rows)])
-        diff = [np.subtract(a, b, out=b) for a, b in zip(nxt, new)]
+        rows = state_rhs(*fixed, t_b)
+        nxt = [start + Wb * row for start, row in zip(fixed_band, rows)]
         # np.max, unlike max(), lets a NaN in either row through
-        res = float(np.max([np.max(np.abs(part)) for part in diff]))
+        res = float(np.max([np.max(np.abs(a - b)) for a, b in zip(nxt, new)] + [off_res]))
         if not np.isfinite(res):
             raise ConvergenceError(
                 f"Picard residual is not finite at step {i} (t = {t_b:.6g})",
                 residual=res,
             )
-        scale = max(*(float(np.max(np.abs(part))) for part in nxt), 1e-30)
+        scale = max(*(max(float(np.max(np.abs(part))), o) for part, o in zip(nxt, off)), 1e-30)
+        for part, band in zip(fixed, nxt):
+            put_band(grid, part, band)
         if res <= cfg.picard_tol * scale:
-            return nxt, rows, it + 1
-        new, nxt = nxt, diff
+            return fixed, rows, it + 1
+        new = nxt
     raise ConvergenceError(
         f"Picard iteration did not reach {cfg.picard_tol} "
         f"(last residual {res / scale:.3e}); the smallness hypotheses "
@@ -573,14 +586,19 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
                 guess = [(Wb, _predictor[i + 1])]
                 _predictor[i + 1] = None
                 del nodes[1:]  # only the Wa value is read again
-            first = _add_on_band([part.copy() for part in fixed], grid, guess)
-            guess = None
-            x, rows, iters = _picard(state_rhs, fixed, first, Wb, t_b, cfg, i)
+            fixed_band = [part[grid.band] for part in fixed]
+            first = [part.copy() for part in fixed_band]
+            for w, node in guess:
+                for part, row in zip(first, node):
+                    if row is not None:
+                        part += w * row
+            guess = node = row = None
+            x, rows, iters = _picard(state_rhs, fixed, fixed_band, first, Wb, t_b, cfg, i)
             nodes.insert(0, rows)
             picard_iterations += iters
             picard_iters_max = max(picard_iters_max, iters)
         # only the state and the node values go into the next step
-        fixed = first = part = None
+        fixed = fixed_band = first = part = None
 
         if (i + 1) % store_stride == 0 or (i + 1) == n_steps:
             state = _to_state(grid, *x)

@@ -22,9 +22,18 @@ the last axis, then ``fft`` over the leading axes, ``norm="forward"``), and
 the inverse is ``ifftn`` then ``irfft(n=N)``.  The inverse matches
 ``irfftn`` to roundoff, its leading axes taken in ``ifftn``'s order, at
 about its speed, but not bit for bit, so it stays two calls.  Every Fourier
-multiplier is built on the half shape once per grid and is a function of
-|k|, k_j or k_j^2, so it acts on the stored modes exactly as on the full
-spectrum.
+multiplier is built once per grid and is a function of |k|, k_j or k_j^2,
+so it acts on the stored modes exactly as on the full spectrum.  The
+functions of |k| (``k_squared``, ``deriv_k_inv_squared``, ``deriv_k_norm``,
+``dealias_mask``) are dense arrays of the half shape.  A multiplier of one
+k_j (``ik``, the Leray ``deriv_k``, their band restrictions ``band_deriv``
+and the K of ``band_leray``) is a tuple of n read-only arrays, axis j's
+numbers along axis j and length 1 on the others, which broadcast against
+the coefficients; a sum over j is accumulated in the order of the axes, so
+it equals ``np.sum`` of the stacked products over axis 0 bit for bit.  The
+dense ``coordinates`` and ``wave_integers`` stacks are built on each read,
+for set-up code; the per-axis ``coordinate_axes`` and ``wave_axes`` are
+cached.
 
 Nonlinear rows (advection, buoyancy, and the frozen and sampled rows made
 from them) are dealiased by the 2/3 rule, so they vanish outside the band
@@ -32,12 +41,13 @@ from them) are dealiased by the 2/3 rule, so they vanish outside the band
 ``GridSpec.band_shape = (2 (N//3) + 1,)*(n-1) + (N//3 + 1,)`` (4851 of the
 17408 half-spectrum modes at N = 32), with the band rows of each leading axis
 in FFT order.  ``coeffs[grid.band]`` cuts a half-spectrum array to the band,
-``full[grid.band] = row`` (or ``+=``) puts a row back, and
-:func:`band_coeffs` transforms products straight onto the band, visiting only
-the lines it keeps.  The semigroup, the quadrature weights and the Leray and
-derivative multipliers act per mode, so each has a band restriction
-(``band_leray``, ``band_deriv``) that gives the band of the full
-result bit for bit.
+``full[grid.band] = row`` (or ``+=``) puts a row back (:func:`put_band`
+writes it box by box, through views), ``off_band_blocks`` cover the modes
+off the band, and :func:`band_coeffs` transforms products straight onto the
+band, visiting only the lines it keeps.  The semigroup, the quadrature
+weights and the Leray and derivative multipliers act per mode, so each has
+a band restriction (``band_leray``, ``band_deriv``) that gives the band of
+the full result bit for bit.
 
 Fields are treated as immutable snapshots: operations return new containers
 and never mutate the arrays they were handed.
@@ -92,52 +102,43 @@ class GridSpec:
         return np.arange(self.N) * (self.L / self.N)
 
     @cached_property
+    def coordinate_axes(self):
+        """Grid coordinates per axis: n arrays, axis j's coordinates along axis j."""
+        return _along_axes([self.axis_coordinates] * self.n)
+
+    @property
     def coordinates(self):
-        """Meshgrid of coordinates, shape (n, N, ..., N)."""
-        axes = np.meshgrid(*([self.axis_coordinates] * self.n), indexing="ij")
-        return np.stack(axes)
+        """Meshgrid of coordinates, shape (n, N, ..., N), built on every read."""
+        return np.stack(np.broadcast_arrays(*self.coordinate_axes))
 
     @cached_property
-    def wave_integers(self):
-        """Integer wavevectors, shape (n,) + spectral_shape.
+    def wave_axes(self):
+        """Integer wave numbers per axis: n arrays, axis j's k_j along axis j.
 
-        k_j in [-N/2, N/2) on the leading axes, k_last in [0, N/2] on the last.
+        k_j in [-N/2, N/2) in FFT order on the leading axes, k_last in
+        [0, N/2] on the last.
         """
         k1 = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
         k_last = np.arange(self.N // 2 + 1, dtype=np.int64)
-        axes = np.meshgrid(*([k1] * (self.n - 1) + [k_last]), indexing="ij")
-        return np.stack(axes)
+        return _along_axes([k1] * (self.n - 1) + [k_last])
 
-    @cached_property
-    def deriv_wave_integers(self):
-        """Wavevectors for odd (derivative-type) multipliers.
-
-        The unpaired Nyquist modes |k_j| = N/2 (k_j = -N/2 on a leading
-        axis, k_last = N/2 on the last) are set to zero so first derivatives
-        and the Leray projector stay Hermitian-consistent; see the standard
-        spectral-differentiation convention.
-        """
-        k = self.wave_integers.copy()
-        k[np.abs(k) == self.N // 2] = 0
-        return k
-
-    @cached_property
-    def wavevectors(self):
-        """Physical wavevectors 2*pi*k/L."""
-        return (2.0 * np.pi / self.L) * self.wave_integers
+    @property
+    def wave_integers(self):
+        """Integer wavevectors, shape (n,) + spectral_shape, built on every read."""
+        return np.stack(np.broadcast_arrays(*self.wave_axes))
 
     @cached_property
     def k_squared(self):
         """|2*pi*k/L|^2, the (negated) Laplacian multiplier."""
-        kk = self.wavevectors
-        return np.sum(kk * kk, axis=0)
+        kk = [(2.0 * np.pi / self.L) * k for k in self.wave_axes]
+        return _axis_sum(self.spectral_shape, [k * k for k in kk])
 
     @cached_property
     def dealias_mask(self):
         """Boolean 2/3-rule mask: keep modes with |k_j| <= N//3 on every axis."""
         cut = self.N // 3
         keep = np.ones(self.spectral_shape, dtype=bool)
-        for axis_k in self.wave_integers:
+        for axis_k in self.wave_axes:
             keep &= np.abs(axis_k) <= cut
         return keep
 
@@ -182,43 +183,70 @@ class GridSpec:
             for box in itertools.product(runs, repeat=self.n - 1)
         )
 
-    # Operator multipliers, built once per grid and shared read-only.
+    @cached_property
+    def off_band_blocks(self):
+        """n boxes of basic slices whose union is the half spectrum off the band.
+
+        Box j holds the modes with |k_j| > N//3 on axis j, whatever the other
+        axes hold; the boxes overlap, which a maximum does not mind.
+        """
+        cut = self.N // 3
+        lead = slice(cut + 1, self.N - cut)
+        return tuple(
+            (Ellipsis,) + (slice(None),) * j + (lead if j < self.n - 1 else slice(cut + 1, None),)
+            + (slice(None),) * (self.n - 1 - j)
+            for j in range(self.n)
+        )
+
+    # Operator multipliers, built once per grid and shared read-only.  A
+    # multiplier of k_j alone is a tuple of n per-axis arrays (axis j's numbers
+    # along axis j, length 1 on the others), which broadcast against the
+    # coefficients; only the functions of |k| are dense.
+
+    @cached_property
+    def deriv_k(self):
+        """K per axis, as floats: the wave numbers with the unpaired Nyquist modes set to 0.
+
+        The modes |k_j| = N/2 (k_j = -N/2 on a leading axis, k_last = N/2 on
+        the last) have no partner, so they are zeroed for first derivatives
+        and the Leray projector to stay Hermitian-consistent; see the
+        standard spectral-differentiation convention.  The K of the Leray
+        projector.
+        """
+        return _along_axes([np.where(np.abs(k) == self.N // 2, 0.0, k) for k in self.wave_axes])
 
     @cached_property
     def ik(self):
-        """i * 2 pi k / L per axis (Nyquist zeroed): the first-derivative multiplier."""
-        return _read_only((2j * np.pi / self.L) * self.deriv_wave_integers)
+        """i * 2 pi K / L per axis: the first-derivative multiplier."""
+        return tuple(_read_only((2j * np.pi / self.L) * K) for K in self.deriv_k)
 
     @cached_property
     def band_deriv(self):
-        """(2 pi / L) K on the band: the real part of a nonlinear row's derivative.
+        """(2 pi / L) K per axis on the band: the real part of a nonlinear row's derivative.
 
         Multiplying by it and then by i once gives the dealiased first
         derivative on the band; both steps are exact rearrangements of ``ik``
         times the 2/3 mask, so results match that product value for value.
         """
-        return _read_only((2.0 * np.pi / self.L) * self.deriv_wave_integers[self.band])
-
-    @cached_property
-    def deriv_k(self):
-        """deriv_wave_integers as floats: the K of the Leray projector."""
-        return _read_only(self.deriv_wave_integers.astype(float))
+        return tuple(_read_only((2.0 * np.pi / self.L) * K) for K in self.band_leray[0])
 
     @cached_property
     def deriv_k_inv_squared(self):
         """1 / |K|^2, and 0 where K = 0."""
-        k2 = np.sum(self.deriv_k * self.deriv_k, axis=0)
+        k2 = _axis_sum(self.spectral_shape, [K * K for K in self.deriv_k])
         return _read_only(np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0))
 
     @cached_property
     def band_leray(self):
-        """(K, 1 / |K|^2) on the band: the Leray multipliers of a nonlinear row."""
-        return _read_only(self.deriv_k[self.band]), _read_only(self.deriv_k_inv_squared[self.band])
+        """(K per axis, 1 / |K|^2) on the band: the Leray multipliers of a nonlinear row."""
+        lines = [K.ravel() for K in self.deriv_k]
+        K = _along_axes([k[self.band_rows] for k in lines[:-1]] + [lines[-1][: self.N // 3 + 1]])
+        return K, _read_only(self.deriv_k_inv_squared[self.band])
 
     @cached_property
     def deriv_k_norm(self):
         """|K|."""
-        return _read_only(np.sqrt(np.sum(self.deriv_k * self.deriv_k, axis=0)))
+        return _read_only(np.sqrt(_axis_sum(self.spectral_shape, [K * K for K in self.deriv_k])))
 
 
 def torus_displacement(grid, center=None):
@@ -226,13 +254,34 @@ def torus_displacement(grid, center=None):
 
     ``center`` holds one coordinate per axis and defaults to the box center.
     """
-    c = grid.L / 2.0 if center is None else np.reshape(center, (grid.n,) + (1,) * grid.n)
-    return np.mod(grid.coordinates - c + grid.L / 2.0, grid.L) - grid.L / 2.0
+    c = np.full(grid.n, grid.L / 2.0) if center is None else np.reshape(center, (grid.n,))
+    axes = [np.mod(x - cj + grid.L / 2.0, grid.L) - grid.L / 2.0
+            for x, cj in zip(grid.coordinate_axes, c)]
+    return np.stack(np.broadcast_arrays(*axes))
 
 
 def _read_only(array):
     array.flags.writeable = False
     return array
+
+
+def _along_axes(lines):
+    """The 1-D arrays ``lines`` as read-only arrays, line j along axis j and of length 1 on the others."""
+    n = len(lines)
+    return tuple(_read_only(np.reshape(line, (1,) * j + (-1,) + (1,) * (n - 1 - j)))
+                 for j, line in enumerate(lines))
+
+
+def _axis_sum(shape, terms):
+    """terms[0] + terms[1] + ... in that order, of ``shape``.
+
+    Added one at a time, as ``np.sum(stack, axis=0)`` adds the rows of a
+    stack, so it equals that sum of the broadcast terms bit for bit.
+    """
+    total = np.array(np.broadcast_to(terms[0], shape))
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -349,11 +398,16 @@ def band_coeffs(grid, values):
     return coeffs
 
 
+def put_band(grid, full, row):
+    """Write the band-shaped ``row`` into the band of the half-spectrum array ``full``, box by box."""
+    for full_box, band_box in grid.band_blocks:
+        full[full_box] = row[band_box]
+
+
 def scatter_band(grid, row):
     """The half-spectrum array that is the band-shaped ``row`` on the band and 0 off it."""
     full = np.zeros(row.shape[: row.ndim - grid.n] + grid.spectral_shape, dtype=complex)
-    for full_box, band_box in grid.band_blocks:
-        full[full_box] = row[band_box]
+    put_band(grid, full, row)
     return full
 
 
@@ -380,7 +434,8 @@ def spectral_divergence_residual(u):
     peak = np.sqrt(np.max(np.sum(np.abs(coeffs) ** 2, axis=0)))
     if peak == 0.0:
         return 0.0
-    dot = np.abs(np.sum(grid.deriv_k * coeffs, axis=0))  # 0 wherever K = 0
+    terms = [K * c for K, c in zip(grid.deriv_k, coeffs)]
+    dot = np.abs(_axis_sum(grid.spectral_shape, terms))  # 0 wherever K = 0
     kmag = grid.deriv_k_norm
     np.divide(dot, kmag, out=dot, where=kmag > 0)
     return float(np.max(dot) / peak)

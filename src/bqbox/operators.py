@@ -24,8 +24,10 @@ Callers add the rows into a half-spectrum state where they meet it
 (``state[grid.band] += w * row``).
 The multipliers (derivative, Leray, 2/3 mask, and their band restrictions)
 are cached read-only on the ``GridSpec``, so they are built once per grid;
-:func:`leray_coeffs` picks the half-spectrum or the band set by the shape
-it is handed.
+the derivative and the K of the Leray projector are per-axis tuples that
+broadcast against the coefficients, and each sum over the axes runs in
+their order (:func:`_axis_dot`).  :func:`leray_coeffs` picks the half-spectrum or the band set
+by the shape it is handed.
 """
 
 from __future__ import annotations
@@ -49,30 +51,33 @@ def semigroup_factor(grid, t):
 
 
 def grad_coeffs(grid, scalar_coeffs):
-    return grid.ik * scalar_coeffs[np.newaxis]
+    return np.stack([ik * scalar_coeffs for ik in grid.ik])
+
+
+def _axis_dot(K, v, out=None):
+    """sum_j K[j] v[j] for a per-axis multiplier K, accumulated in the order of j.
+
+    One product is formed at a time; the sum runs as ``np.sum`` over axis 0
+    of the stacked products does, and equals it bit for bit.
+    """
+    out = np.multiply(K[0], v[0], out=out)
+    for k, c in zip(K[1:], v[1:]):
+        out += k * c
+    return out
 
 
 def div_coeffs(grid, vector_coeffs):
     """div v = sum_j d_j v_j in coefficient space, accumulated over j."""
-    ik = grid.ik
-    out = ik[0] * vector_coeffs[0]
-    for j in range(1, grid.n):
-        out += ik[j] * vector_coeffs[j]
-    return out
+    return _axis_dot(grid.ik, vector_coeffs)
 
 
 def tensor_div_coeffs(grid, tensor_coeffs):
     """(div F)_i = sum_j d_j F_ij in coefficient space, accumulated over j.
 
     Each step adds one (n, ...) column product, so the n^2 products
-    ik_j F_ij never exist at once; the sum runs in the order of j, as
-    ``np.sum(ik[None] * F, axis=1)`` does, and equals it bit for bit.
+    ik_j F_ij never exist at once.
     """
-    ik = grid.ik
-    out = ik[0] * tensor_coeffs[:, 0]
-    for j in range(1, grid.n):
-        out += ik[j] * tensor_coeffs[:, j]
-    return out
+    return _axis_dot(grid.ik, tensor_coeffs.swapaxes(0, 1))
 
 
 def leray_coeffs(grid, vector_coeffs):
@@ -81,8 +86,9 @@ def leray_coeffs(grid, vector_coeffs):
         K, inv_k2 = grid.band_leray
     else:
         K, inv_k2 = grid.deriv_k, grid.deriv_k_inv_squared
-    dot = np.sum(K * vector_coeffs, axis=0)
-    return vector_coeffs - K * (dot * inv_k2)[np.newaxis]
+    dot = _axis_dot(K, vector_coeffs)
+    dot *= inv_k2
+    return np.stack([v - k * dot for k, v in zip(K, vector_coeffs)])
 
 
 def dealias_coeffs(grid, coeffs):
@@ -103,10 +109,7 @@ def _neg_dealiased_div(grid, columns, out=None):
     The real multiplier (2 pi / L) K is summed first and the sum is turned
     by -i once; both are exact, so this equals the band of -div(dealias(c)).
     """
-    kd = grid.band_deriv
-    out = np.multiply(kd[0], columns[0], out=out)
-    for j in range(1, grid.n):
-        out += kd[j] * columns[j]
+    out = _axis_dot(grid.band_deriv, columns, out=out)
     out *= -1j
     return out
 

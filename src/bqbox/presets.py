@@ -86,7 +86,7 @@ def single_mode_scalar(grid, k, amplitude=1.0):
     """amplitude * cos(2 pi k . x / L) for an integer wavevector k."""
     phase = np.zeros(grid.shape)
     for j, kj in enumerate(k):
-        phase = phase + 2.0 * np.pi * kj * grid.coordinates[j] / grid.L
+        phase = phase + 2.0 * np.pi * kj * grid.coordinate_axes[j] / grid.L
     return ScalarField(grid, amplitude * np.cos(phase))
 
 

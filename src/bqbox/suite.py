@@ -32,7 +32,7 @@ def refine_field(fld, N_fine):
     fine = GridSpec(n=grid.n, N=N_fine, L=grid.L)
     coeffs = forward_coeffs(grid, fld.values)
     # drop the unpaired Nyquist planes so the embedding stays Hermitian
-    for axis_k in grid.wave_integers:
+    for axis_k in grid.wave_axes:
         coeffs = coeffs * (np.abs(axis_k) < grid.N // 2)
     lead = coeffs.shape[: coeffs.ndim - grid.n]
     out = np.zeros(lead + fine.spectral_shape, dtype=complex)

@@ -334,6 +334,17 @@ class TestNormsCommand:
         err = capsys.readouterr().err
         assert err.startswith("I/O error:") and str(field_file) in err
 
+    def test_numeric_field_file_exits_2_naming_it(self, tmp_path, capsys):
+        # a JSON number must not reach open(), which takes it for a file descriptor
+        cfg = write_config(tmp_path / "c.json", {
+            "grid": {"n": 3, "N": 8, "L": BOX},
+            "field_file": 5,
+            "norms": [{"p": 3.0, "lam": 0.5}],
+        })
+        assert main(["norms", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: field_file must be a str path, got int\n"
+
     def test_missing_field_file(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -703,6 +714,13 @@ class TestConfigErrors:
         assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key} must be" in err
+
+    def test_numeric_initial_file_exits_2_naming_it(self, tmp_path, capsys):
+        # a JSON number must not reach open(), which takes it for a file descriptor
+        cfg = write_config(tmp_path / "c.json", evolve_config(initial={"file": 5}))
+        assert main(["evolve", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: initial.file must be str, got int\n"
 
     @pytest.mark.parametrize("patch, table", [
         ({"initial": 5}, "initial"),

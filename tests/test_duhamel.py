@@ -426,6 +426,31 @@ class TestEvolve:
         with pytest.raises(ConvergenceError, match="not finite at step 0"):
             evolve(init, forcing, 0.125, SolveConfig(dt=0.0625), mode="full")
 
+    def test_nonfinite_fixed_part_off_the_band_names_step(self, grid3d_small, monkeypatch):
+        # a NaN in an analytic temperature row at a mode off the band (k_0 = 3
+        # > N//3) from step 2's substeps on, with a right-hand side that reads
+        # the iterate NaN-free: the band stays finite, so only the fixed part
+        # off the band can stop Picard, at the step the NaN enters
+        g = grid3d_small
+        forcing = TestForcingSupport._forcing(g, "random")
+        assert isinstance(_CompiledForcing(forcing).support, slice)
+        dt = 0.0625
+        rows_at, call = _CompiledForcing.rows_at, _StateRHS.__call__
+
+        def poisoned(self, t):
+            vel, th = rows_at(self, t)
+            if t > 2.5 * dt:
+                th = th.copy()
+                th[3, 0, 0] = np.nan
+            return vel, th
+
+        monkeypatch.setattr(_CompiledForcing, "rows_at", poisoned)
+        monkeypatch.setattr(_StateRHS, "__call__", lambda self, u, th, t: call(
+            self, np.nan_to_num(u), np.nan_to_num(th), t))
+        init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
+        with pytest.raises(ConvergenceError, match="Picard residual is not finite at step 2 "):
+            evolve(init, forcing, 4 * dt, SolveConfig(dt=dt), mode="full")
+
     @pytest.mark.parametrize("node, stride, step", [(1, 1, 0), (2, 1, 1), (1, 2, 1), (3, 2, 3)])
     def test_nonfinite_stored_state_names_step(self, grid3d_small, node, stride, step):
         # linearized mode has no Picard residual: one NaN mode in a sampled
@@ -784,14 +809,12 @@ class TestStateConsumer:
 class TestStepWorkingSet:
     """One full-mode step holds a few states of working arrays, not the sums of all its parts."""
 
-    def test_peak_of_a_step_in_states(self):
-        # 3-D N = 16 with F, a harmonic-1 f and a harmonic-1 g (so G_state
-        # depends on t), stored states discarded: what stays is the forcing
-        # rows, the step factors, the g cache, up to three node values of the
-        # nonlinearity and one step's arrays; the analytic substep rows held
-        # at once, the Picard copies, the start state held through the Picard
-        # loop, and the stacked products with their whole rfft outputs put it
-        # at 15 states
+    # the bytes of one real (u, theta) state at 3-D N = 16
+    STATE_BYTES = 4 * 16**3 * 8
+
+    @staticmethod
+    def _problem():
+        """3-D N = 16 with F, a harmonic-1 f and a harmonic-1 g (so G_state depends on t)."""
         g = GridSpec(n=3, N=16, L=2 * np.pi)
         T = 1.0
         Ft = random_smooth_tensor(g, seed=4, amplitude=1e-3)
@@ -801,20 +824,45 @@ class TestStepWorkingSet:
                               f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)),
                               g=TimeFourierField(period=T, terms=(HarmonicTerm(1, gv, 0.4),)))
         init = State(random_div_free(g, seed=2, amplitude=1e-2), gaussian_profile(g, 0.5, 1e-2))
-        cfg = SolveConfig(dt=T / 16, substeps=4)
+        return g, init, forcing, SolveConfig(dt=T / 16, substeps=4)
 
-        def peak(steps):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                evolve(init, forcing, steps * cfg.dt, cfg, mode="full", on_state=lambda t, s: None)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def _peak(init, forcing, cfg, steps):
+        """tracemalloc peak of a full-mode evolve over ``steps`` steps, stored states discarded."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            evolve(init, forcing, steps * cfg.dt, cfg, mode="full", on_state=lambda t, s: None)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
 
-        state_bytes = 4 * 16**3 * 8
-        peak(1)  # multiplier caches outside the measured runs
-        assert peak(4) < 12 * state_bytes
+    def test_peak_of_a_step_in_states(self):
+        # what stays is the forcing rows, the step factors, the g cache, up to
+        # three node values of the nonlinearity and one step's arrays; the
+        # analytic substep rows held at once, the Picard copies, the start
+        # state held through the Picard loop, and the stacked products with
+        # their whole rfft outputs put it at 15 states
+        g, init, forcing, cfg = self._problem()
+        self._peak(init, forcing, cfg, 1)  # multiplier caches outside the measured runs
+        assert self._peak(init, forcing, cfg, 4) < 12 * self.STATE_BYTES
+
+    def test_grid_holds_no_dense_axis_stacks(self):
+        # per-axis multipliers are tuples of arrays along their axes; only the
+        # functions of |k| are dense, one array each
+        g, init, forcing, cfg = self._problem()
+        evolve(init, forcing, 2 * cfg.dt, cfg, mode="full", on_state=lambda t, s: None)
+        stacks = {(g.n,) + g.shape, (g.n,) + g.spectral_shape}
+        held = {name: value.shape for name, value in vars(g).items()
+                if isinstance(value, np.ndarray)}
+        assert not {name for name, shape in held.items() if shape in stacks}, held
+
+    def test_peak_with_the_multipliers_built_in_the_run(self):
+        # the first evolve on a grid builds the multipliers its presets did not;
+        # measured 10.26 states with per-axis multipliers and Picard iterates on
+        # the band, 12.84 with dense (n,) + shape stacks and full-size iterates
+        g, init, forcing, cfg = self._problem()
+        assert self._peak(init, forcing, cfg, 4) < 1.1 * 10.26 * self.STATE_BYTES
 
 
 class TestForcingCoupled:
@@ -998,8 +1046,13 @@ class TestForcingSupport:
             if rhs is not None:
                 _add_on_band(fixed, g, [(Wa, nodes[0])])
                 guess = [(c * Wb, r) for c, r in zip(duhamel._EXTRAPOLATION[len(nodes) - 1], nodes)]
-                first = _add_on_band([part.copy() for part in fixed], g, guess)
-                fixed, rows, _ = duhamel._picard(rhs, fixed, first, Wb, (i + 1) * dt, cfg, i)
+                fixed_band = [part[g.band] for part in fixed]
+                first = [part.copy() for part in fixed_band]
+                for w, node in guess:
+                    for part, row in zip(first, node):
+                        part += w * row
+                fixed, rows, _ = duhamel._picard(rhs, fixed, fixed_band, first, Wb, (i + 1) * dt,
+                                                 cfg, i)
                 nodes = [rows] + nodes[:2]
             x = fixed
             states.append(_to_state(g, *x))

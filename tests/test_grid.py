@@ -227,7 +227,8 @@ class TestState:
         coeffs = forward_coeffs(grid2d, rng.standard_normal((2,) + grid2d.shape))
         u = VectorField(grid2d, inverse_values(grid2d, coeffs * np.exp(-decay * grid2d.k_squared)))
         coeffs = forward_coeffs(grid2d, u.values)
-        dot = np.abs(np.sum(grid2d.deriv_k * coeffs, axis=0))
+        K = np.stack(np.broadcast_arrays(*grid2d.deriv_k))
+        dot = np.abs(np.sum(K * coeffs, axis=0))
         amp = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=0))
         kmag = grid2d.deriv_k_norm
         mask = (kmag > 0) & (amp > 1e-13 * np.max(amp))

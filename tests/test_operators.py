@@ -236,12 +236,13 @@ class TestAdvectionKernel:
     @staticmethod
     def _composed(g, u_a, u_b, th, gv, kappa):
         """The half-spectrum rows built from the coefficient primitives one by one, two projections."""
+        ik = np.stack(np.broadcast_arrays(*g.ik))
         uu_hat = dealias_coeffs(g, forward_coeffs(g, u_a[:, np.newaxis] * u_b[np.newaxis, :]))
-        vel = -leray_coeffs(g, np.sum(g.ik[np.newaxis] * uu_hat, axis=1))
+        vel = -leray_coeffs(g, np.sum(ik[np.newaxis] * uu_hat, axis=1))
         mix = dealias_coeffs(g, forward_coeffs(g, u_a * th[np.newaxis]))
         coupling = leray_coeffs(g, dealias_coeffs(g, forward_coeffs(g, th[np.newaxis] * gv)))
         coupling[(Ellipsis,) + (0,) * g.n] = 0.0
-        return vel + kappa * coupling, -np.sum(g.ik * mix, axis=0)
+        return vel + kappa * coupling, -np.sum(ik * mix, axis=0)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("same", [True, False])
@@ -290,8 +291,9 @@ class TestDivergenceSums:
         rng = np.random.Generator(np.random.Philox(20 + n))
         shape = (n, n) + g.spectral_shape
         T = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.array_equal(tensor_div_coeffs(g, T), np.sum(g.ik[np.newaxis] * T, axis=1))
-        assert np.array_equal(div_coeffs(g, T[0]), np.sum(g.ik * T[0], axis=0))
+        ik = np.stack(np.broadcast_arrays(*g.ik))
+        assert np.array_equal(tensor_div_coeffs(g, T), np.sum(ik[np.newaxis] * T, axis=1))
+        assert np.array_equal(div_coeffs(g, T[0]), np.sum(ik * T[0], axis=0))
 
 
 class TestVerifyDispersive:
