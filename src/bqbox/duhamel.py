@@ -525,9 +525,9 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     dt = cfg.dt
     state_rhs = _StateRHS(grid, forcing) if mode == "full" else None
 
-    factors = {}
-    E = _step_factors(grid, dt, factors)[0]
-    _, Wa, Wb = _step_factors(grid, dt, factors, on=grid.band)
+    E = semigroup_factor(grid, dt)
+    # the steps read Wa and Wb on the band only: the dense weights are not kept
+    Wa, Wb = [W[grid.band] for W in _trap_weights(dt, grid.k_squared)]
     m = cfg.substeps
     h_s = dt / (m - 1)
     # the weights A_j of the analytic rows at the m substep nodes, on their support

@@ -279,7 +279,19 @@ def _gather_ball_values(grid, padded, width, starts, rho, out):
 # Lorentz functional on a sorted sample
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """The 32-node Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built on first use, not at import: ``numpy.polynomial`` costs about 0.9 MB
+    and a few ms to import, and only q < inf segment integrals read the table.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    table = leggauss(32)
+    for part in table:
+        part.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -334,9 +346,10 @@ def _lorentz_q_finite(sorted_desc, w, p, q):
         t1, t2 = t[i], t[i + 1]
         mid = 0.5 * (t1 + t2)
         halfw = 0.5 * (t2 - t1)
-        nodes = mid[:, np.newaxis] + halfw[:, np.newaxis] * _GL_NODES[np.newaxis, :]
+        gl_nodes, gl_weights = _gauss_legendre()
+        nodes = mid[:, np.newaxis] + halfw[:, np.newaxis] * gl_nodes[np.newaxis, :]
         integrand = nodes ** (a - q - 1.0) * (A[i][:, np.newaxis] + v[i][:, np.newaxis] * nodes) ** q
-        acc += np.sum(halfw * np.sum(integrand * _GL_WEIGHTS[np.newaxis, :], axis=1))
+        acc += np.sum(halfw * np.sum(integrand * gl_weights[np.newaxis, :], axis=1))
 
     # tail beyond total measure: f** = total/t, integrand total^q t^{a-q-1}
     e = a - q
@@ -467,6 +480,8 @@ def morrey_lorentz_table(f, params: NormParams, sampler: BallSampler):
         _flat_ball_offsets(grid.n, grid.N, grid.L, rho, width)
         if params.q == INF and params.p != INF:
             _weak_weights(m, w, params.p)
+    if params.q != INF:
+        _gauss_legendre()
     workers = _scan_workers(len(tasks), C * sum(sizes))
     buffers = [np.empty(max(task_values), dtype=padded.dtype) for _ in range(workers)]
 

@@ -3,15 +3,15 @@
 CSV dialect: comma-separated, '.' decimal, LF line endings, UTF-8, one
 header row, and a trailing comment line referencing the run manifest.
 Floats are printed with repr-faithful %.17g so identical runs produce
-byte-identical files; the manifest (config hash, versions, wall time) is
-the one artifact allowed to differ between repeated runs.
+byte-identical files; the manifest (config hash, versions, wall time, peak
+memory) is the one artifact allowed to differ between repeated runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -43,7 +43,26 @@ def write_csv(path, header, rows):
 
 
 def sha256_hex(text):
+    # imported on first use: hashlib maps OpenSSL's libcrypto (about 3.5 MB
+    # resident), and the manifest hash, written after the solve, is its reader
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def peak_rss_mb():
+    """This process's peak resident memory in MiB, or None where ``resource`` is missing.
+
+    ``ru_maxrss`` counts KiB on Linux and bytes on macOS.  A child inherits its
+    parent's high-water mark across fork/exec, so under a larger parent this
+    reads the parent's mark.
+    """
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s):
@@ -61,6 +80,9 @@ def write_manifest(outdir, subcommand, config_text, seed, outputs, wall_time_s):
         },
         "written_at_unix": time.time(),
     }
+    peak = peak_rss_mb()
+    if peak is not None:
+        manifest["peak_rss_mb"] = peak
     path = outdir / MANIFEST_NAME
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -1,9 +1,15 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +81,14 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", cfg, "--output", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["versions"]["bqbox"] == bqbox.__version__ != "unknown"
+
+    def test_manifest_records_peak_memory(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", evolve_config())
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", cfg, "--output", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        peak = manifest["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", evolve_config())
@@ -571,6 +585,42 @@ class TestPeriodicCommands:
         out = tmp_path / "out"
         assert main(["periodic-nonlinear", "--config", cfg, "--output", str(out)]) == 2
         assert next(iter(bad)) in capsys.readouterr().err
+
+
+class TestImportFootprint:
+    """``import bqbox.cli`` leaves out what only a finished run or a q < inf norm reads."""
+
+    # the CI smoke's 3-D, N = 8 nonlinear periodic solve
+    NONLINEAR = {
+        "grid": {"n": 3, "N": 8, "L": BOX}, "mode": "full",
+        "forcing": {"period": 1.0,
+                    "F": [{"harmonic": 0, "preset": "single-mode-tensor", "amplitude": 1e-3,
+                           "params": {"k": [0, 1, 0], "row": 0, "col": 1}}],
+                    "f": [{"harmonic": 1, "phase": 0.1, "preset": "single-mode-vector",
+                           "amplitude": 1e-3, "params": {"k": [1, 0, 0], "component": 0}}]},
+        "solve": {"dt": 0.0625}, "norm_p": 3.0,
+        "periodic": {"outer_tol": 1e-10, "outer_max": 20},
+    }
+    SCRIPT = textwrap.dedent("""\
+        import json, sys
+        import bqbox.cli
+        loaded = sorted({"hashlib", "_hashlib", "numpy.polynomial"} & set(sys.modules))
+        code = bqbox.cli.main(["periodic-nonlinear", "--config", sys.argv[1],
+                               "--output", sys.argv[2]])
+        print(json.dumps({"loaded": loaded, "code": code}))
+        """)
+
+    def test_fresh_import_and_manifest_hash(self, tmp_path):
+        cfg = Path(write_config(tmp_path / "c.json", self.NONLINEAR))
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, str(cfg), str(out)],
+                              env=env, capture_output=True, text=True, check=True)
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result == {"loaded": [], "code": 0}
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
 class TestSmallnessInputs:

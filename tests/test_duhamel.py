@@ -648,6 +648,33 @@ class TestNodeValuesReleased:
         evolve(init, forcing, n_steps * cfg.dt, cfg)
         assert entered == list(range(n_steps))
 
+    def test_dense_step_weights_gone_before_picard(self, grid3d_small, monkeypatch):
+        # the steps read Wa and Wb of step size dt only on the band: their
+        # half-spectrum arrays must be freed once cut, before step 0's Picard
+        init, forcing, cfg = TestOneValuePerNode._problem(grid3d_small, 0)
+        dense = []  # weak references to every (Wa, Wb) of step size dt
+        trap_weights = duhamel._trap_weights
+
+        def weights(h, k2):
+            out = trap_weights(h, k2)
+            if h == cfg.dt:
+                dense.extend(weakref.ref(W) for W in out)
+            return out
+
+        picard = duhamel._picard
+        alive = []
+
+        def spy(*args):
+            if args[-1] == 0:
+                alive.append([ref() is not None for ref in dense])
+            return picard(*args)
+
+        monkeypatch.setattr(duhamel, "_trap_weights", weights)
+        monkeypatch.setattr(duhamel, "_picard", spy)
+        evolve(init, forcing, 2 * cfg.dt, cfg)
+        assert len(alive) == 1 and alive[0]
+        assert not any(alive[0])
+
 
 class TestPredictorReuse:
     """Reusing the node values, for the start term and the extrapolated

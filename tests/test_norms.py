@@ -639,6 +639,7 @@ class TestParallelScan:
         try:
             for workers in (1, 2, 3):
                 monkeypatch.setattr(norms_mod, "_scan_workers", lambda chunks, values: workers)
+                norms_mod._gauss_legendre.cache_clear()  # each table fills it for its workers
                 got = table_array(morrey_lorentz_table(f, params, sampler))
                 assert np.array_equal(got, want, equal_nan=True), workers
         finally:
@@ -674,6 +675,33 @@ class TestParallelScan:
         assert threading.active_count() == before
         # no chunk is started after the error: at most one more per other worker
         assert 3 <= len(calls) <= 5
+
+    def test_gauss_legendre_table_filled_before_workers_start(self, monkeypatch):
+        # the workers only read the caches: a q < inf table builds the
+        # Gauss-Legendre table on the calling thread, before any worker starts
+        filled = []
+        thread_cls = threading.Thread
+
+        class CheckedThread(thread_cls):
+            def start(self):
+                filled.append(norms_mod._gauss_legendre.cache_info().currsize)
+                super().start()
+
+        g = GridSpec(n=3, N=16, L=2 * np.pi)
+        f = gaussian_profile(g, 0.5)
+        norms_mod._gauss_legendre.cache_clear()
+        monkeypatch.setattr(norms_mod, "_scan_workers", lambda chunks, values: 2)
+        monkeypatch.setattr(threading, "Thread", CheckedThread)
+        morrey_lorentz_table(f, NormParams(p=2.5, q=3.0, lam=0.5),
+                             BallSampler(num_centers=8, num_radii=4))
+        assert filled == [1]
+
+    def test_gauss_legendre_table_read_only_and_exact(self):
+        nodes, weights = norms_mod._gauss_legendre()
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert norms_mod._gauss_legendre() is norms_mod._gauss_legendre()
 
     def test_one_buffer_table_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
