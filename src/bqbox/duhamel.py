@@ -13,7 +13,7 @@ see Hochbruck & Ostermann, Acta Numerica 19 (2010) for the family).  The
 implicit endpoint is closed by Picard iteration; its failure to contract is
 the numerical signature of violated smallness and is reported as such.
 
-Each time node has one nonlinearity value, as in the prefix paths below:
+Each time node has one nonlinearity value, as in the certificates below:
 t = 0 gets an evaluation of its own, and every later node t_{i+1} takes
 Picard's last evaluation G(x^(K-1), t_{i+1}), the Wb term that formed the
 accepted x_{i+1}, as the Wa term of the next step ("first same as last",
@@ -44,9 +44,7 @@ row of the 2/3 rule (``GridSpec.band_shape``).  A step forms E x, adds
 meets the state, ``acc[band] += W[band] * row``, in the order Wa then Wb,
 the velocity part then the temperature part of each; off the support and
 the band those rows are 0, so this is the half-spectrum sum value for
-value.  The bilinear and coupling prefix paths step on the band,
-the forcing path on the support, and each scatters the integrals it yields
-to the half spectrum once.
+value.
 
 Every velocity increment is Leray-projected where it is made: the initial
 data, the forcing rows, the right-hand-side rows and the frozen extras.  The
@@ -60,10 +58,16 @@ subspace and the mean of the coupling is removed uniformly.
 Navier-Stokes is the theta = 0 case of the full dynamics, not a mode: with
 theta0 = 0 and no f or g every stored temperature is exactly 0.
 
-The Duhamel terms over a stored trajectory (B, T_g, C) are prefix paths
-with the same product trapezoid, I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j)
-+ Wb G(t_{j+1}) with the factors built once per step size, each read at
-every evaluation time: ``duhamel_residual`` and the bilinear checks are O(n_t).
+The certificates over a stored trajectory (``duhamel_residual`` and the
+bilinear checks) are linearized evolves of frozen node rows: a Duhamel term
+int_0^t e^{-(t-s)L} G(s) ds with G known at the nodes is ``evolve`` from
+zero with one (vel, th) pair of band rows per node as ``extra``, so it is
+stepped by the recursion I(t_{j+1}) = e^{-hL} I(t_j) + Wa G_j + Wb G_{j+1}
+of every run, and read at node times only.  The nodes must be equally
+spaced from 0; a time off them is a DiagnosticsError.  The residual thus
+shares the whole linear step with ``evolve``: it checks Picard closure, the
+stored states and the rows, not the quadrature weights, which only the
+closed-form per-mode solutions of the linear problem check.
 ``verify_linear_operator`` uses the exact kernel int_0^inf e^{-s k^2} ds = 1/k^2.
 
 A caller that reads each stored state once (the ``evolve`` subcommand's
@@ -87,13 +91,13 @@ to share across threads for the verification operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DiagnosticsError, HypothesisError
-from .forcing import ForcingSpec, SampledScalarSeries, TimeFourierField, bracket
+from .forcing import bracket
 from .grid import (
     ScalarField,
     State,
@@ -102,7 +106,7 @@ from .grid import (
     forward_coeffs,
     inverse_values,
     put_band,
-    scatter_band,
+    zeros_like_state,
 )
 from .norms import NormContext, NormParams, morrey_lorentz_norm, state_norm, trajectory_sup_norm
 from .operators import (
@@ -158,25 +162,6 @@ def _trap_weights(h, k2):
     return h * (p1 - p2), h * p2
 
 
-def _step_factors(grid, h, factors, on=None):
-    """(e^{-hL}, Wa, Wb) for a step of size h, built once per size in ``factors``.
-
-    Sizes within 1e-12 relative are one: stored times i * dt carry roundoff.
-    With ``on``, an index into the half spectrum (``grid.band``, a forcing's
-    support), the factors are those at the modes it selects, cut once per
-    index object from the half-spectrum ones.
-    """
-    key = next((h0 for h0 in factors if abs(h - h0) <= 1e-12 * h0), h)
-    if key not in factors:
-        factors[key] = [(None, (semigroup_factor(grid, h),) + _trap_weights(h, grid.k_squared))]
-    built = factors[key]  # (index, factors) pairs; the list keeps each index alive
-    cut = next((f for index, f in built if index is on), None)
-    if cut is None:
-        cut = tuple(f[on] for f in built[0][1])
-        built.append((on, cut))
-    return cut
-
-
 # ---------------------------------------------------------------------------
 # configuration / trajectory containers
 # ---------------------------------------------------------------------------
@@ -214,24 +199,6 @@ class Trajectory:
     times: np.ndarray
     states: list
     meta: dict = field(default_factory=dict)
-
-    def sample(self, t):
-        """State at t, linearly interpolated between stored nodes."""
-        ts = self.times
-        if t < ts[0] - 1e-12 or t > ts[-1] + 1e-9 * max(1.0, abs(t)):
-            raise DiagnosticsError(f"trajectory does not cover t = {t}")
-        j, x = bracket(ts, t)
-        if x == 0.0:
-            return self.states[j]
-        a, b = self.states[j], self.states[j + 1]
-        g = self.grid
-        return State(
-            VectorField(g, (1 - x) * a.u.values + x * b.u.values),
-            ScalarField(g, (1 - x) * a.theta.values + x * b.theta.values),
-        )
-
-    def theta_series(self):
-        return SampledScalarSeries(times=self.times, fields=[s.theta for s in self.states])
 
 
 def state_difference(a: State, b: State) -> State:
@@ -335,7 +302,8 @@ def _substep_weights(grid, h, m):
     costs one weighted sum instead of m - 1 recursion passes.
     """
     k2 = grid.k_squared
-    E_s, Wa_s, Wb_s = _step_factors(grid, h / (m - 1), {})
+    E_s = semigroup_factor(grid, h / (m - 1))
+    Wa_s, Wb_s = _trap_weights(h / (m - 1), k2)
     weights = [np.zeros_like(k2) for _ in range(m)]
     decay = np.ones_like(k2)  # e^{-(m-2-j) h_s k2} for the interval [s_j, s_{j+1}]
     for j in range(m - 2, -1, -1):
@@ -621,149 +589,104 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
 
 
 # ---------------------------------------------------------------------------
-# Duhamel terms (prefix quadrature over stored trajectories)
+# Duhamel terms at the nodes of stored trajectories
 # ---------------------------------------------------------------------------
 
 
-def _duhamel_path(grid, nodes, row_at, times, factors=None, on=None):
-    """Yield int_0^t e^{-(t-s)L} G(s) ds for each t of the ascending ``times``.
+def _node_step(traj: Trajectory):
+    """The spacing h of ``traj``'s nodes, which must be 0, h, 2h, ...: else a DiagnosticsError."""
+    ts = np.asarray(traj.times, dtype=float)
+    h = float(ts[1]) if len(ts) > 1 else 0.0
+    if not (h > 0 and np.all(np.abs(ts - h * np.arange(len(ts))) <= 1e-9 * np.maximum(1.0, ts))):
+        raise DiagnosticsError("a Duhamel term reads a trajectory whose nodes are equally spaced "
+                               f"from 0, got times {ts[:3].tolist()} ... {ts[-1]}")
+    return h
 
-    ``row_at(s)`` is G(s), a tuple of coefficient arrays, sampled at the
-    ``nodes`` (from 0) and linear between them; the prefix integral then obeys
-    I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j) + Wb G(t_{j+1}) exactly per mode, one
-    step per node.  A t more than 1e-12 past its last node is read by a partial
-    step from that node, not kept.  Paths may share ``factors`` (:func:`_step_factors`).
-    With ``on``, an index into the half spectrum, the rows hold only the modes
-    it selects (``grid.band`` for nonlinear rows, a forcing's support) and
-    are 0 elsewhere: the path steps there and scatters each yielded integral
-    to the half spectrum once.
+
+def _node_index(traj: Trajectory, t):
+    """The index of the node at t, snapped as :func:`bracket` does: else a DiagnosticsError."""
+    j, x = bracket(traj.times, t)
+    if x != 0.0:
+        raise DiagnosticsError(f"t = {t} is not a node of the trajectory")
+    return j
+
+
+def bilinear_at_nodes(traj_a: Trajectory, traj_b: Trajectory, times):
+    """B(a, b)(t) at each of the node ``times`` of a, as a list of States.
+
+    B(a, b)(t) = int_0^t e^{-(t-s)L} G(s) ds, G the rows
+    ``advection_coeffs(a.u, b.u, b.theta)`` at each node and linear between
+    them: one linearized evolve from zero with those rows frozen, which
+    keeps only the wanted nodes.  a and b must share their node times.
     """
-    if nodes[0] > 1e-12:
-        raise DiagnosticsError("trajectory must cover [0, t] starting at 0")
-    factors = {} if factors is None else factors
-
-    def step(h, acc, g_a, g_b):
-        E, Wa, Wb = _step_factors(grid, h, factors, on)
-        return tuple(E * i + Wa * a + Wb * b for i, a, b in zip(acc, g_a, g_b))
-
-    def full(acc):
-        if on is None:
-            return acc
-        if on is grid.band:
-            return tuple(scatter_band(grid, a) for a in acc)  # box by box, no fancy index
-        # a forcing's support: its rows end in one axis of the modes it selects
-        scattered = tuple(np.zeros(a.shape[:-1] + grid.spectral_shape, dtype=complex) for a in acc)
-        for whole, a in zip(scattered, acc):
-            whole[on] = a
-        return scattered
-
-    j = 0
-    g_j = row_at(float(nodes[0]))
-    acc = tuple(np.zeros_like(r) for r in g_j)
-    for t in times:
-        while j + 1 < len(nodes) and nodes[j + 1] <= t + 1e-12:
-            g_next = row_at(float(nodes[j + 1]))
-            acc = step(nodes[j + 1] - nodes[j], acc, g_j, g_next)
-            j, g_j = j + 1, g_next
-        if abs(t - nodes[j]) > 1e-12 * max(1.0, t):
-            yield full(step(t - nodes[j], acc, g_j, row_at(t)))
-        else:
-            yield full(acc)
-
-
-def _bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times, factors=None):
-    """Coefficients of B(a, b)(t) for each of the ascending ``times``, over a's nodes."""
+    if not np.array_equal(traj_a.times, traj_b.times):
+        raise DiagnosticsError("the trajectories of a bilinear pair must have the same node times")
+    h = _node_step(traj_a)
+    wanted = [_node_index(traj_a, t) for t in times]
     grid = traj_a.grid
+    rows = [advection_coeffs(grid, a.u.values, b.u.values, b.theta.values)
+            for a, b in zip(traj_a.states, traj_b.states)]
+    kept = {}
 
-    def row_at(s):
-        sa, sb = traj_a.sample(s), traj_b.sample(s)
-        return advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values)
+    def on_state(t, state):
+        k = round(t / h)
+        if k in wanted:
+            kept[k] = state
 
-    return _duhamel_path(grid, traj_a.times, row_at, times, factors, on=grid.band)
-
-
-def bilinear_path(traj_a: Trajectory, traj_b: Trajectory, times):
-    """Yield B(a, b)(t) for each of the ascending ``times``, from one pass over a's nodes."""
-    return (_to_state(traj_a.grid, vel, th) for vel, th in _bilinear_path(traj_a, traj_b, times))
-
-
-def _coupling_path(traj: Trajectory, g: TimeFourierField, kappa, times, factors=None):
-    """Velocity coefficients (one-tuples) of T_g(t) for each of the ascending ``times``.
-
-    The coupling reads the trajectory's own temperature, which must cover
-    every time: a later one is a DiagnosticsError.
-    """
-    theta = traj.theta_series()
-    if times[-1] > theta.times[-1] + 1e-9 * max(1.0, abs(times[-1])):
-        raise DiagnosticsError(f"trajectory does not cover t = {times[-1]}")
-
-    def row_at(s):
-        return (buoyancy_coeffs(g.grid, theta.value(s).values, g.value(s).values, kappa),)
-
-    return _duhamel_path(g.grid, theta.times, row_at, times, factors, on=g.grid.band)
-
-
-def _step_count(t, cfg):
-    n_steps = int(round(t / cfg.dt))
-    if abs(n_steps * cfg.dt - t) > 1e-9 * max(1.0, t):
-        raise ConfigError(f"t = {t} must be a multiple of dt = {cfg.dt}")
-    return n_steps
-
-
-def _forcing_path(forcing: ForcingSpec, times, cfg: SolveConfig, factors=None):
-    """Coefficients of C(t) at each ascending time (a multiple of dt), substeps - 1 nodes a step."""
-    grid = forcing.grid
-    if grid is None:
-        raise ConfigError("the forcing term C needs a forcing with at least one component")
-    n_steps = [_step_count(t, cfg) for t in times]
-    compiled = _CompiledForcing(forcing)
-    nodes = np.linspace(0.0, times[-1], (cfg.substeps - 1) * max(n_steps[-1], 1) + 1)
-    zero_v = np.zeros((grid.n,) + compiled.shape, dtype=complex)
-    zero_t = np.zeros(compiled.shape, dtype=complex)
-
-    def row_at(s):
-        vel, th = compiled.rows_at(s)
-        return (zero_v if vel is None else vel, zero_t if th is None else th)
-
-    # the rows are 0 off the support, so C(t) is too: a dense support steps the half spectrum
-    on = None if isinstance(compiled.support, slice) else compiled.support
-    return _duhamel_path(grid, nodes, row_at, times, factors, on)
+    evolve(zeros_like_state(grid), None, float(traj_a.times[-1]), SolveConfig(dt=h),
+           mode="linearized", extra=rows, on_state=on_state)
+    return [kept[k] for k in wanted]
 
 
 def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
     """Max-norm defect of the stored trajectory against the integral identity.
 
-    Each Duhamel term is one prefix path read at every stored time, and the
-    paths share their step factors.  The g-coupling reads the trajectory's
-    own temperature, in linearized mode too.
+    NaN if a stored state is not finite.  The trajectory must be stored at
+    every step of ``cfg.dt``, and the mode is checked first.  At each node
+    the identity's right-hand side is E(t) x(0) plus one linearized evolve
+    from zero, on the forcing without g, of the trajectory's own G_state
+    rows frozen at its nodes: ``advection_coeffs`` of each state with the
+    g-coupling in full mode, and the coupling alone in linearized mode.
     """
-    grid = traj.grid
-    times = [float(t) for t in traj.times[1:]]
-    if not times:
-        return 0.0
-    x0 = traj.states[0]
-    u0_hat = forward_coeffs(grid, x0.u.values)
-    th0_hat = forward_coeffs(grid, x0.theta.values)
-    factors = {}
-    paths = []
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
-    if mode == "full":
-        paths.append(_bilinear_path(traj, traj, times, factors))
-    if forcing is not None and forcing.coupled:
-        paths.append(_coupling_path(traj, forcing.g, forcing.kappa, times, factors))
-    if forcing is not None and (forcing.F is not None or forcing.f is not None):
-        paths.append(_forcing_path(forcing, times, cfg, factors))
+    if len(traj.times) < 2:
+        return 0.0
+    h = _node_step(traj)
+    if abs(h - cfg.dt) > 1e-9 * cfg.dt:
+        raise DiagnosticsError(f"the residual reads a trajectory stored at every step of "
+                               f"dt = {cfg.dt}, got nodes {h} apart")
     # np.max, unlike max(), lets a NaN in any state through
     scale = np.max([s.max_norm() for s in traj.states] + [1e-30])
+    if not np.isfinite(scale):
+        return math.nan
+    grid = traj.grid
+    g, kappa = (forcing.g, forcing.kappa) if forcing is not None and forcing.coupled else (None, 0)
+    rows = []
+    for t, s in zip(traj.times, traj.states):
+        g_t = None if g is None else g.value(t).values
+        u, th = s.u.values, s.theta.values
+        if mode == "full":
+            rows.append(advection_coeffs(grid, u, u, th, g_t, kappa))
+        elif g is not None:
+            rows.append((buoyancy_coeffs(grid, th, g_t, kappa), None))
+    x0 = traj.states[0]
+    x0_hat = (forward_coeffs(grid, x0.u.values), forward_coeffs(grid, x0.theta.values))
     defects = []
-    for t, s, *terms in zip(times, traj.states[1:], *paths):
+
+    def on_state(t, term):
+        k = round(t / h)
+        if k == 0:
+            return
         decay = semigroup_factor(grid, t)
-        total_u = decay * u0_hat + sum(term[0] for term in terms)
-        # T_g has no temperature part
-        total_th = decay * th0_hat + sum(term[1] for term in terms if len(term) > 1)
-        total = _to_state(grid, total_u, total_th)
-        defects.append(float(state_difference(total, s).max_norm()) / scale)
+        free = _to_state(grid, *(decay * part for part in x0_hat))
+        for part, add in ((term.u, free.u), (term.theta, free.theta)):
+            np.add(part.values, add.values, out=part.values)
+        defects.append(float(state_difference(term, traj.states[k]).max_norm()) / scale)
+
+    linear = None if forcing is None else replace(forcing, g=None, kappa=0.0)
+    evolve(zeros_like_state(grid), linear, float(traj.times[-1]), cfg, mode="linearized",
+           extra=rows or None, on_state=on_state)
     return float(np.max(defects))
 
 
@@ -828,7 +751,9 @@ def verify_bilinear_estimate(pairs, p, sampler, eval_stride=1):
     """Empirical K with ||B(a,b)||_H <= K ||a||_H ||b||_H over an ensemble.
 
     H is the sup-in-time norm in the critical pairing at p (:meth:`NormParams.critical`,
-    2 < p <= n) on the balls of ``sampler``, over the stored grids only.
+    2 < p <= n) on the balls of ``sampler``, over the stored grids only.  B is
+    read at every ``eval_stride``-th node from t_1 and at the last one
+    (:func:`bilinear_at_nodes`); a pair with a non-finite norm has a NaN ratio.
     """
     if not pairs:
         raise ConfigError("verify_bilinear_estimate needs a nonempty ensemble")
@@ -839,11 +764,14 @@ def verify_bilinear_estimate(pairs, p, sampler, eval_stride=1):
         nb = trajectory_sup_norm(b, ctx)
         if na * nb == 0.0:
             continue  # 0/0 guarded: zero trajectories are excluded from the sup
+        if not np.isfinite(na * nb):
+            ratios.append(math.nan)  # its rows are not finite: no evolve can step them
+            continue
         eval_times = [float(t) for t in a.times[1::eval_stride] if t > 0]
         if not eval_times or eval_times[-1] != float(a.times[-1]):
             eval_times.append(float(a.times[-1]))
         # np.max, unlike max(), lets a NaN through in any order
-        best = float(np.max([state_norm(B, ctx) for B in bilinear_path(a, b, eval_times)]))
+        best = float(np.max([state_norm(B, ctx) for B in bilinear_at_nodes(a, b, eval_times)]))
         ratios.append(best / (na * nb))
     if not ratios:
         return BilinearReport(empirical_constant=0.0, ratios=[])

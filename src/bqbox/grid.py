@@ -404,13 +404,6 @@ def put_band(grid, full, row):
         full[full_box] = row[band_box]
 
 
-def scatter_band(grid, row):
-    """The half-spectrum array that is the band-shaped ``row`` on the band and 0 off it."""
-    full = np.zeros(row.shape[: row.ndim - grid.n] + grid.spectral_shape, dtype=complex)
-    put_band(grid, full, row)
-    return full
-
-
 def inverse_values(grid, coeffs):
     """Inverse of :func:`forward_coeffs`: the real array of N points per axis.
 

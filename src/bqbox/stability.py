@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duhamel import Trajectory, bilinear_path, evolve, state_difference
+from .duhamel import Trajectory, bilinear_at_nodes, evolve, state_difference
 from .errors import ConfigError, DiagnosticsError, HypothesisError
 from .norms import (
     NormContext,
@@ -282,7 +282,11 @@ class WeightedBilinearReport:
 
 
 def verify_weighted_bilinear(pairs, params: StabilityParams, sampler, stride=1):
-    """Empirical K of ||B(a,b)||_{H_{q,r}} <= K ||a|| ||b|| over an ensemble, on ``sampler``."""
+    """Empirical K of ||B(a,b)||_{H_{q,r}} <= K ||a|| ||b|| over an ensemble, on ``sampler``.
+
+    B is read at every ``stride``-th node of a from t_1 (:func:`bilinear_at_nodes`);
+    a pair with a non-finite norm has a NaN ratio.
+    """
     if not pairs:
         raise ConfigError("verify_weighted_bilinear needs a nonempty ensemble")
     c1, c2 = weighted_bilinear_constants(params.p, params.q, params.r)
@@ -294,11 +298,14 @@ def verify_weighted_bilinear(pairs, params: StabilityParams, sampler, stride=1):
         nb = weighted_trajectory_norm(b, params, sampler, stride)
         if na * nb == 0.0:
             continue
+        if not np.isfinite(na * nb):
+            ratios.append(math.nan)  # its rows are not finite: no evolve can step them
+            continue
         eval_times = [float(t) for t in a.times[1::stride] if t > 0]
         # np.max, unlike max(), lets a NaN through in any order
         best = float(np.max([0.0] + [
             state_norm(B, ctx) + sum(_weighted_parts(B, t, params, sampler))
-            for t, B in zip(eval_times, bilinear_path(a, b, eval_times))
+            for t, B in zip(eval_times, bilinear_at_nodes(a, b, eval_times))
         ]))
         ratios.append(best / (na * nb))
     k_emp = float(np.max(ratios)) if ratios else 0.0

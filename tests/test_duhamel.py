@@ -32,17 +32,14 @@ from bqbox import duhamel
 from bqbox.duhamel import (
     Trajectory,
     _add_on_band,
-    _bilinear_path,
     _CompiledForcing,
-    _coupling_path,
-    _forcing_path,
     _phi1,
     _phi2,
     _StateRHS,
-    _step_factors,
     _substep_weights,
     _to_state,
     _trap_weights,
+    bilinear_at_nodes,
     state_difference,
 )
 from bqbox.forcing import (
@@ -57,6 +54,7 @@ from bqbox.operators import (
     dealias_coeffs,
     div_coeffs,
     leray_coeffs,
+    semigroup_factor,
     tensor_div_coeffs,
 )
 from bqbox.presets import (
@@ -76,10 +74,30 @@ def constant_trajectory(grid, state, t_end, n_nodes=5):
     return Trajectory(grid, times, [state] * n_nodes)
 
 
-def path_point(grid, path):
-    """The state of a Duhamel path read at its one time; T_g's velocity-only rows get theta = 0."""
-    vel, *th = next(path)
-    return _to_state(grid, vel, th[0] if th else np.zeros(grid.spectral_shape, dtype=complex))
+def bilinear_at(traj_a, traj_b, t):
+    """B(a, b)(t) at the node t."""
+    (state,) = bilinear_at_nodes(traj_a, traj_b, [t])
+    return state
+
+
+def coupling_at(traj, g, kappa, t):
+    """T_g(t) at the last node t: the linearized evolve from zero of the frozen coupling rows."""
+    rows = [(buoyancy_coeffs(traj.grid, s.theta.values, g.value(ts).values, kappa), None)
+            for ts, s in zip(traj.times, traj.states)]
+    cfg = SolveConfig(dt=float(traj.times[1]))
+    return evolve(zeros_like_state(traj.grid), None, t, cfg, mode="linearized",
+                  extra=rows).states[-1]
+
+
+def forcing_at(forcing, t, cfg):
+    """C(t): the linearized evolve from zero with ``forcing``."""
+    return evolve(zeros_like_state(forcing.grid), forcing, t, cfg, mode="linearized").states[-1]
+
+
+def band_step_factors(grid, dt):
+    """(e^{-dt L}, Wa, Wb) of evolve's step: the weights cut to the band."""
+    Wa, Wb = _trap_weights(dt, grid.k_squared)
+    return semigroup_factor(grid, dt), Wa[grid.band], Wb[grid.band]
 
 
 class TestPhiFunctions:
@@ -116,9 +134,9 @@ class TestBilinearIncrement:
             State(taylor_green(grid2d_box), gaussian_profile(grid2d_box, 0.5)),
             0.1,
         )
-        inc = path_point(grid2d_box, _bilinear_path(z, a, [0.1]))
+        inc = bilinear_at(z, a, 0.1)
         assert inc.max_norm() == 0.0
-        inc2 = path_point(grid2d_box, _bilinear_path(a, z, [0.1]))
+        inc2 = bilinear_at(a, z, 0.1)
         assert inc2.max_norm() == 0.0
 
     def test_linearity_in_each_slot(self, grid2d_box):
@@ -129,8 +147,8 @@ class TestBilinearIncrement:
         )
         a = constant_trajectory(grid2d_box, s, 0.2)
         a2 = constant_trajectory(grid2d_box, s2, 0.2)
-        one = path_point(grid2d_box, _bilinear_path(a, a, [0.2]))
-        dbl = path_point(grid2d_box, _bilinear_path(a2, a, [0.2]))
+        one = bilinear_at(a, a, 0.2)
+        dbl = bilinear_at(a2, a, 0.2)
         scale = max(np.max(np.abs(dbl.u.values)), np.max(np.abs(dbl.theta.values)))
         assert np.max(np.abs(dbl.u.values - 2 * one.u.values)) <= 1e-10 * scale
         assert np.max(np.abs(dbl.theta.values - 2 * one.theta.values)) <= 1e-10 * scale
@@ -144,7 +162,7 @@ class TestBilinearIncrement:
         s = State(u, th)
         t = 0.05
         traj = constant_trajectory(g, s, t, n_nodes=2)
-        got = path_point(g, _bilinear_path(traj, traj, [t]))
+        got = bilinear_at(traj, traj, t)
 
         outer = u.values[:, np.newaxis] * u.values[np.newaxis, :]
         uu_hat = dealias_coeffs(g, forward_coeffs(g, outer))
@@ -169,14 +187,8 @@ class TestBilinearIncrement:
     def test_velocity_row_is_projected(self, grid2d_box):
         s = State(taylor_green(grid2d_box, amplitude=0.5), gaussian_profile(grid2d_box, 0.4))
         traj = constant_trajectory(grid2d_box, s, 0.1)
-        inc = path_point(grid2d_box, _bilinear_path(traj, traj, [0.1]))
+        inc = bilinear_at(traj, traj, 0.1)
         assert spectral_divergence_residual(inc.u) <= 1e-10
-
-    def test_coverage_gap(self, grid2d_box):
-        s = State(taylor_green(grid2d_box), gaussian_profile(grid2d_box, 0.4))
-        traj = constant_trajectory(grid2d_box, s, 0.1)
-        with pytest.raises(Exception, match="cover"):
-            path_point(grid2d_box, _bilinear_path(traj, traj, [0.5]))
 
 
 class TestCouplingIncrement:
@@ -184,7 +196,7 @@ class TestCouplingIncrement:
         g = grid2d_box
         z = constant_trajectory(g, zeros_like_state(g), 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        inc = path_point(g, _coupling_path(z, gfield, 0.5, [0.1]))
+        inc = coupling_at(z, gfield, 0.5, 0.1)
         assert inc.max_norm() == 0.0
 
     def test_linear_in_kappa(self, grid2d_box):
@@ -192,8 +204,8 @@ class TestCouplingIncrement:
         s = State(zeros_like_state(g).u, gaussian_profile(g, 0.5))
         traj = constant_trajectory(g, s, 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        one = path_point(g, _coupling_path(traj, gfield, 0.5, [0.1]))
-        two = path_point(g, _coupling_path(traj, gfield, 1.0, [0.1]))
+        one = coupling_at(traj, gfield, 0.5, 0.1)
+        two = coupling_at(traj, gfield, 1.0, 0.1)
         assert np.max(np.abs(two.u.values - 2 * one.u.values)) <= 1e-12 * np.max(
             np.abs(two.u.values)
         )
@@ -203,7 +215,7 @@ class TestCouplingIncrement:
         s = State(zeros_like_state(g).u, gaussian_profile(g, 0.5))
         traj = constant_trajectory(g, s, 0.1)
         gfield = constant_in_time(1.0, single_mode_vector(g, k=(0, 1), component=0))
-        inc = path_point(g, _coupling_path(traj, gfield, 0.7, [0.1]))
+        inc = coupling_at(traj, gfield, 0.7, 0.1)
         assert np.max(np.abs(inc.theta.values)) == 0.0
 
     def test_per_mode_closed_form(self, grid2d_box):
@@ -217,7 +229,7 @@ class TestCouplingIncrement:
         gfield = constant_in_time(1.0, gv)
         kappa = 0.9
         t = 0.2
-        got = path_point(g, _coupling_path(traj, gfield, kappa, [t]))
+        got = coupling_at(traj, gfield, kappa, t)
         prod = th.values[np.newaxis] * gv.values
         c = dealias_coeffs(g, forward_coeffs(g, prod))
         c = leray_coeffs(g, c)
@@ -229,11 +241,12 @@ class TestCouplingIncrement:
 
 
 class TestForcingIncrement:
-    def test_zero_forcing_errors(self, grid2d_box):
-        forcing = ForcingSpec(period=1.0)
+    def test_empty_forcing_is_zero(self, grid2d_box):
+        # evolve takes the grid from the state: a forcing without components adds nothing
         cfg = SolveConfig(dt=0.05)
-        with pytest.raises(ConfigError, match="at least one component"):
-            _forcing_path(forcing, [0.1], cfg)
+        run = evolve(zeros_like_state(grid2d_box), ForcingSpec(period=1.0), 0.1, cfg,
+                     mode="linearized")
+        assert all(s.max_norm() == 0.0 for s in run.states)
 
     def test_constant_single_mode_closed_form(self, grid2d_box):
         g = grid2d_box
@@ -241,7 +254,7 @@ class TestForcingIncrement:
         forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, fv))
         cfg = SolveConfig(dt=0.05, substeps=4)
         t = 0.25
-        got = path_point(g, _forcing_path(forcing, [t], cfg))
+        got = forcing_at(forcing, t, cfg)
         src = div_coeffs(g, forward_coeffs(g, fv.values))
         sig = g.k_squared
         kernel = np.where(sig > 0, (1 - np.exp(-t * np.where(sig > 0, sig, 1))) / np.where(sig > 0, sig, 1), t)
@@ -257,7 +270,7 @@ class TestForcingIncrement:
         F, f = constant_in_time(1.0, Ft), constant_in_time(1.0, fv)
 
         def forcing_term(**parts):
-            return path_point(g, _forcing_path(ForcingSpec(period=1.0, **parts), [0.2], cfg))
+            return forcing_at(ForcingSpec(period=1.0, **parts), 0.2, cfg)
 
         both, only_F, only_f = forcing_term(F=F, f=f), forcing_term(F=F), forcing_term(f=f)
         scale = both.max_norm()
@@ -373,8 +386,10 @@ class TestEvolve:
         with pytest.raises(ConfigError, match="unknown mode 'navier-stokes'"):
             evolve(init, None, 0.1, cfg, mode="navier-stokes")
         traj = evolve(init, None, 0.1, cfg)
-        with pytest.raises(ConfigError, match="unknown mode 'navier-stokes'"):
-            duhamel_residual(traj, None, cfg, mode="navier-stokes")
+        # a one-state trajectory has no defect to read, but its mode is checked first
+        for run in (traj, Trajectory(grid2d_box, traj.times[:1], traj.states[:1])):
+            with pytest.raises(ConfigError, match="unknown mode 'navier-stokes'"):
+                duhamel_residual(run, None, cfg, mode="navier-stokes")
 
     def test_linearity_in_data_and_forcing(self, grid2d_box):
         g = grid2d_box
@@ -529,8 +544,7 @@ def _two_value_loop(init, forcing, n_steps, cfg):
     g = init.grid
     dt = cfg.dt
     rhs = _StateRHS(g, forcing)
-    E = _step_factors(g, dt, {})[0]
-    _, Wa, Wb = _step_factors(g, dt, {}, on=g.band)
+    E, Wa, Wb = band_step_factors(g, dt)
     h_s = dt / (cfg.substeps - 1)
     u = leray_coeffs(g, forward_coeffs(g, init.u.values))
     th = forward_coeffs(g, init.theta.values)
@@ -1054,8 +1068,7 @@ class TestForcingSupport:
         """
         g = init.grid
         dt = cfg.dt
-        E = _step_factors(g, dt, {})[0]
-        _, Wa, Wb = _step_factors(g, dt, {}, on=g.band)
+        E, Wa, Wb = band_step_factors(g, dt)
         h_s = dt / (cfg.substeps - 1)
         weights = _substep_weights(g, dt, cfg.substeps)
         sources = self._dense_sources(forcing)
@@ -1099,29 +1112,6 @@ class TestForcingSupport:
         for a, b in zip(got, want):
             assert np.array_equal(a.u.values, b.u.values)
             assert np.array_equal(a.theta.values, b.theta.values)
-
-    @pytest.mark.parametrize("sources", ["single-mode", "random"])
-    def test_forcing_path_matches_the_dense_path(self, grid3d_small, sources):
-        # C(t) stepped on the support and scattered, against the half-spectrum prefix path
-        g = grid3d_small
-        forcing = self._forcing(g, sources)
-        cfg = SolveConfig(dt=1.0 / 16, substeps=4)
-        times = [k * cfg.dt for k in range(1, 5)]
-        got = list(_forcing_path(forcing, times, cfg))
-        nodes = np.linspace(0.0, times[-1], 3 * len(times) + 1)
-        E, Wa, Wb = _step_factors(g, nodes[1] - nodes[0], {})
-        sources = self._dense_sources(forcing)
-        rows = [self._dense_rows(sources, forcing.period, s) for s in nodes]
-        acc = [np.zeros_like(r) for r in rows[0]]
-        want = []
-        for j in range(len(nodes) - 1):
-            acc = [E * i + Wa * a + Wb * b for i, a, b in zip(acc, rows[j], rows[j + 1])]
-            if (j + 1) % 3 == 0:
-                want.append(acc)
-        assert len(got) == len(want) == 4
-        for got_parts, want_parts in zip(got, want):
-            for a, b in zip(got_parts, want_parts):
-                assert np.array_equal(a, b)
 
     def test_single_mode_support_holds_its_nonzero_modes(self, grid3d):
         g = grid3d
@@ -1223,7 +1213,7 @@ class TestVerifyBilinear:
 
     @pytest.mark.parametrize("at", ["first", "last"])
     def test_nan_sample_reaches_best(self, grid3d_small, monkeypatch, at):
-        # one NaN norm along the bilinear path, wherever it falls, makes the ratio NaN
+        # one NaN norm of B at any evaluated node makes the ratio NaN
         ta, tb = self._pair(grid3d_small, 20)
         n_eval = len(ta.times) - 1
         calls = self._nan_norm(monkeypatch, {1 if at == "first" else n_eval})
@@ -1249,28 +1239,16 @@ class TestVerifyBilinear:
             verify_bilinear_estimate([(ta, tb)], p=4.0, sampler=sampler)
 
 
-def _at_node_samplers(grid, ts):
-    """Each sampled-in-time source on ``ts``, with a distinct sample per node."""
-    rng = np.random.default_rng(0)
-    vels = [rng.standard_normal((grid.n,) + grid.shape) for _ in ts]
-    ths = [rng.standard_normal(grid.shape) for _ in ts]
-    traj = Trajectory(grid, ts, [State(VectorField(grid, v), ScalarField(grid, th))
-                                 for v, th in zip(vels, ths)])
-    series = SampledScalarSeries(times=ts, fields=[ScalarField(grid, th) for th in ths])
-    return {
-        "trajectory": (lambda t: traj.sample(t).theta.values, ths),
-        "scalar_series": (lambda t: series.value(t).values, ths),
-    }
-
-
-@pytest.mark.parametrize("source", ["trajectory", "scalar_series"])
+@pytest.mark.parametrize("source", ["scalar_series"])
 @pytest.mark.parametrize("node", [2, 4])
 @pytest.mark.parametrize("offset", [0.0, -1e-13])
 def test_interpolation_snaps_to_node(grid2d, source, node, offset):
-    """At a node, or just below one, every sampler returns that node's sample exactly."""
+    """At a node, or just below one, the sampled series returns that node's sample exactly."""
     ts = np.arange(5) * 0.1
-    sample, samples = _at_node_samplers(grid2d, ts)[source]
-    assert np.array_equal(sample(ts[node] + offset), samples[node])
+    rng = np.random.default_rng(0)
+    samples = [rng.standard_normal(grid2d.shape) for _ in ts]
+    series = SampledScalarSeries(times=ts, fields=[ScalarField(grid2d, th) for th in samples])
+    assert np.array_equal(series.value(ts[node] + offset).values, samples[node])
 
 
 def _band_rows(grid, count, parts, seed=0):

@@ -1,9 +1,10 @@
-"""The prefix Duhamel integral against the per-time loops it replaced.
+"""The Duhamel terms at node times against the per-time loops they replaced.
 
-Every Duhamel term and certificate reads one prefix path,
-I(t_{j+1}) = e^{-hL} I(t_j) + Wa G(t_j) + Wb G(t_{j+1}).  The references here
-are copies of the earlier code, which integrated from 0 again for every
-output time with each interval decayed straight to t.
+Every Duhamel term and certificate is one linearized evolve from zero of
+rows frozen at the nodes, stepped by I(t_{j+1}) = e^{-hL} I(t_j) + Wa G_j
++ Wb G_{j+1} and read at node times.  The references here are copies of the
+earlier code, which integrated from 0 again for every output time with each
+interval decayed straight to t, reading the stored states at the nodes.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import bqbox.duhamel as duhamel
+import bqbox.stability as stability
 from bqbox import (
     BallSampler,
     DiagnosticsError,
@@ -19,16 +21,20 @@ from bqbox import (
     GridSpec,
     NormParams,
     SolveConfig,
+    StabilityParams,
     State,
     constant_in_time,
     duhamel_residual,
     evolve,
     morrey_lorentz_norm,
+    verify_bilinear_estimate,
     verify_linear_operator,
+    verify_weighted_bilinear,
+    zeros_like_state,
 )
-from bqbox.duhamel import _trap_weights, bilinear_path
+from bqbox.duhamel import _trap_weights, bilinear_at_nodes
 from bqbox.forcing import HarmonicTerm, TimeFourierField
-from bqbox.grid import forward_coeffs, inverse_values, scatter_band
+from bqbox.grid import forward_coeffs, inverse_values, put_band
 from bqbox.operators import (
     advection_coeffs,
     buoyancy_coeffs,
@@ -44,18 +50,18 @@ from bqbox.presets import (
     random_smooth_vector,
     single_mode_tensor,
 )
-from bqbox.suite import _suite_sampler
+from bqbox.suite import _heat_trajectory, _suite_sampler
 
 # ---------------------------------------------------------------------------
-# copies of the per-time loops the prefix path replaced
+# copies of the per-time loops the node-row evolves replaced
 # ---------------------------------------------------------------------------
 
 
-def old_nodes(times, t):
-    ts = [float(s) for s in times if s <= t + 1e-12]
-    if abs(ts[-1] - t) > 1e-12 * max(1.0, t):
-        ts.append(float(t))
-    return ts
+def on_half_spectrum(grid, row):
+    """The half-spectrum array that is the band-shaped ``row`` on the band and 0 off it."""
+    full = np.zeros(row.shape[: row.ndim - grid.n] + grid.spectral_shape, dtype=complex)
+    put_band(grid, full, row)
+    return full
 
 
 def old_accumulate(grid, nodes, rows, t):
@@ -71,23 +77,29 @@ def old_accumulate(grid, nodes, rows, t):
     return acc
 
 
+def old_nodes(traj, t):
+    """The stored node times up to t, which must be one of them."""
+    nodes = [float(s) for s in traj.times if s <= t + 1e-12]
+    assert abs(nodes[-1] - t) <= 1e-12 * max(1.0, t)
+    return nodes
+
+
 def old_bilinear(traj_a, traj_b, t):
     grid = traj_a.grid
-    nodes = old_nodes(traj_a.times, t)
+    nodes = old_nodes(traj_a, t)
     rows = []
-    for s in nodes:
-        sa, sb = traj_a.sample(s), traj_b.sample(s)
+    for sa, sb in zip(traj_a.states[:len(nodes)], traj_b.states):
         band_rows = advection_coeffs(grid, sa.u.values, sb.u.values, sb.theta.values)
-        rows.append(tuple(scatter_band(grid, r) for r in band_rows))
+        rows.append(tuple(on_half_spectrum(grid, r) for r in band_rows))
     return old_accumulate(grid, nodes, rows, t)
 
 
-def old_coupling(theta_samples, g, kappa, t):
+def old_coupling(traj, g, kappa, t):
     grid = g.grid
-    nodes = old_nodes(theta_samples.times, t)
-    rows = [(scatter_band(grid, buoyancy_coeffs(grid, theta_samples.value(s).values,
-                                                g.value(s).values, kappa)),)
-            for s in nodes]
+    nodes = old_nodes(traj, t)
+    rows = [(on_half_spectrum(grid, buoyancy_coeffs(grid, s.theta.values, g.value(ts).values,
+                                                     kappa)),)
+            for ts, s in zip(nodes, traj.states)]
     return old_accumulate(grid, nodes, rows, t)
 
 
@@ -124,7 +136,7 @@ def old_residual(traj, forcing, cfg, mode):
         terms = []
         if mode == "full":
             terms.append(old_bilinear(traj, traj, t))
-        terms.append(old_coupling(traj.theta_series(), forcing.g, forcing.kappa, t))
+        terms.append(old_coupling(traj, forcing.g, forcing.kappa, t))
         terms.append(old_forcing(forcing, t, cfg))
         for term in terms:
             total_u = total_u + inverse_values(grid, term[0]).real
@@ -176,6 +188,10 @@ def coupled_forcing(g):
     )
 
 
+def without_g(forcing):
+    return dataclasses.replace(forcing, g=None, kappa=0.0)
+
+
 def initial_state(g, seed):
     return State(random_div_free(g, seed=seed, amplitude=0.2),
                  random_smooth_scalar(g, seed=seed + 1, amplitude=0.2))
@@ -188,11 +204,14 @@ def grid():
 
 @pytest.fixture(scope="module")
 def runs(grid):
-    """A uniform trajectory and a store_stride = 3 one whose last step is short."""
+    """A trajectory stored at every step, and one stored at every other step of a run at half
+    the step: both have their nodes at k T / 16."""
     cfg = SolveConfig(dt=T / 16, substeps=4)
     forcing = coupled_forcing(grid)
     uniform = evolve(initial_state(grid, 10), forcing, T, cfg, mode="full")
-    strided = evolve(initial_state(grid, 20), forcing, T, cfg, mode="full", store_stride=3)
+    strided = evolve(initial_state(grid, 20), forcing, T, dataclasses.replace(cfg, dt=T / 32),
+                     mode="full", store_stride=2)
+    assert np.array_equal(uniform.times, strided.times)
     return cfg, forcing, uniform, strided
 
 
@@ -210,55 +229,57 @@ def coeffs(state):
     return forward_coeffs(grid, state.u.values), forward_coeffs(grid, state.theta.values)
 
 
-class TestPathMatchesPerTimeLoop:
-    def test_strided_trajectory_keeps_two_step_sizes(self, runs):
-        _, _, uniform, strided = runs
-        assert np.allclose(np.diff(uniform.times), T / 16)
-        assert sorted(set(np.round(np.diff(strided.times) * 16, 12))) == [1.0, 3.0]
+def coupling_at(traj, g, kappa, t):
+    """T_g(t) at the node t: the linearized evolve from zero of the frozen coupling rows."""
+    rows = [(buoyancy_coeffs(traj.grid, s.theta.values, g.value(ts).values, kappa), None)
+            for ts, s in zip(traj.times, traj.states)]
+    h = float(traj.times[1])
+    run = evolve(zeros_like_state(traj.grid), None, t, SolveConfig(dt=h), mode="linearized",
+                 extra=rows[:round(t / h) + 1])
+    assert np.max(np.abs(run.states[-1].theta.values)) == 0.0
+    return run.states[-1]
 
+
+class TestPathMatchesPerTimeLoop:
     @pytest.mark.parametrize("pair", ["uniform", "strided", "mixed"])
     def test_bilinear_path(self, runs, pair):
         _, _, uniform, strided = runs
         a, b = {"uniform": (uniform, uniform), "strided": (strided, strided),
                 "mixed": (strided, uniform)}[pair]
         times = [float(t) for t in a.times[1:]]
-        got = [coeffs(B) for B in bilinear_path(a, b, times)]
+        got = [coeffs(B) for B in bilinear_at_nodes(a, b, times)]
         want = [old_bilinear(a, b, t) for t in times]
         assert len(got) == len(times)
         assert_matches(got, want)
 
-    def test_bilinear_off_grid_times(self, runs):
-        # off-node times take a partial step that the path does not keep
-        _, _, uniform, strided = runs
-        times = [0.1, 3 / 16, 0.4, 0.41, 12 / 16, 0.99, 1.0]
-        got = [coeffs(B) for B in bilinear_path(strided, uniform, times)]
-        want = [old_bilinear(strided, uniform, t) for t in times]
-        assert_matches(got, want)
-        single = next(duhamel._bilinear_path(strided, uniform, [0.41]))
-        assert_matches([single], [want[3]])
-
     @pytest.mark.parametrize("t", [3 / 16, 0.55, 1.0])
-    def test_coupling_increment(self, runs, t):
-        # T_g has a velocity row only
-        _, forcing, _, strided = runs
-        (got,) = next(duhamel._coupling_path(strided, forcing.g, forcing.kappa, [t]))
-        assert_matches([(got,)], [old_coupling(strided.theta_series(), forcing.g, forcing.kappa, t)])
+    def test_coupling_increment(self, grid, runs, t):
+        # the temperature of a run at T / 80, so that 0.55 is a node
+        _, forcing, _, _ = runs
+        traj = evolve(initial_state(grid, 30), without_g(forcing), T, SolveConfig(dt=T / 80),
+                      mode="linearized")
+        got = coupling_at(traj, forcing.g, forcing.kappa, t)
+        assert_matches([coeffs(got)[:1]], [old_coupling(traj, forcing.g, forcing.kappa, t)])
 
     @pytest.mark.parametrize("t", [1 / 16, 5 / 16, 1.0])
-    def test_forcing_increment(self, runs, t):
+    def test_forcing_increment(self, grid, runs, t):
         cfg, forcing, _, _ = runs
-        got = next(duhamel._forcing_path(forcing, [t], cfg))
-        assert_matches([got], [old_forcing(forcing, t, cfg)])
+        got = evolve(zeros_like_state(grid), without_g(forcing), t, cfg, mode="linearized")
+        assert_matches([coeffs(got.states[-1])], [old_forcing(forcing, t, cfg)])
 
-    def test_forcing_path_reads_every_step_time(self, runs):
+    def test_forcing_path_reads_every_step_time(self, grid, runs):
         cfg, forcing, _, _ = runs
+        run = evolve(zeros_like_state(grid), without_g(forcing), T, cfg, mode="linearized")
         times = [k / 16 for k in range(1, 17)]
-        got = list(duhamel._forcing_path(forcing, times, cfg))
+        assert np.array_equal(run.times[1:], times)
+        got = [coeffs(s) for s in run.states[1:]]
         want = [old_forcing(forcing, t, cfg) for t in times]
         assert_matches(got, want)
 
     @pytest.mark.parametrize("which", ["uniform", "strided"])
     def test_full_mode_residual(self, runs, which):
+        # the strided run, at T / 32, is read as stored at every step of T / 16:
+        # its defect is the coarser quadrature's, in both routes alike
         cfg, forcing, uniform, strided = runs
         traj = {"uniform": uniform, "strided": strided}[which]
         got = duhamel_residual(traj, forcing, cfg, mode="full")
@@ -271,7 +292,7 @@ class TestPathMatchesPerTimeLoop:
         # temperature, it is a solution of the coupled linear system
         cfg, forcing, _, _ = runs
         x0 = initial_state(grid, 30)
-        free = dataclasses.replace(forcing, g=None, kappa=0.0)
+        free = without_g(forcing)
         orbit = evolve(x0, free, T, cfg, mode="linearized")
         rows = [(buoyancy_coeffs(grid, s.theta.values, forcing.g.value(t).values, forcing.kappa),
                  None) for t, s in zip(orbit.times, orbit.states)]
@@ -285,47 +306,101 @@ class TestPathMatchesPerTimeLoop:
         assert duhamel_residual(uncoupled, forcing, cfg, mode="linearized") > 1e-3
 
 
-class TestCouplingCoverage:
-    def test_short_trajectory_is_not_held_past_its_end(self, grid):
-        # a run to t = 0.5 of a period-1 forcing covers no time past 0.5: the
-        # coupling increment must say so, as the bilinear one does
-        cfg = SolveConfig(dt=T / 16)
-        forcing = coupled_forcing(grid)
-        traj = evolve(initial_state(grid, 50), forcing, 0.5, cfg, mode="full")
-        for velocity in (lambda t: next(duhamel._coupling_path(traj, forcing.g, forcing.kappa, [t]))[0],
-                         lambda t: next(duhamel._bilinear_path(traj, traj, [t]))[0]):
-            with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
-                velocity(0.9)
-            assert np.max(np.abs(velocity(0.5))) > 0.0
-        with pytest.raises(DiagnosticsError, match="does not cover t = 0.9"):
-            list(duhamel._coupling_path(traj, forcing.g, forcing.kappa, [0.25, 0.9]))
+class TestNodeTimesOnly:
+    """The Duhamel terms are read at the nodes of equally spaced trajectories only."""
 
-    def test_one_period_trajectory_is_not_read_periodically(self, runs):
-        # a trajectory over exactly one period of g covers no later time
-        _, forcing, uniform, _ = runs
-        with pytest.raises(DiagnosticsError, match="does not cover t = 1.25"):
-            next(duhamel._coupling_path(uniform, forcing.g, forcing.kappa, [1.25]))
+    @pytest.mark.parametrize("t", [0.41, 1.25, -1 / 16])
+    def test_time_off_the_nodes_refused(self, runs, t):
+        _, _, uniform, _ = runs
+        with pytest.raises(DiagnosticsError, match=f"t = {t} is not a node"):
+            bilinear_at_nodes(uniform, uniform, [1 / 16, t])
+
+    def test_unequally_spaced_or_strided_trajectory_refused(self, grid, runs):
+        cfg, forcing, _, strided = runs
+        # a store_stride of 3 over 16 steps leaves a last interval of one step
+        uneven = evolve(initial_state(grid, 50), None, T, cfg, mode="linearized", store_stride=3)
+        with pytest.raises(DiagnosticsError, match="equally spaced"):
+            bilinear_at_nodes(uneven, uneven, [float(uneven.times[1])])
+        with pytest.raises(DiagnosticsError, match="equally spaced"):
+            duhamel_residual(uneven, forcing, cfg, mode="linearized")
+        # equally spaced, but not stored at every step of the run's dt
+        with pytest.raises(DiagnosticsError, match="every step of dt = 0.03125"):
+            duhamel_residual(strided, forcing, dataclasses.replace(cfg, dt=T / 32), mode="full")
+
+    def test_pair_with_different_node_times_refused(self, grid, runs):
+        cfg, _, uniform, _ = runs
+        half = evolve(initial_state(grid, 60), None, T / 2, cfg, mode="linearized")
+        with pytest.raises(DiagnosticsError, match="same node times"):
+            bilinear_at_nodes(uniform, half, [1 / 16])
+        with pytest.raises(DiagnosticsError, match="same node times"):
+            verify_bilinear_estimate([(uniform, half)], p=3.0, sampler=BallSampler(4, 4))
 
 
-class TestStepFactorsBuiltOnce:
-    def test_residual_builds_weights_once_per_step_size(self, grid, monkeypatch):
-        # 64 steps at dt, forcing substeps at dt / 3: two distinct step sizes
-        cfg = SolveConfig(dt=T / 64, substeps=4)
-        forcing = coupled_forcing(grid)
-        traj = evolve(initial_state(grid, 40), forcing, T, cfg, mode="full")
-        calls = []
-        trap = duhamel._trap_weights
-        monkeypatch.setattr(duhamel, "_trap_weights", lambda h, k2: calls.append(h) or trap(h, k2))
-        assert duhamel_residual(traj, forcing, cfg, mode="full") <= 1e-9
-        assert len(calls) <= 2
-        assert sorted(calls) == pytest.approx([T / 192, T / 64], rel=1e-12)
+class TestBilinearChecksReadTheirTimes:
+    """On 4-step pairs at stride 2, as the estimate suite runs them, both checks read B at
+    t1 and t3, and ``verify_bilinear_estimate`` also at t4: not at the stride's multiples."""
 
-    def test_step_sizes_within_roundoff_share_factors(self, grid):
-        factors = {}
-        first = duhamel._step_factors(grid, 0.1, factors)
-        assert duhamel._step_factors(grid, 0.3 - 0.2, factors) is first
-        assert duhamel._step_factors(grid, 0.1 * (1 + 1e-9), factors) is not first
-        assert len(factors) == 2
+    PARAMS = StabilityParams(p=3.0, q=6.0, r=6.0, b=3.0)
+
+    @staticmethod
+    def _pair(grid):
+        return (_heat_trajectory(initial_state(grid, 70), 0.25, 4),
+                _heat_trajectory(initial_state(grid, 72), 0.25, 4))
+
+    @staticmethod
+    def _read(monkeypatch, module):
+        """Every state the check's ``state_norm`` reads: the B(a, b)(t) it evaluates."""
+        read, norm = [], module.state_norm
+        monkeypatch.setattr(module, "state_norm",
+                            lambda state, ctx: read.append(state) or norm(state, ctx))
+        return read
+
+    @staticmethod
+    def _oracle(a, b, nodes):
+        return [duhamel._to_state(a.grid, *old_bilinear(a, b, float(a.times[k]))) for k in nodes]
+
+    def test_bilinear_estimate_reads_t1_t3_and_the_last(self, grid, monkeypatch):
+        a, b = self._pair(grid)
+        sampler = BallSampler(4, 4)
+        ctx = duhamel.NormContext(NormParams.critical(3.0, 3), sampler)
+        want = self._oracle(a, b, [1, 3, 4])
+        ratio = max(duhamel.state_norm(B, ctx) for B in want) / (
+            duhamel.trajectory_sup_norm(a, ctx) * duhamel.trajectory_sup_norm(b, ctx))
+        read = self._read(monkeypatch, duhamel)
+        rep = verify_bilinear_estimate([(a, b)], p=3.0, sampler=sampler, eval_stride=2)
+        assert len(read) == 3
+        assert_matches([coeffs(B) for B in read], [coeffs(B) for B in want])
+        assert rep.ratios[0] == pytest.approx(ratio, rel=1e-12)
+
+    def test_weighted_bilinear_reads_t1_and_t3(self, grid, monkeypatch):
+        a, b = self._pair(grid)
+        sampler, sp = BallSampler(4, 4), self.PARAMS
+        ctx = stability.NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), sampler, time_stride=2)
+        want = self._oracle(a, b, [1, 3])
+        ratio = max(stability.state_norm(B, ctx)
+                    + sum(stability._weighted_parts(B, float(a.times[k]), sp, sampler))
+                    for k, B in zip([1, 3], want)) / (
+            stability.weighted_trajectory_norm(a, sp, sampler, 2)
+            * stability.weighted_trajectory_norm(b, sp, sampler, 2))
+        read = self._read(monkeypatch, stability)
+        rep = verify_weighted_bilinear([(a, b)], sp, sampler=sampler, stride=2)
+        assert len(read) == 2
+        assert_matches([coeffs(B) for B in read], [coeffs(B) for B in want])
+        assert rep.ratios[0] == pytest.approx(ratio, rel=1e-12)
+
+    def test_a_nan_state_gives_a_nan_ratio(self, grid):
+        a, b = self._pair(grid)
+        states = list(a.states)
+        theta = states[2].theta.values.copy()
+        theta.flat[5] = np.nan
+        states[2] = State(states[2].u, type(states[2].theta)(grid, theta))
+        bad = duhamel.Trajectory(grid, a.times, states)
+        sampler = BallSampler(4, 4)
+        for rep in (verify_bilinear_estimate([(bad, b), (a, b)], p=3.0, sampler=sampler,
+                                             eval_stride=2),
+                    verify_weighted_bilinear([(bad, b), (a, b)], self.PARAMS, sampler=sampler,
+                                             stride=2)):
+            assert np.isnan(rep.ratios[0]) and np.isfinite(rep.ratios[1])
 
 
 class TestLinearOperatorClosedForm:

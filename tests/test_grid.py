@@ -18,7 +18,7 @@ from bqbox import (
     write_field,
     zeros_like_state,
 )
-from bqbox.grid import band_coeffs, forward_coeffs, inverse_values, scatter_band, torus_displacement
+from bqbox.grid import band_coeffs, forward_coeffs, inverse_values, put_band, torus_displacement
 from bqbox.presets import single_mode_scalar, taylor_green
 
 
@@ -167,12 +167,12 @@ class TestBand:
         assert got.shape == lead + g.band_shape
         assert got.tobytes() == want.tobytes()
 
-    def test_scatter_band_fills_the_band_only(self, grid2d):
+    def test_put_band_fills_the_band_only(self, grid2d):
         row = np.arange(np.prod(grid2d.band_shape), dtype=complex).reshape(grid2d.band_shape) + 1
-        full = scatter_band(grid2d, np.stack([row, 2 * row]))
-        assert full.shape == (2,) + grid2d.spectral_shape
+        full = np.full((2,) + grid2d.spectral_shape, -1.0 + 0j)
+        put_band(grid2d, full, np.stack([row, 2 * row]))
         assert np.array_equal(full[grid2d.band], np.stack([row, 2 * row]))
-        assert np.all(full[:, ~grid2d.dealias_mask] == 0)
+        assert np.all(full[:, ~grid2d.dealias_mask] == -1.0)
 
 
 class TestInverseTransform:
