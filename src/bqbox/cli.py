@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_initial, load_config, numeric_option
+from .config import build_initial, forcing_fields, load_config, numeric_option
 from .duhamel import evolve
 from .errors import BqboxError, ConfigError, DiagnosticsError, FieldIOError
 from .fileio import read_field, write_field
@@ -245,13 +245,15 @@ def _smallness_inputs(cfg, params, base, K):
         for s in base.trajectory.states[:: max(1, len(base.trajectory.states) // 4)]
     ]))
     half = NormParams(p=params.p / 2.0, q=math.inf, lam=lam)
+    # the forcing keeps only the divergence rows of F and f: their norms read the patterns,
+    # built again from the config as they were for the forcing
+    patterns = [tf for tf in forcing_fields(cfg.raw, grid, cfg.seed, ("F", "f")).values()
+                if tf is not None]
     totals = []
     for t in ts:
         total = 0.0
-        if forcing.F is not None:
-            total += morrey_lorentz_norm(forcing.F.value(t), half, cfg.sampler)
-        if forcing.f is not None:
-            total += morrey_lorentz_norm(forcing.f.value(t), half, cfg.sampler)
+        for tf in patterns:
+            total += morrey_lorentz_norm(tf.value(t), half, cfg.sampler)
         totals.append(total)
     ff_norm = float(np.max(totals))
     return dict(

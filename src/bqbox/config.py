@@ -156,16 +156,24 @@ def _term_field(grid, term, target, seed, where):
     return type(fld)(grid, amp * fld.values)
 
 
-def build_forcing(cfg_dict, grid, seed):
-    fc = cfg_dict.get("forcing")
-    if fc is None:
-        return None
+def _forcing_period(cfg_dict):
     period = numeric_option(cfg_dict, "forcing.period", None)
     if period is None:
         raise ConfigError("config is missing forcing.period")
-    kappa = numeric_option(cfg_dict, "forcing.kappa", 0.0)
+    return period
+
+
+def forcing_fields(cfg_dict, grid, seed, targets=("F", "f", "g")):
+    """{target: the TimeFourierField of forcing.<target>, or None when it has no terms}.
+
+    Each pattern is its preset's, with the seed ``seed + 1000 (i + 1)`` for
+    the i-th term of a random preset without one; presets are deterministic,
+    so a second call builds the same patterns bit for bit.
+    """
+    fc = cfg_dict.get("forcing")
+    period = _forcing_period(cfg_dict)
     parts = {}
-    for target in ("F", "f", "g"):
+    for target in targets:
         terms = _table(fc.get(target), f"forcing.{target}", list)
         if not terms:
             parts[target] = None
@@ -183,7 +191,16 @@ def build_forcing(cfg_dict, grid, seed):
                 )
             )
         parts[target] = TimeFourierField(period=period, terms=tuple(built))
-    return ForcingSpec(period=period, kappa=kappa, F=parts["F"], f=parts["f"], g=parts["g"])
+    return parts
+
+
+def build_forcing(cfg_dict, grid, seed):
+    """The config's ForcingSpec: F and f are compiled as it is built, and their patterns dropped."""
+    if cfg_dict.get("forcing") is None:
+        return None
+    period = _forcing_period(cfg_dict)
+    kappa = numeric_option(cfg_dict, "forcing.kappa", 0.0)
+    return ForcingSpec(period=period, kappa=kappa, **forcing_fields(cfg_dict, grid, seed))
 
 
 def build_initial(cfg_dict, grid, seed):
@@ -305,7 +322,7 @@ def load_config(path, seed=None):
     t_end = numeric_option(raw, "t_end", None)
 
     if mode == "navier-stokes" and forcing is not None and (
-            forcing.f is not None or forcing.g is not None):
+            forcing.has_f or forcing.g is not None):
         raise HypothesisError("navier-stokes mode takes no temperature forcing f or field g")
 
     return RunConfig(

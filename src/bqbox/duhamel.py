@@ -37,9 +37,10 @@ nodes, so the single-step weights are exact for them.
 
 The state fills the half spectrum.  The analytic forcing rows hold only
 their support, the modes where a source of F or f is nonzero, found once
-per run (the whole half spectrum when the support is more than a tenth of
-it); every nonlinear row (the right-hand side, the frozen extras) is a band
-row of the 2/3 rule (``GridSpec.band_shape``).  A step forms E x, adds
+with the sources, when the forcing is built (the whole half spectrum when
+the support is more than a tenth of it); every nonlinear row (the
+right-hand side, the frozen extras) is a band row of the 2/3 rule
+(``GridSpec.band_shape``).  A step forms E x, adds
 ``A_j[support] * r_j`` on the support, and then adds each band row where it
 meets the state, ``acc[band] += W[band] * row``, in the order Wa then Wb,
 the velocity part then the temperature part of each; off the support and
@@ -230,27 +231,31 @@ _DENSE_SUPPORT = 0.1
 class _CompiledForcing:
     """Analytic spectral sources of the state-independent right-hand side.
 
-    Finite Fourier series in t are reduced once to constant coefficient
-    arrays with scalar time factors, which :meth:`rows_at` evaluates.  The
-    arrays are kept on the ``support``, the modes where any F or f source is
-    nonzero: an index into the half spectrum (the Ellipsis lets it select
-    from arrays with a leading component axis), or ``slice(None)`` when the
-    support holds more than a tenth of the modes.  Off the support every row
-    is exactly 0.  The rows are not dealiased.  The g field of ``forcing``
-    is not read.
+    Built once, by :class:`~bqbox.forcing.ForcingSpec`, from the time-Fourier
+    fields F and f (either may be None), which it does not keep: each term
+    becomes its source, P div F-hat or div f-hat, a constant coefficient
+    array with a scalar time factor, which :meth:`rows_at` evaluates.  F is
+    transformed one tensor row at a time, (div F)_i = div F_i, so its whole
+    transform never exists.  The sources are kept on the ``support``, the
+    modes where any F or f source is nonzero: an index into the half
+    spectrum (the Ellipsis lets it select from arrays with a leading
+    component axis), or ``slice(None)`` when the support holds more than a
+    tenth of the modes.  Off the support every row is exactly 0.  The rows
+    are not dealiased.
     """
 
-    def __init__(self, forcing):
-        grid = forcing.grid
-        self.period = forcing.period
+    def __init__(self, period, F, f):
+        grid = (F if F is not None else f).grid
+        self.grid, self.period = grid, period
         vel, th = [], []  # (harmonic, phase, coeff_array) on the half spectrum
-        if forcing.F is not None:
-            for term in forcing.F.terms:
-                F_hat = forward_coeffs(grid, term.field.values)
-                vel.append((term.harmonic, term.phase,
-                            leray_coeffs(grid, tensor_div_coeffs(grid, F_hat))))
-        if forcing.f is not None:
-            for term in forcing.f.terms:
+        if F is not None:
+            for term in F.terms:
+                div = np.empty((grid.n,) + grid.spectral_shape, dtype=complex)
+                for i, row in enumerate(term.field.values):
+                    div[i] = div_coeffs(grid, forward_coeffs(grid, row))
+                vel.append((term.harmonic, term.phase, leray_coeffs(grid, div)))
+        if f is not None:
+            for term in f.terms:
                 f_hat = forward_coeffs(grid, term.field.values)
                 th.append((term.harmonic, term.phase, div_coeffs(grid, f_hat)))
         occupied = np.zeros(grid.spectral_shape, dtype=bool)
@@ -500,8 +505,8 @@ def evolve(initial, forcing, t_end, cfg, mode="full", extra=None, store_stride=1
     h_s = dt / (m - 1)
     # the weights A_j of the analytic rows at the m substep nodes, on their support
     substep_weights = []
-    if forcing is not None and (forcing.F is not None or forcing.f is not None):
-        compiled = _CompiledForcing(forcing)
+    compiled = None if forcing is None else forcing.sources
+    if compiled is not None:
         support = compiled.support
         substep_weights = [A[support] for A in _substep_weights(grid, dt, m)]
 
@@ -638,6 +643,18 @@ def bilinear_at_nodes(traj_a: Trajectory, traj_b: Trajectory, times):
     return [kept[k] for k in wanted]
 
 
+def bilinear_eval_times(traj: Trajectory, stride):
+    """The node times a bilinear check reads B(a, b) at: every ``stride``-th from t_1, and the last.
+
+    The last node is the last state that the sup-in-time norms of a and b read
+    (:func:`~bqbox.norms.sup_time_indices`).
+    """
+    times = [float(t) for t in traj.times[1::stride]]
+    if not times or times[-1] != float(traj.times[-1]):
+        times.append(float(traj.times[-1]))
+    return times
+
+
 def duhamel_residual(traj: Trajectory, forcing, cfg, mode="full"):
     """Max-norm defect of the stored trajectory against the integral identity.
 
@@ -753,7 +770,8 @@ def verify_bilinear_estimate(pairs, p, sampler, eval_stride=1):
     H is the sup-in-time norm in the critical pairing at p (:meth:`NormParams.critical`,
     2 < p <= n) on the balls of ``sampler``, over the stored grids only.  B is
     read at every ``eval_stride``-th node from t_1 and at the last one
-    (:func:`bilinear_at_nodes`); a pair with a non-finite norm has a NaN ratio.
+    (:func:`bilinear_eval_times`, :func:`bilinear_at_nodes`); a pair with a
+    non-finite norm has a NaN ratio.
     """
     if not pairs:
         raise ConfigError("verify_bilinear_estimate needs a nonempty ensemble")
@@ -767,9 +785,7 @@ def verify_bilinear_estimate(pairs, p, sampler, eval_stride=1):
         if not np.isfinite(na * nb):
             ratios.append(math.nan)  # its rows are not finite: no evolve can step them
             continue
-        eval_times = [float(t) for t in a.times[1::eval_stride] if t > 0]
-        if not eval_times or eval_times[-1] != float(a.times[-1]):
-            eval_times.append(float(a.times[-1]))
+        eval_times = bilinear_eval_times(a, eval_stride)
         # np.max, unlike max(), lets a NaN through in any order
         best = float(np.max([state_norm(B, ctx) for B in bilinear_at_nodes(a, b, eval_times)]))
         ratios.append(best / (na * nb))

@@ -2,12 +2,14 @@
 
 Forcings are finite Fourier series in time over a fixed period T, so
 T-periodicity holds by construction: each term is a spatial pattern
-multiplied by cos(2 pi m t / T + phase).
+multiplied by cos(2 pi m t / T + phase).  A :class:`ForcingSpec` keeps the
+patterns of g only: F and f are compiled, when it is built, into the
+divergence rows the solver reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -80,31 +82,46 @@ class ForcingSpec:
     ``kappa`` is the volume-expansion coefficient scaling the buoyancy
     coupling theta * g; it is allowed to be 0 so the coupling can be switched
     off exactly.
+
+    F and f enter the system only through div F and div f, so they are
+    compiled once, here, into ``sources`` (``bqbox.duhamel._CompiledForcing``):
+    per harmonic, the projected divergence row P div F-hat and the row
+    div f-hat, which is all any solver reads of them.  Their patterns are not
+    kept.  g stays a time-Fourier field, since the coupling reads it
+    pointwise.  ``dataclasses.replace`` of a spec hands its ``sources`` on
+    without compiling again; it cannot take F or f as well.
     """
 
     period: float
     kappa: float = 0.0
-    F: TimeFourierField | None = None
-    f: TimeFourierField | None = None
+    F: InitVar[TimeFourierField | None] = None
+    f: InitVar[TimeFourierField | None] = None
     g: TimeFourierField | None = None
+    sources: object = None  # the compiled F and f, or None without either
 
-    def __post_init__(self):
+    def __post_init__(self, F, f):
         if not (np.isfinite(self.period) and self.period > 0):
             raise ConfigError(f"period must be positive and finite, got {self.period}")
         if self.kappa < 0 or not np.isfinite(self.kappa):
             raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
-        for name, kind in FIELD_KINDS.items():
-            tf = getattr(self, name)
-            if tf is None:
-                continue
-            if tf.grid != self.grid:
-                raise ConfigError(f"forcing component {name} lives on {tf.grid}, "
-                                  f"the first component on {self.grid}")
-            if abs(tf.period - self.period) > 1e-12 * self.period:
-                raise ConfigError(f"forcing component {name} has period {tf.period} != {self.period}")
-            for term in tf.terms:
-                if not isinstance(term.field, kind):
-                    raise ConfigError(f"forcing component {name} needs {kind.__name__} patterns")
+        if self.sources is not None and (F is not None or f is not None):
+            raise ConfigError("a forcing takes F and f or their compiled sources, not both")
+        parts = [(name, part) for name, part in
+                 (("F", F), ("f", f), ("g", self.g), ("sources", self.sources)) if part is not None]
+        grid = parts[0][1].grid if parts else None
+        for name, part in parts:
+            if part.grid != grid:
+                raise ConfigError(f"forcing component {name} lives on {part.grid}, "
+                                  f"the first component on {grid}")
+            if abs(part.period - self.period) > 1e-12 * self.period:
+                raise ConfigError(f"forcing component {name} has period {part.period} "
+                                  f"!= {self.period}")
+            kind = FIELD_KINDS.get(name)
+            if kind is not None and not all(isinstance(term.field, kind) for term in part.terms):
+                raise ConfigError(f"forcing component {name} needs {kind.__name__} patterns")
+        if F is not None or f is not None:
+            from .duhamel import _CompiledForcing  # duhamel imports this module
+            object.__setattr__(self, "sources", _CompiledForcing(self.period, F, f))
 
     @property
     def coupled(self):
@@ -112,10 +129,15 @@ class ForcingSpec:
         return self.g is not None and self.kappa > 0
 
     @property
+    def has_f(self):
+        """Whether the spec was built with a temperature forcing f."""
+        return self.sources is not None and bool(self.sources.analytic_th)
+
+    @property
     def grid(self):
-        for tf in (self.F, self.f, self.g):
-            if tf is not None:
-                return tf.grid
+        for part in (self.sources, self.g):
+            if part is not None:
+                return part.grid
         return None
 
 

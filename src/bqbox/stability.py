@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .duhamel import Trajectory, bilinear_at_nodes, evolve, state_difference
+from .duhamel import Trajectory, bilinear_at_nodes, bilinear_eval_times, evolve, state_difference
 from .errors import ConfigError, DiagnosticsError, HypothesisError
 from .norms import (
     NormContext,
@@ -284,7 +284,8 @@ class WeightedBilinearReport:
 def verify_weighted_bilinear(pairs, params: StabilityParams, sampler, stride=1):
     """Empirical K of ||B(a,b)||_{H_{q,r}} <= K ||a|| ||b|| over an ensemble, on ``sampler``.
 
-    B is read at every ``stride``-th node of a from t_1 (:func:`bilinear_at_nodes`);
+    B is read at every ``stride``-th node of a from t_1 and at the last one
+    (:func:`~bqbox.duhamel.bilinear_eval_times`, :func:`bilinear_at_nodes`);
     a pair with a non-finite norm has a NaN ratio.
     """
     if not pairs:
@@ -301,7 +302,7 @@ def verify_weighted_bilinear(pairs, params: StabilityParams, sampler, stride=1):
         if not np.isfinite(na * nb):
             ratios.append(math.nan)  # its rows are not finite: no evolve can step them
             continue
-        eval_times = [float(t) for t in a.times[1::stride] if t > 0]
+        eval_times = bilinear_eval_times(a, stride)
         # np.max, unlike max(), lets a NaN through in any order
         best = float(np.max([0.0] + [
             state_norm(B, ctx) + sum(_weighted_parts(B, t, params, sampler))

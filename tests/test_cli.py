@@ -21,12 +21,11 @@ from bqbox import (DiagnosticsError, GridSpec, ScalarField, State, VectorField, 
 from bqbox import config as config_mod
 from bqbox import duhamel, periodic
 from bqbox.cli import main
-from bqbox.config import build_initial, load_config
+from bqbox.config import build_forcing, build_initial, load_config
 from bqbox.duhamel import Trajectory
-from bqbox.forcing import ForcingSpec, constant_in_time
 from bqbox.grid import spectral_divergence_residual
 from bqbox.norms import BallSampler, NormContext, NormParams, gaussian_profile, state_norm
-from bqbox.presets import random_smooth_scalar, random_smooth_tensor
+from bqbox.presets import random_smooth_scalar
 from bqbox.report import write_csv
 
 BOX = 6.283185307179586
@@ -629,8 +628,11 @@ class TestSmallnessInputs:
     @staticmethod
     def _inputs(nan_theta=None):
         g = GridSpec(n=3, N=8, L=1.0)
-        forcing = ForcingSpec(period=1.0, F=constant_in_time(1.0, random_smooth_tensor(g, seed=3)))
-        cfg = SimpleNamespace(forcing=forcing, grid=g, sampler=BallSampler(4, 4))
+        # the F norm reads the patterns the config builds, not the compiled forcing
+        raw = {"forcing": {"period": 1.0,
+                           "F": [{"preset": "random-tensor", "params": {"seed": 3}}]}}
+        cfg = SimpleNamespace(raw=raw, seed=0, forcing=build_forcing(raw, g, 0), grid=g,
+                              sampler=BallSampler(4, 4))
         states = []
         for i in range(5):
             theta = random_smooth_scalar(g, seed=10 + i).values

@@ -432,11 +432,13 @@ class TestEvolve:
     def test_nonfinite_picard_residual_names_step(self, grid3d_small):
         # a NaN in the temperature forcing leaves the velocity row finite; the
         # residual must not let the finite row hide the NaN one
-        # (forcings reject non-finite patterns when built, so the NaN is put in after)
+        # (forcings reject non-finite patterns when built, so the NaN is put in
+        # after, into the compiled temperature source)
         g = grid3d_small
         fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=0.1)
         forcing = ForcingSpec(period=1.0, f=constant_in_time(1.0, fv))
-        fv.values[0, 1, 2, 3] = np.nan
+        _, _, source = forcing.sources.analytic_th[0]
+        source[0] = np.nan
         init = State(random_div_free(g, seed=1, amplitude=0.1), gaussian_profile(g, 0.2))
         with pytest.raises(ConvergenceError, match="not finite at step 0"):
             evolve(init, forcing, 0.125, SolveConfig(dt=0.0625), mode="full")
@@ -448,7 +450,7 @@ class TestEvolve:
         # off the band can stop Picard, at the step the NaN enters
         g = grid3d_small
         forcing = TestForcingSupport._forcing(g, "random")
-        assert isinstance(_CompiledForcing(forcing).support, slice)
+        assert isinstance(forcing.sources.support, slice)
         dt = 0.0625
         rows_at, call = _CompiledForcing.rows_at, _StateRHS.__call__
 
@@ -519,27 +521,28 @@ class TestEvolve:
             evolve(zeros_like_state(g), forcing, 1.0, SolveConfig(dt=0.25), mode="linearized")
 
 
-def _value_rows(forcing, t):
-    """The analytic rows (vel, th) at t on the half spectrum, from the forcing's values at t.
+def _value_rows(g, F, f, t):
+    """The analytic rows (vel, th) at t on the half spectrum, from the values at t of F and f.
 
-    P div F(t) and div f(t) of the patterns summed in physical space; None for
-    an absent part.
+    F and f are the time-Fourier fields the forcing was built from; P div F(t)
+    and div f(t) of the patterns summed in physical space; None for an absent
+    part.
     """
-    g = forcing.grid
     vel = th = None
-    if forcing.F is not None:
-        vel = leray_coeffs(g, tensor_div_coeffs(g, forward_coeffs(g, forcing.F.value(t).values)))
-    if forcing.f is not None:
-        th = div_coeffs(g, forward_coeffs(g, forcing.f.value(t).values))
+    if F is not None:
+        vel = leray_coeffs(g, tensor_div_coeffs(g, forward_coeffs(g, F.value(t).values)))
+    if f is not None:
+        th = div_coeffs(g, forward_coeffs(g, f.value(t).values))
     return vel, th
 
 
-def _two_value_loop(init, forcing, n_steps, cfg):
+def _two_value_loop(init, forcing, n_steps, cfg, F=None, f=None):
     """Stored states of the step with two nonlinearity values per node.
 
     Each step evaluates G_state afresh at its start and starts Picard from
     the start state's nonlinearity (evaluated at t_b when G_state depends on
-    t); the forcing is analytic only.
+    t); the forcing is analytic only, its rows those of F and f, the fields
+    ``forcing`` was built from.
     """
     g = init.grid
     dt = cfg.dt
@@ -553,7 +556,7 @@ def _two_value_loop(init, forcing, n_steps, cfg):
         t_a, t_b = i * dt, (i + 1) * dt
         fixed = [E * u, E * th]
         for j, A in enumerate(_substep_weights(g, dt, cfg.substeps)):
-            for k, row in enumerate(_value_rows(forcing, t_a + j * h_s)):
+            for k, row in enumerate(_value_rows(g, F, f, t_a + j * h_s)):
                 if row is not None:
                     fixed[k] = fixed[k] + A * row
         g_a = rhs(u, th, t_a)
@@ -580,16 +583,21 @@ class TestOneValuePerNode:
     Picard's last evaluation; the predictor extrapolates the last three."""
 
     @staticmethod
+    def _F(g):
+        """The F of every problem here: one constant single-mode tensor."""
+        return constant_in_time(1.0, single_mode_tensor(g, k=(0, 1, 0), row=0, col=1,
+                                                        amplitude=1e-2))
+
+    @staticmethod
     def _problem(g, g_harmonic, picard_tol=1e-10):
         T = 1.0
-        Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-2)
         theta0 = ScalarField(g, np.zeros(g.shape))
         gf = None
         if g_harmonic is not None:
             theta0 = gaussian_profile(g, 0.2, amplitude=0.1)
             gv = single_mode_vector(g, k=(1, 0, 0), component=2, amplitude=1.0)
             gf = TimeFourierField(period=T, terms=(HarmonicTerm(g_harmonic, gv, 0.4),))
-        forcing = ForcingSpec(period=T, kappa=0.5, F=constant_in_time(T, Ft), g=gf)
+        forcing = ForcingSpec(period=T, kappa=0.5, F=TestOneValuePerNode._F(g), g=gf)
         init = State(random_div_free(g, seed=2, amplitude=0.1), theta0)
         return init, forcing, SolveConfig(dt=T / 16, substeps=2, picard_tol=picard_tol)
 
@@ -616,7 +624,7 @@ class TestOneValuePerNode:
         n_steps = 8
         init, forcing, cfg = self._problem(grid3d_small, g_harmonic, picard_tol=1e-12)
         got = evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states
-        ref = _two_value_loop(init, forcing, n_steps, cfg)
+        ref = _two_value_loop(init, forcing, n_steps, cfg, F=self._F(grid3d_small))
         scale = max(s.max_norm() for s in ref)
         for a, b in zip(got, ref):
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
@@ -709,7 +717,8 @@ class TestPredictorReuse:
             return loop(), len(calls)
 
         got, got_calls = run(lambda: evolve(init, forcing, n_steps * cfg.dt, cfg, mode=mode).states)
-        ref, ref_calls = run(lambda: _two_value_loop(init, forcing, n_steps, cfg))
+        F = TestOneValuePerNode._F(grid3d_small)
+        ref, ref_calls = run(lambda: _two_value_loop(init, forcing, n_steps, cfg, F=F))
         scale = max(s.max_norm() for s in ref)
         for a, b in zip(got, ref):
             assert state_difference(a, b).max_norm() <= 1e-11 * scale
@@ -1026,29 +1035,58 @@ class TestStepQuadrature:
 
 class TestForcingSupport:
     """The analytic forcing is stepped only on the modes its sources occupy, with
-    the values of the half-spectrum update."""
+    the values of the half-spectrum update; the sources are compiled once, when
+    the forcing is built, and equal what a compile from the patterns per evolve
+    made."""
+
+    # a tensor mode with three nonzero entries puts transform roundoff on every mode
+    SOURCES = [("single-mode", False), ("random", True), ("single-mode-111", True)]
+
+    @staticmethod
+    def _fields(g, sources):
+        """The (F, f) time-Fourier fields of the forcing named ``sources``."""
+        T = 1.0
+        if sources == "random":
+            Ft = random_smooth_tensor(g, seed=6, amplitude=1e-3)
+            fv = random_smooth_vector(g, seed=7, amplitude=1e-3)
+        else:
+            k = (1, 1, 1) if sources == "single-mode-111" else (0, 1, 0)
+            Ft = single_mode_tensor(g, k=k, row=0, col=1, amplitude=1e-3)
+            fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
+        return (TimeFourierField(period=T, terms=(HarmonicTerm(0, Ft), HarmonicTerm(1, Ft, 0.3))),
+                TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)))
 
     @staticmethod
     def _forcing(g, sources):
-        T = 1.0
-        if sources == "single-mode":
-            Ft = single_mode_tensor(g, k=(0, 1, 0), row=0, col=1, amplitude=1e-3)
-            fv = single_mode_vector(g, k=(1, 0, 0), component=0, amplitude=1e-3)
-        else:
-            Ft = random_smooth_tensor(g, seed=6, amplitude=1e-3)
-            fv = random_smooth_vector(g, seed=7, amplitude=1e-3)
-        return ForcingSpec(period=T, F=TimeFourierField(period=T, terms=(
-                               HarmonicTerm(0, Ft), HarmonicTerm(1, Ft, 0.3))),
-                           f=TimeFourierField(period=T, terms=(HarmonicTerm(1, fv, 0.1),)))
+        F, f = TestForcingSupport._fields(g, sources)
+        return ForcingSpec(period=1.0, F=F, f=f)
 
     @staticmethod
-    def _dense_sources(forcing):
-        """Each term's (harmonic, phase, source) on the half spectrum, per part."""
-        g = forcing.grid
+    def _dense_sources(g, F, f):
+        """Each term's (harmonic, phase, source) on the half spectrum, per part.
+
+        Each tensor pattern is transformed whole, as the compile in every
+        evolve did.
+        """
         return [[(term.harmonic, term.phase, source(forward_coeffs(g, term.field.values)))
                  for term in tf.terms]
-                for tf, source in ((forcing.F, lambda h: leray_coeffs(g, tensor_div_coeffs(g, h))),
-                                   (forcing.f, lambda h: div_coeffs(g, h)))]
+                for tf, source in ((F, lambda h: leray_coeffs(g, tensor_div_coeffs(g, h))),
+                                   (f, lambda h: div_coeffs(g, h)))]
+
+    @staticmethod
+    def _compile_per_evolve(g, F, f):
+        """(support, sources per part) as evolve compiled them from the patterns on each call."""
+        dense = TestForcingSupport._dense_sources(g, F, f)
+        occupied = np.zeros(g.spectral_shape, dtype=bool)
+        for _, _, vel in dense[0]:
+            occupied |= np.any(vel != 0, axis=0)
+        for _, _, th in dense[1]:
+            occupied |= th != 0
+        if np.count_nonzero(occupied) > duhamel._DENSE_SUPPORT * occupied.size:
+            support = slice(None)
+        else:
+            support = (Ellipsis,) + np.nonzero(occupied)
+        return support, [[(m, phase, src[support]) for m, phase, src in terms] for terms in dense]
 
     @staticmethod
     def _dense_rows(sources, period, t):
@@ -1061,17 +1099,18 @@ class TestForcingSupport:
             rows.append(row)
         return rows
 
-    def _dense_loop(self, init, forcing, n_steps, cfg, mode):
+    def _dense_loop(self, init, forcing, n_steps, cfg, mode, F, f):
         """Stored states of evolve's step with ``part += A * row`` on the whole half spectrum.
 
-        The rest of the step is evolve's: Picard from the extrapolated node values.
+        The rows are those of F and f, the fields ``forcing`` was built from;
+        the rest of the step is evolve's: Picard from the extrapolated node values.
         """
         g = init.grid
         dt = cfg.dt
         E, Wa, Wb = band_step_factors(g, dt)
         h_s = dt / (cfg.substeps - 1)
         weights = _substep_weights(g, dt, cfg.substeps)
-        sources = self._dense_sources(forcing)
+        sources = self._dense_sources(g, F, f)
         rhs = None if mode == "linearized" else _StateRHS(g, forcing)
         x = (leray_coeffs(g, forward_coeffs(g, init.u.values)),
              forward_coeffs(g, init.theta.values))
@@ -1099,30 +1138,90 @@ class TestForcingSupport:
         return states
 
     @pytest.mark.parametrize("mode", ["linearized", "full"])
-    @pytest.mark.parametrize("sources, dense", [("single-mode", False), ("random", True)])
+    @pytest.mark.parametrize("sources, dense", SOURCES)
     def test_evolve_matches_the_dense_update(self, grid3d_small, sources, dense, mode):
         g = grid3d_small
-        forcing = self._forcing(g, sources)
-        assert isinstance(_CompiledForcing(forcing).support, slice) is dense
+        F, f = self._fields(g, sources)
+        forcing = ForcingSpec(period=1.0, F=F, f=f)
+        assert isinstance(forcing.sources.support, slice) is dense
         init = State(random_div_free(g, seed=2, amplitude=1e-2), gaussian_profile(g, 0.2, 1e-2))
         cfg = SolveConfig(dt=1.0 / 16, substeps=4)
         got = evolve(init, forcing, 6 * cfg.dt, cfg, mode=mode).states
-        want = self._dense_loop(init, forcing, 6, cfg, mode)
+        want = self._dense_loop(init, forcing, 6, cfg, mode, F, f)
         assert len(got) == len(want) == 7
         for a, b in zip(got, want):
             assert np.array_equal(a.u.values, b.u.values)
             assert np.array_equal(a.theta.values, b.theta.values)
 
+    @pytest.mark.parametrize("sources, dense", SOURCES)
+    def test_sources_equal_a_compile_per_evolve(self, grid3d, sources, dense):
+        g = grid3d
+        F, f = self._fields(g, sources)
+        compiled = ForcingSpec(period=1.0, F=F, f=f).sources
+        support, (vel, th) = self._compile_per_evolve(g, F, f)
+        assert isinstance(compiled.support, slice) is dense
+        if dense:
+            assert compiled.support == support
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(compiled.support[1:], support[1:]))
+        for got, want in ((compiled.analytic_vel, vel), (compiled.analytic_th, th)):
+            assert [(m, phase) for m, phase, _ in got] == [(m, phase) for m, phase, _ in want]
+            assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+
     def test_single_mode_support_holds_its_nonzero_modes(self, grid3d):
         g = grid3d
-        forcing = self._forcing(g, "single-mode")
-        vel, th = (terms[0][2] for terms in self._dense_sources(forcing))
+        F, f = self._fields(g, "single-mode")
+        vel, th = (terms[0][2] for terms in self._dense_sources(g, F, f))
         occupied = np.any(vel != 0, axis=0) | (th != 0)
-        compiled = _CompiledForcing(forcing)
+        compiled = ForcingSpec(period=1.0, F=F, f=f).sources
         assert compiled.support[0] is Ellipsis
         # the transforms leave roundoff-sized values beside the mode: they are sources too
         assert set(zip(*compiled.support[1:])) == set(zip(*np.nonzero(occupied)))
         assert compiled.shape == (np.count_nonzero(occupied),)
+
+
+class TestForcingCompiledOnce:
+    """F and f are compiled when the forcing is built: their patterns are not
+    kept, and every solver reads the one set of sources."""
+
+    @staticmethod
+    def _coupled(g):
+        T = 1.0
+        return dict(
+            F=constant_in_time(T, random_smooth_tensor(g, seed=6, amplitude=1e-3)),
+            f=TimeFourierField(period=T, terms=(
+                HarmonicTerm(1, random_smooth_vector(g, seed=7, amplitude=1e-3), 0.1),)),
+            g=constant_in_time(T, single_mode_vector(g, k=(1, 0, 0), component=2)),
+        )
+
+    def test_patterns_of_F_and_f_are_freed_and_g_is_kept(self, grid3d):
+        parts = self._coupled(grid3d)
+        patterns = {name: weakref.ref(tf.terms[0].field.values) for name, tf in parts.items()}
+        forcing = ForcingSpec(period=1.0, kappa=0.5, **parts)
+        del parts
+        assert patterns["F"]() is None and patterns["f"]() is None
+        assert patterns["g"]() is forcing.g.terms[0].field.values
+
+    def test_the_sources_are_built_once(self, grid3d_small, monkeypatch):
+        built = []
+        init = _CompiledForcing.__init__
+        monkeypatch.setattr(_CompiledForcing, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        forcing = ForcingSpec(period=1.0, kappa=0.5, **self._coupled(grid3d_small))
+        assert len(built) == 1
+        linear = dataclasses.replace(forcing, g=None, kappa=0.0)
+        assert linear.sources is forcing.sources and linear.grid == grid3d_small
+        cfg = SolveConfig(dt=1.0 / 16)
+        run = evolve(zeros_like_state(grid3d_small), forcing, 2 * cfg.dt, cfg)
+        duhamel_residual(run, forcing, cfg)
+        evolve(zeros_like_state(grid3d_small), linear, 2 * cfg.dt, cfg, mode="linearized")
+        assert len(built) == 1
+
+    def test_replace_takes_no_second_F_or_f(self, grid3d_small):
+        parts = self._coupled(grid3d_small)
+        forcing = ForcingSpec(period=1.0, F=parts["F"])
+        with pytest.raises(ConfigError, match="not both"):
+            dataclasses.replace(forcing, f=parts["f"])
 
 
 class TestVerifyLinearOperator:

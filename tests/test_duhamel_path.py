@@ -103,25 +103,27 @@ def old_coupling(traj, g, kappa, t):
     return old_accumulate(grid, nodes, rows, t)
 
 
-def old_forcing(forcing, t, cfg):
-    """The rows P div F(s) and div f(s) on the half spectrum, from the forcing's values at s."""
-    grid = forcing.grid
+def old_forcing(fields, t, cfg):
+    """The rows P div F(s) and div f(s) on the half spectrum, from the values at s of the
+    time-Fourier fields F and f of ``fields``, which the forcing was built from."""
+    F, f = fields["F"], fields["f"]
+    grid = F.grid
     nodes = np.linspace(0.0, t, (cfg.substeps - 1) * int(round(t / cfg.dt)) + 1)
     zero_v = np.zeros((grid.n,) + grid.spectral_shape, dtype=complex)
     zero_t = np.zeros(grid.spectral_shape, dtype=complex)
     rows = []
     for s in nodes:
         vel, th = zero_v, zero_t
-        if forcing.F is not None:
-            F_hat = forward_coeffs(grid, forcing.F.value(s).values)
+        if F is not None:
+            F_hat = forward_coeffs(grid, F.value(s).values)
             vel = leray_coeffs(grid, tensor_div_coeffs(grid, F_hat))
-        if forcing.f is not None:
-            th = div_coeffs(grid, forward_coeffs(grid, forcing.f.value(s).values))
+        if f is not None:
+            th = div_coeffs(grid, forward_coeffs(grid, f.value(s).values))
         rows.append((vel, th))
     return old_accumulate(grid, nodes, rows, t)
 
 
-def old_residual(traj, forcing, cfg, mode):
+def old_residual(traj, forcing, fields, cfg, mode):
     grid = traj.grid
     x0 = traj.states[0]
     u0_hat = forward_coeffs(grid, x0.u.values)
@@ -137,7 +139,7 @@ def old_residual(traj, forcing, cfg, mode):
         if mode == "full":
             terms.append(old_bilinear(traj, traj, t))
         terms.append(old_coupling(traj, forcing.g, forcing.kappa, t))
-        terms.append(old_forcing(forcing, t, cfg))
+        terms.append(old_forcing(fields, t, cfg))
         for term in terms:
             total_u = total_u + inverse_values(grid, term[0]).real
             if len(term) > 1:
@@ -177,10 +179,9 @@ def old_linear_operator_ratio(f1, f2, from_params, to_params, sampler, tail_tol=
 T = 1.0
 
 
-def coupled_forcing(g):
-    return ForcingSpec(
-        period=T,
-        kappa=0.5,
+def coupled_fields(g):
+    """The time-Fourier fields F, f and g of the coupled forcing."""
+    return dict(
         F=TimeFourierField(period=T, terms=(
             HarmonicTerm(1, random_smooth_tensor(g, seed=1, amplitude=0.1), 0.3),)),
         f=constant_in_time(T, random_smooth_vector(g, seed=2, amplitude=0.1)),
@@ -203,11 +204,16 @@ def grid():
 
 
 @pytest.fixture(scope="module")
-def runs(grid):
+def fields(grid):
+    return coupled_fields(grid)
+
+
+@pytest.fixture(scope="module")
+def runs(grid, fields):
     """A trajectory stored at every step, and one stored at every other step of a run at half
-    the step: both have their nodes at k T / 16."""
+    the step: both have their nodes at k T / 16, and the forcing is built from ``fields``."""
     cfg = SolveConfig(dt=T / 16, substeps=4)
-    forcing = coupled_forcing(grid)
+    forcing = ForcingSpec(period=T, kappa=0.5, **fields)
     uniform = evolve(initial_state(grid, 10), forcing, T, cfg, mode="full")
     strided = evolve(initial_state(grid, 20), forcing, T, dataclasses.replace(cfg, dt=T / 32),
                      mode="full", store_stride=2)
@@ -262,31 +268,31 @@ class TestPathMatchesPerTimeLoop:
         assert_matches([coeffs(got)[:1]], [old_coupling(traj, forcing.g, forcing.kappa, t)])
 
     @pytest.mark.parametrize("t", [1 / 16, 5 / 16, 1.0])
-    def test_forcing_increment(self, grid, runs, t):
+    def test_forcing_increment(self, grid, runs, fields, t):
         cfg, forcing, _, _ = runs
         got = evolve(zeros_like_state(grid), without_g(forcing), t, cfg, mode="linearized")
-        assert_matches([coeffs(got.states[-1])], [old_forcing(forcing, t, cfg)])
+        assert_matches([coeffs(got.states[-1])], [old_forcing(fields, t, cfg)])
 
-    def test_forcing_path_reads_every_step_time(self, grid, runs):
+    def test_forcing_path_reads_every_step_time(self, grid, runs, fields):
         cfg, forcing, _, _ = runs
         run = evolve(zeros_like_state(grid), without_g(forcing), T, cfg, mode="linearized")
         times = [k / 16 for k in range(1, 17)]
         assert np.array_equal(run.times[1:], times)
         got = [coeffs(s) for s in run.states[1:]]
-        want = [old_forcing(forcing, t, cfg) for t in times]
+        want = [old_forcing(fields, t, cfg) for t in times]
         assert_matches(got, want)
 
     @pytest.mark.parametrize("which", ["uniform", "strided"])
-    def test_full_mode_residual(self, runs, which):
+    def test_full_mode_residual(self, runs, fields, which):
         # the strided run, at T / 32, is read as stored at every step of T / 16:
         # its defect is the coarser quadrature's, in both routes alike
         cfg, forcing, uniform, strided = runs
         traj = {"uniform": uniform, "strided": strided}[which]
         got = duhamel_residual(traj, forcing, cfg, mode="full")
-        want = old_residual(traj, forcing, cfg, "full")
+        want = old_residual(traj, forcing, fields, cfg, "full")
         assert abs(got - want) <= 1e-14
 
-    def test_linearized_residual_reads_its_own_temperature(self, grid, runs):
+    def test_linearized_residual_reads_its_own_temperature(self, grid, runs, fields):
         # a linearized run reads the coupling off its own stored temperature,
         # as a full-mode run does; stepped with rows built from that
         # temperature, it is a solution of the coupled linear system
@@ -298,7 +304,7 @@ class TestPathMatchesPerTimeLoop:
                  None) for t, s in zip(orbit.times, orbit.states)]
         traj = evolve(x0, free, T, cfg, mode="linearized", extra=rows)
         got = duhamel_residual(traj, forcing, cfg, mode="linearized")
-        want = old_residual(traj, forcing, cfg, "linearized")
+        want = old_residual(traj, forcing, fields, cfg, "linearized")
         assert abs(got - want) <= 1e-14
         assert got <= 1e-13
         # without the rows the coupling is missing from the run, not from the check
@@ -338,7 +344,8 @@ class TestNodeTimesOnly:
 
 class TestBilinearChecksReadTheirTimes:
     """On 4-step pairs at stride 2, as the estimate suite runs them, both checks read B at
-    t1 and t3, and ``verify_bilinear_estimate`` also at t4: not at the stride's multiples."""
+    t1, t3 and the last node t4, whose state the norms of a and b read too: not at the
+    stride's multiples."""
 
     PARAMS = StabilityParams(p=3.0, q=6.0, r=6.0, b=3.0)
 
@@ -372,19 +379,19 @@ class TestBilinearChecksReadTheirTimes:
         assert_matches([coeffs(B) for B in read], [coeffs(B) for B in want])
         assert rep.ratios[0] == pytest.approx(ratio, rel=1e-12)
 
-    def test_weighted_bilinear_reads_t1_and_t3(self, grid, monkeypatch):
+    def test_weighted_bilinear_reads_t1_t3_t4(self, grid, monkeypatch):
         a, b = self._pair(grid)
         sampler, sp = BallSampler(4, 4), self.PARAMS
         ctx = stability.NormContext(NormParams(p=3.0, q=np.inf, lam=0.0), sampler, time_stride=2)
-        want = self._oracle(a, b, [1, 3])
+        want = self._oracle(a, b, [1, 3, 4])
         ratio = max(stability.state_norm(B, ctx)
                     + sum(stability._weighted_parts(B, float(a.times[k]), sp, sampler))
-                    for k, B in zip([1, 3], want)) / (
+                    for k, B in zip([1, 3, 4], want)) / (
             stability.weighted_trajectory_norm(a, sp, sampler, 2)
             * stability.weighted_trajectory_norm(b, sp, sampler, 2))
         read = self._read(monkeypatch, stability)
         rep = verify_weighted_bilinear([(a, b)], sp, sampler=sampler, stride=2)
-        assert len(read) == 2
+        assert len(read) == 3
         assert_matches([coeffs(B) for B in read], [coeffs(B) for B in want])
         assert rep.ratios[0] == pytest.approx(ratio, rel=1e-12)
 

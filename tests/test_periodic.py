@@ -32,7 +32,7 @@ from bqbox import (
     zeros_like_state,
 )
 from bqbox import periodic as periodic_mod
-from bqbox.config import load_config
+from bqbox.config import forcing_fields, load_config
 from bqbox.duhamel import _to_state, duhamel_residual, state_difference
 from bqbox.forcing import HarmonicTerm, TimeFourierField
 from bqbox.grid import forward_coeffs, inverse_values
@@ -375,8 +375,10 @@ class TestCoupledLinear:
             assert np.array_equal(a.u.values, b.u.values)
 
 
-def closed_form_datum(problem):
+def closed_form_datum(problem, F, f):
     """The periodic datum of the linear system without g, mode by mode, with no stepping.
+
+    F and f are the time-Fourier fields the problem's forcing was built from.
 
     A source cos(w t + phi) S, with S the projected source of its pattern
     (P div F for a velocity term, div f for a temperature term), has the
@@ -385,13 +387,12 @@ def closed_form_datum(problem):
     (k^2 - i w_m)] S_m, and 0 at k = 0.
     """
     grid = problem.grid
-    forcing = problem.linear_forcing
     zero = (0,) * grid.n
     k2 = grid.k_squared.copy()
     k2[zero] = 1.0  # a harmonic-0 source is singular there; the mode is zeroed below
     parts = []
-    for tf, source in ((forcing.F, lambda hat: leray_coeffs(grid, tensor_div_coeffs(grid, hat))),
-                       (forcing.f, lambda hat: div_coeffs(grid, hat))):
+    for tf, source in ((F, lambda hat: leray_coeffs(grid, tensor_div_coeffs(grid, hat))),
+                       (f, lambda hat: div_coeffs(grid, hat))):
         x = 0.0
         for term in () if tf is None else tf.terms:
             m, phase = term.harmonic, term.phase
@@ -413,18 +414,20 @@ class TestClosedFormDatum:
 
     @staticmethod
     def _problem(config, path, substeps):
+        """The problem of ``config`` at ``substeps``, and the F and f its forcing was built from."""
         config = json.loads(json.dumps(config))
         config["solve"]["substeps"] = substeps
         path.write_text(json.dumps(config))
         cfg = load_config(str(path))
-        return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid)
+        fields = forcing_fields(cfg.raw, cfg.grid, cfg.seed, ("F", "f"))
+        return PeriodicProblem(forcing=cfg.forcing, cfg=cfg.solve, grid=cfg.grid), fields
 
     def test_second_order_in_the_substep(self, linear_workload_configs, tmp_path):
         linear, _ = linear_workload_configs
         scaled = []
         for substeps, level in self.LEVELS.items():
-            prob = self._problem(linear, tmp_path / f"s{substeps}.json", substeps)
-            exact = closed_form_datum(prob)
+            prob, fields = self._problem(linear, tmp_path / f"s{substeps}.json", substeps)
+            exact = closed_form_datum(prob, **fields)
             err = state_difference(resolvent_periodic_datum(prob), exact).max_norm()
             assert err / exact.max_norm() == pytest.approx(level, rel=0.01)
             scaled.append(err / exact.max_norm() * (substeps - 1) ** 2)
@@ -434,9 +437,9 @@ class TestClosedFormDatum:
     def test_coupled_theta_stage(self, linear_workload_configs, tmp_path):
         # the theta stage of a g-coupled problem is the uncoupled solve
         _, coupled = linear_workload_configs
-        prob = self._problem(coupled, tmp_path / "c.json", 4)
+        prob, fields = self._problem(coupled, tmp_path / "c.json", 4)
         assert prob.coupling is not None
-        want = closed_form_datum(prob).theta.values
+        want = closed_form_datum(prob, **fields).theta.values
         got = resolvent_periodic_datum(prob).theta.values
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) == pytest.approx(3.90e-4, rel=0.01)
 
@@ -729,7 +732,8 @@ class TestNonlinearPeriodic:
         assert sol.residual_max < 1e-8
         assert all(r < 1.0 for r in sol.meta["contraction_ratios"])
         # the buoyancy term must actually move the velocity: compare kappa=0
-        forcing0 = ForcingSpec(period=T, kappa=0.0, F=forcing.F, f=forcing.f)
+        forcing0 = ForcingSpec(period=T, kappa=0.0, F=constant_in_time(T, Ft),
+                               f=constant_in_time(T, fv))
         sol0 = nonlinear_periodic(
             PeriodicProblem(forcing=forcing0, cfg=prob.cfg, grid=g),
             outer_tol=1e-10, ctx=ctx,

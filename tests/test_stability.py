@@ -358,17 +358,18 @@ class TestVerifyWeightedBilinear:
 
     @pytest.mark.parametrize("at", ["first", "last"])
     def test_nan_sample_reaches_best(self, grid3d_small, monkeypatch, at):
-        # stride 2 evaluates B at two stored times per pair
+        # stride 2 on 4 steps evaluates B at three stored times per pair: t1, t3 and the last
         pairs = self._pairs(grid3d_small)[:1]
-        calls = self._nan_norm(monkeypatch, {1 if at == "first" else 2})
+        calls = self._nan_norm(monkeypatch, {1 if at == "first" else 3})
         rep = verify_weighted_bilinear(pairs, StabilityParams(**SP), sampler=BallSampler(4, 4),
                                        stride=2)
-        assert len(calls) == 2
+        assert len(calls) == 3
         assert np.isnan(rep.ratios[0]) and np.isnan(rep.empirical_constant)
 
     @pytest.mark.parametrize("bad", [0, 1])
     def test_nan_ratio_reaches_constant(self, grid3d_small, monkeypatch, bad):
-        self._nan_norm(monkeypatch, {2 * bad + 1, 2 * bad + 2})
+        # every one of the three evaluations of pair ``bad`` is NaN
+        self._nan_norm(monkeypatch, {3 * bad + 1, 3 * bad + 2, 3 * bad + 3})
         rep = verify_weighted_bilinear(self._pairs(grid3d_small), StabilityParams(**SP),
                                        sampler=BallSampler(4, 4), stride=2)
         assert np.isnan(rep.ratios[bad]) and np.isfinite(rep.ratios[1 - bad])
